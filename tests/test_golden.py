@@ -1,0 +1,208 @@
+"""Golden artifact hashes: runs must stay byte-identical.
+
+Pins the sha256 of ``trace.jsonl``, ``summary.json`` and ``world.json`` for
+every shipped world config x four policy variants x two seeds.  The tulu run
+is shortened to keep the test quick.  A performance change must pass with
+these hashes untouched; a change that alters behaviour on purpose re-pins
+them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+which prints the current hashes in the format of ``GOLDEN`` below, and says
+why in the change log.
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from banditmix.config import ExperimentConfig
+from banditmix.runner import SUMMARY_FILENAME, TRACE_FILENAME, WORLD_FILENAME, run_experiment
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+WORLDS = ("tulu_default", "deep_gap_world", "volatile_world")
+POLICIES = ("bandit", "delta_entropy", "uniform", "static")
+SEEDS = (0, 1)
+TULU_STEPS = 500
+ARTIFACTS = (TRACE_FILENAME, SUMMARY_FILENAME, WORLD_FILENAME)
+
+
+def golden_config(world: str, policy: str) -> ExperimentConfig:
+    obj = json.loads((CONFIGS / f"{world}.json").read_text(encoding="utf-8"))
+    if world == "tulu_default":
+        obj["bandit"]["total_steps"] = TULU_STEPS
+    if policy == "delta_entropy":
+        obj["policy"] = {"variant": "bandit", "reward_kind": "delta_entropy"}
+    elif policy == "uniform":
+        obj["policy"] = {"variant": "uniform"}
+    elif policy == "static":
+        # Linearly increasing weights: later arms get more mass.
+        k = ExperimentConfig.from_dict(obj).resolve().registry.num_arms
+        total = k * (k + 1) / 2
+        obj["policy"] = {"variant": "static", "static_probs": [(i + 1) / total for i in range(k)]}
+    return ExperimentConfig.from_dict(obj)
+
+
+def artifact_hashes(world: str, policy: str, seed: int, out_dir: Path) -> tuple[str, ...]:
+    run_experiment(golden_config(world, policy), seed=seed, out_dir=out_dir)
+    return tuple(hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in ARTIFACTS)
+
+
+def cases() -> list[str]:
+    return [f"{w}/{p}/{s}" for w in WORLDS for p in POLICIES for s in SEEDS]
+
+
+# case -> sha256 of (trace.jsonl, summary.json, world.json)
+GOLDEN = {
+    "tulu_default/bandit/0": (
+        "d3aadbaf04a14a7fe4a9d664a52ed49e55b417e9eb001d96146ed54658656c01",
+        "2ce8565aaa12b38c1869867aad10e17f479108831174f0cd5924bc59d46fd2a4",
+        "6b1f9011fc03947c3f5828685b49123eb68eefa8bac287837e36b3a971bb3802",
+    ),
+    "tulu_default/bandit/1": (
+        "8a9f18e79232d8dc814adcd724cb7c9da4af8bec840885e6d7b4c89b3e332e20",
+        "1600db34aa0b414b89e33f4577456d8cfa1ce6eb6734462f88ade8399a47da4b",
+        "ddc9748a1b51b952cd6144fdd6eee1088056f9e94f1c2bda1d177833e7961a4a",
+    ),
+    "tulu_default/delta_entropy/0": (
+        "3d05ef215d036e6db3a4f88bbcd3cbad033cf59a35b654c9387f4521c277139d",
+        "69f0a006ed2875ab765868cdc5c25669044b4465f4ae33623c268a9495413886",
+        "6b1f9011fc03947c3f5828685b49123eb68eefa8bac287837e36b3a971bb3802",
+    ),
+    "tulu_default/delta_entropy/1": (
+        "2d7ea88cc4cd68ecbe7d2d0290e5b603c37e0ee0a1cc9db080a6071f18bb9cb8",
+        "42c4d9bc135e2a3d12a901a89ef010de6d542f0cfac77dc72d06188219a5c8c2",
+        "ddc9748a1b51b952cd6144fdd6eee1088056f9e94f1c2bda1d177833e7961a4a",
+    ),
+    "tulu_default/uniform/0": (
+        "bfdbcad701d57f26d0489381ceca7fd19f1694ccc614203bba642bb10af6e8bb",
+        "b3dd11f25f0884639dd80bdcebba8736979eabc7e7519a28f1b27f5236a76523",
+        "e4e277b16c02847973570c1c4468042a52ceae5e2d3755257a93662475bfaa07",
+    ),
+    "tulu_default/uniform/1": (
+        "a0c274de4b434cc1693f8a159a8546e69a9fe12bc4ca8ae7a405f2a8f9de51cb",
+        "104b9d5cbf8037dec100c6232968b7495990ca89d1e97ee3ec7651204b03d2de",
+        "c3dd77c4426a625c336c93658a88605f13c057e4811d165c2e0ae130e6bb2451",
+    ),
+    "tulu_default/static/0": (
+        "eda997fdfcb66e24b0ce00721f61a1b7b77fdfd6daa5e52b98f7e1955d0783c7",
+        "2479fe62c1f32a464b8663cfe54799913930d751c9af3c4908e548e68980d1a4",
+        "f941f5ee5de5641fe76d6aef6ead968c0b4bc65ba39fa379142a4d8782dc91b2",
+    ),
+    "tulu_default/static/1": (
+        "4a9fb0e9ac65ced5d3047bbc44fa7812a2167193f1f146a3e092ce1dd97ec953",
+        "e156378179c616ab3655695423e5ad48629dddfd07ebde0c5c3be332155f2f43",
+        "d4464bfaf7f30b83cda67573b852499ff1b93084c8309c80fc05f109148bc49f",
+    ),
+    "deep_gap_world/bandit/0": (
+        "bcd3c067791bb9479721841fe7e10e5f04f2ba3ce80ab049eedfd2e16f83037f",
+        "331d81336127a1bb0405cb06e928a599b05527186e83e06beb1722a246d6176a",
+        "6f81c2248512ccaaeeb0916edeeb821f87fa227851bf7393c54f5d2f93f42e54",
+    ),
+    "deep_gap_world/bandit/1": (
+        "c21a68fed6603e18fb3beed3fdee2a007224f3a82ed4f1b1b05d7c4d897d3e4c",
+        "c473d53532aa196bae5c6a5273e44765613e4947a45f6b03db87a8537da956a7",
+        "a34e6d854d2171a622ff7c5c90ef5b104f453f662c35823f4b7ad4161e6a0a8c",
+    ),
+    "deep_gap_world/delta_entropy/0": (
+        "f0d1a198fdeb520e0f599cb717e27f2f5f96eeec0c1d9bc2df6c462a9a774bab",
+        "7514b64eb94578f35e92e0b8d3b69832171edf15fe14bc38e2530a5ba70baac0",
+        "6f81c2248512ccaaeeb0916edeeb821f87fa227851bf7393c54f5d2f93f42e54",
+    ),
+    "deep_gap_world/delta_entropy/1": (
+        "6a034a5b824b0a402066474372e57e89c93fd36613f859ba4c8c1515bab028bc",
+        "de455735e94f0d777de2260526d075f02c8054af11a0b533f6ecea06c2929454",
+        "a34e6d854d2171a622ff7c5c90ef5b104f453f662c35823f4b7ad4161e6a0a8c",
+    ),
+    "deep_gap_world/uniform/0": (
+        "49f9c205429b6fe8d0e5cf27d287d8dad230258b4ce3fe453343c07f2e9155a7",
+        "ed960e964bc9cde505d205d9baf3e635ee6f070db216f362ddfacb91bc49364a",
+        "958cf767cfd13c3382acc38b3857de863d021d985d5de1f909c790bf85a849cb",
+    ),
+    "deep_gap_world/uniform/1": (
+        "4ebc8f319b204a5f6426b775d9505cbefaaea1ddb1a0a00110c1f3587fe253fb",
+        "c213aa3e82be44c2057bd3cbc1665a7b58e2f1a97e76dc4461b82450fa1c3733",
+        "0844d89739b370f84b41a4e1949f056fcf40fae413d027cee5cbcb6fc9f47ef8",
+    ),
+    "deep_gap_world/static/0": (
+        "dc906700eb6f2411e24db9aa0e3f999394ae0e58df4a021538cc104bfc69b361",
+        "0cbac708df9cbce385c80e82f8779d44dc7d33fbeb1c8eab5db2620a96d60847",
+        "cbdbac8ac37613b2c0b88bc58fd672febb907710da57ffbff95c112dea1e8d22",
+    ),
+    "deep_gap_world/static/1": (
+        "c2c18533760b0984be6cdc4a821596c831f985c24e8106c8e97cbc11e76b64ed",
+        "04ebbb94154c1c89d747d5f5533f5b6d11182473d3ebcec5e234f06260743d6b",
+        "6be9c087df383cf40f748241aba435d7561b845ede8e2174f1c3eaecce820bd3",
+    ),
+    "volatile_world/bandit/0": (
+        "01174e0ab3288c544bdc8bff2b4273884fff762a482361c7532f22ea96a8ee65",
+        "62b067fbb1e2a5a89ea28d9f0bc3c58cf342510134c6bdf76b21bb35fdf074fb",
+        "ea9d38bc1851a8948f64c0906144ee9a03662d8defe340a9bae1df0aaec22a7e",
+    ),
+    "volatile_world/bandit/1": (
+        "d287eb4aae920692667a87bf736766d5b9949dfb635cb2ecbe239c9129861e82",
+        "d3e30c5029baec448b8731c9a713ac4b076bfd13b8847b1a192001038e3f8ca3",
+        "890722e25d944644fddace50c20db1a691c9d1f3cdb8359e6f19f2c210f7458d",
+    ),
+    "volatile_world/delta_entropy/0": (
+        "d6e1a402e0d4d7356c2add0ddf2d56f66678d6f910072ae3083afbeeadfaf4c8",
+        "1d4ad60725fced25c369a70113f9923d873560d58a52c22cb2647c6cc961b0fb",
+        "ea9d38bc1851a8948f64c0906144ee9a03662d8defe340a9bae1df0aaec22a7e",
+    ),
+    "volatile_world/delta_entropy/1": (
+        "f028814622bd7b4a8cba3a4fa7c1324e481494e5b120a63f3acb52d64b0b2b5f",
+        "fc117936f92df7f9f13d38836f633913b5f8348ca383382220898e1548298dc3",
+        "890722e25d944644fddace50c20db1a691c9d1f3cdb8359e6f19f2c210f7458d",
+    ),
+    "volatile_world/uniform/0": (
+        "9071826c991d3a101f3cd2112f6302a17183ec7892bf0dda00717e816c87582c",
+        "3c20ea489d7b4b302b8066a3ee43d61c0be0b45752f76c4f2d1205238d1cdf8c",
+        "0a04b1abab2189ab396d8aafb096613c91f77734ed7c873f412700975791613e",
+    ),
+    "volatile_world/uniform/1": (
+        "27b17177019d5af8298e3ec5d610080fab43804de09a1d358d5a86be133cc371",
+        "5f87cbaa8d371980416cd9474316d18a65b2fc2fbd62302cdb39ab9a7b7209f3",
+        "8a32dc5c219dc7b32c950acf659d8d849e0054aa99509cfb0fce237bfe66b667",
+    ),
+    "volatile_world/static/0": (
+        "0c92fdaa01cbfb9523b1387f0944d52321c41fa64b71318a701b0f21356e1bb8",
+        "e9d600860ae1f812a0641571dc0125f8cb0e5476c0f01ee62530359a77999cc6",
+        "83004ee287de8416bc5a016788c7465c8c1b3b2d7e3790beea4c967d03f11e60",
+    ),
+    "volatile_world/static/1": (
+        "578692fd66453544ff42e9e31c7b84a10438c85193ec2a48b95e848b3734193b",
+        "117b3109979b07b9acdeb535aec638c63b9d66935d2a1f8fa847a08d571990b0",
+        "382a17d21c0567a3fed10458c25cbef9663aa576f80a06756e9215b301873b51",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", cases())
+def test_artifacts_match_golden_hashes(case, tmp_path):
+    world, policy, seed = case.split("/")
+    assert artifact_hashes(world, policy, int(seed), tmp_path) == GOLDEN[case]
+
+
+def test_golden_covers_every_case():
+    assert sorted(GOLDEN) == sorted(cases())
+
+
+def main() -> None:
+    print("GOLDEN = {")
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in cases():
+            world, policy, seed = case.split("/")
+            hashes = artifact_hashes(world, policy, int(seed), Path(tmp) / case)
+            print(f'    "{case}": (')
+            for h in hashes:
+                print(f'        "{h}",')
+            print("    ),")
+    print("}")
+
+
+if __name__ == "__main__":
+    sys.exit(main())
