@@ -245,6 +245,8 @@ def sample_batch(
         )
     us = rng.random(batch_size)
     arms = np.searchsorted(dist.cumulative, us, side="right")
-    np.clip(arms, 0, dist.num_arms - 1, out=arms)
+    # searchsorted never returns a negative index; only a draw at or above
+    # the float total of p can land past the last arm.
+    np.minimum(arms, dist.num_arms - 1, out=arms)
     examples = rng.integers(0, registry.counts[arms])
     return Batch(arms=arms, examples=examples)

@@ -3,14 +3,16 @@
 Each reward round probes every arm once: measure loss on a probe batch, take
 one virtual optimizer step on that batch, measure again, restore the learner,
 and score the arm by its relative loss drop.  Scores fold into the running
-estimates through an exponential moving average.
+estimates through an exponential moving average.  ``Learner.probe`` runs the
+measurements of a whole round; a learner that can compute them in closed form
+may override it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Literal
+from typing import Any, Literal, Sequence
 
 import numpy as np
 
@@ -61,6 +63,31 @@ class Learner(ABC):
     def entropy(self, batch: Batch) -> np.ndarray:
         """Per-example predictive entropies; optional capability."""
         raise NotImplementedError(f"{type(self).__name__} does not expose entropies")
+
+    def probe(
+        self, batches: Sequence[Batch], learning_rate: float, entropy: bool = False
+    ) -> tuple[Sequence[np.ndarray], Sequence[np.ndarray]]:
+        """Measure each batch before and after one virtual step on it.
+
+        Returns ``(pres, posts)``: ``pres[j]`` and ``posts[j]`` are batch
+        ``j``'s losses (entropies with ``entropy=True``) before and after the
+        step.  Every probe starts from the current state: per batch, measure,
+        snapshot, take the virtual step, measure again, and restore, even
+        when a measurement raises.  An override must return the same values
+        bit for bit and leave the learner unchanged.
+        """
+        measure = self.entropy if entropy else self.loss
+        pres: list[np.ndarray] = []
+        posts: list[np.ndarray] = []
+        for batch in batches:
+            pres.append(np.asarray(measure(batch), dtype=np.float64))
+            token = self.snapshot()
+            try:
+                self.virtual_step(batch, learning_rate)
+                posts.append(np.asarray(measure(batch), dtype=np.float64))
+            finally:
+                self.restore(token)
+        return pres, posts
 
 
 @dataclass(frozen=True)
@@ -136,29 +163,22 @@ def lookahead_round(
 ) -> list[RewardReport]:
     """Probe every arm once and update the estimates in ``state`` in place.
 
-    Per arm: draw a probe batch, measure, snapshot, take one virtual step,
-    measure again, restore, and score.  The learner is restored even when a
-    measurement raises.  Estimate updates are buffered and applied only after
-    every arm has been probed, so a failed round leaves ``state`` untouched.
+    Draws one single-arm probe batch per arm from ``rng``, in arm order, then
+    has ``learner.probe`` measure each before and after a virtual step, and
+    scores every arm.  Estimate updates are buffered and applied only after
+    every arm has been scored, so a failed round leaves ``state`` untouched.
     """
     if reward_kind not in ("delta_loss", "delta_entropy"):
         raise ValueError(f"unknown reward kind {reward_kind!r}")
     if state.num_arms != registry.num_arms or state.num_arms != cfg.num_arms:
         raise ValueError("state, registry, and config disagree on the number of arms")
-    measure = learner.loss if reward_kind == "delta_loss" else learner.entropy
     score = delta_loss_reward if reward_kind == "delta_loss" else delta_entropy_reward
 
+    batches = [_probe_batch(a, registry, cfg.batch_size, rng) for a in range(registry.num_arms)]
+    pres, posts = learner.probe(batches, learning_rate, entropy=reward_kind == "delta_entropy")
     reports: list[RewardReport] = []
     new_q = state.q.copy()
-    for arm in range(registry.num_arms):
-        batch = _probe_batch(arm, registry, cfg.batch_size, rng)
-        pre = np.asarray(measure(batch), dtype=np.float64)
-        token = learner.snapshot()
-        try:
-            learner.virtual_step(batch, learning_rate)
-            post = np.asarray(measure(batch), dtype=np.float64)
-        finally:
-            learner.restore(token)
+    for arm, (pre, post) in enumerate(zip(pres, posts)):
         reward = score(pre, post, cfg.epsilon)
         new_q[arm] = ema_update(float(new_q[arm]), reward, cfg.alpha)
         reports.append(

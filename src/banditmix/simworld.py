@@ -22,7 +22,7 @@ A full batch from arm ``j`` shrinks arm ``k``'s gap by roughly
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -186,17 +186,21 @@ class SimWorld(Learner):
         return self._transfer
 
     def _check_batch(self, batch: Batch) -> None:
-        if len(batch) == 0:
+        arms = batch.arms
+        if arms.size == 0:
             raise ValueError("batch must be nonempty")
-        if np.any(batch.arms < 0) or np.any(batch.arms >= self.num_arms):
+        if arms.min() < 0 or arms.max() >= self._loss.size:
             raise ValueError("batch refers to arms outside this world")
+
+    def _observe(self, per: np.ndarray, arms: np.ndarray, examples: np.ndarray) -> np.ndarray:
+        """Observed losses from true per-example losses: jitter, then clip at 0."""
+        if self._noise_scale > 0:
+            per = per + self._noise_scale * _jitter_uniform(self._key, arms, examples)
+        return np.maximum(per, 0.0)
 
     def loss(self, batch: Batch) -> np.ndarray:
         self._check_batch(batch)
-        per = self._loss[batch.arms]
-        if self._noise_scale > 0:
-            per = per + self._noise_scale * _jitter_uniform(self._key, batch.arms, batch.examples)
-        return np.clip(per, 0.0, None)
+        return self._observe(self._loss[batch.arms], batch.arms, batch.examples)
 
     def entropy(self, batch: Batch) -> np.ndarray:
         return ENTROPY_LOSS_RATIO * self.loss(batch)
@@ -210,17 +214,64 @@ class SimWorld(Learner):
             # included.
             return
         n = np.bincount(batch.arms, minlength=self.num_arms).astype(np.float64)
-        factors = np.clip(1.0 - learning_rate * self._transfer / len(batch), 0.0, None)
+        factors = np.maximum(1.0 - learning_rate * self._transfer / len(batch), 0.0)
         gap = (self._loss - self._floor) * np.prod(factors**n, axis=1)
         if self._noise_scale > 0:
             gap = gap + self._noise_scale * learning_rate * self._rng.standard_normal(self.num_arms)
-        self._loss = self._floor + np.clip(gap, 0.0, None)
+        self._loss = self._floor + np.maximum(gap, 0.0)
 
     def virtual_step(self, batch: Batch, learning_rate: float) -> None:
         self._apply_update(batch, learning_rate)
 
     def train_step(self, batch: Batch, learning_rate: float) -> None:
         self._apply_update(batch, learning_rate)
+
+    def probe(
+        self, batches: Sequence[Batch], learning_rate: float, entropy: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """A whole reward round in one pass, without touching the world.
+
+        Each probe starts from the current state with the generator rewound,
+        so a step on a batch of ``n`` examples from arm ``j`` moves arm ``j``
+        to ``floor_j + max(gap_j * f_jj**n + noise * lr * z_j, 0)``, where
+        ``f`` is the clipped factor matrix of ``_apply_update`` and ``z`` the
+        normals it would draw.  Only arm ``j``'s loss is measured afterwards,
+        and ``prod(f**onehot)`` equals the single factor exactly, so the
+        results match the generic loop bit for bit.  That needs equal-length
+        single-arm batches, as ``lookahead_round`` draws; anything else,
+        invalid input included, takes the generic loop.
+        """
+        width = len(batches[0]) if batches else 0
+        ragged = width == 0 or any(len(b) != width for b in batches)
+        if ragged or not 0.0 <= learning_rate < np.inf:
+            return super().probe(batches, learning_rate, entropy)
+        arms = np.stack([b.arms for b in batches])
+        heads = arms[:, 0]
+        mixed = (arms != heads[:, np.newaxis]).any()
+        if mixed or heads.min() < 0 or heads.max() >= self._loss.size:
+            return super().probe(batches, learning_rate, entropy)
+
+        examples = np.stack([b.examples for b in batches])
+        pre = self._observe(self._loss[arms], arms, examples)
+        if learning_rate == 0.0:
+            post = pre.copy()
+        else:
+            # Same operation order as _apply_update; the exponent stays an
+            # array so numpy's scalar-power shortcuts never apply.
+            own = self._transfer[heads, heads]
+            factor = np.maximum(1.0 - learning_rate * own / width, 0.0)
+            n = np.full(heads.size, float(width))
+            gap = (self._loss[heads] - self._floor[heads]) * factor**n
+            if self._noise_scale > 0:
+                state = self._rng.bit_generator.state
+                z = self._rng.standard_normal(self.num_arms)
+                self._rng.bit_generator.state = state
+                gap = gap + self._noise_scale * learning_rate * z[heads]
+            moved = self._floor[heads] + np.maximum(gap, 0.0)
+            post = self._observe(np.broadcast_to(moved[:, np.newaxis], arms.shape), arms, examples)
+        if entropy:
+            return ENTROPY_LOSS_RATIO * pre, ENTROPY_LOSS_RATIO * post
+        return pre, post
 
     def snapshot(self) -> Any:
         return _WorldSnapshot(

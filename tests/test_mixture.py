@@ -14,6 +14,7 @@ from banditmix.mixture import (
     sample_arm,
     sample_batch,
 )
+from banditmix.registry import ArmRegistry
 
 # High-precision reference values, evaluated independently with an
 # arbitrary-precision library and frozen here as literals.
@@ -249,3 +250,28 @@ class TestSampling:
         batch = sample_batch(dist, small_registry, 20_000, rng)
         freq = np.bincount(batch.arms, minlength=3) / len(batch)
         np.testing.assert_allclose(freq, p, atol=0.02)
+
+    def test_draw_above_float_total_capped_at_last_arm(self):
+        # Ten masses of 0.1 sum to just under 1 in floating point, so the
+        # largest draw random() can return lands past the last cumulative
+        # bound; the index must still be capped at K - 1.
+        k = 10
+        dist = MixtureDistribution(p=np.full(k, 0.1))
+        top = np.nextafter(1.0, 0.0)
+        assert dist.cumulative[-1] <= top
+        assert np.searchsorted(dist.cumulative, top, side="right") == k
+
+        class TopDraws:
+            def __init__(self):
+                self.examples = np.random.default_rng(0)
+
+            def random(self, size):
+                return np.full(size, top)
+
+            def integers(self, low, high):
+                return self.examples.integers(low, high)
+
+        registry = ArmRegistry.from_counts({f"a{i}": 10 * (i + 1) for i in range(k)})
+        batch = sample_batch(dist, registry, 16, TopDraws())
+        assert np.array_equal(batch.arms, np.full(16, k - 1))
+        assert np.all(batch.examples < registry.counts[k - 1])

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from banditmix.mixture import Batch
+from banditmix.rewards import Learner
 from banditmix.simworld import (
     ENTROPY_LOSS_RATIO,
     LrSchedule,
@@ -12,7 +15,7 @@ from banditmix.simworld import (
     build_world,
 )
 
-from learner_contract import check_full_contract, random_batch
+from learner_contract import check_full_contract, check_probe_matches_default, random_batch
 
 
 def make_world(
@@ -338,3 +341,106 @@ class TestStateDict:
         text = json.dumps(world.state_dict())
         clone = SimWorld.from_state_dict(json.loads(text))
         assert clone.num_arms == 3
+
+
+EMPTY = Batch(arms=np.array([], dtype=np.int64), examples=np.array([], dtype=np.int64))
+BAD_BATCHES = {
+    "empty": EMPTY,
+    "negative_arm": single_arm_batch(-1, 4),
+    "arm_past_last": single_arm_batch(3, 4),
+    "mixed_with_foreign": Batch(arms=np.array([0, 3]), examples=np.array([1, 2])),
+}
+
+
+class TestBatchChecks:
+    @pytest.mark.parametrize("bad", sorted(BAD_BATCHES))
+    @pytest.mark.parametrize("call", ["loss", "entropy", "train_step", "virtual_step"])
+    def test_bad_batch_rejected(self, call, bad):
+        world = make_world(num_arms=3, noise_scale=0.2)
+        state_before = world.state_dict()
+        args = (BAD_BATCHES[bad],) if call in ("loss", "entropy") else (BAD_BATCHES[bad], 0.1)
+        with pytest.raises(ValueError):
+            getattr(world, call)(*args)
+        assert world.state_dict() == state_before
+
+    @pytest.mark.parametrize("bad", sorted(BAD_BATCHES))
+    @pytest.mark.parametrize("entropy", [False, True])
+    def test_bad_batch_rejected_by_probe(self, bad, entropy):
+        # The bad batch comes after a good one: the round fails as a whole
+        # and leaves the world as it was.
+        world = make_world(num_arms=3, noise_scale=0.2)
+        state_before = world.state_dict()
+        with pytest.raises(ValueError):
+            world.probe([single_arm_batch(0, 4), BAD_BATCHES[bad]], 0.1, entropy=entropy)
+        assert world.state_dict() == state_before
+
+    @pytest.mark.parametrize("lr", [-0.1, float("nan"), float("inf")])
+    def test_bad_rate_rejected_by_probe(self, lr):
+        world = make_world(num_arms=3, noise_scale=0.2)
+        state_before = world.state_dict()
+        with pytest.raises(ValueError):
+            world.probe([single_arm_batch(0, 4), single_arm_batch(1, 4)], lr)
+        assert world.state_dict() == state_before
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    k=st.integers(1, 8),
+    width=st.one_of(st.sampled_from([1, 2]), st.integers(1, 64)),
+    lr=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    noise=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    transfer=st.one_of(st.none(), st.floats(0.0, 0.05)),
+    entropy=st.booleans(),
+    extra=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=1, width=1, lr=0.0, noise=0.3, transfer=None, entropy=False, extra=0, seed=0)
+@example(k=3, width=1, lr=1.5, noise=0.0, transfer=0.05, entropy=False, extra=0, seed=1)
+@example(k=4, width=2, lr=2.5, noise=0.4, transfer=None, entropy=True, extra=2, seed=2)
+def test_probe_matches_generic_loop(k, width, lr, noise, transfer, entropy, extra, seed):
+    """SimWorld's one-pass probe equals Learner.probe's per-batch loop bit for
+    bit and changes neither the losses nor the generator."""
+    rng = np.random.default_rng(seed)
+    learnability = tuple(rng.uniform(0.05, 1.0, size=k))
+    floor = tuple(rng.uniform(0.0, 1.0, size=k))
+    base = tuple(f + g for f, g in zip(floor, rng.uniform(0.0, 4.0, size=k)))
+    params = WorldParams(
+        base_loss=base,
+        floor=floor,
+        learnability=learnability,
+        transfer=transfer,
+        noise_scale=noise,
+    )
+    sim_rng = np.random.default_rng(seed + 1)
+    world = build_world(params, k, np.random.default_rng(seed), sim_rng)
+    # Move off the initial state so gaps differ and the generator has advanced.
+    for _ in range(2):
+        world.train_step(random_batch(k, 8, rng), 0.2)
+    # One batch per arm in arm order, as a reward round draws them, plus
+    # repeats of random arms.
+    arms = [*range(k), *rng.integers(0, k, size=extra)]
+    loss_before = world.loss_vector
+    rng_before = sim_rng.bit_generator.state
+    # Hypothesis favours round numbers; a drawn rate and width exercise
+    # rounding as well.
+    for rate, size in ((lr, width), (rng.uniform(0.0, 3.0), int(rng.integers(3, 65)))):
+        batches = [single_arm_batch(int(a), size, seed=seed + i) for i, a in enumerate(arms)]
+        pres, posts = world.probe(batches, rate, entropy=entropy)
+        assert np.array_equal(world.loss_vector, loss_before)
+        assert sim_rng.bit_generator.state == rng_before
+        want_pres, want_posts = Learner.probe(world, batches, rate, entropy=entropy)
+        assert len(pres) == len(posts) == len(batches)
+        for j in range(len(batches)):
+            assert np.array_equal(pres[j], want_pres[j])
+            assert np.array_equal(posts[j], want_posts[j])
+        check_probe_matches_default(world, batches, rate, entropy=entropy)
+        assert np.array_equal(world.loss_vector, loss_before)
+        assert sim_rng.bit_generator.state == rng_before
+
+
+def test_probe_clipped_factor_drives_gap_to_zero():
+    # lr * T_jj / B > 1 clips the factor to 0: the probed arm lands on its floor.
+    world = make_world(num_arms=2, floor=0.5)
+    pres, posts = world.probe([single_arm_batch(0, 1), single_arm_batch(1, 1)], 1.5)
+    np.testing.assert_array_equal(posts, [[0.5], [0.5]])
+    np.testing.assert_array_equal(pres, [[3.0], [3.0]])

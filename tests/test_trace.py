@@ -1,9 +1,13 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from banditmix.config import ExperimentConfig
 from banditmix.registry import ArmRegistry
+from banditmix.runner import TRACE_FILENAME, run_experiment
 from banditmix.simworld import WorldParams, build_world
 from banditmix.trace import (
     EXPORT_KINDS,
@@ -223,3 +227,33 @@ class TestWorldCheckpoint:
         path = tmp_path / "world.json"
         save_world_checkpoint(path, world.state_dict())
         assert load_world_checkpoint(path) == world.state_dict()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_trace_schema():
+    """The header keys and record fields the README's trace section names."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Trace format") :]
+    section = section[: section.index("\n## ", 1)]
+    header = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    fields = re.findall(r"^- `(\w+)`:", section, re.M)
+    return set(header), fields
+
+
+def test_readme_trace_schema_matches_a_real_trace(tmp_path):
+    cfg = ExperimentConfig.from_dict(
+        {
+            "bandit": {"total_steps": 6, "update_interval": 3, "batch_size": 4},
+            "registry": {"arms": [["a", 10], ["b", 20]]},
+        }
+    )
+    run_experiment(cfg, out_dir=tmp_path)
+    lines = (tmp_path / TRACE_FILENAME).read_text(encoding="utf-8").splitlines()
+    header_keys, fields = readme_trace_schema()
+    assert header_keys == set(json.loads(lines[0]))
+    records = [json.loads(line) for line in lines[1:]]
+    # Update steps carry every field; other steps all but rewards.
+    assert fields == list(records[2])
+    assert [list(r) for r in records[:2]] == [fields[:-1]] * 2
