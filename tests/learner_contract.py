@@ -90,19 +90,19 @@ def check_probe_matches_default(learner, batches, lr, entropy=False):
     before = [np.asarray(learner.loss(b)) for b in batches]
     token = learner.snapshot()
     pres, posts = learner.probe(batches, lr, entropy=entropy)
+    for batch, seen in zip(batches, before):
+        assert np.array_equal(learner.loss(batch), seen)
     # Hidden state such as a generator shows up in the next real step.
     learner.train_step(batches[0], lr)
     stepped = np.asarray(learner.loss(batches[0]))
+    learner.restore(token)
+    learner.train_step(batches[0], lr)
+    assert np.array_equal(learner.loss(batches[0]), stepped)
     learner.restore(token)
     want_pres, want_posts = Learner.probe(learner, batches, lr, entropy=entropy)
     assert len(pres) == len(posts) == len(batches)
     for got, want in zip([*pres, *posts], [*want_pres, *want_posts]):
         assert np.array_equal(got, want)
-    for batch, seen in zip(batches, before):
-        assert np.array_equal(learner.loss(batch), seen)
-    learner.train_step(batches[0], lr)
-    assert np.array_equal(learner.loss(batches[0]), stepped)
-    learner.restore(token)
 
 
 def check_full_contract(learner, num_arms, rng, cycles=1000):
