@@ -244,7 +244,7 @@ def sample_batch(
             f"distribution covers {dist.num_arms} arms but registry has {registry.num_arms}"
         )
     us = rng.random(batch_size)
-    arms = np.searchsorted(dist.cumulative, us, side="right")
+    arms = dist.cumulative.searchsorted(us, side="right")
     # searchsorted never returns a negative index; only a draw at or above
     # the float total of p can land past the last arm.
     np.minimum(arms, dist.num_arms - 1, out=arms)

@@ -105,20 +105,32 @@ class RewardReport:
     step: int
 
 
-def _relative_drop(pre: np.ndarray, post: np.ndarray, epsilon: float, what: str) -> float:
+def _shape_error(what: str) -> ValueError:
+    return ValueError(f"pre/post {what} must be equal-length nonempty 1-d arrays")
+
+
+def _relative_drop(
+    pre: np.ndarray, post: np.ndarray, epsilon: float, what: str, ndim: int = 1
+) -> float | np.ndarray:
+    """Mean of ``(pre - post) / (pre + epsilon)`` along the last axis.
+
+    Takes ``ndim``-d arrays: a 1-d pair scores to a float, a (K, B) round to
+    its K scores.
+    """
     pre = np.asarray(pre, dtype=np.float64)
     post = np.asarray(post, dtype=np.float64)
-    if pre.shape != post.shape or pre.ndim != 1 or pre.size < 1:
-        raise ValueError(f"pre/post {what} must be equal-length nonempty 1-d arrays")
-    if not (np.all(np.isfinite(pre)) and np.all(np.isfinite(post))):
+    if pre.shape != post.shape or pre.ndim != ndim or pre.size < 1:
+        raise _shape_error(what)
+    if not (np.isfinite(pre).all() and np.isfinite(post).all()):
         raise ValueError(f"{what} values must be finite")
-    if np.any(pre < 0):
+    if (pre < 0).any():
         raise ValueError(f"pre {what} must be nonnegative")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     # Each term is (pre - post) / (pre + eps): below 1 whenever post >= 0,
     # negative when the probe step hurt.
-    return float(np.mean((pre - post) / (pre + epsilon)))
+    drop = ((pre - post) / (pre + epsilon)).mean(axis=-1)
+    return float(drop) if ndim == 1 else drop
 
 
 def delta_loss_reward(pre: np.ndarray, post: np.ndarray, epsilon: float = 1e-8) -> float:
@@ -135,11 +147,17 @@ def delta_entropy_reward(pre: np.ndarray, post: np.ndarray, epsilon: float = 1e-
     return _relative_drop(pre, post, epsilon, "entropies")
 
 
-def ema_update(q: float, reward: float, alpha: float) -> float:
-    """Blend a new reward into an estimate: ``alpha * q + (1 - alpha) * reward``."""
+def ema_update(
+    q: float | np.ndarray, reward: float | np.ndarray, alpha: float
+) -> float | np.ndarray:
+    """Blend a new reward into an estimate: ``alpha * q + (1 - alpha) * reward``.
+
+    Elementwise: floats give a float, a round's arrays of estimates and
+    rewards give the updated array.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if not np.isfinite(reward):
+    if not np.isfinite(reward).all():
         raise ValueError(f"reward must be finite, got {reward}")
     return alpha * q + (1.0 - alpha) * reward
 
@@ -165,31 +183,39 @@ def lookahead_round(
 
     Draws one single-arm probe batch per arm from ``rng``, in arm order, then
     has ``learner.probe`` measure each before and after a virtual step, and
-    scores every arm.  Estimate updates are buffered and applied only after
-    every arm has been scored, so a failed round leaves ``state`` untouched.
+    scores all arms in one pass.  The estimates change only after the whole
+    round has been checked and scored, so a failed round leaves ``state``
+    untouched.
     """
     if reward_kind not in ("delta_loss", "delta_entropy"):
         raise ValueError(f"unknown reward kind {reward_kind!r}")
     if state.num_arms != registry.num_arms or state.num_arms != cfg.num_arms:
         raise ValueError("state, registry, and config disagree on the number of arms")
-    score = delta_loss_reward if reward_kind == "delta_loss" else delta_entropy_reward
+    entropy = reward_kind == "delta_entropy"
+    what = "entropies" if entropy else "losses"
 
     batches = [_probe_batch(a, registry, cfg.batch_size, rng) for a in range(registry.num_arms)]
-    pres, posts = learner.probe(batches, learning_rate, entropy=reward_kind == "delta_entropy")
-    reports: list[RewardReport] = []
-    new_q = state.q.copy()
-    for arm, (pre, post) in enumerate(zip(pres, posts)):
-        reward = score(pre, post, cfg.epsilon)
-        new_q[arm] = ema_update(float(new_q[arm]), reward, cfg.alpha)
-        reports.append(
-            RewardReport(
-                arm=arm,
-                pre_losses=pre,
-                post_losses=post,
-                reward=reward,
-                q_after=float(new_q[arm]),
-                step=state.step,
-            )
+    pres, posts = learner.probe(batches, learning_rate, entropy=entropy)
+    # Score the round as one (K, B) pair; a ragged result cannot stack.
+    try:
+        pre = np.asarray(pres, dtype=np.float64)
+        post = np.asarray(posts, dtype=np.float64)
+    except ValueError:
+        raise _shape_error(what) from None
+    rewards = _relative_drop(pre, post, cfg.epsilon, what, ndim=2)
+    if rewards.size != len(batches):
+        raise ValueError(f"probe returned {rewards.size} results for {len(batches)} batches")
+    new_q = ema_update(state.q, rewards, cfg.alpha)
+    reports = [
+        RewardReport(
+            arm=arm,
+            pre_losses=pre[arm],
+            post_losses=post[arm],
+            reward=reward,
+            q_after=q_after,
+            step=state.step,
         )
+        for arm, (reward, q_after) in enumerate(zip(rewards.tolist(), new_q.tolist()))
+    ]
     state.q[:] = new_q
     return reports

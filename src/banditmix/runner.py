@@ -109,10 +109,18 @@ def run_experiment(
             config_hash=resolved.config_hash,
         )
         writer.__enter__()
+    # The distribution and the estimates change only at a reward round, so
+    # their rows are built once per change and shared by every record until
+    # the next one.
+    dist = probabilities = None
+    q = tuple(policy.state.q.tolist())
     try:
         for step in range(1, bandit.total_steps + 1):
             lr = resolved.schedule.rate(step - 1)
-            dist = policy.distribution()
+            current = policy.distribution()
+            if current is not dist:
+                dist = current
+                probabilities = tuple(dist.p.tolist())
             batch = sample_batch(dist, registry, bandit.batch_size, train_rng)
             counts += np.bincount(batch.arms, minlength=registry.num_arms)
             world.train_step(batch, lr)
@@ -130,10 +138,11 @@ def run_experiment(
                 )
                 policy.apply_reward_round(reports)
                 rewards = tuple(r.reward for r in reports)
+                q = tuple(policy.state.q.tolist())
             record = TraceRecord(
                 step=step,
-                probabilities=tuple(dist.p.tolist()),
-                q=tuple(policy.state.q.tolist()),
+                probabilities=probabilities,
+                q=q,
                 learning_rate=lr,
                 cumulative_counts=tuple(counts.tolist()),
                 rewards=rewards,

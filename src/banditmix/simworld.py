@@ -21,7 +21,9 @@ A full batch from arm ``j`` shrinks arm ``k``'s gap by roughly
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Sequence
 
 import numpy as np
@@ -76,7 +78,7 @@ class LrSchedule:
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError(f"warmup_fraction must lie in [0, 1), got {self.warmup_fraction}")
 
-    @property
+    @cached_property
     def warmup_steps(self) -> int:
         if self.total_steps == 0:
             return 0
@@ -206,18 +208,29 @@ class SimWorld(Learner):
         return ENTROPY_LOSS_RATIO * self.loss(batch)
 
     def _apply_update(self, batch: Batch, learning_rate: float) -> None:
-        self._check_batch(batch)
-        if learning_rate < 0 or not np.isfinite(learning_rate):
+        arms = batch.arms
+        if arms.size == 0:
+            raise ValueError("batch must be nonempty")
+        # The per-arm counts double as the lower range check: bincount
+        # rejects a negative arm.  The upper check must come first, since
+        # bincount sizes its output by the largest arm.
+        k = self._loss.size
+        if arms.max() >= k:
+            raise ValueError("batch refers to arms outside this world")
+        try:
+            n = np.bincount(arms, minlength=k)
+        except ValueError:
+            raise ValueError("batch refers to arms outside this world") from None
+        if not 0.0 <= learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and >= 0, got {learning_rate}")
         if learning_rate == 0.0:
             # A zero-rate step must leave the world bit-identical, generator
             # included.
             return
-        n = np.bincount(batch.arms, minlength=self.num_arms).astype(np.float64)
-        factors = np.maximum(1.0 - learning_rate * self._transfer / len(batch), 0.0)
-        gap = (self._loss - self._floor) * np.prod(factors**n, axis=1)
+        factors = np.maximum(1.0 - learning_rate * self._transfer / arms.size, 0.0)
+        gap = (self._loss - self._floor) * (factors ** n.astype(np.float64)).prod(axis=1)
         if self._noise_scale > 0:
-            gap = gap + self._noise_scale * learning_rate * self._rng.standard_normal(self.num_arms)
+            gap = gap + self._noise_scale * learning_rate * self._rng.standard_normal(k)
         self._loss = self._floor + np.maximum(gap, 0.0)
 
     def virtual_step(self, batch: Batch, learning_rate: float) -> None:
@@ -240,10 +253,15 @@ class SimWorld(Learner):
         results match the generic loop bit for bit.  That needs equal-length
         single-arm batches, as ``lookahead_round`` draws; anything else,
         invalid input included, takes the generic loop.
+
+        A one-arm world takes the generic loop too: there ``_apply_update``
+        raises a (1, 1) factor matrix to a one-entry count vector, and numpy
+        evaluates that broadcast power as a scalar one, whose shortcut for
+        an exponent of 2 can differ from ``pow`` in the last bit.
         """
         width = len(batches[0]) if batches else 0
         ragged = width == 0 or any(len(b) != width for b in batches)
-        if ragged or not 0.0 <= learning_rate < np.inf:
+        if ragged or self._loss.size == 1 or not 0.0 <= learning_rate < math.inf:
             return super().probe(batches, learning_rate, entropy)
         arms = np.stack([b.arms for b in batches])
         heads = arms[:, 0]

@@ -56,10 +56,14 @@ class TraceRecord:
     wall_time_ms: int = 0
 
     def to_json_obj(self) -> dict:
+        return self._json_obj(list(self.probabilities), list(self.q))
+
+    def _json_obj(self, probabilities, q) -> dict:
+        # The one place that fixes a trace line's keys and their order.
         obj = {
             "step": self.step,
-            "probabilities": list(self.probabilities),
-            "q": list(self.q),
+            "probabilities": probabilities,
+            "q": q,
             "learning_rate": self.learning_rate,
             "cumulative_counts": list(self.cumulative_counts),
             "wall_time_ms": self.wall_time_ms,
@@ -82,14 +86,31 @@ class TraceRecord:
         )
 
 
+# Stand-ins for the two rows in ``TraceWriter.write``, spliced out again by
+# ``str.replace``; encoded, each is a JSON string no number can contain.
+_PROBS_MARK = "\x00probabilities"
+_Q_MARK = "\x00q"
+_PROBS_MARK_JSON = json.dumps(_PROBS_MARK)
+_Q_MARK_JSON = json.dumps(_Q_MARK)
+
+
 class TraceWriter:
-    """Streams records to a JSONL file, header first, flushing per record."""
+    """Streams records to a JSONL file, header first, flushing per record.
+
+    ``probabilities`` and ``q`` change only at a reward round, and the run
+    loop hands the same tuple to every record in between, so the JSON text of
+    the last tuple of each is kept and reused while the same object comes
+    back.  Every line equals ``json.dumps(record.to_json_obj())``.
+    """
 
     def __init__(self, path: str | Path, arm_names: tuple[str, ...], seed: int, config_hash: str):
         self.path = Path(path)
         self.arm_names = tuple(arm_names)
         self._fh: io.TextIOBase | None = None
         self._last_step = -1
+        # field -> (last row object, its JSON text); holding the row keeps
+        # its id from being reused by a different tuple.
+        self._rows: dict[str, tuple[object, str]] = {}
         self._header = {
             "schema_version": SCHEMA_VERSION,
             "kind": TRACE_KIND,
@@ -117,9 +138,23 @@ class TraceWriter:
         for name in ("probabilities", "q", "cumulative_counts"):
             if len(getattr(record, name)) != k:
                 raise ValueError(f"record {name} must have {k} entries")
-        self._fh.write(json.dumps(record.to_json_obj()) + "\n")
+        # Replace q's stand-in first: only step and the probabilities
+        # stand-in precede it, so the first match of each is the stand-in.
+        line = (
+            json.dumps(record._json_obj(_PROBS_MARK, _Q_MARK))
+            .replace(_Q_MARK_JSON, self._row_json("q", record.q), 1)
+            .replace(_PROBS_MARK_JSON, self._row_json("probabilities", record.probabilities), 1)
+        )
+        self._fh.write(line + "\n")
         self._fh.flush()
         self._last_step = record.step
+
+    def _row_json(self, name: str, row) -> str:
+        cached = self._rows.get(name)
+        if cached is None or cached[0] is not row:
+            cached = (row, json.dumps(list(row)))
+            self._rows[name] = cached
+        return cached[1]
 
     def __exit__(self, *exc_info) -> None:
         if self._fh is not None:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from banditmix.mixture import BanditConfig, QState
 from banditmix.registry import ArmRegistry
 from banditmix.rewards import (
+    Learner,
     delta_entropy_reward,
     delta_loss_reward,
     ema_update,
@@ -202,3 +203,108 @@ class TestLookaheadRound:
         bad_state = QState.initial(3)
         with pytest.raises(ValueError):
             lookahead_round(learner, registry, bad_state, cfg, 0.1, rng)
+
+
+class FixedProbe(Learner):
+    """Hands ``lookahead_round`` a given probe result, whatever the batches."""
+
+    def __init__(self, pres, posts):
+        self.pres, self.posts = pres, posts
+
+    def probe(self, batches, learning_rate, entropy=False):
+        return self.pres, self.posts
+
+    def snapshot(self):
+        return None
+
+    def restore(self, token):
+        pass
+
+    def loss(self, batch):
+        raise AssertionError("probe is overridden")
+
+    virtual_step = train_step = loss
+
+
+def fixed_round(k, b, epsilon=1e-8, alpha=0.9):
+    registry = ArmRegistry.from_counts({f"a{i}": 100 for i in range(k)})
+    cfg = BanditConfig(
+        num_arms=k, total_steps=0, alpha=alpha, epsilon=epsilon, update_interval=1, batch_size=b
+    )
+    return registry, cfg
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    k=st.integers(1, 16),
+    b=st.integers(1, 128),
+    epsilon=st.floats(1e-12, 1.0),
+    alpha=st.floats(0.01, 0.99),
+    entropy=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_pass_round_matches_per_arm_loop(k, b, epsilon, alpha, entropy, seed):
+    """The stacked scoring and EMA give the per-arm loop's rewards and q bit
+    for bit."""
+    rng = np.random.default_rng(seed)
+    # Losses across several orders of magnitude, exact zeros and post
+    # values above pre, so rounding in the sum and the ratio is exercised.
+    scale = 10.0 ** rng.uniform(-6, 6, size=(k, 1))
+    pre = scale * rng.exponential(size=(k, b))
+    pre[rng.random((k, b)) < 0.05] = 0.0
+    post = pre * rng.uniform(0.0, 1.2, size=(k, b))
+    q0 = rng.uniform(-1.0, 1.0, size=k)
+    registry, cfg = fixed_round(k, b, epsilon, alpha)
+    state = QState(q=q0.copy())
+    kind = "delta_entropy" if entropy else "delta_loss"
+    # The learner returns per-arm lists, as the generic probe does.
+    learner = FixedProbe(list(pre), list(post))
+    reports = lookahead_round(
+        learner, registry, state, cfg, 0.1, np.random.default_rng(0), reward_kind=kind
+    )
+    score = delta_entropy_reward if entropy else delta_loss_reward
+    for arm in range(k):
+        reward = score(pre[arm], post[arm], epsilon)
+        q = ema_update(float(q0[arm]), reward, alpha)
+        assert reports[arm].reward == reward
+        assert reports[arm].q_after == q
+        assert state.q[arm] == q
+        assert np.array_equal(reports[arm].pre_losses, pre[arm])
+        assert np.array_equal(reports[arm].post_losses, post[arm])
+
+
+def test_array_ema_matches_scalar_calls():
+    q = np.array([0.1, -0.2, 0.3])
+    r = np.array([0.5, 0.25, -1.0])
+    got = ema_update(q, r, 0.95)
+    assert got.tolist() == [ema_update(float(a), float(b), 0.95) for a, b in zip(q, r)]
+    with pytest.raises(ValueError, match="reward must be finite"):
+        ema_update(q, np.array([0.5, np.inf, 0.0]), 0.95)
+
+
+GOOD = [np.array([2.0, 1.0]), np.array([3.0, 4.0])]
+BAD_PROBES = {
+    # arm 1's post has a different length from its pre
+    "ragged_pair": (GOOD, [np.array([1.0, 0.5]), np.array([2.0])], "equal-length"),
+    # each pair matches, but the arms disagree on the batch length
+    "ragged_arms": ([np.array([2.0]), np.array([3.0, 4.0])], [np.array([1.0]), np.array([2.0, 3.0])], "equal-length"),
+    "scalar_rows": ([2.0, 3.0], [1.0, 2.0], "equal-length"),
+    "empty_rows": ([np.array([]), np.array([])], [np.array([]), np.array([])], "equal-length"),
+    "nan": (GOOD, [np.array([1.0, np.nan]), np.array([2.0, 3.0])], "finite"),
+    "negative_pre": ([np.array([2.0, -1.0]), GOOD[1]], GOOD, "nonnegative"),
+    "one_result_short": (GOOD[:1], GOOD[:1], "results for 2 batches"),
+    "one_result_long": (GOOD * 2, GOOD * 2, "results for 2 batches"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_PROBES))
+@pytest.mark.parametrize("kind", ["delta_loss", "delta_entropy"])
+def test_invalid_probe_result_rejected_and_state_untouched(bad, kind):
+    pres, posts, message = BAD_PROBES[bad]
+    registry, cfg = fixed_round(2, 2)
+    state = QState(q=np.array([0.25, -0.5]))
+    with pytest.raises(ValueError, match=message):
+        lookahead_round(
+            FixedProbe(pres, posts), registry, state, cfg, 0.1, np.random.default_rng(0), reward_kind=kind
+        )
+    assert state.q.tolist() == [0.25, -0.5]

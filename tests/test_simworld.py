@@ -347,6 +347,8 @@ BAD_BATCHES = {
     "empty": EMPTY,
     "negative_arm": single_arm_batch(-1, 4),
     "arm_past_last": single_arm_batch(3, 4),
+    # Must be rejected before any per-arm count array is sized by it.
+    "arm_far_past_last": single_arm_batch(2**40, 4),
     "mixed_with_foreign": Batch(arms=np.array([0, 3]), examples=np.array([1, 2])),
 }
 
@@ -396,6 +398,11 @@ class TestBatchChecks:
 @example(k=1, width=1, lr=0.0, noise=0.3, transfer=None, entropy=False, extra=0, seed=0)
 @example(k=3, width=1, lr=1.5, noise=0.0, transfer=0.05, entropy=False, extra=0, seed=1)
 @example(k=4, width=2, lr=2.5, noise=0.4, transfer=None, entropy=True, extra=2, seed=2)
+# One arm, two examples: the world's own step squares the factor through
+# numpy's scalar-exponent shortcut, which differs from pow in the last bit.
+@example(
+    k=1, width=2, lr=0.12699137774989258, noise=0.0, transfer=None, entropy=False, extra=0, seed=17038255
+)
 def test_probe_matches_generic_loop(k, width, lr, noise, transfer, entropy, extra, seed):
     """SimWorld's one-pass probe equals Learner.probe's per-batch loop bit for
     bit and changes neither the losses nor the generator."""

@@ -105,6 +105,38 @@ class TestTraceWriter:
             writer.write(make_record(1))
         assert path.exists()
 
+    def test_lines_equal_json_dumps_of_each_record(self, tmp_path):
+        # Shared row tuples, fresh but equal ones, a row that changes between
+        # writes and changes back, rewards set and unset, non-finite floats.
+        p1, p2 = (0.2, 0.3, 0.5), (0.1, float("nan"), 0.9)
+        q1 = (0.0, float("inf"), -0.25)
+        records = [
+            make_record(1, p=p1, q=q1),
+            TraceRecord(2, p1, q1, 0.01, (2, 3, 4)),
+            TraceRecord(3, tuple(list(p1)), tuple(list(q1)), float("-inf"), (3, 4, 5), rewards=(0.5, float("nan"), -1.0)),
+            TraceRecord(4, p2, q1, 0.02, (4, 5, 6)),
+            TraceRecord(5, p2, (1e-300, 2.5e17, -0.0), 0.03, (5, 6, 7), rewards=(1.0, 2.0, 3.0)),
+            TraceRecord(6, p1, q1, 0.04, (6, 7, 8)),
+            TraceRecord(7, p1, q1, 0.05, (7, 8, 9), wall_time_ms=5),
+        ]
+        path = tmp_path / "t.jsonl"
+        with TraceWriter(path, NAMES, seed=1, config_hash="abc") as writer:
+            for record in records:
+                writer.write(record)
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert lines == [json.dumps(r.to_json_obj()) for r in records]
+
+    def test_rejected_record_leaves_no_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        with TraceWriter(path, NAMES, seed=1, config_hash="abc") as writer:
+            shared = (0.2, 0.3, 0.5)
+            writer.write(make_record(1, p=shared))
+            with pytest.raises(TypeError):
+                writer.write(make_record(2, q=(0.0, np.float32(1.0), 0.0)))
+            writer.write(make_record(2, p=shared))
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert [json.loads(line)["step"] for line in lines] == [1, 2]
+
 
 class TestReadTrace:
     def test_rejects_wrong_kind(self, tmp_path):
