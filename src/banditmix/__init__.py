@@ -16,7 +16,6 @@ from .mixture import (
     boltzmann_probs,
     mixture_probs,
     prior_scaled_probs,
-    sample_arm,
     sample_batch,
 )
 from .policies import MixturePolicy, PolicyKind
@@ -77,7 +76,6 @@ __all__ = [
     "prior_scaled_probs",
     "read_trace",
     "run_experiment",
-    "sample_arm",
     "sample_batch",
     "summarize",
     "sweep_experiments",

@@ -1,10 +1,11 @@
 """Experiment configuration: JSON schema, validation, and hashing.
 
-Configs are plain JSON objects with one section per concern.  Validation is
-strict: unknown keys anywhere are errors, and every complaint names the full
-key path that caused it.  A config resolves to the runtime objects (registry,
-bandit hyperparameters, schedule, policy, world), deriving the step budget
-from the registry size when not given explicitly.
+Configs are plain JSON objects with one section per concern.  One table maps
+every key to a reader that checks its value, for config files and sweep
+grids alike; unknown keys are errors, and every complaint names the key
+path.  The policy and world sections are their runtime types, checked at
+load.  ``resolve`` builds the rest (registry, bandit hyperparameters,
+schedule), deriving the step budget from the registry unless given.
 """
 
 from __future__ import annotations
@@ -43,43 +44,73 @@ class ConfigError(ValueError):
     """A config failed validation; the message names the offending key."""
 
 
-def _require_mapping(obj: object, path: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(obj).__name__}")
-    return obj
+def _mismatch(path: str, what: str, value: object) -> ConfigError:
+    return ConfigError(f"{path}: expected {what}, got {value!r}")
 
 
-def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {', '.join(repr(k) for k in unknown)}")
+# Key readers: each takes a JSON value and its key path, and returns the
+# value the config holds or raises a ConfigError naming the path.
 
 
-def _get_number(obj: dict, key: str, default: float, path: str) -> float:
-    v = obj.get(key, default)
+def _number(v: object, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {v!r}")
+        raise _mismatch(path, "a number", v)
     return float(v)
 
 
-def _get_int(obj: dict, key: str, default: int | None, path: str) -> int | None:
-    v = obj.get(key, default)
-    if v is None:
-        return None
+def _integer(v: object, path: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {v!r}")
+        raise _mismatch(path, "an integer", v)
     return v
 
 
-def _get_str(obj: dict, key: str, default: str | None, path: str) -> str | None:
-    v = obj.get(key, default)
-    if v is not None and not isinstance(v, str):
-        raise ConfigError(f"{path}.{key}: expected a string, got {v!r}")
+def _count(v: object, path: str) -> int:
+    if _integer(v, path) < 0:
+        raise _mismatch(path, "an integer >= 0", v)
     return v
+
+
+def _string(v: object, path: str) -> str:
+    if not isinstance(v, str):
+        raise _mismatch(path, "a string", v)
+    return v
+
+
+def _numbers(v: object, path: str) -> tuple[float, ...]:
+    if not isinstance(v, list):
+        raise _mismatch(path, "a list of numbers", v)
+    return tuple(_number(x, path) for x in v)
+
+
+def _number_or_numbers(v: object, path: str) -> float | tuple[float, ...]:
+    return _numbers(v, path) if isinstance(v, list) else _number(v, path)
+
+
+def _optional(read):
+    return lambda v, path: None if v is None else read(v, path)
+
+
+def _registry_name(v: object, path: str) -> str:
+    if _string(v, path) not in BUILTIN_REGISTRIES:
+        raise _mismatch(path, f"a built-in registry ({', '.join(sorted(BUILTIN_REGISTRIES))})", v)
+    return v
+
+
+def _arms(v: object, path: str) -> tuple[tuple[str, int], ...]:
+    # An ordered object of name -> count, or a list of [name, count] pairs.
+    pairs = list(v.items()) if isinstance(v, dict) else v
+    if not (isinstance(pairs, list) and pairs and all(
+        isinstance(e, (list, tuple)) and len(e) == 2 and isinstance(e[0], str) for e in pairs
+    )):
+        raise _mismatch(path, "a nonempty object or list of [name, count] pairs", v)
+    return tuple((name, _integer(count, f"{path}.{name}")) for name, count in pairs)
 
 
 @dataclass(frozen=True)
 class BanditSection:
+    """``BanditConfig`` without the arm count; ``resolve`` adds it and
+    derives a null ``total_steps``."""
+
     beta: float = 4.0
     gamma: float = 0.3
     alpha: float = 0.95
@@ -88,166 +119,28 @@ class BanditSection:
     batch_size: int = 128
     total_steps: int | None = None
 
-    _PATH = "bandit"
-    _KEYS = {"beta", "gamma", "alpha", "epsilon", "update_interval", "batch_size", "total_steps"}
-
-    @classmethod
-    def from_obj(cls, obj: object) -> "BanditSection":
-        obj = _require_mapping(obj, cls._PATH)
-        _check_keys(obj, cls._KEYS, cls._PATH)
-        d = cls()
-        total_steps = _get_int(obj, "total_steps", None, cls._PATH)
-        if total_steps is not None and total_steps < 0:
-            raise ConfigError(f"{cls._PATH}.total_steps: must be >= 0, got {total_steps}")
-        return cls(
-            beta=_get_number(obj, "beta", d.beta, cls._PATH),
-            gamma=_get_number(obj, "gamma", d.gamma, cls._PATH),
-            alpha=_get_number(obj, "alpha", d.alpha, cls._PATH),
-            epsilon=_get_number(obj, "epsilon", d.epsilon, cls._PATH),
-            update_interval=_get_int(obj, "update_interval", d.update_interval, cls._PATH),
-            batch_size=_get_int(obj, "batch_size", d.batch_size, cls._PATH),
-            total_steps=total_steps,
-        )
-
 
 @dataclass(frozen=True)
 class ScheduleSection:
+    """``LrSchedule`` without the step budget, which ``resolve`` adds."""
+
     base_rate: float = 0.01
     warmup_fraction: float = 0.03
-
-    _PATH = "schedule"
-    _KEYS = {"base_rate", "warmup_fraction"}
-
-    @classmethod
-    def from_obj(cls, obj: object) -> "ScheduleSection":
-        obj = _require_mapping(obj, cls._PATH)
-        _check_keys(obj, cls._KEYS, cls._PATH)
-        d = cls()
-        return cls(
-            base_rate=_get_number(obj, "base_rate", d.base_rate, cls._PATH),
-            warmup_fraction=_get_number(obj, "warmup_fraction", d.warmup_fraction, cls._PATH),
-        )
-
-
-@dataclass(frozen=True)
-class PolicySection:
-    variant: str = "bandit"
-    reward_kind: str = "delta_loss"
-    static_probs: tuple[float, ...] | None = None
-
-    _PATH = "policy"
-    _KEYS = {"variant", "reward_kind", "static_probs"}
-
-    @classmethod
-    def from_obj(cls, obj: object) -> "PolicySection":
-        obj = _require_mapping(obj, cls._PATH)
-        _check_keys(obj, cls._KEYS, cls._PATH)
-        d = cls()
-        probs = obj.get("static_probs")
-        if probs is not None:
-            if not isinstance(probs, list) or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in probs
-            ):
-                raise ConfigError(f"{cls._PATH}.static_probs: expected a list of numbers")
-            probs = tuple(float(x) for x in probs)
-        return cls(
-            variant=_get_str(obj, "variant", d.variant, cls._PATH),
-            reward_kind=_get_str(obj, "reward_kind", d.reward_kind, cls._PATH),
-            static_probs=probs,
-        )
-
-
-@dataclass(frozen=True)
-class WorldSection:
-    base_loss: tuple[float, ...] | float = 3.0
-    floor: tuple[float, ...] | float = 0.5
-    learnability: tuple[float, ...] | float = 1.0
-    transfer: float | None = None
-    noise_scale: float = 0.0
-    init_spread: float = 0.0
-
-    _PATH = "world"
-    _KEYS = {"base_loss", "floor", "learnability", "transfer", "noise_scale", "init_spread"}
-    _VECTOR_KEYS = {"base_loss", "floor", "learnability"}
-
-    @classmethod
-    def from_obj(cls, obj: object) -> "WorldSection":
-        obj = _require_mapping(obj, cls._PATH)
-        _check_keys(obj, cls._KEYS, cls._PATH)
-        values: dict[str, object] = {}
-        for key in cls._KEYS:
-            if key not in obj:
-                continue
-            v = obj[key]
-            if key == "transfer" and v is None:
-                values[key] = None
-            elif key in cls._VECTOR_KEYS and isinstance(v, list):
-                if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
-                    raise ConfigError(f"{cls._PATH}.{key}: expected numbers")
-                values[key] = tuple(float(x) for x in v)
-            elif isinstance(v, (int, float)) and not isinstance(v, bool):
-                values[key] = float(v)
-            else:
-                raise ConfigError(f"{cls._PATH}.{key}: expected a number or list of numbers, got {v!r}")
-        return cls(**values)
 
 
 @dataclass(frozen=True)
 class RegistrySection:
     """Either a built-in registry name or inline arm definitions."""
 
-    name: str | None = "tulu_v2"
+    name: str | None = None
     arms: tuple[tuple[str, int], ...] | None = None
     prior: tuple[float, ...] | None = None
 
-    _PATH = "registry"
-    _KEYS = {"name", "arms", "prior"}
-
-    @classmethod
-    def from_obj(cls, obj: object) -> "RegistrySection":
-        if isinstance(obj, str):
-            obj = {"name": obj}
-        obj = _require_mapping(obj, cls._PATH)
-        _check_keys(obj, cls._KEYS, cls._PATH)
-        name = _get_str(obj, "name", None, cls._PATH)
-        arms_obj = obj.get("arms")
-        if (name is None) == (arms_obj is None):
-            raise ConfigError(f"{cls._PATH}: give exactly one of 'name' or 'arms'")
-        if name is not None and name not in BUILTIN_REGISTRIES:
-            known = ", ".join(sorted(BUILTIN_REGISTRIES))
-            raise ConfigError(f"{cls._PATH}.name: unknown registry {name!r}; built-ins: {known}")
-        arms = None
-        if arms_obj is not None:
-            # Inline arms: an ordered object of name -> count, or a list of
-            # [name, count] pairs.
-            if isinstance(arms_obj, dict) and arms_obj:
-                pairs = list(arms_obj.items())
-            elif isinstance(arms_obj, list) and arms_obj:
-                pairs = []
-                for entry in arms_obj:
-                    if not (isinstance(entry, list) and len(entry) == 2):
-                        raise ConfigError(f"{cls._PATH}.arms: entries must be [name, count] pairs")
-                    pairs.append((entry[0], entry[1]))
-            else:
-                raise ConfigError(f"{cls._PATH}.arms: expected a nonempty object or list of pairs")
-            items = []
-            for arm_name, count in pairs:
-                if not isinstance(arm_name, str):
-                    raise ConfigError(f"{cls._PATH}.arms: arm names must be strings")
-                if isinstance(count, bool) or not isinstance(count, int):
-                    raise ConfigError(f"{cls._PATH}.arms.{arm_name}: expected an integer count")
-                items.append((arm_name, count))
-            arms = tuple(items)
-        prior = obj.get("prior")
-        if prior is not None:
-            if name is not None:
-                raise ConfigError(f"{cls._PATH}.prior: only valid with inline 'arms'")
-            if not isinstance(prior, list) or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in prior
-            ):
-                raise ConfigError(f"{cls._PATH}.prior: expected a list of numbers")
-            prior = tuple(float(x) for x in prior)
-        return cls(name=name if arms is None else None, arms=arms, prior=prior)
+    def __post_init__(self) -> None:
+        if (self.name is None) == (self.arms is None):
+            raise ConfigError("registry: give exactly one of 'name' or 'arms'")
+        if self.prior is not None and self.name is not None:
+            raise ConfigError("registry.prior: only valid with inline 'arms'")
 
     def build(self) -> ArmRegistry:
         if self.name is not None:
@@ -255,33 +148,85 @@ class RegistrySection:
         return ArmRegistry.from_counts(list(self.arms), prior=self.prior)
 
 
+# The schema: each section's type and the reader of every key.
+_SECTIONS = {
+    "bandit": BanditSection,
+    "schedule": ScheduleSection,
+    "policy": PolicyKind,
+    "world": WorldParams,
+    "registry": RegistrySection,
+}
+_READERS = {
+    "config": {"seed": _count, "output_dir": _optional(_string)},
+    "bandit": {
+        **dict.fromkeys(("beta", "gamma", "alpha", "epsilon"), _number),
+        "update_interval": _integer,
+        "batch_size": _integer,
+        "total_steps": _optional(_count),
+    },
+    "schedule": {"base_rate": _number, "warmup_fraction": _number},
+    "policy": {"variant": _string, "reward_kind": _string, "static_probs": _optional(_numbers)},
+    "world": {
+        **dict.fromkeys(("base_loss", "floor", "learnability"), _number_or_numbers),
+        "transfer": _optional(_number),
+        "noise_scale": _number,
+        "init_spread": _number,
+    },
+    "registry": {
+        "name": _optional(_registry_name),
+        "arms": _optional(_arms),
+        "prior": _optional(_numbers),
+    },
+}
+# Keys whose lists need one entry per arm, checked once the registry is built.
+_PER_ARM = (("policy", "static_probs"), ("world", "base_loss"), ("world", "floor"), ("world", "learnability"))
+
+
+def _read(section: str, key: str, value: object) -> object:
+    return _READERS[section][key](value, f"{section}.{key}")
+
+
+def _read_object(obj: object, path: str, allowed) -> dict:
+    if not isinstance(obj, dict):
+        raise _mismatch(path, "an object", obj)
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{path}: unknown key(s) {', '.join(repr(k) for k in unknown)}")
+    return obj
+
+
+def _build(section: str, make, **kwargs):
+    """``make(**kwargs)``, turning a ValueError into a ConfigError naming ``section``."""
+    try:
+        return make(**kwargs)
+    except ConfigError:
+        raise
+    except ValueError as e:
+        raise ConfigError(f"{section}: {e}") from e
+
+
+def _read_section(section: str, obj: object):
+    if section == "registry" and isinstance(obj, str):
+        obj = {"name": obj}
+    obj = _read_object(obj, section, _READERS[section])
+    return _build(section, _SECTIONS[section], **{k: _read(section, k, v) for k, v in obj.items()})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     bandit: BanditSection = BanditSection()
     schedule: ScheduleSection = ScheduleSection()
-    policy: PolicySection = PolicySection()
-    world: WorldSection = WorldSection()
-    registry: RegistrySection = RegistrySection()
+    policy: PolicyKind = PolicyKind()
+    world: WorldParams = WorldParams()
+    registry: RegistrySection = RegistrySection(name="tulu_v2")
     seed: int = 0
     output_dir: str | None = None
 
-    _KEYS = {"bandit", "schedule", "policy", "world", "registry", "seed", "output_dir"}
-
     @classmethod
     def from_dict(cls, obj: object) -> "ExperimentConfig":
-        obj = _require_mapping(obj, "config")
-        _check_keys(obj, cls._KEYS, "config")
-        seed = _get_int(obj, "seed", 0, "config")
-        if seed < 0:
-            raise ConfigError(f"config.seed: must be >= 0, got {seed}")
+        obj = _read_object(obj, "config", _SECTIONS.keys() | _READERS["config"].keys())
         return cls(
-            bandit=BanditSection.from_obj(obj.get("bandit", {})),
-            schedule=ScheduleSection.from_obj(obj.get("schedule", {})),
-            policy=PolicySection.from_obj(obj.get("policy", {})),
-            world=WorldSection.from_obj(obj.get("world", {})),
-            registry=RegistrySection.from_obj(obj.get("registry", "tulu_v2")),
-            seed=seed,
-            output_dir=_get_str(obj, "output_dir", None, "config"),
+            **{k: _read_section(k, v) if k in _SECTIONS else _read("config", k, v) for k, v in obj.items()}
         )
 
     def to_dict(self) -> dict:
@@ -299,71 +244,28 @@ class ExperimentConfig:
 
     def resolve(self) -> "ResolvedExperiment":
         """Build the runtime objects, or raise ConfigError naming the problem."""
-        try:
-            registry = self.registry.build()
-        except ValueError as e:
-            raise ConfigError(f"registry: {e}") from e
+        registry = _build("registry", self.registry.build)
+        k = registry.num_arms
         total = self.bandit.total_steps
         if total is None:
-            total = -(-DEFAULT_EPOCHS * registry.total_count // self.bandit.batch_size)
-        try:
-            bandit = BanditConfig(
-                num_arms=registry.num_arms,
-                total_steps=total,
-                beta=self.bandit.beta,
-                gamma=self.bandit.gamma,
-                alpha=self.bandit.alpha,
-                epsilon=self.bandit.epsilon,
-                update_interval=self.bandit.update_interval,
-                batch_size=self.bandit.batch_size,
-            )
-        except ValueError as e:
-            raise ConfigError(f"bandit: {e}") from e
-        try:
-            schedule = LrSchedule(
-                base_rate=self.schedule.base_rate,
-                total_steps=total,
-                warmup_fraction=self.schedule.warmup_fraction,
-            )
-        except ValueError as e:
-            raise ConfigError(f"schedule: {e}") from e
-        try:
-            policy_kind = PolicyKind(
-                variant=self.policy.variant,
-                reward_kind=self.policy.reward_kind,
-                static_probs=self.policy.static_probs,
-            )
-            if policy_kind.static_probs is not None and len(policy_kind.static_probs) != registry.num_arms:
-                raise ValueError(
-                    f"static_probs has {len(policy_kind.static_probs)} entries "
-                    f"but the registry has {registry.num_arms} arms"
-                )
-        except ValueError as e:
-            raise ConfigError(f"policy: {e}") from e
-        try:
-            world = WorldParams(
-                base_loss=self.world.base_loss,
-                floor=self.world.floor,
-                learnability=self.world.learnability,
-                transfer=self.world.transfer,
-                noise_scale=self.world.noise_scale,
-                init_spread=self.world.init_spread,
-            )
-            for key in ("base_loss", "floor", "learnability"):
-                v = getattr(world, key)
-                if isinstance(v, tuple) and len(v) != registry.num_arms:
-                    raise ValueError(
-                        f"{key} has {len(v)} entries but the registry has {registry.num_arms} arms"
-                    )
-        except ValueError as e:
-            raise ConfigError(f"world: {e}") from e
+            # BanditConfig rejects a batch size below 1; only the division
+            # must not fail on it first.
+            total = -(-DEFAULT_EPOCHS * registry.total_count // max(self.bandit.batch_size, 1))
+        # A section's fields are keyword arguments of its runtime type.
+        bandit_args = vars(self.bandit) | {"num_arms": k, "total_steps": total}
+        bandit = _build("bandit", BanditConfig, **bandit_args)
+        schedule = _build("schedule", LrSchedule, **vars(self.schedule), total_steps=total)
+        for section, key in _PER_ARM:
+            v = getattr(getattr(self, section), key)
+            if isinstance(v, tuple) and len(v) != k:
+                raise ConfigError(f"{section}: {key} has {len(v)} entries but the registry has {k} arms")
         return ResolvedExperiment(
             config=self,
             registry=registry,
             bandit=bandit,
             schedule=schedule,
-            policy_kind=policy_kind,
-            world_params=world,
+            policy_kind=self.policy,
+            world_params=self.world,
             seed=self.seed,
             config_hash=self.config_hash(),
         )
@@ -401,27 +303,25 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
-# Hyperparameters a sweep may vary, mapped to their config section.
-SWEEPABLE = {
-    "beta": "bandit",
-    "gamma": "bandit",
-    "alpha": "bandit",
-    "update_interval": "bandit",
-}
+# Bandit hyperparameters a sweep may vary.
+SWEEPABLE = ("beta", "gamma", "alpha", "update_interval")
 
 
 def apply_param_overrides(cfg: ExperimentConfig, overrides: dict[str, object]) -> ExperimentConfig:
-    """Return a copy of ``cfg`` with sweepable hyperparameters replaced."""
-    bandit_changes = {}
+    """Return a copy of ``cfg`` with sweepable hyperparameters replaced.
+
+    Each value is read exactly as the same key in a config file is.
+    """
+    changes = {}
     for key, value in overrides.items():
         if key not in SWEEPABLE:
             raise ConfigError(
                 f"sweep: cannot vary {key!r}; sweepable: {', '.join(sorted(SWEEPABLE))}"
             )
-        bandit_changes[key] = value
-    if not bandit_changes:
+        changes[key] = _read("bandit", key, value)
+    if not changes:
         return cfg
-    return dataclasses.replace(cfg, bandit=dataclasses.replace(cfg.bandit, **bandit_changes))
+    return dataclasses.replace(cfg, bandit=dataclasses.replace(cfg.bandit, **changes))
 
 
 def resolve_output_dir(cli_out: str | None, cfg: ExperimentConfig) -> Path:

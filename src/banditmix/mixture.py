@@ -7,9 +7,8 @@ uniform floor so no arm's probability can fall below ``gamma / K``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -23,7 +22,6 @@ __all__ = [
     "boltzmann_probs",
     "prior_scaled_probs",
     "mixture_probs",
-    "sample_arm",
     "sample_batch",
 ]
 
@@ -57,8 +55,8 @@ class BanditConfig:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.update_interval < 1:
             raise ValueError(f"update_interval must be >= 1, got {self.update_interval}")
         # A zero-length run has no steps at all, so no interval bound applies.
@@ -128,10 +126,7 @@ class MixtureDistribution:
 
 @dataclass(frozen=True)
 class Batch:
-    """A sampled batch: parallel arrays of arm indices and example indices.
-
-    Behaves as a sequence of ``(arm, example)`` pairs.
-    """
+    """A sampled batch: parallel arrays of arm indices and example indices."""
 
     arms: np.ndarray
     examples: np.ndarray
@@ -146,12 +141,6 @@ class Batch:
 
     def __len__(self) -> int:
         return int(self.arms.size)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return zip(self.arms.tolist(), self.examples.tolist())
-
-    def __getitem__(self, i: int) -> tuple[int, int]:
-        return (int(self.arms[i]), int(self.examples[i]))
 
 
 def _check_finite_vector(name: str, v: np.ndarray) -> np.ndarray:
@@ -211,18 +200,6 @@ def mixture_probs(q: np.ndarray, prior: np.ndarray, cfg: BanditConfig) -> Mixtur
     w = prior_scaled_probs(q, prior, cfg.beta)
     p = (1.0 - cfg.gamma) * w + cfg.gamma / cfg.num_arms
     return MixtureDistribution(p=p)
-
-
-def sample_arm(dist: MixtureDistribution, rng: np.random.Generator) -> int:
-    """Draw one arm index by inverse-CDF over the fixed arm order.
-
-    The draw ``u`` in ``[0, 1)`` selects the first arm whose cumulative
-    probability exceeds ``u``, so ties break toward lower indices and
-    zero-probability arms are skipped.
-    """
-    u = rng.random()
-    idx = int(np.searchsorted(dist.cumulative, u, side="right"))
-    return min(idx, dist.num_arms - 1)
 
 
 def sample_batch(

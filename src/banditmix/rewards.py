@@ -35,9 +35,10 @@ class Learner(ABC):
     """Contract for anything trainable by the scheduling loop.
 
     ``snapshot`` and ``restore`` must round-trip exactly: after a snapshot,
-    any sequence of ``virtual_step`` / ``train_step`` calls followed by
-    ``restore`` leaves per-example losses identical to their pre-snapshot
-    values.  ``loss`` must be a pure observation with no side effects.
+    any sequence of ``train_step`` calls followed by ``restore`` leaves
+    per-example losses identical to their pre-snapshot values, so a probe's
+    virtual step is a ``train_step`` that gets rolled back.  ``loss`` must be
+    a pure observation with no side effects.
     """
 
     @abstractmethod
@@ -51,10 +52,6 @@ class Learner(ABC):
     @abstractmethod
     def loss(self, batch: Batch) -> np.ndarray:
         """Per-example losses for ``batch``, nonnegative, no side effects."""
-
-    @abstractmethod
-    def virtual_step(self, batch: Batch, learning_rate: float) -> None:
-        """Apply one optimizer step for probing; caller restores afterwards."""
 
     @abstractmethod
     def train_step(self, batch: Batch, learning_rate: float) -> None:
@@ -72,9 +69,9 @@ class Learner(ABC):
         Returns ``(pres, posts)``: ``pres[j]`` and ``posts[j]`` are batch
         ``j``'s losses (entropies with ``entropy=True``) before and after the
         step.  Every probe starts from the current state: per batch, measure,
-        snapshot, take the virtual step, measure again, and restore, even
-        when a measurement raises.  An override must return the same values
-        bit for bit and leave the learner unchanged.
+        snapshot, take the virtual step as a ``train_step``, measure again,
+        and restore, even when a measurement raises.  An override must return
+        the same values bit for bit and leave the learner unchanged.
         """
         measure = self.entropy if entropy else self.loss
         pres: list[np.ndarray] = []
@@ -83,7 +80,7 @@ class Learner(ABC):
             pres.append(np.asarray(measure(batch), dtype=np.float64))
             token = self.snapshot()
             try:
-                self.virtual_step(batch, learning_rate)
+                self.train_step(batch, learning_rate)
                 posts.append(np.asarray(measure(batch), dtype=np.float64))
             finally:
                 self.restore(token)

@@ -114,8 +114,8 @@ class WorldParams:
     def __post_init__(self) -> None:
         if self.transfer is not None and not 0.0 <= self.transfer <= 1.0:
             raise ValueError(f"transfer must lie in [0, 1], got {self.transfer}")
-        if self.noise_scale < 0:
-            raise ValueError(f"noise_scale must be >= 0, got {self.noise_scale}")
+        if not 0.0 <= self.noise_scale < math.inf:
+            raise ValueError(f"noise_scale must be finite and >= 0, got {self.noise_scale}")
         if not 0.0 <= self.init_spread < 1.0:
             raise ValueError(f"init_spread must lie in [0, 1), got {self.init_spread}")
 
@@ -165,8 +165,8 @@ class SimWorld(Learner):
         diag = np.diag(transfer)
         if np.any(transfer > diag[np.newaxis, :] + 1e-12):
             raise ValueError("transfer diagonal must dominate its column (self-learning first)")
-        if noise_scale < 0:
-            raise ValueError(f"noise_scale must be >= 0, got {noise_scale}")
+        if not 0.0 <= noise_scale < math.inf:
+            raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}")
         self._transfer = transfer
         self._noise_scale = float(noise_scale)
         self._rng = rng
@@ -232,9 +232,6 @@ class SimWorld(Learner):
         if self._noise_scale > 0:
             gap = gap + self._noise_scale * learning_rate * self._rng.standard_normal(k)
         self._loss = self._floor + np.maximum(gap, 0.0)
-
-    def virtual_step(self, batch: Batch, learning_rate: float) -> None:
-        self._apply_update(batch, learning_rate)
 
     def train_step(self, batch: Batch, learning_rate: float) -> None:
         self._apply_update(batch, learning_rate)

@@ -28,7 +28,6 @@ __all__ = [
     "summarize",
     "export_plot_data",
     "save_world_checkpoint",
-    "load_world_checkpoint",
 ]
 
 SCHEMA_VERSION = 1
@@ -276,7 +275,3 @@ def save_world_checkpoint(path: str | Path, state: dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(state, indent=2) + "\n", encoding="utf-8")
-
-
-def load_world_checkpoint(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))

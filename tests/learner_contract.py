@@ -35,15 +35,9 @@ class LinearLearner(Learner):
     def entropy(self, batch):
         return 0.5 * self.theta[batch.arms]
 
-    def _step(self, batch, learning_rate):
+    def train_step(self, batch, learning_rate):
         n = np.bincount(batch.arms, minlength=self.theta.size)
         self.theta = self.theta - learning_rate * n / len(batch)
-
-    def virtual_step(self, batch, learning_rate):
-        self._step(batch, learning_rate)
-
-    def train_step(self, batch, learning_rate):
-        self._step(batch, learning_rate)
 
 
 def random_batch(num_arms, batch_size, rng, max_example=10_000):
@@ -65,7 +59,7 @@ def check_snapshot_roundtrip(learner, batch, learning_rate=0.1):
     bit-identical."""
     before = np.asarray(learner.loss(batch))
     token = learner.snapshot()
-    learner.virtual_step(batch, learning_rate)
+    learner.train_step(batch, learning_rate)
     learner.restore(token)
     after = np.asarray(learner.loss(batch))
     assert np.array_equal(before, after)
@@ -78,7 +72,7 @@ def check_mutate_restore_cycles(learner, num_arms, rng, cycles=1000, batch_size=
     token = learner.snapshot()
     for _ in range(cycles):
         batch = random_batch(num_arms, batch_size, rng)
-        learner.virtual_step(batch, rng.uniform(0.01, 0.5))
+        learner.train_step(batch, rng.uniform(0.01, 0.5))
         learner.restore(token)
     after = np.asarray(learner.loss(probe))
     assert np.array_equal(before, after)

@@ -48,6 +48,21 @@ class TestValidate:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            ({"seed": None}, "config.seed"),
+            ({"bandit": {"update_interval": None}}, "bandit.update_interval"),
+            ({"bandit": {"batch_size": None}}, "bandit.batch_size"),
+            ({"bandit": {"epsilon": float("nan")}}, "bandit: epsilon"),
+            ({"world": {"noise_scale": float("inf")}}, "world: noise_scale"),
+        ],
+    )
+    def test_null_or_non_finite_value_exits_2(self, tmp_path, capsys, overrides, path):
+        config = write_config(tmp_path, "bad.json", **overrides)
+        assert main(["validate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}")
+
 
 class TestRun:
     def test_writes_artifacts_and_reports(self, config_path, tmp_path, capsys):

@@ -15,6 +15,68 @@ from banditmix.config import (
 )
 
 INLINE_REGISTRY = {"arms": {"a": 1000, "b": 3000}}
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# Configs that between them use every key reader: registry as an object, as
+# pairs and with a prior; world vectors with a null transfer; a static
+# policy; an explicit step budget.
+PINNED_INLINE = {
+    "defaults": {},
+    "registry_object": {"registry": INLINE_REGISTRY},
+    "registry_pairs_prior": {
+        "registry": {"arms": [["b", 4000], ["a", 2000]], "prior": [0.25, 0.75]},
+    },
+    "world_vectors_null_transfer": {
+        "registry": {"arms": {"a": 1000, "b": 2000, "c": 3000}},
+        "world": {
+            "base_loss": [3.0, 2.5, 2],
+            "floor": [0.5, 0.25, 0.5],
+            "learnability": [1, 0.5, 0.75],
+            "transfer": None,
+            "noise_scale": 0.2,
+            "init_spread": 0.1,
+        },
+    },
+    "static_policy": {
+        "registry": INLINE_REGISTRY,
+        "policy": {"variant": "static", "static_probs": [0.25, 0.75]},
+    },
+    "explicit_total_steps": {
+        "bandit": {
+            "beta": 2,
+            "gamma": 0.1,
+            "alpha": 0.5,
+            "epsilon": 1e-6,
+            "update_interval": 5,
+            "batch_size": 16,
+            "total_steps": 40,
+        },
+        "schedule": {"base_rate": 0.05, "warmup_fraction": 0.1},
+        "policy": {"variant": "bandit_no_prior", "reward_kind": "delta_entropy"},
+        "registry": "tulu_v2_science_merged",
+        "seed": 5,
+    },
+}
+
+# Captured before the config sections became the runtime types; a schema
+# refactor must leave every one of them unchanged.
+PINNED_HASHES = {
+    "defaults": "d798bce5ffee",
+    "registry_object": "aaff4fcddcd7",
+    "registry_pairs_prior": "8b0173d8700c",
+    "world_vectors_null_transfer": "32abcc2eabb8",
+    "static_policy": "9f59ed93fb81",
+    "explicit_total_steps": "c2cff86de97e",
+    "tulu_default": "277a9da3a907",
+    "deep_gap_world": "70283c4c7d81",
+    "volatile_world": "fe6aff851c3e",
+}
+
+
+def pinned_config(name):
+    if name in PINNED_INLINE:
+        return ExperimentConfig.from_dict(PINNED_INLINE[name])
+    return load_config(CONFIGS / f"{name}.json")
 
 
 class TestFromDict:
@@ -98,6 +160,45 @@ class TestFromDict:
             }
         )
         assert cfg.policy.static_probs == (0.5, 0.5)
+
+    def test_policy_and_world_checked_at_load(self):
+        with pytest.raises(ConfigError, match="policy: unknown policy variant"):
+            ExperimentConfig.from_dict({"policy": {"variant": "greedy"}})
+        with pytest.raises(ConfigError, match="world: transfer"):
+            ExperimentConfig.from_dict({"world": {"transfer": 2.0}})
+
+
+# Each of these crashed with a bare TypeError (exit 3) naming no key.
+NULL_INTEGERS = {
+    "config.seed": {"seed": None},
+    "bandit.update_interval": {"bandit": {"update_interval": None}},
+    "bandit.batch_size": {"bandit": {"batch_size": None}},
+}
+
+
+@pytest.mark.parametrize("path", sorted(NULL_INTEGERS))
+def test_null_integer_is_a_config_error(path):
+    with pytest.raises(ConfigError, match=f"^{path}: expected an integer, got None"):
+        ExperimentConfig.from_dict({"registry": INLINE_REGISTRY, **NULL_INTEGERS[path]}).resolve()
+
+
+def test_zero_batch_size_with_derived_budget_is_a_config_error():
+    cfg = ExperimentConfig.from_dict({"bandit": {"batch_size": 0}})
+    with pytest.raises(ConfigError, match="bandit: batch_size must be >= 1"):
+        cfg.resolve()
+
+
+class TestPinnedHashes:
+    @pytest.mark.parametrize("name", sorted(PINNED_HASHES))
+    def test_hash_unchanged(self, name):
+        cfg = pinned_config(name)
+        cfg.resolve()
+        assert cfg.config_hash() == PINNED_HASHES[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_HASHES))
+    def test_dict_round_trip(self, name):
+        cfg = pinned_config(name)
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
 class TestConfigHash:
@@ -228,6 +329,11 @@ class TestOverrides:
     def test_empty_overrides_return_config_unchanged(self):
         cfg = default_config()
         assert apply_param_overrides(cfg, {}) is cfg
+
+    def test_override_numbers_stored_as_in_a_file(self):
+        cfg = apply_param_overrides(default_config(), {"beta": 8})
+        assert cfg == ExperimentConfig.from_dict({"bandit": {"beta": 8}})
+        assert type(cfg.bandit.beta) is float
 
 
 class TestOutputDir:

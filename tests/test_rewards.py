@@ -223,7 +223,7 @@ class FixedProbe(Learner):
     def loss(self, batch):
         raise AssertionError("probe is overridden")
 
-    virtual_step = train_step = loss
+    train_step = loss
 
 
 def fixed_round(k, b, epsilon=1e-8, alpha=0.9):

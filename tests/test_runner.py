@@ -203,6 +203,25 @@ class TestSweep:
         assert len(result.skipped) == 1
         assert result.skipped[0][0] == (("gamma", 2.0),)
 
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("gamma", True, "a number"),
+            ("update_interval", 2.5, "an integer"),
+            ("beta", "hot", "a number"),
+            ("gamma", None, "a number"),
+        ],
+    )
+    def test_ill_typed_point_skipped_like_a_config_file(self, key, value, expected):
+        # The value is read exactly as the same key in a config file is.
+        result = sweep_experiments(small_cfg(), {key: [value, 1]}, seeds=1)
+        assert [a.params for a in result.aggregates] == [((key, 1),)]
+        reason = f"bandit.{key}: expected {expected}, got {value!r}"
+        assert result.skipped == [(((key, value),), reason)]
+        with pytest.raises(ConfigError) as from_file:
+            small_cfg(bandit={key: value})
+        assert str(from_file.value) == reason
+
     def test_unknown_key_is_an_upfront_error(self):
         with pytest.raises(ConfigError, match="grid.batch_size"):
             sweep_experiments(small_cfg(), {"batch_size": [64]}, seeds=1)

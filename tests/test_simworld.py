@@ -109,6 +109,8 @@ class TestWorldParams:
             {"transfer": 1.1},
             {"noise_scale": -0.5},
             {"init_spread": 1.0},
+            {"noise_scale": float("nan")},
+            {"noise_scale": float("inf")},
         ],
     )
     def test_bad_params(self, kw):
@@ -132,6 +134,13 @@ class TestBuildWorld:
     def test_vector_length_mismatch(self):
         with pytest.raises(ValueError):
             make_world(base_loss=(3.0, 2.0))
+
+    @pytest.mark.parametrize("noise_scale", [float("nan"), float("inf"), -0.1])
+    def test_world_rejects_bad_noise_scale(self, noise_scale):
+        state = make_world().state_dict()
+        state["noise_scale"] = noise_scale
+        with pytest.raises(ValueError, match="noise_scale"):
+            SimWorld.from_state_dict(state)
 
     def test_constant_transfer_capped_by_learnability(self):
         with pytest.raises(ValueError):
@@ -355,7 +364,7 @@ BAD_BATCHES = {
 
 class TestBatchChecks:
     @pytest.mark.parametrize("bad", sorted(BAD_BATCHES))
-    @pytest.mark.parametrize("call", ["loss", "entropy", "train_step", "virtual_step"])
+    @pytest.mark.parametrize("call", ["loss", "entropy", "train_step"])
     def test_bad_batch_rejected(self, call, bad):
         world = make_world(num_arms=3, noise_scale=0.2)
         state_before = world.state_dict()

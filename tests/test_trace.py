@@ -15,7 +15,6 @@ from banditmix.trace import (
     TraceRecord,
     TraceWriter,
     export_plot_data,
-    load_world_checkpoint,
     read_trace,
     save_world_checkpoint,
     summarize,
@@ -258,7 +257,7 @@ class TestWorldCheckpoint:
         )
         path = tmp_path / "world.json"
         save_world_checkpoint(path, world.state_dict())
-        assert load_world_checkpoint(path) == world.state_dict()
+        assert json.loads(path.read_text(encoding="utf-8")) == world.state_dict()
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
