@@ -234,6 +234,10 @@ class ExperimentConfig:
         # asdict leaves tuples in place; JSON round-trips need plain lists.
         return json.loads(json.dumps(obj, default=list))
 
+    def with_seed(self, seed: object) -> "ExperimentConfig":
+        """A copy with ``seed`` read as the config's ``seed`` key is."""
+        return dataclasses.replace(self, seed=_read("config", "seed", seed))
+
     def config_hash(self) -> str:
         """Short content hash over everything that shapes the run but the seed."""
         obj = self.to_dict()
@@ -259,6 +263,9 @@ class ExperimentConfig:
             v = getattr(getattr(self, section), key)
             if isinstance(v, tuple) and len(v) != k:
                 raise ConfigError(f"{section}: {key} has {len(v)} entries but the registry has {k} arms")
+        # The run builds its world from these values; check them here so a
+        # config that validates also runs.
+        _build("world", self.world.per_arm, num_arms=k)
         return ResolvedExperiment(
             config=self,
             registry=registry,

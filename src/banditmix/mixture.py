@@ -194,9 +194,9 @@ def mixture_probs(q: np.ndarray, prior: np.ndarray, cfg: BanditConfig) -> Mixtur
     Returns ``(1 - gamma) * prior_scaled_probs(q, prior, beta) + gamma / K``,
     which keeps every arm's probability at or above ``gamma / K``.
     """
-    q = _check_finite_vector("q", q)
-    if q.size != cfg.num_arms:
-        raise ValueError(f"q has {q.size} entries but config expects {cfg.num_arms} arms")
+    # prior_scaled_probs checks the entries of q.
+    if np.size(q) != cfg.num_arms:
+        raise ValueError(f"q has {np.size(q)} entries but config expects {cfg.num_arms} arms")
     w = prior_scaled_probs(q, prior, cfg.beta)
     p = (1.0 - cfg.gamma) * w + cfg.gamma / cfg.num_arms
     return MixtureDistribution(p=p)
@@ -207,23 +207,98 @@ def sample_batch(
     registry: ArmRegistry,
     batch_size: int,
     rng: np.random.Generator,
+    steps: int = 1,
 ) -> Batch:
-    """Draw a batch of ``(arm, example)`` pairs.
+    """Draw ``steps`` batches of ``(arm, example)`` pairs, joined end to end.
 
-    Arms follow ``dist`` (the distribution is fixed for the whole batch);
+    Arms follow ``dist`` (the distribution is fixed for every batch);
     example indices are uniform over each chosen arm's instances, with
-    replacement.
+    replacement.  Per step, ``batch_size`` uniforms pick the arms and then
+    one bounded integer per element picks the examples, so the result and
+    the generator state equal ``steps`` one-step calls in sequence.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     if dist.num_arms != registry.num_arms:
         raise ValueError(
             f"distribution covers {dist.num_arms} arms but registry has {registry.num_arms}"
         )
+    if steps > 1 and type(rng.bit_generator) is np.random.PCG64:
+        window = _pcg64_window(dist, registry.counts, batch_size, steps, rng)
+        if window is not None:
+            return window
+    draws = [_draw_step(dist, registry.counts, batch_size, rng) for _ in range(steps)]
+    if steps == 1:
+        return Batch(*draws[0])
+    arms, examples = zip(*draws)
+    return Batch(arms=np.concatenate(arms), examples=np.concatenate(examples))
+
+
+def _draw_step(
+    dist: MixtureDistribution, counts: np.ndarray, batch_size: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
     us = rng.random(batch_size)
     arms = dist.cumulative.searchsorted(us, side="right")
     # searchsorted never returns a negative index; only a draw at or above
     # the float total of p can land past the last arm.
     np.minimum(arms, dist.num_arms - 1, out=arms)
-    examples = rng.integers(0, registry.counts[arms])
-    return Batch(arms=arms, examples=examples)
+    return arms, rng.integers(0, counts[arms])
+
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _pcg64_window(
+    dist: MixtureDistribution,
+    counts: np.ndarray,
+    batch_size: int,
+    steps: int,
+    rng: np.random.Generator,
+) -> Batch | None:
+    """``steps`` calls of ``_draw_step`` from one ``random_raw`` call, or None.
+
+    Follows numpy's PCG64 ``Generator`` bit for bit, as the tests pin: a
+    uniform double is a raw's top 53 bits over 2**53, and an integer in
+    ``[0, c)`` for ``c`` in ``[2, 2**32]`` is Lemire's method on one 32-bit
+    draw ``u``: ``(u * c) >> 32``, rejected iff ``(u * c) mod 2**32`` is below
+    ``(2**32 - c) mod c``.  The 32-bit draws are the half the generator holds
+    buffered, if any, then the low and high halves of each raw drawn after
+    a step's doubles; the generator keeps the high half of its last such raw
+    and whether it is still unused.  Returns None with ``rng`` unchanged when
+    a count is outside that range or any draw would be rejected.
+    """
+    if counts.min() < 2 or counts.max() > 2**32:
+        return None
+    bit_gen = rng.bit_generator
+    start = bit_gen.state
+    held = start["has_uint32"]
+    # Raws spent on 32-bit draws by the end of each step.
+    spent = (np.arange(1, steps + 1) * batch_size - held + 1) // 2
+    per_step = np.diff(spent, prepend=0)
+    # Each step draws batch_size raws for its doubles, then its share of raws
+    # for 32-bit draws.
+    is_double = np.repeat(
+        np.tile([True, False], steps), np.column_stack((np.full(steps, batch_size), per_step)).ravel()
+    )
+    raws = bit_gen.random_raw(is_double.size)
+    us = (raws[is_double] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    arms = dist.cumulative.searchsorted(us, side="right")
+    np.minimum(arms, dist.num_arms - 1, out=arms)
+
+    words = raws[~is_double]
+    halves = np.column_stack((words & _LOW32, words >> np.uint64(32))).ravel()
+    if held:
+        halves = np.concatenate(([np.uint64(start["uinteger"])], halves))
+    bound = counts.astype(np.uint64)
+    threshold = (np.uint64(2**32) - bound) % bound
+    scaled = halves[: arms.size] * bound[arms]
+    if ((scaled & _LOW32) < threshold[arms]).any():
+        bit_gen.state = start
+        return None
+    end = bit_gen.state
+    end["has_uint32"] = halves.size - arms.size
+    end["uinteger"] = int(words[-1] >> np.uint64(32))
+    bit_gen.state = end
+    return Batch(arms=arms, examples=(scaled >> np.uint64(32)).astype(np.int64))

@@ -4,8 +4,9 @@ Each reward round probes every arm once: measure loss on a probe batch, take
 one virtual optimizer step on that batch, measure again, restore the learner,
 and score the arm by its relative loss drop.  Scores fold into the running
 estimates through an exponential moving average.  ``Learner.probe`` runs the
-measurements of a whole round; a learner that can compute them in closed form
-may override it.
+measurements of a whole round and ``Learner.train_steps`` the real steps
+between two rounds; a learner that can compute either in closed form may
+override it.
 """
 
 from __future__ import annotations
@@ -56,6 +57,23 @@ class Learner(ABC):
     @abstractmethod
     def train_step(self, batch: Batch, learning_rate: float) -> None:
         """Apply one real optimizer step."""
+
+    def train_steps(self, batch: Batch, learning_rates: Sequence[float]) -> None:
+        """Apply one real step per learning rate, on equal consecutive rows.
+
+        ``batch`` holds ``len(learning_rates)`` rows of equal length joined
+        end to end, as ``sample_batch(..., steps=m)`` draws them; step ``t``
+        is a ``train_step`` on row ``t`` at ``learning_rates[t]``.  An
+        override must leave the learner exactly as this loop does, bit for
+        bit, hidden state such as a generator included.
+        """
+        m = len(learning_rates)
+        if m < 1 or len(batch) % m:
+            raise ValueError(f"a batch of {len(batch)} does not split into {m} equal steps")
+        width = len(batch) // m
+        for t, lr in enumerate(learning_rates):
+            rows = slice(t * width, (t + 1) * width)
+            self.train_step(Batch(arms=batch.arms[rows], examples=batch.examples[rows]), lr)
 
     def entropy(self, batch: Batch) -> np.ndarray:
         """Per-example predictive entropies; optional capability."""

@@ -7,6 +7,13 @@ policy runs a reward round and recomputes its distribution.  Each record
 therefore carries the distribution the step's batch was drawn from and the
 estimates as of the end of the step.
 
+Since the distribution changes only at a reward round, the loop runs in
+windows: the steps up to the next multiple of the update interval, or to the
+end of the run.  A window draws all its batches in one ``sample_batch`` call
+and trains on them in one ``train_steps`` call, which give the same numbers
+as one call per step.  A long interval is split into windows of at most
+``WINDOW_DRAWS`` draws, so memory does not grow with the interval.
+
 Randomness is split into four independent streams derived from the run seed:
 training-batch sampling, reward-batch sampling, world initialization, and
 world process noise.  Reward rounds never advance the training stream.
@@ -14,7 +21,6 @@ world process noise.  Reward rounds never advance the training stream.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 from dataclasses import dataclass
@@ -56,6 +62,10 @@ __all__ = [
     "WORLD_FILENAME",
 ]
 
+# Largest number of draws (steps x batch size) in one window, unless a
+# single step is larger.
+WINDOW_DRAWS = 1 << 16
+
 TRACE_FILENAME = "trace.jsonl"
 SUMMARY_FILENAME = "summary.json"
 WORLD_FILENAME = "world.json"
@@ -90,14 +100,16 @@ def run_experiment(
     writes ``trace.jsonl``, ``summary.json``, and ``world.json`` there.
     """
     if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
+        cfg = cfg.with_seed(seed)
     resolved = cfg.resolve()
     registry = resolved.registry
     bandit = resolved.bandit
+    k, width, interval = registry.num_arms, bandit.batch_size, bandit.update_interval
+    span = min(interval, max(WINDOW_DRAWS // width, 1))
     train_rng, reward_rng, init_rng, sim_rng = _rng_streams(resolved.seed)
-    world = build_world(resolved.world_params, registry.num_arms, init_rng, sim_rng)
+    world = build_world(resolved.world_params, k, init_rng, sim_rng)
     policy = MixturePolicy(resolved.policy_kind, registry, bandit)
-    counts = np.zeros(registry.num_arms, dtype=np.int64)
+    counts = np.zeros(k, dtype=np.int64)
     records: list[TraceRecord] = []
 
     writer = None
@@ -109,47 +121,76 @@ def run_experiment(
             config_hash=resolved.config_hash,
         )
         writer.__enter__()
+
+    def emit(record: TraceRecord) -> None:
+        records.append(record)
+        if writer is not None:
+            writer.write(record)
+
     # The distribution and the estimates change only at a reward round, so
     # their rows are built once per change and shared by every record until
     # the next one.
     dist = probabilities = None
     q = tuple(policy.state.q.tolist())
     try:
-        for step in range(1, bandit.total_steps + 1):
-            lr = resolved.schedule.rate(step - 1)
+        first = 1
+        while first <= bandit.total_steps:
+            # The window ends at the next multiple of the interval, after
+            # span steps, or at the end of the run, whichever comes first.
+            round_step = first + interval - 1 - (first - 1) % interval
+            last = min(first + span - 1, round_step, bandit.total_steps)
+            m = last - first + 1
             current = policy.distribution()
             if current is not dist:
                 dist = current
                 probabilities = tuple(dist.p.tolist())
-            batch = sample_batch(dist, registry, bandit.batch_size, train_rng)
-            counts += np.bincount(batch.arms, minlength=registry.num_arms)
-            world.train_step(batch, lr)
+            batch = sample_batch(dist, registry, width, train_rng, steps=m)
+            rates = [resolved.schedule.rate(step - 1) for step in range(first, last + 1)]
+            per_step = np.bincount(np.arange(m).repeat(width) * k + batch.arms, minlength=m * k)
+            cumulative = counts + per_step.reshape(m, k).cumsum(axis=0)
+            counts = cumulative[-1]
+            rows = cumulative.tolist()
+            world.train_steps(batch, rates)
+            for step, lr, row in zip(range(first, last), rates, rows):
+                emit(
+                    TraceRecord(
+                        step=step,
+                        probabilities=probabilities,
+                        q=q,
+                        learning_rate=lr,
+                        cumulative_counts=tuple(row),
+                    )
+                )
             rewards = None
-            if policy.adaptive and step % bandit.update_interval == 0:
-                policy.state.step = step
+            if policy.adaptive and last == round_step:
+                policy.state.step = last
                 reports = lookahead_round(
                     world,
                     registry,
                     policy.state,
                     bandit,
-                    lr,
+                    rates[-1],
                     reward_rng,
                     reward_kind=resolved.policy_kind.reward_kind,
                 )
                 policy.apply_reward_round(reports)
                 rewards = tuple(r.reward for r in reports)
                 q = tuple(policy.state.q.tolist())
-            record = TraceRecord(
-                step=step,
-                probabilities=probabilities,
-                q=q,
-                learning_rate=lr,
-                cumulative_counts=tuple(counts.tolist()),
-                rewards=rewards,
+            emit(
+                TraceRecord(
+                    step=last,
+                    probabilities=probabilities,
+                    q=q,
+                    learning_rate=rates[-1],
+                    cumulative_counts=tuple(rows[-1]),
+                    rewards=rewards,
+                )
             )
-            records.append(record)
             if writer is not None:
-                writer.write(record)
+                writer.flush()
+            first = last + 1
+        # Release the last window before summarize, where memory peaks.
+        batch = per_step = cumulative = rows = counts = rates = None
     finally:
         if writer is not None:
             writer.__exit__(None, None, None)
@@ -219,7 +260,7 @@ def compare_experiments(
     """
     if not configs:
         raise ValueError("compare needs at least one config")
-    configs = [dataclasses.replace(c, seed=seed) for c in configs]
+    configs = [c.with_seed(seed) for c in configs]
     resolved = [c.resolve() for c in configs]
     _require_shared(configs, resolved)
     rows: list[CompareRow] = []

@@ -119,6 +119,29 @@ class WorldParams:
         if not 0.0 <= self.init_spread < 1.0:
             raise ValueError(f"init_spread must lie in [0, 1), got {self.init_spread}")
 
+    def per_arm(self, num_arms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``base_loss``, ``floor`` and ``learnability`` as checked per-arm vectors.
+
+        Also checks the constant ``transfer`` against the learnabilities, so
+        every value that needs the arm count is checked here.
+        """
+        base = _broadcast("base_loss", self.base_loss, num_arms)
+        floor = _broadcast("floor", self.floor, num_arms)
+        learn = _broadcast("learnability", self.learnability, num_arms)
+        # Entries are finite here, so min and max decide each range check.
+        if floor.min() < 0:
+            raise ValueError("floor entries must be >= 0")
+        if learn.min() < 0 or learn.max() > 1:
+            raise ValueError("learnability entries must lie in [0, 1]")
+        if (base < floor).any():
+            raise ValueError("base_loss must be at or above floor for every arm")
+        if self.transfer is not None and num_arms > 1 and self.transfer > learn.min():
+            raise ValueError(
+                f"constant transfer {self.transfer} exceeds the smallest "
+                f"learnability {learn.min()}"
+            )
+        return base, floor, learn
+
 
 def _broadcast(name: str, value: tuple[float, ...] | float, k: int) -> np.ndarray:
     arr = np.asarray(value, dtype=np.float64)
@@ -126,7 +149,7 @@ def _broadcast(name: str, value: tuple[float, ...] | float, k: int) -> np.ndarra
         arr = np.full(k, float(arr))
     if arr.shape != (k,):
         raise ValueError(f"{name} must be a scalar or have {k} entries, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} entries must be finite")
     return arr
 
@@ -236,6 +259,45 @@ class SimWorld(Learner):
     def train_step(self, batch: Batch, learning_rate: float) -> None:
         self._apply_update(batch, learning_rate)
 
+    def train_steps(self, batch: Batch, learning_rates: Sequence[float]) -> None:
+        """``_apply_update`` on each row, with the arithmetic done per window.
+
+        The factor matrices of all steps are stacked and raised to their
+        per-step counts at once, and the normals of all steps are drawn in
+        one call, which yields the same numbers as one draw per step.  Only
+        the clip and the floor, which depend on the previous step, stay in a
+        loop; every operation keeps ``_apply_update``'s order, so the result
+        matches it bit for bit.  A one-arm world (see ``probe``), a zero-rate
+        step (it draws no normals) and invalid input take the generic loop.
+        """
+        lr = np.asarray(learning_rates, dtype=np.float64)
+        arms = batch.arms
+        k, m = self._loss.size, lr.size
+        width = arms.size // m if m else 0
+        if (
+            k == 1
+            or width == 0
+            or arms.size != m * width
+            or not ((lr > 0.0) & (lr < math.inf)).all()
+            or arms.min() < 0
+            or arms.max() >= k
+        ):
+            return super().train_steps(batch, learning_rates)
+        rows = np.arange(m).repeat(width)
+        n = np.bincount(rows * k + arms, minlength=m * k).reshape(m, k).astype(np.float64)
+        factors = np.maximum(1.0 - lr[:, np.newaxis, np.newaxis] * self._transfer / width, 0.0)
+        shrink = (factors ** n[:, np.newaxis, :]).prod(axis=2)
+        noise = None
+        if self._noise_scale > 0:
+            noise = (self._noise_scale * lr)[:, np.newaxis] * self._rng.standard_normal((m, k))
+        loss, floor = self._loss, self._floor
+        for t in range(m):
+            gap = (loss - floor) * shrink[t]
+            if noise is not None:
+                gap = gap + noise[t]
+            loss = floor + np.maximum(gap, 0.0)
+        self._loss = loss
+
     def probe(
         self, batches: Sequence[Batch], learning_rate: float, entropy: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -341,24 +403,13 @@ def build_world(
     """
     if num_arms < 1:
         raise ValueError(f"num_arms must be >= 1, got {num_arms}")
-    base = _broadcast("base_loss", params.base_loss, num_arms)
-    floor = _broadcast("floor", params.floor, num_arms)
-    learn = _broadcast("learnability", params.learnability, num_arms)
-    if np.any(learn < 0) or np.any(learn > 1):
-        raise ValueError("learnability entries must lie in [0, 1]")
-    if np.any(base < floor):
-        raise ValueError("base_loss must be at or above floor for every arm")
+    base, floor, learn = params.per_arm(num_arms)
     key = int(init_rng.integers(0, np.iinfo(np.int64).max))
     if params.transfer is None:
         # Column k scales with arm k's own learnability so the diagonal
         # always dominates.
         transfer = TRANSFER_DRAW_CAP * init_rng.random((num_arms, num_arms)) * learn[np.newaxis, :]
     else:
-        if num_arms > 1 and params.transfer > np.min(learn):
-            raise ValueError(
-                f"constant transfer {params.transfer} exceeds the smallest "
-                f"learnability {np.min(learn)}"
-            )
         transfer = np.full((num_arms, num_arms), float(params.transfer))
     np.fill_diagonal(transfer, learn)
     gap = base - floor

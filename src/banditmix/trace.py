@@ -94,7 +94,10 @@ _Q_MARK_JSON = json.dumps(_Q_MARK)
 
 
 class TraceWriter:
-    """Streams records to a JSONL file, header first, flushing per record.
+    """Streams records to a JSONL file, header first.
+
+    Lines are buffered until ``flush`` or the writer closes; each is written
+    whole, so a run that raises leaves a file of whole records.
 
     ``probabilities`` and ``q`` change only at a reward round, and the run
     loop hands the same tuple to every record in between, so the JSON text of
@@ -145,8 +148,12 @@ class TraceWriter:
             .replace(_PROBS_MARK_JSON, self._row_json("probabilities", record.probabilities), 1)
         )
         self._fh.write(line + "\n")
-        self._fh.flush()
         self._last_step = record.step
+
+    def flush(self) -> None:
+        """Push the lines written so far to the file."""
+        if self._fh is not None:
+            self._fh.flush()
 
     def _row_json(self, name: str, row) -> str:
         cached = self._rows.get(name)

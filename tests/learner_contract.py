@@ -99,6 +99,26 @@ def check_probe_matches_default(learner, batches, lr, entropy=False):
         assert np.array_equal(got, want)
 
 
+def check_train_steps_matches_default(learner, batch, learning_rates):
+    """An overridden train_steps() must leave the learner as the generic
+    Learner.train_steps loop does, bit for bit; the learner ends in that
+    state."""
+    token = learner.snapshot()
+    seen = []
+    for train_steps in (type(learner).train_steps, Learner.train_steps):
+        learner.restore(token)
+        train_steps(learner, batch, learning_rates)
+        after = np.asarray(learner.loss(batch))
+        end = learner.snapshot()
+        # Hidden state such as a generator shows up in the next real step.
+        learner.train_step(batch, 0.1)
+        seen.append((after, np.asarray(learner.loss(batch))))
+        learner.restore(end)
+    (got_after, got_next), (want_after, want_next) = seen
+    assert np.array_equal(got_after, want_after)
+    assert np.array_equal(got_next, want_next)
+
+
 def check_full_contract(learner, num_arms, rng, cycles=1000):
     batch = random_batch(num_arms, 8, rng)
     check_loss_purity(learner, batch)

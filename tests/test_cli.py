@@ -64,7 +64,39 @@ class TestValidate:
         assert capsys.readouterr().err.startswith(f"config error: {path}")
 
 
+    # World values that need the arm count: validate must reject what run
+    # rejects, with the same key.
+    WORLD_VALUES = [
+        ({"base_loss": [float("nan"), 3.0, 3.0]}, "world: base_loss entries must be finite"),
+        ({"floor": [0.5, float("inf"), 0.5]}, "world: floor entries must be finite"),
+        ({"learnability": [1.0, float("nan"), 1.0]}, "world: learnability entries must be finite"),
+        ({"base_loss": 0.1, "floor": 0.5}, "world: base_loss must be at or above floor"),
+        ({"floor": [0.5, -0.1, 0.5]}, "world: floor entries must be >= 0"),
+        ({"learnability": [1.0, 1.5, 1.0]}, "world: learnability entries must lie in [0, 1]"),
+        ({"learnability": -0.5}, "world: learnability entries must lie in [0, 1]"),
+        ({"learnability": [1.0, 0.2, 1.0], "transfer": 0.5}, "world: constant transfer 0.5 exceeds"),
+        ({"base_loss": [3.0, 3.0]}, "world: base_loss has 2 entries but the registry has 3 arms"),
+        ({"floor": [0.5, 0.5, 0.5, 0.5]}, "world: floor has 4 entries but the registry has 3 arms"),
+        ({"learnability": [1.0]}, "world: learnability has 1 entries but the registry has 3 arms"),
+    ]
+
+    @pytest.mark.parametrize("world, message", WORLD_VALUES)
+    def test_per_arm_world_value_exits_2_in_validate_and_run(self, tmp_path, capsys, world, message):
+        config = write_config(tmp_path, "bad.json", world=world)
+        assert main(["validate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "out").exists()
+
+
 class TestRun:
+    def test_negative_seed_flag_exits_2(self, config_path, tmp_path, capsys):
+        code = main(["run", "--config", str(config_path), "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: config.seed: expected an integer >= 0")
+        assert not (tmp_path / "out").exists()
+
     def test_writes_artifacts_and_reports(self, config_path, tmp_path, capsys):
         out_dir = tmp_path / "out"
         code = main(["run", "--config", str(config_path), "--out", str(out_dir)])
@@ -111,6 +143,10 @@ class TestCompare:
         ]
         assert lines[2].split()[:2] == ["#1", "bandit"]
         assert lines[3].split()[:2] == ["#2", "uniform"]
+
+    def test_negative_seed_exits_2(self, config_path, capsys):
+        assert main(["compare", "--configs", str(config_path), "--seed", "-3"]) == 2
+        assert capsys.readouterr().err.startswith("config error: config.seed: expected an integer >= 0")
 
     def test_mismatched_worlds_exit_2(self, tmp_path, capsys):
         paths = [

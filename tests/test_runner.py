@@ -13,7 +13,7 @@ from banditmix.runner import (
     run_experiment,
     sweep_experiments,
 )
-from banditmix.trace import read_trace
+from banditmix.trace import TraceWriter, read_trace
 
 
 def small_cfg(**overrides):
@@ -86,6 +86,11 @@ class TestRunExperiment:
         assert a.summary == b.summary
         assert a.summary != c.summary
 
+    @pytest.mark.parametrize("seed", [-1, True, 2.0, "3"])
+    def test_seed_override_read_like_the_config_key(self, seed):
+        with pytest.raises(ConfigError, match=r"^config\.seed: expected an integer"):
+            run_experiment(small_cfg(), seed=seed)
+
     def test_same_seed_reproduces_records_exactly(self):
         a = run_experiment(small_cfg(), seed=3)
         b = run_experiment(small_cfg(), seed=3)
@@ -117,6 +122,29 @@ class TestRunExperiment:
         result = run_experiment(small_cfg(), out_dir=tmp_path)
         _, records = read_trace(tmp_path / TRACE_FILENAME)
         assert records == result.records
+
+    def test_run_raising_mid_window_leaves_whole_records(self, tmp_path, monkeypatch):
+        cfg = small_cfg()
+        clean = run_experiment(cfg).records
+        write = TraceWriter.write
+        on_disk = []
+
+        def failing_write(writer, record):
+            if record.step == 15:
+                on_disk.append((tmp_path / TRACE_FILENAME).read_text(encoding="utf-8"))
+                raise RuntimeError("disk full")
+            write(writer, record)
+
+        monkeypatch.setattr(TraceWriter, "write", failing_write)
+        with pytest.raises(RuntimeError, match="disk full"):
+            run_experiment(cfg, out_dir=tmp_path)
+        # The first window (steps 1-10) reached the file before the second
+        # window's records, which stay buffered until the writer closes.
+        steps_on_disk = [json.loads(line)["step"] for line in on_disk[0].splitlines()[1:]]
+        assert steps_on_disk == list(range(1, 11))
+        assert (tmp_path / TRACE_FILENAME).read_text(encoding="utf-8").endswith("}\n")
+        _, records = read_trace(tmp_path / TRACE_FILENAME)
+        assert records == clean[:14]
 
     def test_zero_step_run(self):
         cfg = small_cfg(bandit={"total_steps": 0})
@@ -169,6 +197,11 @@ class TestCompare:
         rows_a, _ = compare_experiments(self.variants(), seed=1)
         rows_b, _ = compare_experiments(self.variants(), seed=1)
         assert rows_a == rows_b
+
+    @pytest.mark.parametrize("seed", [-1, None])
+    def test_seed_read_like_the_config_key(self, seed):
+        with pytest.raises(ConfigError, match=r"^config\.seed: expected an integer"):
+            compare_experiments(self.variants(), seed=seed)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -125,6 +125,17 @@ class TestTraceWriter:
         lines = path.read_text(encoding="utf-8").splitlines()[1:]
         assert lines == [json.dumps(r.to_json_obj()) for r in records]
 
+    def test_lines_reach_the_file_on_flush(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        with TraceWriter(path, NAMES, seed=1, config_hash="abc") as writer:
+            writer.write(make_record(1))
+            writer.write(make_record(2))
+            assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+            writer.flush()
+            assert len(path.read_text(encoding="utf-8").splitlines()) == 3
+            writer.write(make_record(3))
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 4
+
     def test_rejected_record_leaves_no_line(self, tmp_path):
         path = tmp_path / "t.jsonl"
         with TraceWriter(path, NAMES, seed=1, config_hash="abc") as writer:

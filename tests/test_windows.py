@@ -1,0 +1,331 @@
+"""Window paths against the one-step loop, bit for bit.
+
+A run steps one update interval at a time.  ``sample_batch(..., steps=m)``
+must equal ``m`` one-step calls joined end to end, ``SimWorld.train_steps``
+the generic ``Learner.train_steps`` loop of ``train_step`` calls, and
+``run_experiment`` a loop that does one step at a time; generator state is
+compared in every case.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from banditmix import runner
+from banditmix.config import ExperimentConfig
+from banditmix.mixture import Batch, MixtureDistribution, _pcg64_window, sample_batch
+from banditmix.policies import MixturePolicy
+from banditmix.registry import ArmRegistry
+from banditmix.rewards import Learner, lookahead_round
+from banditmix.simworld import WorldParams, build_world
+from banditmix.trace import TraceRecord
+
+from learner_contract import LinearLearner, check_train_steps_matches_default, random_batch
+
+
+def registry(*counts):
+    return ArmRegistry.from_counts([(f"a{i}", int(c)) for i, c in enumerate(counts)])
+
+
+def hold_half(rng):
+    """Leave a buffered 32-bit half, as one draw in [0, 5) does."""
+    rng.integers(0, 5)
+    assert rng.bit_generator.state["has_uint32"] == 1
+
+
+def make_rng(seed, held):
+    rng = np.random.default_rng(seed)
+    if held:
+        hold_half(rng)
+    return rng
+
+
+def state(rng):
+    # MT19937 keeps its key in an array; compare states as text.
+    return repr(rng.bit_generator.state)
+
+
+def assert_window_matches_loop(dist, reg, batch_size, steps, loop_rng, window_rng):
+    assert state(window_rng) == state(loop_rng)
+    parts = [sample_batch(dist, reg, batch_size, loop_rng) for _ in range(steps)]
+    window = sample_batch(dist, reg, batch_size, window_rng, steps=steps)
+    assert np.array_equal(window.arms, np.concatenate([b.arms for b in parts]))
+    assert np.array_equal(window.examples, np.concatenate([b.examples for b in parts]))
+    assert state(window_rng) == state(loop_rng)
+
+
+DIST3 = MixtureDistribution(p=np.array([0.5, 0.3, 0.2]))
+
+
+class TestWindowDraw:
+    @pytest.mark.parametrize("batch_size", [1, 2, 7, 8, 33, 128])
+    @pytest.mark.parametrize("held", [False, True])
+    def test_fast_path_matches_loop(self, batch_size, held):
+        reg = registry(1000, 3000, 6000)
+        # The fast path itself draws this window; nothing is rejected.
+        rng = make_rng(7, held)
+        assert _pcg64_window(DIST3, reg.counts, batch_size, 5, rng) is not None
+        assert_window_matches_loop(DIST3, reg, batch_size, 5, make_rng(7, held), make_rng(7, held))
+
+    @pytest.mark.parametrize("held", [False, True])
+    def test_counts_up_to_two_to_the_32_take_the_fast_path(self, held):
+        # 2**32 is the one-call bound with no rejection; 2**32 - 1 and 7
+        # reject a draw with odds of 1 and 4 in 2**32.
+        reg = registry(2**32, 2**32 - 1, 7)
+        rng = make_rng(3, held)
+        assert _pcg64_window(DIST3, reg.counts, 9, 4, rng) is not None
+        assert_window_matches_loop(DIST3, reg, 9, 4, make_rng(3, held), make_rng(3, held))
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            (1, 500, 9),  # a one-value range draws nothing
+            (2**32 + 1, 10, 10),  # above 32 bits numpy draws 64-bit values
+            (2**40, 3, 3),
+            (3 * 2**30, 5, 5),  # Lemire rejects about one draw in four
+        ],
+    )
+    @pytest.mark.parametrize("held", [False, True])
+    def test_other_counts_fall_back_to_the_loop(self, counts, held):
+        reg = registry(*counts)
+        rng = make_rng(11, held)
+        before = rng.bit_generator.state
+        assert _pcg64_window(DIST3, reg.counts, 16, 6, rng) is None
+        assert rng.bit_generator.state == before
+        assert_window_matches_loop(DIST3, reg, 16, 6, make_rng(11, held), make_rng(11, held))
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+    def test_other_bit_generators_take_the_loop(self, bit_generator):
+        reg = registry(1000, 3000, 6000)
+        make = lambda: np.random.Generator(bit_generator(5))
+        assert_window_matches_loop(DIST3, reg, 12, 4, make(), make())
+
+    def test_steps_must_be_positive(self, rng):
+        with pytest.raises(ValueError, match="steps"):
+            sample_batch(DIST3, registry(10, 10, 10), 4, rng, steps=0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    k=st.integers(1, 6),
+    batch_size=st.integers(1, 70),
+    steps=st.integers(2, 12),
+    held=st.booleans(),
+    top=st.sampled_from([2, 1000, 2**31, 2**32, 2**33]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=1, batch_size=1, steps=2, held=True, top=2, seed=0)
+def test_window_draw_matches_loop(k, batch_size, steps, held, top, seed):
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, top + 1, size=k)
+    dist = MixtureDistribution(p=rng.dirichlet(np.ones(k)))
+    reg = registry(*counts)
+    assert_window_matches_loop(
+        dist, reg, batch_size, steps, make_rng(seed + 1, held), make_rng(seed + 1, held)
+    )
+
+
+def make_world(k=3, noise=0.2, transfer=None, seed=0):
+    rng = np.random.default_rng(seed)
+    floor = tuple(rng.uniform(0.0, 1.0, size=k))
+    params = WorldParams(
+        base_loss=tuple(f + g for f, g in zip(floor, rng.uniform(0.5, 4.0, size=k))),
+        floor=floor,
+        learnability=tuple(rng.uniform(0.3, 1.0, size=k)),
+        transfer=transfer,
+        noise_scale=noise,
+    )
+    return build_world(params, k, np.random.default_rng(seed + 1), np.random.default_rng(seed + 2))
+
+
+def assert_update_matches_loop(k, noise, transfer, batch, rates, seed=0):
+    fast, loop = make_world(k, noise, transfer, seed), make_world(k, noise, transfer, seed)
+    fast.train_steps(batch, rates)
+    Learner.train_steps(loop, batch, rates)
+    assert fast.state_dict() == loop.state_dict()
+    check_train_steps_matches_default(make_world(k, noise, transfer, seed), batch, rates)
+
+
+class TestWindowUpdate:
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    @pytest.mark.parametrize(
+        "k, rates",
+        [
+            (1, [0.1, 0.2, 0.3]),  # one arm: numpy's scalar-exponent shortcut
+            (3, [0.0, 0.0, 0.0]),  # base_rate 0
+            (3, [0.1, 0.0, 0.2]),  # a zero-rate step draws no normals
+            (3, [0.05, 0.1, 0.15, 0.2]),
+            (4, [9.0, 0.01, 12.0]),  # factors clip at 0
+        ],
+    )
+    def test_matches_loop(self, k, rates, noise, rng):
+        batch = random_batch(k, 8 * len(rates), rng)
+        assert_update_matches_loop(k, noise, None, batch, rates)
+        assert_update_matches_loop(k, noise, 0.1, batch, rates)
+
+    @pytest.mark.parametrize("width", [3, 5, 7, 33, 100])
+    def test_drawn_rates_and_odd_widths_match_loop(self, width):
+        # Rounding shows only where the rate and the division by the width
+        # are inexact; small round test values hide it.
+        rng = np.random.default_rng(width)
+        rates = list(rng.uniform(0.001, 0.5, size=24))
+        assert_update_matches_loop(4, 0.3, None, random_batch(4, width * 24, rng), rates)
+
+    @pytest.mark.parametrize("seed", [6, 20, 37])
+    def test_one_arm_width_two_matches_loop(self, seed):
+        # One arm, two examples: the loop's step squares the factor through
+        # numpy's scalar-exponent shortcut, 1 ulp off pow for these bases.
+        rates = list(np.random.default_rng(seed).uniform(0.01, 0.5, size=4))
+        batch = Batch(arms=np.zeros(8, dtype=np.int64), examples=np.zeros(8, dtype=np.int64))
+        assert_update_matches_loop(1, 0.0, None, batch, rates, seed)
+
+    def test_clipped_factor_lands_on_the_floor(self):
+        # 1 - lr * T_00 / B < 0 for a learnability of at least 0.3.
+        world = make_world(k=2, noise=0.0, transfer=0.0)
+        world.train_steps(Batch(arms=[0, 1, 1, 1], examples=[0, 0, 0, 0]), [10.0, 0.01])
+        assert world.loss_vector[0] == world.state_dict()["floor"][0]
+
+    def test_rows_are_consecutive_steps(self):
+        learner = LinearLearner([1.0, 2.0, 3.0])
+        learner.train_steps(Batch(arms=[0, 0, 1, 2], examples=[0, 0, 0, 0]), [0.5, 0.25])
+        np.testing.assert_array_equal(learner.theta, [0.5, 2.0 - 0.125, 3.0 - 0.125])
+
+    @pytest.mark.parametrize("rates", [[0.1, 0.2], [], [0.1, 0.2, 0.3, 0.4, 0.5]])
+    def test_batch_must_split_into_equal_rows(self, rates):
+        world = make_world()
+        before = world.state_dict()
+        with pytest.raises(ValueError, match="equal steps"):
+            world.train_steps(Batch(arms=[0, 1, 2], examples=[0, 0, 0]), rates)
+        assert world.state_dict() == before
+
+    @pytest.mark.parametrize(
+        "arms, rates",
+        [
+            ([0, 1, 2, 1, 3, 0], [0.1, 0.1, 0.1]),  # arm 3 of 3, in row 2
+            ([0, 1, -1, 1, 2, 0], [0.1, 0.1, 0.1]),
+            ([0, 1, 2, 1, 2, 0], [0.1, -0.1, 0.1]),
+            ([0, 1, 2, 1, 2, 0], [0.1, 0.1, float("nan")]),
+            ([0, 1, 2, 1, 2, 0], [0.1, float("inf"), 0.1]),
+        ],
+    )
+    def test_invalid_step_raises_after_the_steps_before_it(self, arms, rates):
+        fast, loop = make_world(), make_world()
+        batch = Batch(arms=arms, examples=[0] * len(arms))
+        with pytest.raises(ValueError):
+            fast.train_steps(batch, rates)
+        with pytest.raises(ValueError):
+            Learner.train_steps(loop, batch, rates)
+        assert fast.state_dict() == loop.state_dict()
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    k=st.integers(1, 8),
+    width=st.integers(1, 40),
+    rates=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 3.0), st.floats(0.0, 0.05)), min_size=1, max_size=12),
+    noise=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    transfer=st.one_of(st.none(), st.floats(0.0, 0.05)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_window_update_matches_loop(k, width, rates, noise, transfer, seed):
+    batch = random_batch(k, width * len(rates), np.random.default_rng(seed))
+    assert_update_matches_loop(k, noise, transfer, batch, rates, seed)
+
+
+def one_step_run(cfg):
+    """The run loop one step at a time: a draw, a train step, and on interval
+    steps a reward round, per step."""
+    resolved = cfg.resolve()
+    registry, bandit = resolved.registry, resolved.bandit
+    train_rng, reward_rng, init_rng, sim_rng = runner._rng_streams(resolved.seed)
+    world = build_world(resolved.world_params, registry.num_arms, init_rng, sim_rng)
+    policy = MixturePolicy(resolved.policy_kind, registry, bandit)
+    counts = np.zeros(registry.num_arms, dtype=np.int64)
+    records = []
+    for step in range(1, bandit.total_steps + 1):
+        lr = resolved.schedule.rate(step - 1)
+        dist = policy.distribution()
+        probabilities = tuple(dist.p.tolist())
+        batch = sample_batch(dist, registry, bandit.batch_size, train_rng)
+        counts += np.bincount(batch.arms, minlength=registry.num_arms)
+        world.train_step(batch, lr)
+        rewards = None
+        if policy.adaptive and step % bandit.update_interval == 0:
+            policy.state.step = step
+            reports = lookahead_round(
+                world, registry, policy.state, bandit, lr, reward_rng, resolved.policy_kind.reward_kind
+            )
+            policy.apply_reward_round(reports)
+            rewards = tuple(r.reward for r in reports)
+        records.append(
+            TraceRecord(step, probabilities, tuple(policy.state.q.tolist()), lr, tuple(counts.tolist()), rewards)
+        )
+    return records, world.state_dict()
+
+
+@pytest.mark.parametrize(
+    "bandit",
+    [
+        {"total_steps": 45, "update_interval": 10},  # a short last window
+        {"total_steps": 7, "update_interval": 7},
+        {"total_steps": 9, "update_interval": 1},
+        {"total_steps": 31, "update_interval": 4, "batch_size": 5},
+    ],
+)
+@pytest.mark.parametrize("policy", [{"variant": "bandit"}, {"variant": "uniform"}])
+def test_run_matches_one_step_loop(bandit, policy):
+    cfg = ExperimentConfig.from_dict(
+        {
+            "bandit": {"batch_size": 16, **bandit},
+            "registry": {"arms": {"a": 1000, "b": 3000, "c": 6000}},
+            "world": {"noise_scale": 0.1},
+            "schedule": {"base_rate": 0.1},
+            "policy": policy,
+            "seed": 4,
+        }
+    )
+    records, world = one_step_run(cfg)
+    result = runner.run_experiment(cfg)
+    assert result.records == records
+    assert result.world.state_dict() == world
+
+
+@pytest.fixture
+def window_sizes(monkeypatch):
+    """The ``steps`` of every ``sample_batch`` call the runner makes."""
+    sizes = []
+
+    def counted(dist, registry, batch_size, rng, steps=1):
+        sizes.append(steps)
+        return sample_batch(dist, registry, batch_size, rng, steps=steps)
+
+    monkeypatch.setattr(runner, "sample_batch", counted)
+    return sizes
+
+
+def test_long_interval_splits_into_capped_windows(monkeypatch, window_sizes):
+    cfg = ExperimentConfig.from_dict(
+        {
+            "bandit": {"total_steps": 23, "update_interval": 10, "batch_size": 8},
+            "registry": {"arms": {"a": 100, "b": 300}},
+            "world": {"noise_scale": 0.1},
+        }
+    )
+    records, world = one_step_run(cfg)
+    monkeypatch.setattr(runner, "WINDOW_DRAWS", 24)
+    result = runner.run_experiment(cfg)
+    assert window_sizes == [3, 3, 3, 1, 3, 3, 3, 1, 3]
+    assert result.records == records
+    assert result.world.state_dict() == world
+
+
+def test_one_draw_per_window(window_sizes):
+    cfg = ExperimentConfig.from_dict(
+        {
+            "bandit": {"total_steps": 45, "update_interval": 10, "batch_size": 8},
+            "registry": {"arms": {"a": 100, "b": 300}},
+        }
+    )
+    runner.run_experiment(cfg)
+    assert window_sizes == [10, 10, 10, 10, 5]
