@@ -225,7 +225,7 @@ def sample_batch(
         raise ValueError(
             f"distribution covers {dist.num_arms} arms but registry has {registry.num_arms}"
         )
-    if steps > 1 and type(rng.bit_generator) is np.random.PCG64:
+    if steps > 1:
         window = _pcg64_window(dist, registry.counts, batch_size, steps, rng)
         if window is not None:
             return window
@@ -250,6 +250,48 @@ def _draw_step(
 _LOW32 = np.uint64(0xFFFFFFFF)
 
 
+def _pcg64_fits(rng: np.random.Generator, counts: np.ndarray) -> bool:
+    """Whether ``_pcg64_integers`` can replay ``rng.integers(0, c)`` for each count.
+
+    That needs numpy's ``PCG64`` and counts in ``[2, 2**32]``: a count of 1
+    draws nothing, and a larger one draws 64-bit values.
+    """
+    if type(rng.bit_generator) is not np.random.PCG64:
+        return False
+    return counts.min() >= 2 and counts.max() <= 2**32
+
+
+def _pcg64_integers(
+    bit_gen: np.random.PCG64, start: dict, words: np.ndarray, counts: np.ndarray, arms: np.ndarray
+) -> np.ndarray | None:
+    """Integers in ``[0, counts[arms[i]])`` as numpy draws them, or None.
+
+    ``words`` are raws ``bit_gen`` drew from state ``start`` for 32-bit use.
+    The 32-bit draws are the half ``start`` holds buffered, if any, then the
+    low and high halves of each word; numpy's ``Generator.integers`` turns
+    one draw ``u`` into ``(u * c) >> 32`` by Lemire's method, rejected iff
+    ``(u * c) mod 2**32`` is below ``(2**32 - c) mod c``.  On success the
+    generator keeps the high half of the last word, and whether it is still
+    unused.  Returns None with the generator rewound to ``start`` when any
+    draw would be rejected.
+    """
+    halves = np.column_stack((words & _LOW32, words >> np.uint64(32))).ravel()
+    if start["has_uint32"]:
+        halves = np.concatenate(([np.uint64(start["uinteger"])], halves))
+    bound = counts.astype(np.uint64)
+    threshold = (np.uint64(2**32) - bound) % bound
+    scaled = halves[: arms.size] * bound[arms]
+    if ((scaled & _LOW32) < threshold[arms]).any():
+        bit_gen.state = start
+        return None
+    end = bit_gen.state
+    end["has_uint32"] = halves.size - arms.size
+    if words.size:
+        end["uinteger"] = int(words[-1] >> np.uint64(32))
+    bit_gen.state = end
+    return (scaled >> np.uint64(32)).astype(np.int64)
+
+
 def _pcg64_window(
     dist: MixtureDistribution,
     counts: np.ndarray,
@@ -260,22 +302,17 @@ def _pcg64_window(
     """``steps`` calls of ``_draw_step`` from one ``random_raw`` call, or None.
 
     Follows numpy's PCG64 ``Generator`` bit for bit, as the tests pin: a
-    uniform double is a raw's top 53 bits over 2**53, and an integer in
-    ``[0, c)`` for ``c`` in ``[2, 2**32]`` is Lemire's method on one 32-bit
-    draw ``u``: ``(u * c) >> 32``, rejected iff ``(u * c) mod 2**32`` is below
-    ``(2**32 - c) mod c``.  The 32-bit draws are the half the generator holds
-    buffered, if any, then the low and high halves of each raw drawn after
-    a step's doubles; the generator keeps the high half of its last such raw
-    and whether it is still unused.  Returns None with ``rng`` unchanged when
-    a count is outside that range or any draw would be rejected.
+    uniform double is a raw's top 53 bits over 2**53, and the example
+    indices come from ``_pcg64_integers`` on the raws drawn after each
+    step's doubles.  Returns None with ``rng`` unchanged when ``_pcg64_fits``
+    does not hold or any draw would be rejected.
     """
-    if counts.min() < 2 or counts.max() > 2**32:
+    if not _pcg64_fits(rng, counts):
         return None
     bit_gen = rng.bit_generator
     start = bit_gen.state
-    held = start["has_uint32"]
     # Raws spent on 32-bit draws by the end of each step.
-    spent = (np.arange(1, steps + 1) * batch_size - held + 1) // 2
+    spent = (np.arange(1, steps + 1) * batch_size - start["has_uint32"] + 1) // 2
     per_step = np.diff(spent, prepend=0)
     # Each step draws batch_size raws for its doubles, then its share of raws
     # for 32-bit draws.
@@ -286,19 +323,7 @@ def _pcg64_window(
     us = (raws[is_double] >> np.uint64(11)).astype(np.float64) * 2.0**-53
     arms = dist.cumulative.searchsorted(us, side="right")
     np.minimum(arms, dist.num_arms - 1, out=arms)
-
-    words = raws[~is_double]
-    halves = np.column_stack((words & _LOW32, words >> np.uint64(32))).ravel()
-    if held:
-        halves = np.concatenate(([np.uint64(start["uinteger"])], halves))
-    bound = counts.astype(np.uint64)
-    threshold = (np.uint64(2**32) - bound) % bound
-    scaled = halves[: arms.size] * bound[arms]
-    if ((scaled & _LOW32) < threshold[arms]).any():
-        bit_gen.state = start
+    examples = _pcg64_integers(bit_gen, start, raws[~is_double], counts, arms)
+    if examples is None:
         return None
-    end = bit_gen.state
-    end["has_uint32"] = halves.size - arms.size
-    end["uinteger"] = int(words[-1] >> np.uint64(32))
-    bit_gen.state = end
-    return Batch(arms=arms, examples=(scaled >> np.uint64(32)).astype(np.int64))
+    return Batch(arms=arms, examples=examples)

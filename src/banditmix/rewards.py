@@ -17,7 +17,7 @@ from typing import Any, Literal, Sequence
 
 import numpy as np
 
-from .mixture import BanditConfig, Batch, QState
+from .mixture import BanditConfig, Batch, QState, _pcg64_fits, _pcg64_integers
 from .registry import ArmRegistry
 
 __all__ = [
@@ -185,6 +185,27 @@ def _probe_batch(
     return Batch(arms=arms, examples=examples)
 
 
+def _probe_batches(registry: ArmRegistry, batch_size: int, rng: np.random.Generator) -> list[Batch]:
+    """One single-arm batch per arm, in arm order: ``_probe_batch`` per arm.
+
+    On a generator ``_pcg64_fits`` accepts, the whole round comes from one
+    ``random_raw`` call with the same values and generator state; a
+    rejected draw rewinds the generator and takes the per-arm loop.
+    """
+    k = registry.num_arms
+    if _pcg64_fits(rng, registry.counts):
+        bit_gen = rng.bit_generator
+        start = bit_gen.state
+        # One raw gives two 32-bit draws; a buffered half gives the first.
+        words = bit_gen.random_raw((k * batch_size - start["has_uint32"] + 1) // 2)
+        arms = np.arange(k).repeat(batch_size)
+        examples = _pcg64_integers(bit_gen, start, words, registry.counts, arms)
+        if examples is not None:
+            arms, examples = arms.reshape(k, batch_size), examples.reshape(k, batch_size)
+            return [Batch(arms=arms[a], examples=examples[a]) for a in range(k)]
+    return [_probe_batch(a, registry, batch_size, rng) for a in range(k)]
+
+
 def lookahead_round(
     learner: Learner,
     registry: ArmRegistry,
@@ -209,7 +230,7 @@ def lookahead_round(
     entropy = reward_kind == "delta_entropy"
     what = "entropies" if entropy else "losses"
 
-    batches = [_probe_batch(a, registry, cfg.batch_size, rng) for a in range(registry.num_arms)]
+    batches = _probe_batches(registry, cfg.batch_size, rng)
     pres, posts = learner.probe(batches, learning_rate, entropy=entropy)
     # Score the round as one (K, B) pair; a ragged result cannot stack.
     try:

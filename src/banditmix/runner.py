@@ -14,6 +14,12 @@ and trains on them in one ``train_steps`` call, which give the same numbers
 as one call per step.  A long interval is split into windows of at most
 ``WINDOW_DRAWS`` draws, so memory does not grow with the interval.
 
+The run keeps its history as columns: the cumulative draws per arm and the
+learning rate of every step, plus one ``Window`` per window with the rows
+that change only between windows.  Records are built from them when a trace
+is written or ``RunResult.records`` is first read, and the summary comes
+from the columns alone.
+
 Randomness is split into four independent streams derived from the run seed:
 training-batch sampling, reward-batch sampling, world initialization, and
 world process noise.  Reward rounds never advance the training stream.
@@ -24,7 +30,9 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,11 +53,12 @@ from .trace import (
     TraceRecord,
     TraceWriter,
     save_world_checkpoint,
-    summarize,
+    summarize_columns,
 )
 
 __all__ = [
     "RunResult",
+    "Window",
     "run_experiment",
     "CompareRow",
     "compare_experiments",
@@ -71,12 +80,60 @@ SUMMARY_FILENAME = "summary.json"
 WORLD_FILENAME = "world.json"
 
 
-@dataclass(frozen=True)
+class Window(NamedTuple):
+    """Steps ``first`` to ``last`` of a run, which share one distribution.
+
+    Every step of the window samples from ``probabilities``.  The estimates
+    are ``q`` until the reward round after step ``last``, if one runs, and
+    ``q_after`` (the same row when none ran) from then on; ``rewards`` are
+    that round's rewards, or None.
+    """
+
+    first: int
+    last: int
+    probabilities: tuple[float, ...]
+    q: tuple[float, ...]
+    q_after: tuple[float, ...]
+    rewards: tuple[float, ...] | None
+
+
+def _window_records(window: Window, counts: np.ndarray, rates: np.ndarray) -> list[TraceRecord]:
+    """The trace records of one window, from the run's columns."""
+    first, last, probabilities, q, q_after, rewards = window
+    rows = counts[first - 1 : last].tolist()
+    lrs = rates[first - 1 : last].tolist()
+    records = [
+        TraceRecord(step, probabilities, q, lr, tuple(row))
+        for step, lr, row in zip(range(first, last), lrs, rows)
+    ]
+    records.append(TraceRecord(last, probabilities, q_after, lrs[-1], tuple(rows[-1]), rewards))
+    return records
+
+
+@dataclass(frozen=True, eq=False)
 class RunResult:
+    """A finished run, its history held as columns.
+
+    ``counts`` holds the cumulative draws per arm after each step, shape
+    ``(steps, K)``, and ``learning_rates`` each step's rate; both are
+    read-only.  ``windows`` holds the rows that change only between windows.
+    """
+
     resolved: ResolvedExperiment
-    records: list[TraceRecord]
     summary: RunSummary
     world: SimWorld
+    counts: np.ndarray
+    learning_rates: np.ndarray
+    windows: tuple[Window, ...]
+
+    @cached_property
+    def records(self) -> list[TraceRecord]:
+        """One record per step, built on first access."""
+        return [
+            record
+            for window in self.windows
+            for record in _window_records(window, self.counts, self.learning_rates)
+        ]
 
     @property
     def final_mean_loss(self) -> float:
@@ -105,12 +162,17 @@ def run_experiment(
     registry = resolved.registry
     bandit = resolved.bandit
     k, width, interval = registry.num_arms, bandit.batch_size, bandit.update_interval
+    steps = bandit.total_steps
     span = min(interval, max(WINDOW_DRAWS // width, 1))
     train_rng, reward_rng, init_rng, sim_rng = _rng_streams(resolved.seed)
     world = build_world(resolved.world_params, k, init_rng, sim_rng)
     policy = MixturePolicy(resolved.policy_kind, registry, bandit)
-    counts = np.zeros(k, dtype=np.int64)
-    records: list[TraceRecord] = []
+    # Every row of both is written by the window that holds its step.
+    counts = np.empty((steps, k), dtype=np.int64)
+    rates = np.empty(steps)
+    windows: list[Window] = []
+    # (step index, probabilities) wherever the distribution changes.
+    changes: list[tuple[int, tuple[float, ...]]] = []
 
     writer = None
     if out_dir is not None:
@@ -122,46 +184,35 @@ def run_experiment(
         )
         writer.__enter__()
 
-    def emit(record: TraceRecord) -> None:
-        records.append(record)
-        if writer is not None:
-            writer.write(record)
-
     # The distribution and the estimates change only at a reward round, so
-    # their rows are built once per change and shared by every record until
+    # their rows are built once per change and shared by every window until
     # the next one.
     dist = probabilities = None
     q = tuple(policy.state.q.tolist())
+    drawn = np.zeros(k, dtype=np.int64)
     try:
         first = 1
-        while first <= bandit.total_steps:
+        while first <= steps:
             # The window ends at the next multiple of the interval, after
             # span steps, or at the end of the run, whichever comes first.
             round_step = first + interval - 1 - (first - 1) % interval
-            last = min(first + span - 1, round_step, bandit.total_steps)
+            last = min(first + span - 1, round_step, steps)
             m = last - first + 1
             current = policy.distribution()
             if current is not dist:
                 dist = current
                 probabilities = tuple(dist.p.tolist())
+                changes.append((first - 1, probabilities))
             batch = sample_batch(dist, registry, width, train_rng, steps=m)
-            rates = [resolved.schedule.rate(step - 1) for step in range(first, last + 1)]
             per_step = np.bincount(np.arange(m).repeat(width) * k + batch.arms, minlength=m * k)
-            cumulative = counts + per_step.reshape(m, k).cumsum(axis=0)
-            counts = cumulative[-1]
-            rows = cumulative.tolist()
-            world.train_steps(batch, rates)
-            for step, lr, row in zip(range(first, last), rates, rows):
-                emit(
-                    TraceRecord(
-                        step=step,
-                        probabilities=probabilities,
-                        q=q,
-                        learning_rate=lr,
-                        cumulative_counts=tuple(row),
-                    )
-                )
-            rewards = None
+            block = counts[first - 1 : last]
+            np.cumsum(per_step.reshape(m, k), axis=0, out=block)
+            block += drawn
+            drawn = block[-1]
+            rates[first - 1 : last] = resolved.schedule.rates(first - 1, last)
+            window_rates = rates[first - 1 : last].tolist()
+            world.train_steps(batch, window_rates)
+            q_after, rewards = q, None
             if policy.adaptive and last == round_step:
                 policy.state.step = last
                 reports = lookahead_round(
@@ -169,58 +220,51 @@ def run_experiment(
                     registry,
                     policy.state,
                     bandit,
-                    rates[-1],
+                    window_rates[-1],
                     reward_rng,
                     reward_kind=resolved.policy_kind.reward_kind,
                 )
                 policy.apply_reward_round(reports)
                 rewards = tuple(r.reward for r in reports)
-                q = tuple(policy.state.q.tolist())
-            emit(
-                TraceRecord(
-                    step=last,
-                    probabilities=probabilities,
-                    q=q,
-                    learning_rate=rates[-1],
-                    cumulative_counts=tuple(rows[-1]),
-                    rewards=rewards,
-                )
-            )
+                q_after = tuple(policy.state.q.tolist())
+            window = Window(first, last, probabilities, q, q_after, rewards)
+            windows.append(window)
             if writer is not None:
+                for record in _window_records(window, counts, rates):
+                    writer.write(record)
                 writer.flush()
+            q = q_after
             first = last + 1
-        # Release the last window before summarize, where memory peaks.
-        batch = per_step = cumulative = rows = counts = rates = None
     finally:
         if writer is not None:
             writer.__exit__(None, None, None)
 
+    counts.setflags(write=False)
+    rates.setflags(write=False)
     final_losses = tuple(world.loss_vector.tolist())
-    if records:
-        summary = summarize(
-            records,
-            registry,
-            seed=resolved.seed,
-            config_hash=resolved.config_hash,
-            final_losses=final_losses,
-        )
-    else:
-        # Zero-length run: summarize the untouched initial state.
-        summary = RunSummary(
-            seed=resolved.seed,
-            config_hash=resolved.config_hash,
-            steps=0,
-            final_losses=final_losses,
-            coverage_ratio=tuple(0.0 for _ in range(registry.num_arms)),
-            mean_step_tv=0.0,
-        )
+    summary = summarize_columns(
+        drawn,
+        changes,
+        steps,
+        registry,
+        seed=resolved.seed,
+        config_hash=resolved.config_hash,
+        final_losses=final_losses,
+    )
     if out_dir is not None:
         out = Path(out_dir)
         (out / SUMMARY_FILENAME).write_text(
             json.dumps(summary.to_dict(), indent=2) + "\n", encoding="utf-8"
         )
         save_world_checkpoint(out / WORLD_FILENAME, world.state_dict())
-    return RunResult(resolved=resolved, records=records, summary=summary, world=world)
+    return RunResult(
+        resolved=resolved,
+        summary=summary,
+        world=world,
+        counts=counts,
+        learning_rates=rates,
+        windows=tuple(windows),
+    )
 
 
 @dataclass(frozen=True)

@@ -86,12 +86,31 @@ class LrSchedule:
 
     def rate(self, step: int) -> float:
         """Learning rate for step ``step`` (0-based)."""
-        if not 0 <= step < max(self.total_steps, 1):
+        if not 0 <= step < self.total_steps:
             raise ValueError(f"step {step} outside [0, {self.total_steps})")
         w = self.warmup_steps
         if step < w:
             return self.base_rate * (step + 1) / w
         return self.base_rate * (self.total_steps - step) / (self.total_steps - w)
+
+    def rates(self, lo: int, hi: int) -> np.ndarray:
+        """``[rate(s) for s in range(lo, hi)]`` as one array, bit for bit.
+
+        Same operations in the same order as ``rate``, on whole ranges, and
+        the same error for the first step out of range.
+        """
+        if lo < hi and not (0 <= lo and hi <= self.total_steps):
+            bad = self.total_steps if 0 <= lo < self.total_steps else lo
+            raise ValueError(f"step {bad} outside [0, {self.total_steps})")
+        w = self.warmup_steps
+        split = min(max(w, lo), hi)
+        warm, decay = np.arange(lo, split), np.arange(split, hi)
+        return np.concatenate(
+            (
+                self.base_rate * (warm + 1) / w,
+                self.base_rate * (self.total_steps - decay) / (self.total_steps - w),
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -217,15 +236,22 @@ class SimWorld(Learner):
         if arms.min() < 0 or arms.max() >= self._loss.size:
             raise ValueError("batch refers to arms outside this world")
 
-    def _observe(self, per: np.ndarray, arms: np.ndarray, examples: np.ndarray) -> np.ndarray:
-        """Observed losses from true per-example losses: jitter, then clip at 0."""
+    def _jitter(self, arms: np.ndarray, examples: np.ndarray) -> np.ndarray | None:
+        """Per-example observation jitter, or None for a noiseless world."""
         if self._noise_scale > 0:
-            per = per + self._noise_scale * _jitter_uniform(self._key, arms, examples)
+            return self._noise_scale * _jitter_uniform(self._key, arms, examples)
+        return None
+
+    @staticmethod
+    def _observe(per: np.ndarray, jitter: np.ndarray | None) -> np.ndarray:
+        """Observed losses from true per-example losses: jitter, then clip at 0."""
+        if jitter is not None:
+            per = per + jitter
         return np.maximum(per, 0.0)
 
     def loss(self, batch: Batch) -> np.ndarray:
         self._check_batch(batch)
-        return self._observe(self._loss[batch.arms], batch.arms, batch.examples)
+        return self._observe(self._loss[batch.arms], self._jitter(batch.arms, batch.examples))
 
     def entropy(self, batch: Batch) -> np.ndarray:
         return ENTROPY_LOSS_RATIO * self.loss(batch)
@@ -328,8 +354,9 @@ class SimWorld(Learner):
         if mixed or heads.min() < 0 or heads.max() >= self._loss.size:
             return super().probe(batches, learning_rate, entropy)
 
-        examples = np.stack([b.examples for b in batches])
-        pre = self._observe(self._loss[arms], arms, examples)
+        # Before and after the step, each probe observes the same examples.
+        jitter = self._jitter(arms, np.stack([b.examples for b in batches]))
+        pre = self._observe(self._loss[arms], jitter)
         if learning_rate == 0.0:
             post = pre.copy()
         else:
@@ -345,7 +372,7 @@ class SimWorld(Learner):
                 self._rng.bit_generator.state = state
                 gap = gap + self._noise_scale * learning_rate * z[heads]
             moved = self._floor[heads] + np.maximum(gap, 0.0)
-            post = self._observe(np.broadcast_to(moved[:, np.newaxis], arms.shape), arms, examples)
+            post = self._observe(np.broadcast_to(moved[:, np.newaxis], arms.shape), jitter)
         if entropy:
             return ENTROPY_LOSS_RATIO * pre, ENTROPY_LOSS_RATIO * post
         return pre, post

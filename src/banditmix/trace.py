@@ -12,6 +12,7 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "read_trace",
     "RunSummary",
     "summarize",
+    "summarize_columns",
     "export_plot_data",
     "save_world_checkpoint",
 ]
@@ -237,22 +239,62 @@ def summarize(
     ``coverage_ratio[k]`` is draws of arm ``k`` divided by its instance
     count: how many passes over that source the run amounted to.  The
     schedule-churn measure is the mean total-variation distance between
-    consecutive steps' distributions.
+    consecutive steps' distributions.  Runs of equal ``probabilities`` rows
+    are passed to ``summarize_columns`` as one change each.
     """
     if not records:
         raise ValueError("cannot summarize an empty trace")
-    counts = np.asarray(records[-1].cumulative_counts, dtype=np.float64)
+    changes: list[tuple[int, tuple[float, ...]]] = []
+    for i, r in enumerate(records):
+        row = r.probabilities
+        if not changes or (row is not changes[-1][1] and row != changes[-1][1]):
+            changes.append((i, row))
+    return summarize_columns(
+        records[-1].cumulative_counts,
+        changes,
+        len(records),
+        registry,
+        seed=seed,
+        config_hash=config_hash,
+        final_losses=final_losses,
+    )
+
+
+def summarize_columns(
+    final_counts: Sequence[int] | np.ndarray,
+    changes: list[tuple[int, tuple[float, ...]]],
+    steps: int,
+    registry: ArmRegistry,
+    *,
+    seed: int,
+    config_hash: str,
+    final_losses: tuple[float, ...] | None = None,
+) -> RunSummary:
+    """``summarize`` from a run's columns rather than its records.
+
+    ``final_counts`` are the cumulative draws per arm after the last step,
+    and ``changes`` the ``(index, probabilities)`` pairs at which the
+    distribution of a run of ``steps`` steps changes, the first at index 0.
+    The TV of each change is placed into a zero vector of ``steps - 1``
+    step-to-step distances and the mean taken over that vector: the same
+    numbers and the same reduction as over every consecutive pair of rows,
+    since equal rows are 0 apart.
+    """
+    counts = np.asarray(final_counts, dtype=np.float64)
     coverage = counts / registry.counts.astype(np.float64)
-    if len(records) >= 2:
-        probs = np.asarray([r.probabilities for r in records], dtype=np.float64)
-        tv = 0.5 * np.sum(np.abs(np.diff(probs, axis=0)), axis=1)
+    if steps >= 2:
+        tv = np.zeros(steps - 1)
+        if len(changes) >= 2:
+            indices, rows = zip(*changes)
+            probs = np.asarray(rows, dtype=np.float64)
+            tv[np.asarray(indices[1:]) - 1] = 0.5 * np.sum(np.abs(np.diff(probs, axis=0)), axis=1)
         mean_tv = float(np.mean(tv))
     else:
         mean_tv = 0.0
     return RunSummary(
         seed=seed,
         config_hash=config_hash,
-        steps=len(records),
+        steps=steps,
         final_losses=final_losses,
         coverage_ratio=tuple(coverage.tolist()),
         mean_step_tv=mean_tv,

@@ -1,9 +1,12 @@
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from banditmix.config import ConfigError, ExperimentConfig
+from banditmix import runner
+from banditmix.config import ConfigError, ExperimentConfig, load_config
 from banditmix.registry import builtin_registry
 from banditmix.runner import (
     SUMMARY_FILENAME,
@@ -13,7 +16,11 @@ from banditmix.runner import (
     run_experiment,
     sweep_experiments,
 )
-from banditmix.trace import TraceWriter, read_trace
+from banditmix.trace import TraceRecord, TraceWriter, read_trace, summarize
+
+from test_golden import POLICIES, SEEDS, WORLDS, golden_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_cfg(**overrides):
@@ -163,6 +170,62 @@ class TestRunExperiment:
         scaled = ratio * counts
         expected = 300 * 16 / 3
         np.testing.assert_allclose(scaled, expected, rtol=0.1)
+
+
+class TestColumns:
+    """A run keeps its history as columns and builds records on demand."""
+
+    @pytest.mark.parametrize("world", WORLDS)
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_summary_equals_summarize_of_records(self, world, policy, seed):
+        result = run_experiment(golden_config(world, policy), seed=seed)
+        resolved = result.resolved
+        assert summarize(
+            result.records,
+            resolved.registry,
+            seed=resolved.seed,
+            config_hash=resolved.config_hash,
+            final_losses=result.summary.final_losses,
+        ) == result.summary
+
+    def test_no_record_until_records_is_read(self, monkeypatch):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args[0] if args else kwargs["step"])
+            return TraceRecord(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "TraceRecord", counted)
+        result = run_experiment(load_config(CONFIGS / "tulu_default.json"))
+        assert built == []
+        records = result.records
+        assert built == list(range(1, 5144))
+        assert result.records is records
+
+    def test_columns_are_read_only(self):
+        result = run_experiment(small_cfg())
+        assert result.counts.shape == (40, 3)
+        assert result.learning_rates.shape == (40,)
+        with pytest.raises(ValueError):
+            result.counts[0, 0] = 1
+        with pytest.raises(ValueError):
+            result.learning_rates[0] = 1.0
+
+    def test_results_compare_by_identity(self):
+        a, b = run_experiment(small_cfg()), run_experiment(small_cfg())
+        assert a == a
+        assert a != b
+
+    def test_default_tulu_run_peaks_under_3_mb(self):
+        cfg = load_config(CONFIGS / "tulu_default.json")
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
 
 class TestCompare:

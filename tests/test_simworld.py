@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from banditmix import simworld
 from banditmix.mixture import Batch
+from banditmix.rewards import Learner
 from banditmix.simworld import (
     ENTROPY_LOSS_RATIO,
     LrSchedule,
@@ -79,6 +81,12 @@ class TestLrSchedule:
         with pytest.raises(ValueError):
             sched.rate(-1)
 
+    def test_zero_step_schedule_has_no_steps(self):
+        sched = LrSchedule(base_rate=1.0, total_steps=0)
+        with pytest.raises(ValueError, match=r"step 0 outside \[0, 0\)"):
+            sched.rate(0)
+        assert sched.rates(0, 0).size == 0
+
     @pytest.mark.parametrize(
         "kw",
         [
@@ -93,6 +101,42 @@ class TestLrSchedule:
         base.update(kw)
         with pytest.raises(ValueError):
             LrSchedule(**base)
+
+
+def rate_loop(sched, lo, hi):
+    """``[rate(s) for s in range(lo, hi)]``, or the error it raises."""
+    try:
+        return [sched.rate(s) for s in range(lo, hi)]
+    except ValueError as e:
+        return str(e)
+
+
+def rates_call(sched, lo, hi):
+    try:
+        rates = sched.rates(lo, hi)
+    except ValueError as e:
+        return str(e)
+    assert rates.dtype == np.float64
+    return rates.tolist()
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    base_rate=st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(1e-6, 1e-2)),
+    total_steps=st.one_of(st.just(1), st.integers(1, 400)),
+    warmup_fraction=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+    lo=st.integers(-3, 410),
+    length=st.integers(-2, 60),
+)
+@example(base_rate=0.1, total_steps=1, warmup_fraction=0.0, lo=0, length=1)
+@example(base_rate=0.1, total_steps=1, warmup_fraction=0.9, lo=0, length=2)
+@example(base_rate=0.37, total_steps=100, warmup_fraction=0.1, lo=5, length=10)
+@example(base_rate=0.37, total_steps=100, warmup_fraction=0.1, lo=-1, length=3)
+def test_rates_match_rate_loop(base_rate, total_steps, warmup_fraction, lo, length):
+    """``rates`` equals the loop of ``rate`` calls bit for bit, errors included,
+    with and without warm-up steps."""
+    sched = LrSchedule(base_rate=base_rate, total_steps=total_steps, warmup_fraction=warmup_fraction)
+    assert rates_call(sched, lo, lo + length) == rate_loop(sched, lo, lo + length)
 
 
 class TestWorldParams:
@@ -391,6 +435,25 @@ class TestBatchChecks:
         with pytest.raises(ValueError):
             world.probe([single_arm_batch(0, 4), single_arm_batch(1, 4)], lr)
         assert world.state_dict() == state_before
+
+
+def test_probe_hashes_the_jitter_once(monkeypatch):
+    """A round observes the same examples before and after its step, so the
+    closed form hashes their jitter once."""
+    calls = []
+    original = simworld._jitter_uniform
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    world = make_world(noise_scale=0.3)
+    batches = [single_arm_batch(a, 16, seed=a) for a in range(3)]
+    expected = Learner.probe(make_world(noise_scale=0.3), batches, 0.2)
+    monkeypatch.setattr(simworld, "_jitter_uniform", counted)
+    pres, posts = world.probe(batches, 0.2)
+    assert len(calls) == 1
+    assert np.array_equal(pres, expected[0]) and np.array_equal(posts, expected[1])
 
 
 @settings(deadline=None, max_examples=200)

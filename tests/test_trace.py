@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from banditmix.config import ExperimentConfig
 from banditmix.registry import ArmRegistry
@@ -18,6 +20,7 @@ from banditmix.trace import (
     read_trace,
     save_world_checkpoint,
     summarize,
+    summarize_columns,
 )
 
 NAMES = ("a", "b", "c")
@@ -214,6 +217,54 @@ class TestSummarize:
             [make_record(1)], self.registry(), seed=3, config_hash="y", final_losses=(1.0, 2.0, 3.0)
         )
         assert RunSummary.from_dict(summary.to_dict()) == summary
+
+
+def dense_mean_tv(rows):
+    """The step-to-step TV over every consecutive pair of rows."""
+    if len(rows) < 2:
+        return 0.0
+    probs = np.asarray(rows, dtype=np.float64)
+    return float(np.mean(0.5 * np.sum(np.abs(np.diff(probs, axis=0)), axis=1)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    k=st.integers(1, 16),
+    steps=st.integers(1, 300),
+    change_odds=st.sampled_from([0.0, 0.02, 0.2, 1.0]),
+    copy_odds=st.sampled_from([0.0, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=16, steps=5143, change_odds=0.02, copy_odds=0.0, seed=0)
+def test_sparse_mean_tv_equals_dense(k, steps, change_odds, copy_odds, seed):
+    """The TV taken at change points equals the TV over every step pair, bit
+    for bit, for runs of shared rows, rows equal in value but not the same
+    object, and change points that change nothing."""
+    rng = np.random.default_rng(seed)
+    registry = ArmRegistry.from_counts({f"a{i}": 100 + i for i in range(k)})
+    rows, changes = [], []
+    for i in range(steps):
+        if not rows or rng.random() < change_odds:
+            row = tuple(rng.dirichlet(np.ones(k)).tolist())
+            changes.append((i, row))
+        elif rng.random() < copy_odds:
+            # Equal in value, a new object: a trace read back from disk.
+            row = tuple(list(rows[-1]))
+            if rng.random() < 0.5:
+                changes.append((i, row))
+        else:
+            row = rows[-1]
+        rows.append(row)
+    records = [
+        make_record(i + 1, p=row, q=(0.0,) * k, counts=(i,) * k) for i, row in enumerate(rows)
+    ]
+    expected = dense_mean_tv(rows)
+    by_records = summarize(records, registry, seed=0, config_hash="x")
+    by_columns = summarize_columns(
+        (steps - 1,) * k, changes, steps, registry, seed=0, config_hash="x"
+    )
+    assert by_records.mean_step_tv.hex() == expected.hex()
+    assert by_columns == by_records
 
 
 class TestExport:

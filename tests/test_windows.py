@@ -1,23 +1,26 @@
 """Window paths against the one-step loop, bit for bit.
 
 A run steps one update interval at a time.  ``sample_batch(..., steps=m)``
-must equal ``m`` one-step calls joined end to end, ``SimWorld.train_steps``
-the generic ``Learner.train_steps`` loop of ``train_step`` calls, and
-``run_experiment`` a loop that does one step at a time; generator state is
-compared in every case.
+must equal ``m`` one-step calls joined end to end, a reward round's probe
+draw the per-arm loop, ``SimWorld.train_steps`` the generic
+``Learner.train_steps`` loop of ``train_step`` calls, and ``run_experiment``
+a loop that does one step at a time; generator state is compared in every
+case.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from banditmix import runner
-from banditmix.config import ExperimentConfig
+from banditmix import rewards, runner
+from banditmix.config import ExperimentConfig, load_config
 from banditmix.mixture import Batch, MixtureDistribution, _pcg64_window, sample_batch
 from banditmix.policies import MixturePolicy
 from banditmix.registry import ArmRegistry
-from banditmix.rewards import Learner, lookahead_round
+from banditmix.rewards import Learner, _probe_batch, _probe_batches, lookahead_round
 from banditmix.simworld import WorldParams, build_world
 from banditmix.trace import TraceRecord
 
@@ -123,6 +126,95 @@ def test_window_draw_matches_loop(k, batch_size, steps, held, top, seed):
     reg = registry(*counts)
     assert_window_matches_loop(
         dist, reg, batch_size, steps, make_rng(seed + 1, held), make_rng(seed + 1, held)
+    )
+
+
+def assert_probe_draw_matches_loop(reg, batch_size, loop_rng, round_rng):
+    assert state(round_rng) == state(loop_rng)
+    loop = [_probe_batch(a, reg, batch_size, loop_rng) for a in range(reg.num_arms)]
+    batches = _probe_batches(reg, batch_size, round_rng)
+    assert len(batches) == len(loop)
+    for got, want in zip(batches, loop):
+        assert np.array_equal(got.arms, want.arms)
+        assert np.array_equal(got.examples, want.examples)
+    assert state(round_rng) == state(loop_rng)
+
+
+@pytest.fixture
+def one_draw_results(monkeypatch):
+    """What each one-call draw of a probe round returned: examples, or None."""
+    results = []
+    original = rewards._pcg64_integers
+
+    def spy(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(rewards, "_pcg64_integers", spy)
+    return results
+
+
+def took_one_draw(results):
+    return len(results) == 1 and results[0] is not None
+
+
+class TestProbeRoundDraw:
+    """A reward round's K probe batches from one ``random_raw`` call."""
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 5, 128])
+    @pytest.mark.parametrize("held", [False, True])
+    def test_matches_per_arm_loop(self, batch_size, held, one_draw_results):
+        reg = registry(1000, 3000, 6000, 2)
+        assert_probe_draw_matches_loop(reg, batch_size, make_rng(5, held), make_rng(5, held))
+        assert took_one_draw(one_draw_results)
+
+    @pytest.mark.parametrize("held", [False, True])
+    def test_one_arm_one_example(self, held, one_draw_results):
+        # With a half held, K * B = 1 draws no raw at all.
+        reg = registry(77)
+        assert_probe_draw_matches_loop(reg, 1, make_rng(9, held), make_rng(9, held))
+        assert took_one_draw(one_draw_results)
+
+    @pytest.mark.parametrize("held", [False, True])
+    def test_counts_up_to_two_to_the_32(self, held, one_draw_results):
+        # 2**32 never rejects; 2**32 - 1 and 7 reject with odds of 1 and 4
+        # in 2**32.
+        reg = registry(2**32, 2**32 - 1, 7)
+        assert_probe_draw_matches_loop(reg, 9, make_rng(4, held), make_rng(4, held))
+        assert took_one_draw(one_draw_results)
+
+    @pytest.mark.parametrize("held", [False, True])
+    def test_rejected_draw_rewinds_and_takes_the_loop(self, held, one_draw_results):
+        # 3 * 2**30 rejects about one draw in four, so 64 draws reject one.
+        reg = registry(3 * 2**30, 10)
+        assert_probe_draw_matches_loop(reg, 32, make_rng(2, held), make_rng(2, held))
+        assert one_draw_results == [None]
+
+    @pytest.mark.parametrize("counts", [(1, 500), (2**32 + 1, 10), (2**40, 3)])
+    @pytest.mark.parametrize("held", [False, True])
+    def test_other_counts_take_the_loop(self, counts, held, one_draw_results):
+        assert_probe_draw_matches_loop(registry(*counts), 9, make_rng(4, held), make_rng(4, held))
+        assert one_draw_results == []
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
+    def test_other_bit_generators_take_the_loop(self, bit_generator, one_draw_results):
+        make = lambda: np.random.Generator(bit_generator(5))
+        assert_probe_draw_matches_loop(registry(1000, 3000), 12, make(), make())
+        assert one_draw_results == []
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    k=st.integers(1, 16),
+    batch_size=st.integers(1, 40),
+    held=st.booleans(),
+    top=st.sampled_from([2, 1000, 2**31, 2**32, 2**33]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_probe_round_draw_matches_loop(k, batch_size, held, top, seed):
+    counts = np.random.default_rng(seed).integers(1, top + 1, size=k)
+    assert_probe_draw_matches_loop(
+        registry(*counts), batch_size, make_rng(seed + 1, held), make_rng(seed + 1, held)
     )
 
 
@@ -285,6 +377,14 @@ def test_run_matches_one_step_loop(bandit, policy):
             "seed": 4,
         }
     )
+    records, world = one_step_run(cfg)
+    result = runner.run_experiment(cfg)
+    assert result.records == records
+    assert result.world.state_dict() == world
+
+
+def test_default_tulu_run_matches_one_step_loop():
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "tulu_default.json")
     records, world = one_step_run(cfg)
     result = runner.run_experiment(cfg)
     assert result.records == records
