@@ -35,6 +35,7 @@ from .trace import (
     TraceRecord,
     TraceWriter,
     export_plot_data,
+    iter_trace,
     read_trace,
     summarize,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "delta_loss_reward",
     "ema_update",
     "export_plot_data",
+    "iter_trace",
     "load_config",
     "lookahead_round",
     "make_tulu_registry",

@@ -22,7 +22,7 @@ from .runner import (
     run_experiment,
     sweep_experiments,
 )
-from .trace import EXPORT_KINDS, export_plot_data, read_trace
+from .trace import EXPORT_KINDS, export_plot_data, iter_trace
 
 __all__ = ["main", "build_parser"]
 
@@ -127,7 +127,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    header, records = read_trace(args.trace)
+    header, records = iter_trace(args.trace)
     text = export_plot_data(records, args.kind, tuple(header["arm_names"]))
     print(text, end="")
     return 0

@@ -28,7 +28,6 @@ world process noise.  Reward rounds never advance the training stream.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -54,6 +53,7 @@ from .trace import (
     TraceWriter,
     save_world_checkpoint,
     summarize_columns,
+    write_json_atomic,
 )
 
 __all__ = [
@@ -253,9 +253,7 @@ def run_experiment(
     )
     if out_dir is not None:
         out = Path(out_dir)
-        (out / SUMMARY_FILENAME).write_text(
-            json.dumps(summary.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        write_json_atomic(out / SUMMARY_FILENAME, summary.to_dict())
         save_world_checkpoint(out / WORLD_FILENAME, world.state_dict())
     return RunResult(
         resolved=resolved,

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "EXPORT_KINDS",
     "TraceRecord",
     "TraceWriter",
+    "iter_trace",
     "read_trace",
     "RunSummary",
     "summarize",
@@ -170,26 +172,82 @@ class TraceWriter:
             self._fh = None
 
 
-def read_trace(path: str | Path) -> tuple[dict, list[TraceRecord]]:
-    """Read a trace file back as ``(header, records)``."""
-    with Path(path).open("r", encoding="utf-8") as fh:
-        header_line = fh.readline()
-        if not header_line:
-            raise ValueError(f"{path}: empty trace file")
-        header = json.loads(header_line)
-        if header.get("kind") != TRACE_KIND:
-            raise ValueError(f"{path}: not a trace file (kind={header.get('kind')!r})")
-        if header.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(
-                f"{path}: unsupported schema version {header.get('schema_version')!r}"
-            )
-        records = [TraceRecord.from_json_obj(json.loads(line)) for line in fh if line.strip()]
-    last = -1
-    for r in records:
-        if r.step <= last:
-            raise ValueError(f"{path}: record steps must be strictly increasing")
-        last = r.step
+def iter_trace(path: str | Path) -> tuple[dict, Iterator[TraceRecord]]:
+    """Open a trace as ``(header, records)``, reading one line at a time.
+
+    The header is checked before this returns.  ``records`` yields one
+    ``TraceRecord`` per line and raises ``ValueError("<path>:<line>: ...")``
+    at a line that is not a record, does not step past the one before, or
+    lacks its newline: the writer ends every line with one, so such a last
+    line is what a killed writer leaves, and it is reported as truncated,
+    not parsed.  The file closes when ``records`` ends, raises or is dropped.
+    """
+    fh = Path(path).open("r", encoding="utf-8")
+    try:
+        header = _read_header(fh.readline(), path)
+        records = _iter_records(fh, path)
+        # Run the generator into its ``with``, so that closing it, or
+        # dropping it unstarted, closes the file.
+        next(records)
+    except BaseException:
+        fh.close()
+        raise
     return header, records
+
+
+def _read_header(line: str, path: str | Path) -> dict:
+    if not line:
+        raise ValueError(f"{path}: empty trace file")
+    if not line.endswith("\n"):
+        raise ValueError(f"{path}:1: truncated header")
+    try:
+        header = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}:1: bad header: {_not_json(e)}") from None
+    kind = header.get("kind") if isinstance(header, dict) else None
+    if kind != TRACE_KIND:
+        raise ValueError(f"{path}: not a trace file (kind={kind!r})")
+    if header.get("schema_version") != SCHEMA_VERSION:
+        raise ValueError(
+            f"{path}: unsupported schema version {header.get('schema_version')!r}"
+        )
+    names = header.get("arm_names")
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ValueError(f"{path}:1: bad header: arm_names must be a list of strings")
+    return header
+
+
+def _iter_records(fh: io.TextIOBase, path: str | Path) -> Iterator[TraceRecord]:
+    with fh:
+        yield  # the priming stop ``iter_trace`` runs to
+        last = -1
+        for lineno, line in enumerate(fh, 2):
+            if not line.endswith("\n"):
+                raise ValueError(f"{path}:{lineno}: truncated record")
+            if line.isspace():
+                continue
+            try:
+                record = TraceRecord.from_json_obj(json.loads(line))
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{path}:{lineno}: bad record: {_not_json(e)}") from None
+            except KeyError as e:
+                raise ValueError(f"{path}:{lineno}: bad record: missing key {e}") from None
+            except (AttributeError, TypeError, ValueError) as e:
+                raise ValueError(f"{path}:{lineno}: bad record: {e}") from None
+            if record.step <= last:
+                raise ValueError(f"{path}:{lineno}: record steps must be strictly increasing")
+            last = record.step
+            yield record
+
+
+def _not_json(e: json.JSONDecodeError) -> str:
+    return f"not JSON ({e.msg} at char {e.pos})"
+
+
+def read_trace(path: str | Path) -> tuple[dict, list[TraceRecord]]:
+    """Read a trace file back as ``(header, records)``; see ``iter_trace``."""
+    header, records = iter_trace(path)
+    return header, list(records)
 
 
 @dataclass(frozen=True)
@@ -301,8 +359,13 @@ def summarize_columns(
     )
 
 
-def export_plot_data(records: list[TraceRecord], kind: str, arm_names: tuple[str, ...]) -> str:
-    """Render one trace series as CSV: a step column plus one column per arm."""
+def export_plot_data(records: Iterable[TraceRecord], kind: str, arm_names: tuple[str, ...]) -> str:
+    """Render one trace series as CSV: a step column plus one column per arm.
+
+    ``records`` is consumed once, so it may be ``iter_trace``'s iterator;
+    the text is returned only after the last record, so an error in any
+    record leaves no partial output.
+    """
     if kind not in EXPORT_KINDS:
         raise ValueError(f"unknown export kind {kind!r}; choose from {EXPORT_KINDS}")
     field = {
@@ -310,17 +373,38 @@ def export_plot_data(records: list[TraceRecord], kind: str, arm_names: tuple[str
         "instance_coverage": "cumulative_counts",
         "q_over_time": "q",
     }[kind]
-    lines = ["step," + ",".join(arm_names)]
+    # Lines keep their newlines and are joined once: the text is the largest
+    # object an export holds, and ``+ "\n"`` on it would copy it.
+    lines = ["step," + ",".join(arm_names) + "\n"]
     for r in records:
         values = getattr(r, field)
         if len(values) != len(arm_names):
             raise ValueError(f"record at step {r.step} has {len(values)} arms, expected {len(arm_names)}")
-        lines.append(f"{r.step}," + ",".join(repr(v) if isinstance(v, float) else str(v) for v in values))
-    return "\n".join(lines) + "\n"
+        cells = ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
+        lines.append(f"{r.step},{cells}\n")
+    return "".join(lines)
 
 
 def save_world_checkpoint(path: str | Path, state: dict) -> None:
-    """Persist a world ``state_dict`` as JSON."""
+    """Persist a world ``state_dict`` as JSON, atomically."""
+    write_json_atomic(path, state)
+
+
+def write_json_atomic(path: str | Path, obj) -> None:
+    """Write ``obj`` as indented JSON to ``path``, whole or not at all.
+
+    The text goes to a temp file in the same directory, which then replaces
+    ``path``; if the write raises, the temp file is removed and ``path`` is
+    left as it was.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(state, indent=2) + "\n", encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

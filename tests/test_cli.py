@@ -1,10 +1,20 @@
 import json
 import os
+import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import banditmix
 from banditmix.cli import main
+from banditmix.config import ExperimentConfig
+from banditmix.runner import TRACE_FILENAME, run_experiment
+from banditmix.trace import EXPORT_KINDS, export_plot_data, read_trace
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = ("tulu_default", "deep_gap_world", "volatile_world")
 
 SMALL_CONFIG = {
     "bandit": {"total_steps": 30, "update_interval": 10, "batch_size": 8},
@@ -237,3 +247,103 @@ class TestExport:
         sink.close()
         assert code == 0
         assert capsys.readouterr().err == ""
+
+
+@pytest.fixture(scope="module")
+def shipped_traces(tmp_path_factory):
+    """The trace of each shipped config run with the bandit and uniform policies."""
+    root = tmp_path_factory.mktemp("shipped")
+    traces = {}
+    for world in SHIPPED:
+        obj = json.loads((CONFIGS / f"{world}.json").read_text(encoding="utf-8"))
+        for variant in ("bandit", "uniform"):
+            obj["policy"]["variant"] = variant
+            out = root / f"{world}-{variant}"
+            run_experiment(ExperimentConfig.from_dict(obj), out_dir=out)
+            traces[world, variant] = out / TRACE_FILENAME
+    return traces
+
+
+class TestStreamingExport:
+    @pytest.mark.parametrize("kind", EXPORT_KINDS)
+    @pytest.mark.parametrize("variant", ["bandit", "uniform"])
+    @pytest.mark.parametrize("world", SHIPPED)
+    def test_equals_export_of_the_whole_trace(self, shipped_traces, capsys, world, variant, kind):
+        trace = shipped_traces[world, variant]
+        header, records = read_trace(trace)
+        expected = export_plot_data(records, kind, tuple(header["arm_names"]))
+        assert main(["export", "--trace", str(trace), "--kind", kind]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("kind", EXPORT_KINDS)
+    def test_peak_memory_stays_small(self, shipped_traces, tmp_path, monkeypatch, kind):
+        # Reading the default tulu trace into a list of its 5,143 records
+        # peaks at 11-15 MB; a streamed export holds one record at a time,
+        # plus the CSV text it prints.
+        trace = shipped_traces["tulu_default", "bandit"]
+        with (tmp_path / "out.csv").open("w", encoding="utf-8") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                code = main(["export", "--trace", str(trace), "--kind", kind])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            monkeypatch.undo()
+        assert code == 0
+        assert (tmp_path / "out.csv").read_text(encoding="utf-8").count("\n") == 5143 + 1
+        assert peak < 5e6, f"export peak {peak / 1e6:.2f} MB"
+
+
+def corrupt_third_record(trace, line):
+    lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[3] = line
+    trace.write_text("".join(lines), encoding="utf-8")
+
+
+def small_trace(tmp_path):
+    main(["run", "--config", str(write_config(tmp_path, "exp.json")), "--out", str(tmp_path / "out")])
+    return tmp_path / "out" / "trace.jsonl"
+
+
+class TestExportOfABadTrace:
+    def test_bad_record_prints_nothing_and_closes_the_file(self, tmp_path):
+        # In a process of its own, so that an unclosed file would show on
+        # stderr as an error under -W error::ResourceWarning.
+        trace = small_trace(tmp_path)
+        record = json.loads(trace.read_text(encoding="utf-8").splitlines()[3])
+        del record["learning_rate"]
+        corrupt_third_record(trace, json.dumps(record) + "\n")
+        src = str(Path(banditmix.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-m", "banditmix",
+             "export", "--trace", str(trace), "--kind", "q_over_time"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == f"error: {trace}:4: bad record: missing key 'learning_rate'\n"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("{not json\n", ":4: bad record: not JSON"),
+            ('{"step": 3}\n', ":4: bad record: missing key 'probabilities'"),
+        ],
+    )
+    def test_bad_record_exits_3_with_nothing_on_stdout(self, tmp_path, capsys, line, message):
+        trace = small_trace(tmp_path)
+        corrupt_third_record(trace, line)
+        capsys.readouterr()
+        assert main(["export", "--trace", str(trace), "--kind", "proportions_over_time"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {trace}{message}")
+
+    def test_truncated_trace_exits_3_with_nothing_on_stdout(self, tmp_path, capsys):
+        # What a killed writer leaves: the last record lacks its newline.
+        trace = small_trace(tmp_path)
+        trace.write_text(trace.read_text(encoding="utf-8")[:-2], encoding="utf-8")
+        capsys.readouterr()
+        assert main(["export", "--trace", str(trace), "--kind", "instance_coverage"]) == 3
+        assert capsys.readouterr() == ("", f"error: {trace}:31: truncated record\n")

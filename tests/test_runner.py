@@ -8,6 +8,7 @@ import pytest
 from banditmix import runner
 from banditmix.config import ConfigError, ExperimentConfig, load_config
 from banditmix.registry import builtin_registry
+from banditmix.simworld import SimWorld
 from banditmix.runner import (
     SUMMARY_FILENAME,
     TRACE_FILENAME,
@@ -152,6 +153,20 @@ class TestRunExperiment:
         assert (tmp_path / TRACE_FILENAME).read_text(encoding="utf-8").endswith("}\n")
         _, records = read_trace(tmp_path / TRACE_FILENAME)
         assert records == clean[:14]
+
+    def test_artifact_write_raising_midway_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        # The world's JSON is streamed into a temp file that never replaces
+        # world.json: the summary, written first, is whole, and the
+        # directory holds no partial world.json and no temp file.
+        cfg = small_cfg()
+        clean = run_experiment(cfg)
+        state_dict = SimWorld.state_dict
+        monkeypatch.setattr(SimWorld, "state_dict", lambda w: {**state_dict(w), "z": object()})
+        with pytest.raises(TypeError):
+            run_experiment(cfg, out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [SUMMARY_FILENAME, TRACE_FILENAME]
+        summary = json.loads((tmp_path / SUMMARY_FILENAME).read_text(encoding="utf-8"))
+        assert summary == json.loads(json.dumps(clean.summary.to_dict()))
 
     def test_zero_step_run(self):
         cfg = small_cfg(bandit={"total_steps": 0})

@@ -1,5 +1,7 @@
+import gc
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from banditmix.trace import (
     TraceRecord,
     TraceWriter,
     export_plot_data,
+    iter_trace,
     read_trace,
     save_world_checkpoint,
     summarize,
@@ -180,7 +183,148 @@ class TestReadTrace:
             json.dumps(make_record(1).to_json_obj()),
         ]
         path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r":3: record steps must be strictly increasing$"):
+            read_trace(path)
+
+
+HEADER = {"kind": "banditmix-trace", "schema_version": 1, "arm_names": list(NAMES), "seed": 0, "config_hash": "x"}
+
+
+def write_lines(path, lines, end="\n"):
+    path.write_text("\n".join([json.dumps(HEADER), *lines]) + end, encoding="utf-8")
+    return path
+
+
+def record_lines(n):
+    return [json.dumps(make_record(step).to_json_obj()) for step in range(1, n + 1)]
+
+
+def assert_no_unclosed_file(action):
+    """Run ``action``, collect garbage, and fail on any ResourceWarning.
+
+    An error ``action`` raises is re-raised after the check as a fresh
+    error of the same type and message: the original's tracebacks, its own
+    and its context's, would keep their frames, and their files, alive.
+    """
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        try:
+            action()
+        except Exception as e:
+            error = type(e)(str(e))
+        gc.collect()
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert leaks == [], [str(w.message) for w in leaks]
+    if error is not None:
+        raise error
+
+
+class TestIterTrace:
+    def test_yields_what_read_trace_returns(self, tmp_path):
+        path = write_lines(tmp_path / "t.jsonl", record_lines(5))
+        header, records = iter_trace(path)
+        assert header == HEADER
+        assert list(records) == read_trace(path)[1]
+
+    def test_header_is_checked_before_returning(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"kind": "other", "schema_version": 1}) + "\n")
+        with pytest.raises(ValueError, match="not a trace file"):
+            assert_no_unclosed_file(lambda: iter_trace(path))
+
+    def test_records_are_parsed_one_line_at_a_time(self, tmp_path):
+        path = write_lines(tmp_path / "t.jsonl", [*record_lines(2), "not json"])
+        _, records = iter_trace(path)
+        assert [r.step for r in (next(records), next(records))] == [1, 2]
+        with pytest.raises(ValueError, match=r":4: bad record"):
+            next(records)
+
+    @pytest.mark.parametrize("consumed", [0, 1, 3])
+    def test_dropping_the_iterator_closes_the_file(self, tmp_path, consumed):
+        path = write_lines(tmp_path / "t.jsonl", record_lines(3))
+
+        def partly_read():
+            _, records = iter_trace(path)
+            for _ in range(consumed):
+                next(records)
+
+        assert_no_unclosed_file(partly_read)
+
+    def test_a_bad_record_closes_the_file(self, tmp_path):
+        path = write_lines(tmp_path / "t.jsonl", [*record_lines(2), "{}"])
         with pytest.raises(ValueError):
+            assert_no_unclosed_file(lambda: read_trace(path))
+
+    def test_a_consumer_raising_closes_the_file(self, tmp_path):
+        path = write_lines(tmp_path / "t.jsonl", record_lines(3))
+
+        def export_too_few_arms():
+            header, records = iter_trace(path)
+            export_plot_data(records, "q_over_time", tuple(header["arm_names"][:2]))
+
+        with pytest.raises(ValueError, match="expected 2"):
+            assert_no_unclosed_file(export_too_few_arms)
+
+    def test_leak_check_sees_an_unclosed_file(self, tmp_path):
+        path = write_lines(tmp_path / "t.jsonl", [])
+        with pytest.raises(AssertionError, match="unclosed file"):
+            assert_no_unclosed_file(lambda: path.open(encoding="utf-8"))
+
+
+RECORD_3 = make_record(3).to_json_obj()
+
+# A line that is not a record -> what the reader says after "bad record: ".
+BAD_LINES = {
+    "not json": ('{"step": 3,', "not JSON (Expecting property name enclosed in double quotes at char 12)"),
+    "not an object": ("[1, 2, 3]", "'list' object has no attribute 'get'"),
+    "missing key": (
+        json.dumps({k: v for k, v in RECORD_3.items() if k != "learning_rate"}),
+        "missing key 'learning_rate'",
+    ),
+    "wrong type": (json.dumps({**RECORD_3, "cumulative_counts": 7}), "'int' object is not iterable"),
+    "null value": (json.dumps({**RECORD_3, "learning_rate": None}), "float() argument must be"),
+    "bad integer": (json.dumps({**RECORD_3, "step": "three"}), "invalid literal for int()"),
+}
+
+
+class TestReaderErrors:
+    @pytest.mark.parametrize("line, detail", list(BAD_LINES.values()), ids=list(BAD_LINES))
+    def test_bad_line_names_file_and_line(self, tmp_path, line, detail):
+        path = write_lines(tmp_path / "t.jsonl", [*record_lines(2), line])
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}:4: bad record: {detail}')}"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("cut", [1, 20, None])
+    def test_last_line_without_newline_is_truncated(self, tmp_path, cut):
+        # A killed writer leaves a last line without its newline, whether it
+        # is cut mid-record or only the newline is missing; both are
+        # reported rather than parsed.
+        lines = record_lines(3)
+        path = write_lines(tmp_path / "t.jsonl", [*lines[:2], lines[2][:cut]], end="")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:4: truncated record$"):
+            read_trace(path)
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps(HEADER)[:30], encoding="utf-8")
+        with pytest.raises(ValueError, match=r":1: truncated header$"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("names", ["missing", "abc", [1, 2]])
+    def test_header_arm_names_must_be_strings(self, tmp_path, names):
+        header = {**HEADER, "arm_names": names}
+        if names == "missing":
+            del header["arm_names"]
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps(header) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r":1: bad header: arm_names must be a list of strings$"):
+            read_trace(path)
+
+    def test_bad_header_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text("{not json\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r":1: bad header: not JSON \(Expecting property name enclosed in double quotes at char 1\)$"):
             read_trace(path)
 
 
@@ -320,6 +464,27 @@ class TestWorldCheckpoint:
         path = tmp_path / "world.json"
         save_world_checkpoint(path, world.state_dict())
         assert json.loads(path.read_text(encoding="utf-8")) == world.state_dict()
+
+    @pytest.mark.parametrize("existing", [None, "old\n"])
+    def test_write_raising_midway_leaves_no_partial_file(self, tmp_path, existing):
+        path = tmp_path / "world.json"
+        if existing is not None:
+            path.write_text(existing, encoding="utf-8")
+        # json streams the list into the temp file, past its buffer, before
+        # it reaches the value it cannot encode.
+        state = {"values": list(range(20_000)), "bad": object()}
+        with pytest.raises(TypeError):
+            save_world_checkpoint(path, state)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if existing is None else ["world.json"])
+        if existing is not None:
+            assert path.read_text(encoding="utf-8") == existing
+
+    def test_replaces_an_existing_file(self, tmp_path):
+        path = tmp_path / "world.json"
+        path.write_text("old\n", encoding="utf-8")
+        save_world_checkpoint(path, {"a": [1.5, 2]})
+        assert path.read_text(encoding="utf-8") == json.dumps({"a": [1.5, 2]}, indent=2) + "\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["world.json"]
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
