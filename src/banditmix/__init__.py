@@ -22,7 +22,6 @@ from .policies import MixturePolicy, PolicyKind
 from .registry import Arm, ArmRegistry, builtin_registry, make_tulu_registry
 from .rewards import (
     Learner,
-    RewardReport,
     delta_entropy_reward,
     delta_loss_reward,
     ema_update,
@@ -55,7 +54,6 @@ __all__ = [
     "MixturePolicy",
     "PolicyKind",
     "QState",
-    "RewardReport",
     "RunResult",
     "RunSummary",
     "SimWorld",

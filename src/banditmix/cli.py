@@ -138,7 +138,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     resolved = cfg.resolve()
     print(
         f"ok: {resolved.registry.num_arms} arms, {resolved.bandit.total_steps} steps, "
-        f"policy {resolved.policy_kind.variant} ({resolved.policy_kind.reward_kind}), "
+        f"policy {cfg.policy.variant} ({cfg.policy.reward_kind}), "
         f"config {resolved.config_hash}"
     )
     return 0

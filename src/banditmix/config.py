@@ -271,24 +271,22 @@ class ExperimentConfig:
             registry=registry,
             bandit=bandit,
             schedule=schedule,
-            policy_kind=self.policy,
-            world_params=self.world,
-            seed=self.seed,
             config_hash=self.config_hash(),
         )
 
 
 @dataclass(frozen=True)
 class ResolvedExperiment:
-    """The runtime objects a validated config denotes."""
+    """The runtime objects a validated config denotes.
+
+    Only what ``config`` does not already hold: its policy, world and seed
+    are read as ``config.policy``, ``config.world`` and ``config.seed``.
+    """
 
     config: ExperimentConfig
     registry: ArmRegistry
     bandit: BanditConfig
     schedule: LrSchedule
-    policy_kind: PolicyKind
-    world_params: WorldParams
-    seed: int
     config_hash: str
 
 

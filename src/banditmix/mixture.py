@@ -71,15 +71,14 @@ class BanditConfig:
 
 @dataclass
 class QState:
-    """Per-arm smoothed reward estimates plus the current training step."""
+    """Per-arm smoothed reward estimates."""
 
     q: np.ndarray
-    step: int = 0
 
     @classmethod
     def initial(cls, num_arms: int) -> "QState":
         """Fresh state: all estimates start at zero."""
-        return cls(q=np.zeros(num_arms, dtype=np.float64), step=0)
+        return cls(q=np.zeros(num_arms, dtype=np.float64))
 
     def __post_init__(self) -> None:
         self.q = np.asarray(self.q, dtype=np.float64)
@@ -87,8 +86,6 @@ class QState:
             raise ValueError("q must be a nonempty 1-d vector")
         if not np.all(np.isfinite(self.q)):
             raise ValueError("q entries must be finite")
-        if self.step < 0:
-            raise ValueError(f"step must be >= 0, got {self.step}")
 
     @property
     def num_arms(self) -> int:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .mixture import BanditConfig, MixtureDistribution, QState, mixture_probs
 from .registry import ArmRegistry
-from .rewards import RewardKind, RewardReport
+from .rewards import RewardKind
 
 __all__ = ["POLICY_VARIANTS", "PolicyKind", "MixturePolicy"]
 
@@ -97,19 +97,11 @@ class MixturePolicy:
         """The current sampling distribution (cached between updates)."""
         return self._dist
 
-    def apply_reward_round(self, reports: list[RewardReport]) -> None:
-        """Fold a completed reward round into the cached distribution.
+    def apply_reward_round(self) -> None:
+        """Recompute the cached distribution after a reward round.
 
-        The round must have probed every arm exactly once; the estimate
-        updates themselves already live in ``self.state``.  Static variants
-        ignore rewards entirely.
+        The round's estimate updates already live in ``self.state``.  Static
+        variants ignore rewards entirely.
         """
-        if not self.adaptive:
-            return
-        seen = sorted(r.arm for r in reports)
-        if seen != list(range(self.registry.num_arms)):
-            raise ValueError(
-                f"reward round must cover each of {self.registry.num_arms} arms exactly once, "
-                f"got arms {seen}"
-            )
-        self._dist = self._compute()
+        if self.adaptive:
+            self._dist = self._compute()

@@ -2,8 +2,10 @@
 
 Each reward round probes every arm once: measure loss on a probe batch, take
 one virtual optimizer step on that batch, measure again, restore the learner,
-and score the arm by its relative loss drop.  Scores fold into the running
-estimates through an exponential moving average.  ``Learner.probe`` runs the
+and score the arm by its relative loss drop.  ``lookahead_round`` folds the
+round's scores into the running estimates through an exponential moving
+average, in place, and returns them as one ``(K,)`` float64 array in arm
+order; nothing else of the round is kept.  ``Learner.probe`` runs the
 measurements of a whole round and ``Learner.train_steps`` the real steps
 between two rounds; a learner that can compute either in closed form may
 override it.
@@ -12,7 +14,6 @@ override it.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Any, Literal, Sequence
 
 import numpy as np
@@ -22,7 +23,6 @@ from .registry import ArmRegistry
 
 __all__ = [
     "Learner",
-    "RewardReport",
     "delta_loss_reward",
     "delta_entropy_reward",
     "ema_update",
@@ -103,21 +103,6 @@ class Learner(ABC):
             finally:
                 self.restore(token)
         return pres, posts
-
-
-@dataclass(frozen=True)
-class RewardReport:
-    """Outcome of probing one arm in a reward round.
-
-    For entropy-based rounds the two measurement vectors hold entropies.
-    """
-
-    arm: int
-    pre_losses: np.ndarray
-    post_losses: np.ndarray
-    reward: float
-    q_after: float
-    step: int
 
 
 def _shape_error(what: str) -> ValueError:
@@ -214,13 +199,14 @@ def lookahead_round(
     learning_rate: float,
     rng: np.random.Generator,
     reward_kind: RewardKind = "delta_loss",
-) -> list[RewardReport]:
-    """Probe every arm once and update the estimates in ``state`` in place.
+) -> np.ndarray:
+    """Probe every arm once, update ``state.q`` in place, return the rewards.
 
     Draws one single-arm probe batch per arm from ``rng``, in arm order, then
     has ``learner.probe`` measure each before and after a virtual step, and
-    scores all arms in one pass.  The estimates change only after the whole
-    round has been checked and scored, so a failed round leaves ``state``
+    scores all arms in one pass.  Returns the round's ``(K,)`` float64
+    rewards in arm order.  The estimates change only after the whole round
+    has been checked and scored, so a failed round leaves ``state``
     untouched.
     """
     if reward_kind not in ("delta_loss", "delta_entropy"):
@@ -241,17 +227,5 @@ def lookahead_round(
     rewards = _relative_drop(pre, post, cfg.epsilon, what, ndim=2)
     if rewards.size != len(batches):
         raise ValueError(f"probe returned {rewards.size} results for {len(batches)} batches")
-    new_q = ema_update(state.q, rewards, cfg.alpha)
-    reports = [
-        RewardReport(
-            arm=arm,
-            pre_losses=pre[arm],
-            post_losses=post[arm],
-            reward=reward,
-            q_after=q_after,
-            step=state.step,
-        )
-        for arm, (reward, q_after) in enumerate(zip(rewards.tolist(), new_q.tolist()))
-    ]
-    state.q[:] = new_q
-    return reports
+    state.q[:] = ema_update(state.q, rewards, cfg.alpha)
+    return rewards

@@ -164,9 +164,9 @@ def run_experiment(
     k, width, interval = registry.num_arms, bandit.batch_size, bandit.update_interval
     steps = bandit.total_steps
     span = min(interval, max(WINDOW_DRAWS // width, 1))
-    train_rng, reward_rng, init_rng, sim_rng = _rng_streams(resolved.seed)
-    world = build_world(resolved.world_params, k, init_rng, sim_rng)
-    policy = MixturePolicy(resolved.policy_kind, registry, bandit)
+    train_rng, reward_rng, init_rng, sim_rng = _rng_streams(cfg.seed)
+    world = build_world(cfg.world, k, init_rng, sim_rng)
+    policy = MixturePolicy(cfg.policy, registry, bandit)
     # Every row of both is written by the window that holds its step.
     counts = np.empty((steps, k), dtype=np.int64)
     rates = np.empty(steps)
@@ -179,7 +179,7 @@ def run_experiment(
         writer = TraceWriter(
             Path(out_dir) / TRACE_FILENAME,
             arm_names=registry.names,
-            seed=resolved.seed,
+            seed=cfg.seed,
             config_hash=resolved.config_hash,
         )
         writer.__enter__()
@@ -214,18 +214,17 @@ def run_experiment(
             world.train_steps(batch, window_rates)
             q_after, rewards = q, None
             if policy.adaptive and last == round_step:
-                policy.state.step = last
-                reports = lookahead_round(
+                round_rewards = lookahead_round(
                     world,
                     registry,
                     policy.state,
                     bandit,
                     window_rates[-1],
                     reward_rng,
-                    reward_kind=resolved.policy_kind.reward_kind,
+                    reward_kind=cfg.policy.reward_kind,
                 )
-                policy.apply_reward_round(reports)
-                rewards = tuple(r.reward for r in reports)
+                policy.apply_reward_round()
+                rewards = tuple(round_rewards.tolist())
                 q_after = tuple(policy.state.q.tolist())
             window = Window(first, last, probabilities, q, q_after, rewards)
             windows.append(window)
@@ -247,7 +246,7 @@ def run_experiment(
         changes,
         steps,
         registry,
-        seed=resolved.seed,
+        seed=cfg.seed,
         config_hash=resolved.config_hash,
         final_losses=final_losses,
     )
@@ -263,6 +262,15 @@ def run_experiment(
         learning_rates=rates,
         windows=tuple(windows),
     )
+
+
+def _outcomes(result: RunResult) -> dict[str, float]:
+    """The figures a comparison or sweep row reports for one run."""
+    return {
+        "final_mean_loss": result.final_mean_loss,
+        "coverage_variance": float(np.var(result.summary.coverage_ratio)),
+        "mean_step_tv": result.summary.mean_step_tv,
+    }
 
 
 @dataclass(frozen=True)
@@ -309,16 +317,7 @@ def compare_experiments(
     results: list[RunResult] = []
     for i, cfg in enumerate(configs, start=1):
         result = run_experiment(cfg)
-        coverage = np.asarray(result.summary.coverage_ratio)
-        rows.append(
-            CompareRow(
-                label=f"#{i}",
-                variant=cfg.policy.variant,
-                final_mean_loss=result.final_mean_loss,
-                coverage_variance=float(np.var(coverage)),
-                mean_step_tv=result.summary.mean_step_tv,
-            )
-        )
+        rows.append(CompareRow(label=f"#{i}", variant=cfg.policy.variant, **_outcomes(result)))
         results.append(result)
     return rows, results
 
@@ -380,16 +379,7 @@ def sweep_experiments(cfg: ExperimentConfig, grid: dict[str, list], seeds: int) 
         losses = []
         for seed in range(cfg.seed, cfg.seed + seeds):
             result = run_experiment(point_cfg, seed=seed)
-            coverage = np.asarray(result.summary.coverage_ratio)
-            rows.append(
-                SweepRow(
-                    params=params,
-                    seed=seed,
-                    final_mean_loss=result.final_mean_loss,
-                    coverage_variance=float(np.var(coverage)),
-                    mean_step_tv=result.summary.mean_step_tv,
-                )
-            )
+            rows.append(SweepRow(params=params, seed=seed, **_outcomes(result)))
             losses.append(result.final_mean_loss)
         aggregates.append(
             SweepAggregate(

@@ -141,8 +141,9 @@ class TraceWriter:
                 f"got {record.step} after {self._last_step}"
             )
         k = len(self.arm_names)
-        for name in ("probabilities", "q", "cumulative_counts"):
-            if len(getattr(record, name)) != k:
+        for name in ("probabilities", "q", "cumulative_counts", "rewards"):
+            row = getattr(record, name)
+            if row is not None and len(row) != k:
                 raise ValueError(f"record {name} must have {k} entries")
         # Replace q's stand-in first: only step and the probabilities
         # stand-in precede it, so the first match of each is the stand-in.

@@ -81,7 +81,6 @@ class TestQState:
         state = QState.initial(5)
         assert state.q.shape == (5,)
         assert np.all(state.q == 0.0)
-        assert state.step == 0
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

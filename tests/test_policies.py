@@ -8,15 +8,6 @@ from banditmix.policies import (
     MixturePolicy,
     PolicyKind,
 )
-from banditmix.rewards import RewardReport
-
-
-def make_report(arm, reward=0.1, step=1):
-    pre = np.array([1.0])
-    post = np.array([0.9])
-    return RewardReport(
-        arm=arm, pre_losses=pre, post_losses=post, reward=reward, q_after=reward, step=step
-    )
 
 
 @pytest.fixture
@@ -95,24 +86,18 @@ class TestMixturePolicy:
         # mutating the estimates alone must not change the cached vector
         policy.state.q[0] = 2.0
         assert policy.distribution() is before
-        policy.apply_reward_round([make_report(a) for a in range(3)])
+        policy.apply_reward_round()
         after = policy.distribution()
         assert after is not before
         assert after.p[0] > before.p[0]
 
-    def test_reward_round_must_cover_every_arm(self, small_registry, cfg):
-        policy = MixturePolicy(PolicyKind(variant="bandit"), small_registry, cfg)
-        with pytest.raises(ValueError):
-            policy.apply_reward_round([make_report(0), make_report(1)])
-        with pytest.raises(ValueError):
-            policy.apply_reward_round([make_report(a) for a in (0, 1, 1)])
-
     def test_non_adaptive_ignores_rewards(self, small_registry, cfg):
-        # static variants take no estimate updates, even malformed ones
+        # static variants take no estimate updates
         for variant in ("uniform", "proportional"):
             policy = MixturePolicy(PolicyKind(variant=variant), small_registry, cfg)
             before = policy.distribution()
-            policy.apply_reward_round([make_report(0)])
+            policy.state.q[0] = 2.0
+            policy.apply_reward_round()
             assert policy.distribution() is before
 
     def test_all_rewards_equal_leaves_distribution_unchanged(self, small_registry, cfg):
@@ -120,5 +105,5 @@ class TestMixturePolicy:
         policy = MixturePolicy(PolicyKind(variant="bandit"), small_registry, cfg)
         before = policy.distribution().p.copy()
         policy.state.q[:] = 0.7
-        policy.apply_reward_round([make_report(a, reward=0.7) for a in range(3)])
+        policy.apply_reward_round()
         np.testing.assert_allclose(policy.distribution().p, before, atol=1e-12)

@@ -112,13 +112,21 @@ class TestEmaUpdate:
             ema_update(0.0, float("nan"), 0.5)
 
 
+class RecordingLearner(LinearLearner):
+    """``LinearLearner`` that keeps the batches its last probe was handed."""
+
+    def probe(self, batches, learning_rate, entropy=False):
+        self.batches = list(batches)
+        return super().probe(batches, learning_rate, entropy)
+
+
 class TestLookaheadRound:
     def make_fixture(self, theta=(2.0, 4.0), alpha=0.5):
         registry = ArmRegistry.from_counts({"a": 100, "b": 100})
         cfg = BanditConfig(
             num_arms=2, total_steps=0, alpha=alpha, update_interval=1, batch_size=4
         )
-        learner = LinearLearner(theta)
+        learner = RecordingLearner(theta)
         state = QState.initial(2)
         return learner, registry, state, cfg
 
@@ -127,22 +135,25 @@ class TestLookaheadRound:
         # exactly the learning rate: r_k = lr / (theta_k + eps)
         learner, registry, state, cfg = self.make_fixture()
         lr = 0.5
-        reports = lookahead_round(learner, registry, state, cfg, lr, rng)
+        rewards = lookahead_round(learner, registry, state, cfg, lr, rng)
+        assert rewards.dtype == np.float64 and rewards.shape == (2,)
         for k, theta_k in enumerate((2.0, 4.0)):
             expected = lr / (theta_k + cfg.epsilon)
-            assert reports[k].reward == pytest.approx(expected, abs=1e-12)
+            assert rewards[k] == pytest.approx(expected, abs=1e-12)
 
     def test_visits_arms_in_registry_order(self, rng):
-        learner, registry, state, cfg = self.make_fixture()
-        reports = lookahead_round(learner, registry, state, cfg, 0.1, rng)
-        assert [r.arm for r in reports] == [0, 1]
+        learner, registry, state, cfg = self.make_fixture(theta=(4.0, 2.0))
+        rewards = lookahead_round(learner, registry, state, cfg, 0.1, rng)
+        assert [b.arms.tolist() for b in learner.batches] == [[0] * 4, [1] * 4]
+        # theta is reversed, so arm 1's relative drop is the larger
+        assert rewards[0] < rewards[1]
 
     def test_estimates_updated_in_place(self, rng):
         learner, registry, state, cfg = self.make_fixture(alpha=0.5)
-        reports = lookahead_round(learner, registry, state, cfg, 0.5, rng)
-        for k in range(2):
-            assert state.q[k] == pytest.approx(0.5 * reports[k].reward, abs=1e-15)
-            assert reports[k].q_after == state.q[k]
+        q = state.q
+        rewards = lookahead_round(learner, registry, state, cfg, 0.5, rng)
+        assert state.q is q
+        assert state.q.tolist() == (0.5 * rewards).tolist()
 
     def test_permanent_state_untouched(self, rng):
         learner, registry, state, cfg = self.make_fixture()
@@ -178,20 +189,24 @@ class TestLookaheadRound:
         r1 = lookahead_round(learner, registry, state, cfg, 0.1, np.random.default_rng(3))
         learner2, _, state2, _ = self.make_fixture()
         r2 = lookahead_round(learner2, registry, state2, cfg, 0.1, np.random.default_rng(3))
-        assert all(
-            np.array_equal(a.pre_losses, b.pre_losses) for a, b in zip(r1, r2)
-        )
+        assert r1.tolist() == r2.tolist()
+        for a, b in zip(learner.batches, learner2.batches):
+            assert np.array_equal(a.arms, b.arms) and np.array_equal(a.examples, b.examples)
+        # the rewards are the relative drops of what probe measured on them
+        pres, posts = learner.probe(learner.batches, 0.1)
+        for k in range(2):
+            assert r1[k] == delta_loss_reward(pres[k], posts[k], cfg.epsilon)
 
     def test_entropy_kind_uses_entropy_channel(self, rng):
         learner, registry, state, cfg = self.make_fixture()
-        reports = lookahead_round(
+        rewards = lookahead_round(
             learner, registry, state, cfg, 0.5, rng, reward_kind="delta_entropy"
         )
         # toy entropy is half the loss, and the relative drop is scale-free
         # up to epsilon, so the reward stays close to the loss-based one
         for k, theta_k in enumerate((2.0, 4.0)):
             expected = (0.5 * 0.5) / (0.5 * theta_k + cfg.epsilon)
-            assert reports[k].reward == pytest.approx(expected, abs=1e-12)
+            assert rewards[k] == pytest.approx(expected, abs=1e-12)
 
     def test_unknown_reward_kind_rejected(self, rng):
         learner, registry, state, cfg = self.make_fixture()
@@ -212,6 +227,7 @@ class FixedProbe(Learner):
         self.pres, self.posts = pres, posts
 
     def probe(self, batches, learning_rate, entropy=False):
+        self.batches = list(batches)
         return self.pres, self.posts
 
     def snapshot(self):
@@ -259,18 +275,18 @@ def test_one_pass_round_matches_per_arm_loop(k, b, epsilon, alpha, entropy, seed
     kind = "delta_entropy" if entropy else "delta_loss"
     # The learner returns per-arm lists, as the generic probe does.
     learner = FixedProbe(list(pre), list(post))
-    reports = lookahead_round(
+    rewards = lookahead_round(
         learner, registry, state, cfg, 0.1, np.random.default_rng(0), reward_kind=kind
     )
+    assert rewards.dtype == np.float64 and rewards.shape == (k,)
+    # probe was handed one single-arm batch of b per arm, in arm order
+    assert [b_.arms.tolist() for b_ in learner.batches] == [[arm] * b for arm in range(k)]
     score = delta_entropy_reward if entropy else delta_loss_reward
     for arm in range(k):
         reward = score(pre[arm], post[arm], epsilon)
         q = ema_update(float(q0[arm]), reward, alpha)
-        assert reports[arm].reward == reward
-        assert reports[arm].q_after == q
+        assert rewards[arm] == reward
         assert state.q[arm] == q
-        assert np.array_equal(reports[arm].pre_losses, pre[arm])
-        assert np.array_equal(reports[arm].post_losses, post[arm])
 
 
 def test_array_ema_matches_scalar_calls():

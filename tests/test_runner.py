@@ -7,8 +7,9 @@ import pytest
 
 from banditmix import runner
 from banditmix.config import ConfigError, ExperimentConfig, load_config
+from banditmix.mixture import MixtureDistribution
 from banditmix.registry import builtin_registry
-from banditmix.simworld import SimWorld
+from banditmix.simworld import SimWorld, build_world
 from banditmix.runner import (
     SUMMARY_FILENAME,
     TRACE_FILENAME,
@@ -199,7 +200,7 @@ class TestColumns:
         assert summarize(
             result.records,
             resolved.registry,
-            seed=resolved.seed,
+            seed=resolved.config.seed,
             config_hash=resolved.config_hash,
             final_losses=result.summary.final_losses,
         ) == result.summary
@@ -241,6 +242,52 @@ class TestColumns:
         finally:
             tracemalloc.stop()
         assert peak < 3_000_000
+
+
+SHIPPED = ("tulu_default", "deep_gap_world", "volatile_world")
+
+
+def shipped_config(name, variant):
+    obj = json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
+    obj["policy"] = {"variant": variant}
+    return ExperimentConfig.from_dict(obj)
+
+
+class TestRngStreams:
+    """The four streams a run splits its seed into stay independent."""
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_reward_rounds_never_advance_the_training_stream(self, name):
+        # Replaying the windows' draws on a fresh training stream, with no
+        # reward round in between, gives the run's counts.
+        cfg = shipped_config(name, "bandit")
+        result = run_experiment(cfg)
+        registry, width = result.resolved.registry, result.resolved.bandit.batch_size
+        assert any(w.rewards is not None for w in result.windows)
+        train_rng = runner._rng_streams(cfg.seed)[0]
+        drawn = np.zeros(registry.num_arms, dtype=np.int64)
+        for w in result.windows:
+            m = w.last - w.first + 1
+            dist = MixtureDistribution(p=np.array(w.probabilities))
+            batch = runner.sample_batch(dist, registry, width, train_rng, steps=m)
+            for t, arms in enumerate(batch.arms.reshape(m, width)):
+                drawn += np.bincount(arms, minlength=registry.num_arms)
+                assert np.array_equal(result.counts[w.first - 1 + t], drawn)
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_world_starts_the_same_under_every_policy(self, name, monkeypatch):
+        built = []
+
+        def recording(*args, **kwargs):
+            world = build_world(*args, **kwargs)
+            built.append(world.state_dict())
+            return world
+
+        monkeypatch.setattr(runner, "build_world", recording)
+        for variant in ("bandit", "uniform"):
+            run_experiment(shipped_config(name, variant), seed=3)
+        assert len(built) == 2
+        assert built[0] == built[1]
 
 
 class TestCompare:

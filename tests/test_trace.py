@@ -99,6 +99,15 @@ class TestTraceWriter:
             with pytest.raises(ValueError):
                 writer.write(make_record(1, p=(0.5, 0.5)))
 
+    def test_rewards_arity_checked(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        with TraceWriter(path, ("a", "b"), seed=1, config_hash="abc") as writer:
+            with pytest.raises(ValueError, match="rewards must have 2 entries"):
+                writer.write(TraceRecord(1, (0.5, 0.5), (0.0, 0.0), 0.1, (1, 1), rewards=(0.1, 0.2, 0.3)))
+            writer.write(TraceRecord(1, (0.5, 0.5), (0.0, 0.0), 0.1, (1, 1), rewards=(0.1, 0.2)))
+        _, records = read_trace(path)
+        assert [r.rewards for r in records] == [(0.1, 0.2)]
+
     def test_write_requires_open(self, tmp_path):
         writer = TraceWriter(tmp_path / "t.jsonl", NAMES, seed=1, config_hash="abc")
         with pytest.raises(ValueError):

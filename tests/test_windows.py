@@ -330,9 +330,9 @@ def one_step_run(cfg):
     steps a reward round, per step."""
     resolved = cfg.resolve()
     registry, bandit = resolved.registry, resolved.bandit
-    train_rng, reward_rng, init_rng, sim_rng = runner._rng_streams(resolved.seed)
-    world = build_world(resolved.world_params, registry.num_arms, init_rng, sim_rng)
-    policy = MixturePolicy(resolved.policy_kind, registry, bandit)
+    train_rng, reward_rng, init_rng, sim_rng = runner._rng_streams(cfg.seed)
+    world = build_world(cfg.world, registry.num_arms, init_rng, sim_rng)
+    policy = MixturePolicy(cfg.policy, registry, bandit)
     counts = np.zeros(registry.num_arms, dtype=np.int64)
     records = []
     for step in range(1, bandit.total_steps + 1):
@@ -344,12 +344,11 @@ def one_step_run(cfg):
         world.train_step(batch, lr)
         rewards = None
         if policy.adaptive and step % bandit.update_interval == 0:
-            policy.state.step = step
-            reports = lookahead_round(
-                world, registry, policy.state, bandit, lr, reward_rng, resolved.policy_kind.reward_kind
+            rewards = lookahead_round(
+                world, registry, policy.state, bandit, lr, reward_rng, cfg.policy.reward_kind
             )
-            policy.apply_reward_round(reports)
-            rewards = tuple(r.reward for r in reports)
+            rewards = tuple(rewards.tolist())
+            policy.apply_reward_round()
         records.append(
             TraceRecord(step, probabilities, tuple(policy.state.q.tolist()), lr, tuple(counts.tolist()), rewards)
         )
