@@ -12,7 +12,6 @@ from .mixture import (
     BanditConfig,
     Batch,
     MixtureDistribution,
-    QState,
     boltzmann_probs,
     mixture_probs,
     prior_scaled_probs,
@@ -53,7 +52,6 @@ __all__ = [
     "MixtureDistribution",
     "MixturePolicy",
     "PolicyKind",
-    "QState",
     "RunResult",
     "RunSummary",
     "SimWorld",

@@ -16,7 +16,6 @@ from .registry import ArmRegistry
 
 __all__ = [
     "BanditConfig",
-    "QState",
     "MixtureDistribution",
     "Batch",
     "boltzmann_probs",
@@ -67,29 +66,6 @@ class BanditConfig:
             )
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-
-
-@dataclass
-class QState:
-    """Per-arm smoothed reward estimates."""
-
-    q: np.ndarray
-
-    @classmethod
-    def initial(cls, num_arms: int) -> "QState":
-        """Fresh state: all estimates start at zero."""
-        return cls(q=np.zeros(num_arms, dtype=np.float64))
-
-    def __post_init__(self) -> None:
-        self.q = np.asarray(self.q, dtype=np.float64)
-        if self.q.ndim != 1 or self.q.size < 1:
-            raise ValueError("q must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(self.q)):
-            raise ValueError("q entries must be finite")
-
-    @property
-    def num_arms(self) -> int:
-        return int(self.q.size)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixture import BanditConfig, MixtureDistribution, QState, mixture_probs
+from .mixture import BanditConfig, MixtureDistribution, mixture_probs
 from .registry import ArmRegistry
 from .rewards import RewardKind
 
@@ -54,7 +54,7 @@ class PolicyKind:
 
 
 class MixturePolicy:
-    """Owns the estimate state and the current sampling distribution."""
+    """Owns the estimates ``q``, a float64 ``(K,)`` vector, and the sampling distribution."""
 
     def __init__(self, kind: PolicyKind, registry: ArmRegistry, cfg: BanditConfig) -> None:
         if cfg.num_arms != registry.num_arms:
@@ -64,7 +64,7 @@ class MixturePolicy:
         self.kind = kind
         self.registry = registry
         self.cfg = cfg
-        self.state = QState.initial(registry.num_arms)
+        self.q = np.zeros(registry.num_arms)
         if kind.variant == "bandit":
             # Larger sources anchor more mass, scaled by instance counts.
             self._anchor = registry.prior
@@ -78,7 +78,7 @@ class MixturePolicy:
         k = self.registry.num_arms
         v = self.kind.variant
         if v in ADAPTIVE_VARIANTS:
-            return mixture_probs(self.state.q, self._anchor, self.cfg)
+            return mixture_probs(self.q, self._anchor, self.cfg)
         if v == "proportional":
             counts = self.registry.counts.astype(np.float64)
             return MixtureDistribution(p=counts / counts.sum())
@@ -100,7 +100,7 @@ class MixturePolicy:
     def apply_reward_round(self) -> None:
         """Recompute the cached distribution after a reward round.
 
-        The round's estimate updates already live in ``self.state``.  Static
+        The round's estimate updates already live in ``self.q``.  Static
         variants ignore rewards entirely.
         """
         if self.adaptive:

@@ -1,14 +1,14 @@
 """Look-ahead rewards and smoothed per-arm estimates.
 
-Each reward round probes every arm once: measure loss on a probe batch, take
-one virtual optimizer step on that batch, measure again, restore the learner,
-and score the arm by its relative loss drop.  ``lookahead_round`` folds the
-round's scores into the running estimates through an exponential moving
-average, in place, and returns them as one ``(K,)`` float64 array in arm
-order; nothing else of the round is kept.  ``Learner.probe`` runs the
-measurements of a whole round and ``Learner.train_steps`` the real steps
-between two rounds; a learner that can compute either in closed form may
-override it.
+Each reward round probes every arm once: measure loss on a probe batch from
+the arm, take one virtual optimizer step on it, measure again, restore the
+learner, and score the arm by its relative loss drop.  A round is plain
+arrays: a ``(K, B)`` integer array of probe examples in, row ``j`` for arm
+``j``, and the ``(K,)`` float64 estimates ``q``, which ``lookahead_round``
+updates in place through an exponential moving average before it returns
+the ``(K,)`` rewards.  ``Learner.probe`` runs the measurements of a whole
+round and ``Learner.train_steps`` the real steps between two rounds; a
+learner that can compute either in closed form may override it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Any, Literal, Sequence
 
 import numpy as np
 
-from .mixture import BanditConfig, Batch, QState, _pcg64_fits, _pcg64_integers
+from .mixture import BanditConfig, Batch, _pcg64_fits, _pcg64_integers
 from .registry import ArmRegistry
 
 __all__ = [
@@ -80,21 +80,22 @@ class Learner(ABC):
         raise NotImplementedError(f"{type(self).__name__} does not expose entropies")
 
     def probe(
-        self, batches: Sequence[Batch], learning_rate: float, entropy: bool = False
+        self, examples: np.ndarray, learning_rate: float, entropy: bool = False
     ) -> tuple[Sequence[np.ndarray], Sequence[np.ndarray]]:
-        """Measure each batch before and after one virtual step on it.
+        """Measure each row of ``(K, B)`` ``examples`` before and after a virtual step.
 
-        Returns ``(pres, posts)``: ``pres[j]`` and ``posts[j]`` are batch
-        ``j``'s losses (entropies with ``entropy=True``) before and after the
-        step.  Every probe starts from the current state: per batch, measure,
-        snapshot, take the virtual step as a ``train_step``, measure again,
-        and restore, even when a measurement raises.  An override must return
-        the same values bit for bit and leave the learner unchanged.
+        Row ``j`` holds arm ``j``'s probe examples.  Returns ``(pres,
+        posts)``, row ``j``'s losses (entropies with ``entropy=True``) before
+        and after the step.  Every probe starts from the current state: per
+        row, on ``Batch(np.full(B, j), examples[j])``, measure, snapshot,
+        take the step as a ``train_step``, measure again, and restore, even
+        when a measurement raises.  An override must return the same values
+        bit for bit and leave the learner unchanged.
         """
         measure = self.entropy if entropy else self.loss
-        pres: list[np.ndarray] = []
-        posts: list[np.ndarray] = []
-        for batch in batches:
+        pres, posts = [], []
+        for arm, row in enumerate(examples):
+            batch = Batch(arms=np.full(len(row), arm), examples=row)
             pres.append(np.asarray(measure(batch), dtype=np.float64))
             token = self.snapshot()
             try:
@@ -162,20 +163,13 @@ def ema_update(
     return alpha * q + (1.0 - alpha) * reward
 
 
-def _probe_batch(
-    arm: int, registry: ArmRegistry, batch_size: int, rng: np.random.Generator
-) -> Batch:
-    arms = np.full(batch_size, arm, dtype=np.int64)
-    examples = rng.integers(0, registry.counts[arm], size=batch_size)
-    return Batch(arms=arms, examples=examples)
+def _probe_examples(registry: ArmRegistry, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+    """A round's ``(K, B)`` probe examples, row ``j`` drawn for arm ``j``.
 
-
-def _probe_batches(registry: ArmRegistry, batch_size: int, rng: np.random.Generator) -> list[Batch]:
-    """One single-arm batch per arm, in arm order: ``_probe_batch`` per arm.
-
-    On a generator ``_pcg64_fits`` accepts, the whole round comes from one
-    ``random_raw`` call with the same values and generator state; a
-    rejected draw rewinds the generator and takes the per-arm loop.
+    Equals the per-arm loop below.  On a generator ``_pcg64_fits`` accepts,
+    the whole round comes from one ``random_raw`` call with the same values
+    and generator state; a rejected draw rewinds the generator and takes
+    the loop.
     """
     k = registry.num_arms
     if _pcg64_fits(rng, registry.counts):
@@ -183,41 +177,42 @@ def _probe_batches(registry: ArmRegistry, batch_size: int, rng: np.random.Genera
         start = bit_gen.state
         # One raw gives two 32-bit draws; a buffered half gives the first.
         words = bit_gen.random_raw((k * batch_size - start["has_uint32"] + 1) // 2)
-        arms = np.arange(k).repeat(batch_size)
-        examples = _pcg64_integers(bit_gen, start, words, registry.counts, arms)
+        examples = _pcg64_integers(bit_gen, start, words, registry.counts, np.arange(k).repeat(batch_size))
         if examples is not None:
-            arms, examples = arms.reshape(k, batch_size), examples.reshape(k, batch_size)
-            return [Batch(arms=arms[a], examples=examples[a]) for a in range(k)]
-    return [_probe_batch(a, registry, batch_size, rng) for a in range(k)]
+            return examples.reshape(k, batch_size)
+    return np.stack([rng.integers(0, c, size=batch_size) for c in registry.counts])
 
 
 def lookahead_round(
     learner: Learner,
     registry: ArmRegistry,
-    state: QState,
+    q: np.ndarray,
     cfg: BanditConfig,
     learning_rate: float,
     rng: np.random.Generator,
     reward_kind: RewardKind = "delta_loss",
 ) -> np.ndarray:
-    """Probe every arm once, update ``state.q`` in place, return the rewards.
+    """Probe every arm once, update the estimates ``q`` in place, return the rewards.
 
-    Draws one single-arm probe batch per arm from ``rng``, in arm order, then
-    has ``learner.probe`` measure each before and after a virtual step, and
-    scores all arms in one pass.  Returns the round's ``(K,)`` float64
-    rewards in arm order.  The estimates change only after the whole round
-    has been checked and scored, so a failed round leaves ``state``
-    untouched.
+    ``q`` must be a finite float64 array of shape ``(K,)``.  Draws a row of
+    probe examples per arm from ``rng``, has ``learner.probe`` measure each
+    before and after a virtual step, and scores all arms in one pass.
+    Returns the round's ``(K,)`` float64 rewards in arm order.  ``q``
+    changes only after the whole round has been checked and scored, so a
+    failed round leaves it untouched.
     """
     if reward_kind not in ("delta_loss", "delta_entropy"):
         raise ValueError(f"unknown reward kind {reward_kind!r}")
-    if state.num_arms != registry.num_arms or state.num_arms != cfg.num_arms:
-        raise ValueError("state, registry, and config disagree on the number of arms")
+    k = registry.num_arms
+    if cfg.num_arms != k:
+        raise ValueError("registry and config disagree on the number of arms")
+    if not (isinstance(q, np.ndarray) and q.dtype == np.float64 and q.shape == (k,) and np.isfinite(q).all()):
+        raise ValueError(f"q must be a finite float64 array of shape ({k},)")
     entropy = reward_kind == "delta_entropy"
     what = "entropies" if entropy else "losses"
 
-    batches = _probe_batches(registry, cfg.batch_size, rng)
-    pres, posts = learner.probe(batches, learning_rate, entropy=entropy)
+    examples = _probe_examples(registry, cfg.batch_size, rng)
+    pres, posts = learner.probe(examples, learning_rate, entropy=entropy)
     # Score the round as one (K, B) pair; a ragged result cannot stack.
     try:
         pre = np.asarray(pres, dtype=np.float64)
@@ -225,7 +220,7 @@ def lookahead_round(
     except ValueError:
         raise _shape_error(what) from None
     rewards = _relative_drop(pre, post, cfg.epsilon, what, ndim=2)
-    if rewards.size != len(batches):
-        raise ValueError(f"probe returned {rewards.size} results for {len(batches)} batches")
-    state.q[:] = ema_update(state.q, rewards, cfg.alpha)
+    if pre.shape != examples.shape:
+        raise ValueError(f"probe returned shape {pre.shape} for examples of shape {examples.shape}")
+    q[:] = ema_update(q, rewards, cfg.alpha)
     return rewards

@@ -154,7 +154,8 @@ def run_experiment(
     """Execute one full run; optionally persist trace, summary, and world.
 
     ``seed`` overrides the config's seed.  With ``out_dir`` set, the run
-    writes ``trace.jsonl``, ``summary.json``, and ``world.json`` there.
+    writes ``trace.jsonl``, ``summary.json``, and ``world.json`` there; the
+    last two are removed first and written only when the run completes.
     """
     if seed is not None:
         cfg = cfg.with_seed(seed)
@@ -176,6 +177,9 @@ def run_experiment(
 
     writer = None
     if out_dir is not None:
+        # A crashed run must not leave its trace beside an earlier run's files.
+        for name in (SUMMARY_FILENAME, WORLD_FILENAME):
+            (Path(out_dir) / name).unlink(missing_ok=True)
         writer = TraceWriter(
             Path(out_dir) / TRACE_FILENAME,
             arm_names=registry.names,
@@ -188,7 +192,7 @@ def run_experiment(
     # their rows are built once per change and shared by every window until
     # the next one.
     dist = probabilities = None
-    q = tuple(policy.state.q.tolist())
+    q = tuple(policy.q.tolist())
     drawn = np.zeros(k, dtype=np.int64)
     try:
         first = 1
@@ -217,7 +221,7 @@ def run_experiment(
                 round_rewards = lookahead_round(
                     world,
                     registry,
-                    policy.state,
+                    policy.q,
                     bandit,
                     window_rates[-1],
                     reward_rng,
@@ -225,7 +229,7 @@ def run_experiment(
                 )
                 policy.apply_reward_round()
                 rewards = tuple(round_rewards.tolist())
-                q_after = tuple(policy.state.q.tolist())
+                q_after = tuple(policy.q.tolist())
             window = Window(first, last, probabilities, q, q_after, rewards)
             windows.append(window)
             if writer is not None:

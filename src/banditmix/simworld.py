@@ -229,13 +229,6 @@ class SimWorld(Learner):
     def transfer_matrix(self) -> np.ndarray:
         return self._transfer
 
-    def _check_batch(self, batch: Batch) -> None:
-        arms = batch.arms
-        if arms.size == 0:
-            raise ValueError("batch must be nonempty")
-        if arms.min() < 0 or arms.max() >= self._loss.size:
-            raise ValueError("batch refers to arms outside this world")
-
     def _jitter(self, arms: np.ndarray, examples: np.ndarray) -> np.ndarray | None:
         """Per-example observation jitter, or None for a noiseless world."""
         if self._noise_scale > 0:
@@ -250,13 +243,17 @@ class SimWorld(Learner):
         return np.maximum(per, 0.0)
 
     def loss(self, batch: Batch) -> np.ndarray:
-        self._check_batch(batch)
-        return self._observe(self._loss[batch.arms], self._jitter(batch.arms, batch.examples))
+        arms = batch.arms
+        if arms.size == 0:
+            raise ValueError("batch must be nonempty")
+        if arms.min() < 0 or arms.max() >= self._loss.size:
+            raise ValueError("batch refers to arms outside this world")
+        return self._observe(self._loss[arms], self._jitter(arms, batch.examples))
 
     def entropy(self, batch: Batch) -> np.ndarray:
         return ENTROPY_LOSS_RATIO * self.loss(batch)
 
-    def _apply_update(self, batch: Batch, learning_rate: float) -> None:
+    def train_step(self, batch: Batch, learning_rate: float) -> None:
         arms = batch.arms
         if arms.size == 0:
             raise ValueError("batch must be nonempty")
@@ -282,17 +279,14 @@ class SimWorld(Learner):
             gap = gap + self._noise_scale * learning_rate * self._rng.standard_normal(k)
         self._loss = self._floor + np.maximum(gap, 0.0)
 
-    def train_step(self, batch: Batch, learning_rate: float) -> None:
-        self._apply_update(batch, learning_rate)
-
     def train_steps(self, batch: Batch, learning_rates: Sequence[float]) -> None:
-        """``_apply_update`` on each row, with the arithmetic done per window.
+        """``train_step`` on each row, with the arithmetic done per window.
 
         The factor matrices of all steps are stacked and raised to their
         per-step counts at once, and the normals of all steps are drawn in
         one call, which yields the same numbers as one draw per step.  Only
         the clip and the floor, which depend on the previous step, stay in a
-        loop; every operation keeps ``_apply_update``'s order, so the result
+        loop; every operation keeps ``train_step``'s order, so the result
         matches it bit for bit.  A one-arm world (see ``probe``), a zero-rate
         step (it draws no normals) and invalid input take the generic loop.
         """
@@ -325,54 +319,53 @@ class SimWorld(Learner):
         self._loss = loss
 
     def probe(
-        self, batches: Sequence[Batch], learning_rate: float, entropy: bool = False
+        self, examples: np.ndarray, learning_rate: float, entropy: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
         """A whole reward round in one pass, without touching the world.
 
-        Each probe starts from the current state with the generator rewound,
-        so a step on a batch of ``n`` examples from arm ``j`` moves arm ``j``
-        to ``floor_j + max(gap_j * f_jj**n + noise * lr * z_j, 0)``, where
-        ``f`` is the clipped factor matrix of ``_apply_update`` and ``z`` the
+        ``examples`` must be an integer array of shape ``(K, B >= 1)``, row
+        ``j`` for arm ``j``; anything else raises ``ValueError``.  Each probe
+        starts from the current state with the generator rewound, so a step
+        on arm ``j``'s row moves arm ``j`` to
+        ``floor_j + max(gap_j * f_jj**B + noise * lr * z_j, 0)``, where ``f``
+        is the clipped factor matrix of ``train_step`` and ``z`` the
         normals it would draw.  Only arm ``j``'s loss is measured afterwards,
         and ``prod(f**onehot)`` equals the single factor exactly, so the
-        results match the generic loop bit for bit.  That needs equal-length
-        single-arm batches, as ``lookahead_round`` draws; anything else,
-        invalid input included, takes the generic loop.
+        results match the generic loop bit for bit.  An invalid rate takes
+        the generic loop, which raises.
 
-        A one-arm world takes the generic loop too: there ``_apply_update``
+        A one-arm world takes the generic loop too: there ``train_step``
         raises a (1, 1) factor matrix to a one-entry count vector, and numpy
         evaluates that broadcast power as a scalar one, whose shortcut for
         an exponent of 2 can differ from ``pow`` in the last bit.
         """
-        width = len(batches[0]) if batches else 0
-        ragged = width == 0 or any(len(b) != width for b in batches)
-        if ragged or self._loss.size == 1 or not 0.0 <= learning_rate < math.inf:
-            return super().probe(batches, learning_rate, entropy)
-        arms = np.stack([b.arms for b in batches])
-        heads = arms[:, 0]
-        mixed = (arms != heads[:, np.newaxis]).any()
-        if mixed or heads.min() < 0 or heads.max() >= self._loss.size:
-            return super().probe(batches, learning_rate, entropy)
+        examples = np.asarray(examples)
+        k = self._loss.size
+        shape_ok = examples.ndim == 2 and examples.shape[0] == k and examples.shape[1] >= 1
+        if not shape_ok or examples.dtype.kind not in "iu":
+            got = f"{examples.dtype} of shape {examples.shape}"
+            raise ValueError(f"probe examples must be integers of shape ({k}, B >= 1), got {got}")
+        if k == 1 or not 0.0 <= learning_rate < math.inf:
+            return super().probe(examples, learning_rate, entropy)
 
         # Before and after the step, each probe observes the same examples.
-        jitter = self._jitter(arms, np.stack([b.examples for b in batches]))
-        pre = self._observe(self._loss[arms], jitter)
+        width = examples.shape[1]
+        jitter = self._jitter(np.arange(k)[:, np.newaxis], examples)
+        pre = self._observe(np.broadcast_to(self._loss[:, np.newaxis], examples.shape), jitter)
         if learning_rate == 0.0:
             post = pre.copy()
         else:
-            # Same operation order as _apply_update; the exponent stays an
+            # Same operation order as train_step; the exponent stays an
             # array so numpy's scalar-power shortcuts never apply.
-            own = self._transfer[heads, heads]
-            factor = np.maximum(1.0 - learning_rate * own / width, 0.0)
-            n = np.full(heads.size, float(width))
-            gap = (self._loss[heads] - self._floor[heads]) * factor**n
+            factor = np.maximum(1.0 - learning_rate * np.diag(self._transfer) / width, 0.0)
+            gap = (self._loss - self._floor) * factor ** np.full(k, float(width))
             if self._noise_scale > 0:
                 state = self._rng.bit_generator.state
-                z = self._rng.standard_normal(self.num_arms)
+                z = self._rng.standard_normal(k)
                 self._rng.bit_generator.state = state
-                gap = gap + self._noise_scale * learning_rate * z[heads]
-            moved = self._floor[heads] + np.maximum(gap, 0.0)
-            post = self._observe(np.broadcast_to(moved[:, np.newaxis], arms.shape), jitter)
+                gap = gap + self._noise_scale * learning_rate * z
+            moved = self._floor + np.maximum(gap, 0.0)
+            post = self._observe(np.broadcast_to(moved[:, np.newaxis], examples.shape), jitter)
         if entropy:
             return ENTROPY_LOSS_RATIO * pre, ENTROPY_LOSS_RATIO * post
         return pre, post

@@ -77,9 +77,18 @@ class TraceRecord:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TraceRecord":
-        rewards = obj.get("rewards")
+        rewards, step = obj.get("rewards"), obj["step"]
+        # JSON gives exact types: a float or a boolean step is no step, and a
+        # row that is not a list would be read element by element.
+        if type(step) is not int:
+            raise ValueError(f"step must be an integer, got {step!r}")
+        for key in ("probabilities", "q", "cumulative_counts"):
+            if type(obj[key]) is not list:
+                raise ValueError(f"{key} must be a list, got {obj[key]!r}")
+        if rewards is not None and type(rewards) is not list:
+            raise ValueError(f"rewards must be a list or null, got {rewards!r}")
         return cls(
-            step=int(obj["step"]),
+            step=step,
             probabilities=tuple(obj["probabilities"]),
             q=tuple(obj["q"]),
             learning_rate=float(obj["learning_rate"]),

@@ -78,12 +78,16 @@ def check_mutate_restore_cycles(learner, num_arms, rng, cycles=1000, batch_size=
     assert np.array_equal(before, after)
 
 
-def check_probe_matches_default(learner, batches, lr, entropy=False):
+def check_probe_matches_default(learner, examples, lr, entropy=False):
     """An overridden probe() must return what the generic Learner.probe loop
-    returns, bit for bit, and leave the learner exactly as it found it."""
+    returns, bit for bit, and leave the learner exactly as it found it.
+
+    ``examples`` is a round's ``(K, B)`` array, row ``j`` for arm ``j``.
+    """
+    batches = [Batch(arms=np.full(len(row), arm), examples=row) for arm, row in enumerate(examples)]
     before = [np.asarray(learner.loss(b)) for b in batches]
     token = learner.snapshot()
-    pres, posts = learner.probe(batches, lr, entropy=entropy)
+    pres, posts = learner.probe(examples, lr, entropy=entropy)
     for batch, seen in zip(batches, before):
         assert np.array_equal(learner.loss(batch), seen)
     # Hidden state such as a generator shows up in the next real step.
@@ -93,7 +97,7 @@ def check_probe_matches_default(learner, batches, lr, entropy=False):
     learner.train_step(batches[0], lr)
     assert np.array_equal(learner.loss(batches[0]), stepped)
     learner.restore(token)
-    want_pres, want_posts = Learner.probe(learner, batches, lr, entropy=entropy)
+    want_pres, want_posts = Learner.probe(learner, examples, lr, entropy=entropy)
     assert len(pres) == len(posts) == len(batches)
     for got, want in zip([*pres, *posts], [*want_pres, *want_posts]):
         assert np.array_equal(got, want)

@@ -18,7 +18,7 @@ import pytest
 import scipy.stats
 
 from banditmix.config import ExperimentConfig
-from banditmix.mixture import BanditConfig, QState, boltzmann_probs, mixture_probs, sample_batch
+from banditmix.mixture import BanditConfig, boltzmann_probs, mixture_probs, sample_batch
 from banditmix.registry import builtin_registry
 from banditmix.rewards import delta_loss_reward, delta_entropy_reward, ema_update, lookahead_round
 from banditmix.runner import run_experiment
@@ -211,7 +211,7 @@ def test_criterion_04_learner_contract():
     cfg = BanditConfig(num_arms=16, total_steps=0, batch_size=32)
     probe = random_batch(16, 64, rng, max_example=100)
     before = np.asarray(world16.loss(probe))
-    lookahead_round(world16, registry, QState.initial(16), cfg, 0.1, np.random.default_rng(6))
+    lookahead_round(world16, registry, np.zeros(16), cfg, 0.1, np.random.default_rng(6))
     after = np.asarray(world16.loss(probe))
     drift = float(np.max(np.abs(after - before)))
     assert drift <= 1e-12

@@ -11,7 +11,7 @@ import banditmix
 from banditmix.cli import main
 from banditmix.config import ExperimentConfig
 from banditmix.runner import TRACE_FILENAME, run_experiment
-from banditmix.trace import EXPORT_KINDS, export_plot_data, read_trace
+from banditmix.trace import EXPORT_KINDS, TraceRecord, TraceWriter, export_plot_data, read_trace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = ("tulu_default", "deep_gap_world", "volatile_world")
@@ -339,6 +339,19 @@ class TestExportOfABadTrace:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: {trace}{message}")
+
+    def test_ill_typed_record_exits_3(self, tmp_path, capsys):
+        # Both values parse as JSON; the reader once took the string as one
+        # q entry per character and 1.7 as step 1, and export printed 1,z,z.
+        trace = tmp_path / TRACE_FILENAME
+        with TraceWriter(trace, arm_names=("a", "b"), seed=0, config_hash="0") as writer:
+            writer.write(TraceRecord(1, (0.5, 0.5), (0.0, 0.0), 0.1, (4, 4)))
+        header, line = trace.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = {**json.loads(line), "q": "zz", "step": 1.7}
+        trace.write_text(header + json.dumps(record) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["export", "--trace", str(trace), "--kind", "q_over_time"]) == 3
+        assert capsys.readouterr() == ("", f"error: {trace}:2: bad record: step must be an integer, got 1.7\n")
 
     def test_truncated_trace_exits_3_with_nothing_on_stdout(self, tmp_path, capsys):
         # What a killed writer leaves: the last record lacks its newline.

@@ -7,7 +7,6 @@ from banditmix.mixture import (
     BanditConfig,
     Batch,
     MixtureDistribution,
-    QState,
     boltzmann_probs,
     mixture_probs,
     prior_scaled_probs,
@@ -74,17 +73,6 @@ class TestBanditConfig:
         cfg = BanditConfig(num_arms=4, total_steps=100)
         with pytest.raises(AttributeError):
             cfg.beta = 2.0
-
-
-class TestQState:
-    def test_initial_is_zero(self):
-        state = QState.initial(5)
-        assert state.q.shape == (5,)
-        assert np.all(state.q == 0.0)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            QState(q=np.array([0.0, np.nan]))
 
 
 class TestMixtureDistribution:

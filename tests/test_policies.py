@@ -44,14 +44,20 @@ class TestPolicyKind:
 class TestMixturePolicy:
     def test_anchor_is_registry_prior(self, small_registry, cfg):
         policy = MixturePolicy(PolicyKind(variant="bandit"), small_registry, cfg)
-        expected = mixture_probs(policy.state.q, small_registry.prior, cfg)
+        expected = mixture_probs(policy.q, small_registry.prior, cfg)
         np.testing.assert_array_equal(policy.distribution().p, expected.p)
 
     def test_no_prior_anchor_is_uniform(self, small_registry, cfg):
         policy = MixturePolicy(PolicyKind(variant="bandit_no_prior"), small_registry, cfg)
         uniform = np.full(3, 1.0 / 3)
-        expected = mixture_probs(policy.state.q, uniform, cfg)
+        expected = mixture_probs(policy.q, uniform, cfg)
         np.testing.assert_array_equal(policy.distribution().p, expected.p)
+
+    @pytest.mark.parametrize("variant", ["bandit", "uniform"])
+    def test_estimates_start_at_zero(self, small_registry, cfg, variant):
+        policy = MixturePolicy(PolicyKind(variant=variant), small_registry, cfg)
+        assert policy.q.dtype == np.float64
+        assert policy.q.tolist() == [0.0, 0.0, 0.0]
 
     def test_no_prior_starts_exactly_uniform(self, small_registry, cfg):
         policy = MixturePolicy(PolicyKind(variant="bandit_no_prior"), small_registry, cfg)
@@ -84,7 +90,7 @@ class TestMixturePolicy:
         policy = MixturePolicy(PolicyKind(variant="bandit"), small_registry, cfg)
         before = policy.distribution()
         # mutating the estimates alone must not change the cached vector
-        policy.state.q[0] = 2.0
+        policy.q[0] = 2.0
         assert policy.distribution() is before
         policy.apply_reward_round()
         after = policy.distribution()
@@ -96,7 +102,7 @@ class TestMixturePolicy:
         for variant in ("uniform", "proportional"):
             policy = MixturePolicy(PolicyKind(variant=variant), small_registry, cfg)
             before = policy.distribution()
-            policy.state.q[0] = 2.0
+            policy.q[0] = 2.0
             policy.apply_reward_round()
             assert policy.distribution() is before
 
@@ -104,6 +110,6 @@ class TestMixturePolicy:
         # equal estimates shift nothing: the law is invariant to a common offset
         policy = MixturePolicy(PolicyKind(variant="bandit"), small_registry, cfg)
         before = policy.distribution().p.copy()
-        policy.state.q[:] = 0.7
+        policy.q[:] = 0.7
         policy.apply_reward_round()
         np.testing.assert_allclose(policy.distribution().p, before, atol=1e-12)

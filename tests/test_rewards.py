@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banditmix.mixture import BanditConfig, QState
+from banditmix.mixture import BanditConfig
 from banditmix.registry import ArmRegistry
 from banditmix.rewards import (
     Learner,
@@ -113,11 +113,11 @@ class TestEmaUpdate:
 
 
 class RecordingLearner(LinearLearner):
-    """``LinearLearner`` that keeps the batches its last probe was handed."""
+    """``LinearLearner`` that keeps the examples its last probe was handed."""
 
-    def probe(self, batches, learning_rate, entropy=False):
-        self.batches = list(batches)
-        return super().probe(batches, learning_rate, entropy)
+    def probe(self, examples, learning_rate, entropy=False):
+        self.examples = examples.copy()
+        return super().probe(examples, learning_rate, entropy)
 
 
 class TestLookaheadRound:
@@ -127,42 +127,41 @@ class TestLookaheadRound:
             num_arms=2, total_steps=0, alpha=alpha, update_interval=1, batch_size=4
         )
         learner = RecordingLearner(theta)
-        state = QState.initial(2)
-        return learner, registry, state, cfg
+        return learner, registry, np.zeros(2), cfg
 
     def test_rewards_match_hand_computed_response(self, rng):
         # probe batches are single-arm, so the toy moves theta_k down by
         # exactly the learning rate: r_k = lr / (theta_k + eps)
-        learner, registry, state, cfg = self.make_fixture()
+        learner, registry, q, cfg = self.make_fixture()
         lr = 0.5
-        rewards = lookahead_round(learner, registry, state, cfg, lr, rng)
+        rewards = lookahead_round(learner, registry, q, cfg, lr, rng)
         assert rewards.dtype == np.float64 and rewards.shape == (2,)
         for k, theta_k in enumerate((2.0, 4.0)):
             expected = lr / (theta_k + cfg.epsilon)
             assert rewards[k] == pytest.approx(expected, abs=1e-12)
 
     def test_visits_arms_in_registry_order(self, rng):
-        learner, registry, state, cfg = self.make_fixture(theta=(4.0, 2.0))
-        rewards = lookahead_round(learner, registry, state, cfg, 0.1, rng)
-        assert [b.arms.tolist() for b in learner.batches] == [[0] * 4, [1] * 4]
+        learner, registry, q, cfg = self.make_fixture(theta=(4.0, 2.0))
+        rewards = lookahead_round(learner, registry, q, cfg, 0.1, rng)
+        # one row of batch_size examples per arm, in arm order
+        assert learner.examples.shape == (2, 4)
+        assert learner.examples.dtype == np.int64
         # theta is reversed, so arm 1's relative drop is the larger
         assert rewards[0] < rewards[1]
 
     def test_estimates_updated_in_place(self, rng):
-        learner, registry, state, cfg = self.make_fixture(alpha=0.5)
-        q = state.q
-        rewards = lookahead_round(learner, registry, state, cfg, 0.5, rng)
-        assert state.q is q
-        assert state.q.tolist() == (0.5 * rewards).tolist()
+        learner, registry, q, cfg = self.make_fixture(alpha=0.5)
+        rewards = lookahead_round(learner, registry, q, cfg, 0.5, rng)
+        assert q.tolist() == (0.5 * rewards).tolist()
 
     def test_permanent_state_untouched(self, rng):
-        learner, registry, state, cfg = self.make_fixture()
+        learner, registry, q, cfg = self.make_fixture()
         before = learner.theta.copy()
-        lookahead_round(learner, registry, state, cfg, 0.5, rng)
+        lookahead_round(learner, registry, q, cfg, 0.5, rng)
         assert np.array_equal(learner.theta, before)
 
     def test_restore_runs_even_when_measurement_raises(self, rng):
-        learner, registry, state, cfg = self.make_fixture()
+        learner, registry, q, cfg = self.make_fixture()
 
         class Exploding(LinearLearner):
             def __init__(self, theta):
@@ -177,30 +176,33 @@ class TestLookaheadRound:
 
         exploding = Exploding((2.0, 4.0))
         before = exploding.theta.copy()
-        q_before = state.q.copy()
+        q_before = q.copy()
         with pytest.raises(RuntimeError):
-            lookahead_round(exploding, registry, state, cfg, 0.5, rng)
+            lookahead_round(exploding, registry, q, cfg, 0.5, rng)
         # the virtual step was rolled back and no partial estimates leaked
         assert np.array_equal(exploding.theta, before)
-        assert np.array_equal(state.q, q_before)
+        assert np.array_equal(q, q_before)
 
     def test_probe_batches_come_from_given_stream(self):
-        learner, registry, state, cfg = self.make_fixture()
-        r1 = lookahead_round(learner, registry, state, cfg, 0.1, np.random.default_rng(3))
-        learner2, _, state2, _ = self.make_fixture()
-        r2 = lookahead_round(learner2, registry, state2, cfg, 0.1, np.random.default_rng(3))
+        learner, registry, q, cfg = self.make_fixture()
+        r1 = lookahead_round(learner, registry, q, cfg, 0.1, np.random.default_rng(3))
+        learner2, _, q2, _ = self.make_fixture()
+        r2 = lookahead_round(learner2, registry, q2, cfg, 0.1, np.random.default_rng(3))
         assert r1.tolist() == r2.tolist()
-        for a, b in zip(learner.batches, learner2.batches):
-            assert np.array_equal(a.arms, b.arms) and np.array_equal(a.examples, b.examples)
+        assert np.array_equal(learner.examples, learner2.examples)
+        # row j is arm j's draw from the stream, arm after arm
+        stream = np.random.default_rng(3)
+        expected = [stream.integers(0, count, size=4) for count in registry.counts]
+        assert np.array_equal(learner.examples, expected)
         # the rewards are the relative drops of what probe measured on them
-        pres, posts = learner.probe(learner.batches, 0.1)
+        pres, posts = learner.probe(learner.examples, 0.1)
         for k in range(2):
             assert r1[k] == delta_loss_reward(pres[k], posts[k], cfg.epsilon)
 
     def test_entropy_kind_uses_entropy_channel(self, rng):
-        learner, registry, state, cfg = self.make_fixture()
+        learner, registry, q, cfg = self.make_fixture()
         rewards = lookahead_round(
-            learner, registry, state, cfg, 0.5, rng, reward_kind="delta_entropy"
+            learner, registry, q, cfg, 0.5, rng, reward_kind="delta_entropy"
         )
         # toy entropy is half the loss, and the relative drop is scale-free
         # up to epsilon, so the reward stays close to the loss-based one
@@ -209,25 +211,54 @@ class TestLookaheadRound:
             assert rewards[k] == pytest.approx(expected, abs=1e-12)
 
     def test_unknown_reward_kind_rejected(self, rng):
-        learner, registry, state, cfg = self.make_fixture()
+        learner, registry, q, cfg = self.make_fixture()
         with pytest.raises(ValueError):
-            lookahead_round(learner, registry, state, cfg, 0.1, rng, reward_kind="nope")
+            lookahead_round(learner, registry, q, cfg, 0.1, rng, reward_kind="nope")
 
     def test_arm_count_mismatch_rejected(self, rng):
-        learner, registry, state, cfg = self.make_fixture()
-        bad_state = QState.initial(3)
+        learner, registry, _, cfg = self.make_fixture()
         with pytest.raises(ValueError):
-            lookahead_round(learner, registry, bad_state, cfg, 0.1, rng)
+            lookahead_round(learner, registry, np.zeros(3), cfg, 0.1, rng)
+        three = BanditConfig(num_arms=3, total_steps=0, update_interval=1, batch_size=4)
+        with pytest.raises(ValueError, match="disagree"):
+            lookahead_round(learner, registry, np.zeros(2), three, 0.1, rng)
+
+
+BAD_Q = {
+    "list": [0.0, 0.0],
+    "float32": np.zeros(2, dtype=np.float32),
+    "int": np.zeros(2, dtype=np.int64),
+    "column": np.zeros((2, 1)),
+    "short": np.zeros(1),
+    "nan": np.array([0.0, np.nan]),
+    "inf": np.array([np.inf, 0.0]),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_Q))
+def test_bad_q_rejected_before_drawing(bad):
+    """``q`` is checked where it enters: a round with bad estimates raises
+    before it draws from the reward stream or probes the learner."""
+    learner, registry, _, cfg = TestLookaheadRound().make_fixture()
+    q = BAD_Q[bad]
+    before = np.array(q, copy=True)
+    rng = np.random.default_rng(0)
+    rng_before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="q"):
+        lookahead_round(learner, registry, q, cfg, 0.1, rng)
+    assert rng.bit_generator.state == rng_before
+    assert not hasattr(learner, "examples")
+    assert np.array_equal(np.asarray(q), before, equal_nan=True)
 
 
 class FixedProbe(Learner):
-    """Hands ``lookahead_round`` a given probe result, whatever the batches."""
+    """Hands ``lookahead_round`` a given probe result, whatever the examples."""
 
     def __init__(self, pres, posts):
         self.pres, self.posts = pres, posts
 
-    def probe(self, batches, learning_rate, entropy=False):
-        self.batches = list(batches)
+    def probe(self, examples, learning_rate, entropy=False):
+        self.examples = examples
         return self.pres, self.posts
 
     def snapshot(self):
@@ -271,22 +302,21 @@ def test_one_pass_round_matches_per_arm_loop(k, b, epsilon, alpha, entropy, seed
     post = pre * rng.uniform(0.0, 1.2, size=(k, b))
     q0 = rng.uniform(-1.0, 1.0, size=k)
     registry, cfg = fixed_round(k, b, epsilon, alpha)
-    state = QState(q=q0.copy())
+    q = q0.copy()
     kind = "delta_entropy" if entropy else "delta_loss"
     # The learner returns per-arm lists, as the generic probe does.
     learner = FixedProbe(list(pre), list(post))
     rewards = lookahead_round(
-        learner, registry, state, cfg, 0.1, np.random.default_rng(0), reward_kind=kind
+        learner, registry, q, cfg, 0.1, np.random.default_rng(0), reward_kind=kind
     )
     assert rewards.dtype == np.float64 and rewards.shape == (k,)
-    # probe was handed one single-arm batch of b per arm, in arm order
-    assert [b_.arms.tolist() for b_ in learner.batches] == [[arm] * b for arm in range(k)]
+    # probe was handed one row of b examples per arm, in arm order
+    assert learner.examples.shape == (k, b)
     score = delta_entropy_reward if entropy else delta_loss_reward
     for arm in range(k):
         reward = score(pre[arm], post[arm], epsilon)
-        q = ema_update(float(q0[arm]), reward, alpha)
         assert rewards[arm] == reward
-        assert state.q[arm] == q
+        assert q[arm] == ema_update(float(q0[arm]), reward, alpha)
 
 
 def test_array_ema_matches_scalar_calls():
@@ -308,8 +338,10 @@ BAD_PROBES = {
     "empty_rows": ([np.array([]), np.array([])], [np.array([]), np.array([])], "equal-length"),
     "nan": (GOOD, [np.array([1.0, np.nan]), np.array([2.0, 3.0])], "finite"),
     "negative_pre": ([np.array([2.0, -1.0]), GOOD[1]], GOOD, "nonnegative"),
-    "one_result_short": (GOOD[:1], GOOD[:1], "results for 2 batches"),
-    "one_result_long": (GOOD * 2, GOOD * 2, "results for 2 batches"),
+    "one_result_short": (GOOD[:1], GOOD[:1], r"shape \(1, 2\) for examples of shape \(2, 2\)"),
+    "one_result_long": (GOOD * 2, GOOD * 2, r"shape \(4, 2\) for examples of shape \(2, 2\)"),
+    # one result per arm, each of the wrong length
+    "wrong_width": ([np.ones(3)] * 2, [np.ones(3)] * 2, r"shape \(2, 3\) for examples of shape \(2, 2\)"),
 }
 
 
@@ -318,9 +350,9 @@ BAD_PROBES = {
 def test_invalid_probe_result_rejected_and_state_untouched(bad, kind):
     pres, posts, message = BAD_PROBES[bad]
     registry, cfg = fixed_round(2, 2)
-    state = QState(q=np.array([0.25, -0.5]))
+    q = np.array([0.25, -0.5])
     with pytest.raises(ValueError, match=message):
         lookahead_round(
-            FixedProbe(pres, posts), registry, state, cfg, 0.1, np.random.default_rng(0), reward_kind=kind
+            FixedProbe(pres, posts), registry, q, cfg, 0.1, np.random.default_rng(0), reward_kind=kind
         )
-    assert state.q.tolist() == [0.25, -0.5]
+    assert q.tolist() == [0.25, -0.5]

@@ -7,7 +7,7 @@ import pytest
 
 from banditmix import runner
 from banditmix.config import ConfigError, ExperimentConfig, load_config
-from banditmix.mixture import MixtureDistribution
+from banditmix.mixture import Batch, MixtureDistribution
 from banditmix.registry import builtin_registry
 from banditmix.simworld import SimWorld, build_world
 from banditmix.runner import (
@@ -168,6 +168,47 @@ class TestRunExperiment:
         assert sorted(p.name for p in tmp_path.iterdir()) == [SUMMARY_FILENAME, TRACE_FILENAME]
         summary = json.loads((tmp_path / SUMMARY_FILENAME).read_text(encoding="utf-8"))
         assert summary == json.loads(json.dumps(clean.summary.to_dict()))
+
+    def test_crashed_run_leaves_no_stale_summary_or_world(self, tmp_path, monkeypatch):
+        # A summary and world from an earlier run in the same directory must
+        # not outlive a later run that crashes, or they would sit beside a
+        # trace of a different run.
+        cfg = load_config(CONFIGS / "volatile_world.json")
+        run_experiment(cfg, seed=0, out_dir=tmp_path)
+        assert (tmp_path / SUMMARY_FILENAME).exists() and (tmp_path / WORLD_FILENAME).exists()
+        rounds = []
+        lookahead_round = runner.lookahead_round
+
+        def failing_round(*args, **kwargs):
+            rounds.append(1)
+            if len(rounds) == 5:
+                raise RuntimeError("round failed")
+            return lookahead_round(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "lookahead_round", failing_round)
+        with pytest.raises(RuntimeError, match="round failed"):
+            run_experiment(cfg, seed=1, out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [TRACE_FILENAME]
+        # The four windows before the failed round are whole records.
+        header, records = read_trace(tmp_path / TRACE_FILENAME)
+        assert header["seed"] == 1
+        assert [r.step for r in records] == list(range(1, 41))
+
+    def test_reward_rounds_build_no_batch(self, monkeypatch):
+        # Each window's draw builds one Batch; a reward round hands its probe
+        # examples over as one (K, B) array and builds none.
+        built = []
+        post_init = Batch.__post_init__
+
+        def counted(batch):
+            built.append(1)
+            post_init(batch)
+
+        monkeypatch.setattr(Batch, "__post_init__", counted)
+        result = run_experiment(load_config(CONFIGS / "volatile_world.json"))
+        assert result.resolved.config.policy.adaptive
+        assert sum(w.rewards is not None for w in result.windows) == 20
+        assert len(built) == len(result.windows)
 
     def test_zero_step_run(self):
         cfg = small_cfg(bandit={"total_steps": 0})

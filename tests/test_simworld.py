@@ -50,6 +50,11 @@ def single_arm_batch(arm, size, num_examples=1000, seed=0):
     )
 
 
+def probe_examples(num_arms, size, num_examples=1000, seed=0):
+    """A reward round's ``(K, B)`` probe examples, row ``j`` for arm ``j``."""
+    return np.random.default_rng(seed).integers(0, num_examples, size=(num_arms, size))
+
+
 class TestLrSchedule:
     def test_warmup_ramps_linearly(self):
         sched = LrSchedule(base_rate=1.0, total_steps=100, warmup_fraction=0.1)
@@ -406,6 +411,20 @@ BAD_BATCHES = {
 }
 
 
+BAD_PROBE_EXAMPLES = {
+    "empty": np.zeros((3, 0), dtype=np.int64),
+    "too_few_rows": probe_examples(2, 4),
+    # The fourth row would be an arm past the last.
+    "arm_past_last": probe_examples(4, 4),
+    # Must be refused before anything is sized or read by the row count:
+    # a zero-stride view, 2**40 rows over one row of memory.
+    "arm_far_past_last": np.broadcast_to(probe_examples(1, 4), (2**40, 4)),
+    "one_d": probe_examples(1, 12)[0],
+    "three_d": probe_examples(3, 4).reshape(3, 2, 2),
+    "float_dtype": probe_examples(3, 4).astype(np.float64),
+}
+
+
 class TestBatchChecks:
     @pytest.mark.parametrize("bad", sorted(BAD_BATCHES))
     @pytest.mark.parametrize("call", ["loss", "entropy", "train_step"])
@@ -417,15 +436,15 @@ class TestBatchChecks:
             getattr(world, call)(*args)
         assert world.state_dict() == state_before
 
-    @pytest.mark.parametrize("bad", sorted(BAD_BATCHES))
+    @pytest.mark.parametrize("bad", sorted(BAD_PROBE_EXAMPLES))
     @pytest.mark.parametrize("entropy", [False, True])
     def test_bad_batch_rejected_by_probe(self, bad, entropy):
-        # The bad batch comes after a good one: the round fails as a whole
-        # and leaves the world as it was.
+        # A 3-arm world takes one row per arm: any other shape, or a dtype
+        # other than an integer one, is refused before the world is read.
         world = make_world(num_arms=3, noise_scale=0.2)
         state_before = world.state_dict()
-        with pytest.raises(ValueError):
-            world.probe([single_arm_batch(0, 4), BAD_BATCHES[bad]], 0.1, entropy=entropy)
+        with pytest.raises(ValueError, match="shape"):
+            world.probe(BAD_PROBE_EXAMPLES[bad], 0.1, entropy=entropy)
         assert world.state_dict() == state_before
 
     @pytest.mark.parametrize("lr", [-0.1, float("nan"), float("inf")])
@@ -433,7 +452,7 @@ class TestBatchChecks:
         world = make_world(num_arms=3, noise_scale=0.2)
         state_before = world.state_dict()
         with pytest.raises(ValueError):
-            world.probe([single_arm_batch(0, 4), single_arm_batch(1, 4)], lr)
+            world.probe(probe_examples(3, 4), lr)
         assert world.state_dict() == state_before
 
 
@@ -448,10 +467,10 @@ def test_probe_hashes_the_jitter_once(monkeypatch):
         return original(*args)
 
     world = make_world(noise_scale=0.3)
-    batches = [single_arm_batch(a, 16, seed=a) for a in range(3)]
-    expected = Learner.probe(make_world(noise_scale=0.3), batches, 0.2)
+    examples = probe_examples(3, 16)
+    expected = Learner.probe(make_world(noise_scale=0.3), examples, 0.2)
     monkeypatch.setattr(simworld, "_jitter_uniform", counted)
-    pres, posts = world.probe(batches, 0.2)
+    pres, posts = world.probe(examples, 0.2)
     assert len(calls) == 1
     assert np.array_equal(pres, expected[0]) and np.array_equal(posts, expected[1])
 
@@ -464,18 +483,15 @@ def test_probe_hashes_the_jitter_once(monkeypatch):
     noise=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
     transfer=st.one_of(st.none(), st.floats(0.0, 0.05)),
     entropy=st.booleans(),
-    extra=st.integers(0, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(k=1, width=1, lr=0.0, noise=0.3, transfer=None, entropy=False, extra=0, seed=0)
-@example(k=3, width=1, lr=1.5, noise=0.0, transfer=0.05, entropy=False, extra=0, seed=1)
-@example(k=4, width=2, lr=2.5, noise=0.4, transfer=None, entropy=True, extra=2, seed=2)
+@example(k=1, width=1, lr=0.0, noise=0.3, transfer=None, entropy=False, seed=0)
+@example(k=3, width=1, lr=1.5, noise=0.0, transfer=0.05, entropy=False, seed=1)
+@example(k=4, width=2, lr=2.5, noise=0.4, transfer=None, entropy=True, seed=2)
 # One arm, two examples: the world's own step squares the factor through
 # numpy's scalar-exponent shortcut, which differs from pow in the last bit.
-@example(
-    k=1, width=2, lr=0.12699137774989258, noise=0.0, transfer=None, entropy=False, extra=0, seed=17038255
-)
-def test_probe_matches_generic_loop(k, width, lr, noise, transfer, entropy, extra, seed):
+@example(k=1, width=2, lr=0.12699137774989258, noise=0.0, transfer=None, entropy=False, seed=17038255)
+def test_probe_matches_generic_loop(k, width, lr, noise, transfer, entropy, seed):
     """SimWorld's one-pass probe equals Learner.probe's per-batch loop bit for
     bit and changes neither the losses nor the generator."""
     rng = np.random.default_rng(seed)
@@ -494,24 +510,21 @@ def test_probe_matches_generic_loop(k, width, lr, noise, transfer, entropy, extr
     # Move off the initial state so gaps differ and the generator has advanced.
     for _ in range(2):
         world.train_step(random_batch(k, 8, rng), 0.2)
-    # One batch per arm in arm order, as a reward round draws them, plus
-    # repeats of random arms.
-    arms = [*range(k), *rng.integers(0, k, size=extra)]
     loss_before = world.loss_vector
     rng_before = sim_rng.bit_generator.state
     # Hypothesis favours round numbers; a drawn rate and width exercise
     # rounding as well.
     for rate, size in ((lr, width), (rng.uniform(0.0, 3.0), int(rng.integers(3, 65)))):
-        batches = [single_arm_batch(int(a), size, seed=seed + i) for i, a in enumerate(arms)]
-        world.probe(batches, rate, entropy=entropy)
+        examples = probe_examples(k, size, seed=seed)
+        world.probe(examples, rate, entropy=entropy)
         assert np.array_equal(world.loss_vector, loss_before)
         assert sim_rng.bit_generator.state == rng_before
-        check_probe_matches_default(world, batches, rate, entropy=entropy)
+        check_probe_matches_default(world, examples, rate, entropy=entropy)
 
 
 def test_probe_clipped_factor_drives_gap_to_zero():
     # lr * T_jj / B > 1 clips the factor to 0: the probed arm lands on its floor.
     world = make_world(num_arms=2, floor=0.5)
-    pres, posts = world.probe([single_arm_batch(0, 1), single_arm_batch(1, 1)], 1.5)
+    pres, posts = world.probe(probe_examples(2, 1), 1.5)
     np.testing.assert_array_equal(posts, [[0.5], [0.5]])
     np.testing.assert_array_equal(pres, [[3.0], [3.0]])

@@ -291,9 +291,14 @@ BAD_LINES = {
         json.dumps({k: v for k, v in RECORD_3.items() if k != "learning_rate"}),
         "missing key 'learning_rate'",
     ),
-    "wrong type": (json.dumps({**RECORD_3, "cumulative_counts": 7}), "'int' object is not iterable"),
+    "wrong type": (json.dumps({**RECORD_3, "cumulative_counts": 7}), "cumulative_counts must be a list, got 7"),
     "null value": (json.dumps({**RECORD_3, "learning_rate": None}), "float() argument must be"),
-    "bad integer": (json.dumps({**RECORD_3, "step": "three"}), "invalid literal for int()"),
+    "bad integer": (json.dumps({**RECORD_3, "step": "three"}), "step must be an integer, got 'three'"),
+    "float step": (json.dumps({**RECORD_3, "step": 3.5}), "step must be an integer, got 3.5"),
+    "boolean step": (json.dumps({**RECORD_3, "step": True}), "step must be an integer, got True"),
+    "string row": (json.dumps({**RECORD_3, "q": "zz"}), "q must be a list, got 'zz'"),
+    "object row": (json.dumps({**RECORD_3, "probabilities": {"a": 1.0}}), "probabilities must be a list, got {'a': 1.0}"),
+    "string rewards": (json.dumps({**RECORD_3, "rewards": "zz"}), "rewards must be a list or null, got 'zz'"),
 }
 
 

@@ -20,7 +20,7 @@ from banditmix.config import ExperimentConfig, load_config
 from banditmix.mixture import Batch, MixtureDistribution, _pcg64_window, sample_batch
 from banditmix.policies import MixturePolicy
 from banditmix.registry import ArmRegistry
-from banditmix.rewards import Learner, _probe_batch, _probe_batches, lookahead_round
+from banditmix.rewards import Learner, _probe_examples, lookahead_round
 from banditmix.simworld import WorldParams, build_world
 from banditmix.trace import TraceRecord
 
@@ -131,12 +131,10 @@ def test_window_draw_matches_loop(k, batch_size, steps, held, top, seed):
 
 def assert_probe_draw_matches_loop(reg, batch_size, loop_rng, round_rng):
     assert state(round_rng) == state(loop_rng)
-    loop = [_probe_batch(a, reg, batch_size, loop_rng) for a in range(reg.num_arms)]
-    batches = _probe_batches(reg, batch_size, round_rng)
-    assert len(batches) == len(loop)
-    for got, want in zip(batches, loop):
-        assert np.array_equal(got.arms, want.arms)
-        assert np.array_equal(got.examples, want.examples)
+    loop = [loop_rng.integers(0, count, size=batch_size) for count in reg.counts]
+    examples = _probe_examples(reg, batch_size, round_rng)
+    assert examples.shape == (reg.num_arms, batch_size) and examples.dtype == np.int64
+    assert np.array_equal(examples, loop)
     assert state(round_rng) == state(loop_rng)
 
 
@@ -159,7 +157,7 @@ def took_one_draw(results):
 
 
 class TestProbeRoundDraw:
-    """A reward round's K probe batches from one ``random_raw`` call."""
+    """A reward round's ``(K, B)`` probe examples from one ``random_raw`` call."""
 
     @pytest.mark.parametrize("batch_size", [1, 2, 5, 128])
     @pytest.mark.parametrize("held", [False, True])
@@ -345,12 +343,12 @@ def one_step_run(cfg):
         rewards = None
         if policy.adaptive and step % bandit.update_interval == 0:
             rewards = lookahead_round(
-                world, registry, policy.state, bandit, lr, reward_rng, cfg.policy.reward_kind
+                world, registry, policy.q, bandit, lr, reward_rng, cfg.policy.reward_kind
             )
             rewards = tuple(rewards.tolist())
             policy.apply_reward_round()
         records.append(
-            TraceRecord(step, probabilities, tuple(policy.state.q.tolist()), lr, tuple(counts.tolist()), rewards)
+            TraceRecord(step, probabilities, tuple(policy.q.tolist()), lr, tuple(counts.tolist()), rewards)
         )
     return records, world.state_dict()
 
