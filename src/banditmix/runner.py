@@ -16,9 +16,9 @@ as one call per step.  A long interval is split into windows of at most
 
 The run keeps its history as columns: the cumulative draws per arm and the
 learning rate of every step, plus one ``Window`` per window with the rows
-that change only between windows.  Records are built from them when a trace
-is written or ``RunResult.records`` is first read, and the summary comes
-from the columns alone.
+that change only between windows.  The trace is written from them one window
+at a time, records are built only when ``RunResult.records`` is first read,
+and the summary comes from the columns alone.
 
 Randomness is split into four independent streams derived from the run seed:
 training-batch sampling, reward-batch sampling, world initialization, and
@@ -31,7 +31,6 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +50,7 @@ from .trace import (
     RunSummary,
     TraceRecord,
     TraceWriter,
+    Window,
     save_world_checkpoint,
     summarize_columns,
     write_json_atomic,
@@ -78,23 +78,6 @@ WINDOW_DRAWS = 1 << 16
 TRACE_FILENAME = "trace.jsonl"
 SUMMARY_FILENAME = "summary.json"
 WORLD_FILENAME = "world.json"
-
-
-class Window(NamedTuple):
-    """Steps ``first`` to ``last`` of a run, which share one distribution.
-
-    Every step of the window samples from ``probabilities``.  The estimates
-    are ``q`` until the reward round after step ``last``, if one runs, and
-    ``q_after`` (the same row when none ran) from then on; ``rewards`` are
-    that round's rewards, or None.
-    """
-
-    first: int
-    last: int
-    probabilities: tuple[float, ...]
-    q: tuple[float, ...]
-    q_after: tuple[float, ...]
-    rewards: tuple[float, ...] | None
 
 
 def _window_records(window: Window, counts: np.ndarray, rates: np.ndarray) -> list[TraceRecord]:
@@ -233,8 +216,7 @@ def run_experiment(
             window = Window(first, last, probabilities, q, q_after, rewards)
             windows.append(window)
             if writer is not None:
-                for record in _window_records(window, counts, rates):
-                    writer.write(record)
+                writer.write(window, block, rates[first - 1 : last])
                 writer.flush()
             q = q_after
             first = last + 1

@@ -4,6 +4,8 @@ A trace file starts with a single header object naming the schema version,
 the arm order, the seed, and the config hash; every following line is one
 per-step record.  Floats are written with Python's shortest round-trip
 representation, so reading a trace back reproduces the arrays bit for bit.
+A run writes its trace one ``Window`` at a time, from the window's blocks of
+its counts and learning-rate columns.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,6 +27,7 @@ __all__ = [
     "EXPORT_KINDS",
     "TraceRecord",
     "TraceWriter",
+    "Window",
     "iter_trace",
     "read_trace",
     "RunSummary",
@@ -38,6 +41,7 @@ SCHEMA_VERSION = 1
 TRACE_KIND = "banditmix-trace"
 
 EXPORT_KINDS = ("proportions_over_time", "instance_coverage", "q_over_time")
+_NUMBERS, _INTS = frozenset((int, float)), frozenset((int,))
 
 
 @dataclass(frozen=True)
@@ -59,14 +63,11 @@ class TraceRecord:
     wall_time_ms: int = 0
 
     def to_json_obj(self) -> dict:
-        return self._json_obj(list(self.probabilities), list(self.q))
-
-    def _json_obj(self, probabilities, q) -> dict:
-        # The one place that fixes a trace line's keys and their order.
+        # A trace line's keys in order; ``TraceWriter.write`` spells it out.
         obj = {
             "step": self.step,
-            "probabilities": probabilities,
-            "q": q,
+            "probabilities": list(self.probabilities),
+            "q": list(self.q),
             "learning_rate": self.learning_rate,
             "cumulative_counts": list(self.cumulative_counts),
             "wall_time_ms": self.wall_time_ms,
@@ -78,44 +79,60 @@ class TraceRecord:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TraceRecord":
         rewards, step = obj.get("rewards"), obj["step"]
-        # JSON gives exact types: a float or a boolean step is no step, and a
-        # row that is not a list would be read element by element.
+        # JSON gives exact types: a float or boolean step is no step, a row not a
+        # list would be read element by element, and true, "z" or null is no number.
         if type(step) is not int:
             raise ValueError(f"step must be an integer, got {step!r}")
-        for key in ("probabilities", "q", "cumulative_counts"):
-            if type(obj[key]) is not list:
-                raise ValueError(f"{key} must be a list, got {obj[key]!r}")
+        probabilities, q, counts = obj["probabilities"], obj["q"], obj["cumulative_counts"]
+        lr = obj["learning_rate"]
         if rewards is not None and type(rewards) is not list:
             raise ValueError(f"rewards must be a list or null, got {rewards!r}")
+        for key, row, kinds in (
+            ("probabilities", probabilities, _NUMBERS), ("q", q, _NUMBERS),
+            ("cumulative_counts", counts, _INTS), ("rewards", rewards or [], _NUMBERS),
+        ):
+            if type(row) is not list:
+                raise ValueError(f"{key} must be a list, got {row!r}")
+            if not kinds.issuperset(map(type, row)):
+                noun = "integers" if kinds is _INTS else "numbers"
+                raise ValueError(f"{key} must hold only {noun}, got {row!r}")
+        if type(lr) not in _NUMBERS:
+            raise ValueError(f"learning_rate must be a number, got {lr!r}")
         return cls(
             step=step,
-            probabilities=tuple(obj["probabilities"]),
-            q=tuple(obj["q"]),
-            learning_rate=float(obj["learning_rate"]),
-            cumulative_counts=tuple(int(c) for c in obj["cumulative_counts"]),
+            probabilities=tuple(probabilities),
+            q=tuple(q),
+            learning_rate=float(lr),
+            cumulative_counts=tuple(counts),
             rewards=None if rewards is None else tuple(rewards),
             wall_time_ms=int(obj.get("wall_time_ms", 0)),
         )
 
 
-# Stand-ins for the two rows in ``TraceWriter.write``, spliced out again by
-# ``str.replace``; encoded, each is a JSON string no number can contain.
-_PROBS_MARK = "\x00probabilities"
-_Q_MARK = "\x00q"
-_PROBS_MARK_JSON = json.dumps(_PROBS_MARK)
-_Q_MARK_JSON = json.dumps(_Q_MARK)
+class Window(NamedTuple):
+    """Steps ``first`` to ``last`` of a run, which share one distribution.
+
+    Every step of the window samples from ``probabilities``.  The estimates
+    are ``q`` until the reward round after step ``last``, if one runs, and
+    ``q_after`` (the same row when none ran) from then on; ``rewards`` are
+    that round's rewards, or None.
+    """
+
+    first: int
+    last: int
+    probabilities: tuple[float, ...]
+    q: tuple[float, ...]
+    q_after: tuple[float, ...]
+    rewards: tuple[float, ...] | None
 
 
 class TraceWriter:
-    """Streams records to a JSONL file, header first.
+    """Streams a run's records to a JSONL file, header first, a window at a time.
 
-    Lines are buffered until ``flush`` or the writer closes; each is written
-    whole, so a run that raises leaves a file of whole records.
-
-    ``probabilities`` and ``q`` change only at a reward round, and the run
-    loop hands the same tuple to every record in between, so the JSON text of
-    the last tuple of each is kept and reused while the same object comes
-    back.  Every line equals ``json.dumps(record.to_json_obj())``.
+    Lines are buffered until ``flush`` or the writer closes; a window's lines
+    are written whole or not at all, so a run that raises leaves a file of
+    whole records.  Every line equals ``json.dumps(record.to_json_obj())`` of
+    the matching record, with ``wall_time_ms`` 0.
     """
 
     def __init__(self, path: str | Path, arm_names: tuple[str, ...], seed: int, config_hash: str):
@@ -123,9 +140,6 @@ class TraceWriter:
         self.arm_names = tuple(arm_names)
         self._fh: io.TextIOBase | None = None
         self._last_step = -1
-        # field -> (last row object, its JSON text); holding the row keeps
-        # its id from being reused by a different tuple.
-        self._rows: dict[str, tuple[object, str]] = {}
         self._header = {
             "schema_version": SCHEMA_VERSION,
             "kind": TRACE_KIND,
@@ -141,40 +155,53 @@ class TraceWriter:
         self._fh.flush()
         return self
 
-    def write(self, record: TraceRecord) -> None:
+    def write(self, window: Window, counts: np.ndarray, rates: Sequence[float]) -> None:
+        """Write the records of steps ``window.first`` to ``window.last``.
+
+        ``counts`` is the window's ``(m, K)`` integer block of the cumulative
+        draws per arm and ``rates`` its ``m`` learning rates.  The window is
+        checked and all its lines built before the first is written, so a
+        rejected window leaves no line.
+        """
         if self._fh is None:
             raise ValueError("writer is not open")
-        if record.step <= self._last_step:
-            raise ValueError(
-                f"records must have strictly increasing steps; "
-                f"got {record.step} after {self._last_step}"
-            )
-        k = len(self.arm_names)
-        for name in ("probabilities", "q", "cumulative_counts", "rewards"):
-            row = getattr(record, name)
+        first, last, probabilities, q, q_after, rewards = window
+        if first <= self._last_step:
+            raise ValueError(f"steps must be strictly increasing; got {first} after {self._last_step}")
+        if last < first:
+            raise ValueError(f"window ends at step {last}, before its first step {first}")
+        m, k = last - first + 1, len(self.arm_names)
+        for name, row in zip(Window._fields[2:], window[2:]):
             if row is not None and len(row) != k:
-                raise ValueError(f"record {name} must have {k} entries")
-        # Replace q's stand-in first: only step and the probabilities
-        # stand-in precede it, so the first match of each is the stand-in.
-        line = (
-            json.dumps(record._json_obj(_PROBS_MARK, _Q_MARK))
-            .replace(_Q_MARK_JSON, self._row_json("q", record.q), 1)
-            .replace(_PROBS_MARK_JSON, self._row_json("probabilities", record.probabilities), 1)
-        )
-        self._fh.write(line + "\n")
-        self._last_step = record.step
+                raise ValueError(f"window {name} must have {k} entries")
+        counts = np.asarray(counts)
+        if counts.dtype.kind not in "iu" or counts.shape != (m, k):
+            raise ValueError(f"counts must be ({m}, {k}) integers, got {counts.dtype} {counts.shape}")
+        rates = np.asarray(rates)
+        if rates.dtype.kind != "f" or rates.shape != (m,):
+            raise ValueError(f"rates must be {m} floats, got {rates.dtype} {rates.shape}")
+        # Each row is encoded once, and the rates in one ``json.dumps``, which
+        # writes a non-finite rate as ``NaN`` or ``Infinity``.
+        probs_json, q_json = json.dumps(list(probabilities)), json.dumps(list(q))
+        lrs = json.dumps(rates.tolist())[1:-1].split(", ")
+        rows = counts.tolist()
+
+        def line(step, q_json, lr, row, rest=""):
+            return (
+                f'{{"step": {step}, "probabilities": {probs_json}, "q": {q_json}, '
+                f'"learning_rate": {lr}, "cumulative_counts": {row}, "wall_time_ms": 0{rest}}}\n'
+            )
+
+        lines = [line(step, q_json, lr, row) for step, lr, row in zip(range(first, last), lrs, rows)]
+        rest = "" if rewards is None else f', "rewards": {json.dumps(list(rewards))}'
+        lines.append(line(last, json.dumps(list(q_after)), lrs[-1], rows[-1], rest))
+        self._fh.write("".join(lines))
+        self._last_step = last
 
     def flush(self) -> None:
         """Push the lines written so far to the file."""
         if self._fh is not None:
             self._fh.flush()
-
-    def _row_json(self, name: str, row) -> str:
-        cached = self._rows.get(name)
-        if cached is None or cached[0] is not row:
-            cached = (row, json.dumps(list(row)))
-            self._rows[name] = cached
-        return cached[1]
 
     def __exit__(self, *exc_info) -> None:
         if self._fh is not None:
@@ -390,8 +417,7 @@ def export_plot_data(records: Iterable[TraceRecord], kind: str, arm_names: tuple
         values = getattr(r, field)
         if len(values) != len(arm_names):
             raise ValueError(f"record at step {r.step} has {len(values)} arms, expected {len(arm_names)}")
-        cells = ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
-        lines.append(f"{r.step},{cells}\n")
+        lines.append(f"{r.step},{','.join(map(str, values))}\n")
     return "".join(lines)
 
 

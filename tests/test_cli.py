@@ -5,13 +5,14 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import banditmix
 from banditmix.cli import main
 from banditmix.config import ExperimentConfig
 from banditmix.runner import TRACE_FILENAME, run_experiment
-from banditmix.trace import EXPORT_KINDS, TraceRecord, TraceWriter, export_plot_data, read_trace
+from banditmix.trace import EXPORT_KINDS, TraceWriter, Window, export_plot_data, read_trace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = ("tulu_default", "deep_gap_world", "volatile_world")
@@ -306,6 +307,15 @@ def small_trace(tmp_path):
     return tmp_path / "out" / "trace.jsonl"
 
 
+def one_step_trace(trace, change):
+    """Write a two-arm trace of one step, its record's keys then set from ``change``."""
+    window = Window(1, 1, (0.5, 0.5), (0.0, 0.0), (0.0, 0.0), None)
+    with TraceWriter(trace, arm_names=("a", "b"), seed=0, config_hash="0") as writer:
+        writer.write(window, np.array([[4, 4]]), [0.1])
+    header, line = trace.read_text(encoding="utf-8").splitlines(keepends=True)
+    trace.write_text(header + json.dumps({**json.loads(line), **change}) + "\n", encoding="utf-8")
+
+
 class TestExportOfABadTrace:
     def test_bad_record_prints_nothing_and_closes_the_file(self, tmp_path):
         # In a process of its own, so that an unclosed file would show on
@@ -344,14 +354,30 @@ class TestExportOfABadTrace:
         # Both values parse as JSON; the reader once took the string as one
         # q entry per character and 1.7 as step 1, and export printed 1,z,z.
         trace = tmp_path / TRACE_FILENAME
-        with TraceWriter(trace, arm_names=("a", "b"), seed=0, config_hash="0") as writer:
-            writer.write(TraceRecord(1, (0.5, 0.5), (0.0, 0.0), 0.1, (4, 4)))
-        header, line = trace.read_text(encoding="utf-8").splitlines(keepends=True)
-        record = {**json.loads(line), "q": "zz", "step": 1.7}
-        trace.write_text(header + json.dumps(record) + "\n", encoding="utf-8")
+        one_step_trace(trace, {"q": "zz", "step": 1.7})
         capsys.readouterr()
         assert main(["export", "--trace", str(trace), "--kind", "q_over_time"]) == 3
         assert capsys.readouterr() == ("", f"error: {trace}:2: bad record: step must be an integer, got 1.7\n")
+
+    @pytest.mark.parametrize(
+        "change, kind, detail",
+        [
+            # Each once exported with exit 0: as 1,z,None and as 1,4,1.
+            ({"q": ["z", None]}, "q_over_time", "q must hold only numbers, got ['z', None]"),
+            (
+                {"cumulative_counts": [4.7, True]},
+                "instance_coverage",
+                "cumulative_counts must hold only integers, got [4.7, True]",
+            ),
+            ({"learning_rate": "0.1"}, "proportions_over_time", "learning_rate must be a number, got '0.1'"),
+        ],
+    )
+    def test_ill_typed_element_exits_3(self, tmp_path, capsys, change, kind, detail):
+        trace = tmp_path / TRACE_FILENAME
+        one_step_trace(trace, change)
+        capsys.readouterr()
+        assert main(["export", "--trace", str(trace), "--kind", kind]) == 3
+        assert capsys.readouterr() == ("", f"error: {trace}:2: bad record: {detail}\n")
 
     def test_truncated_trace_exits_3_with_nothing_on_stdout(self, tmp_path, capsys):
         # What a killed writer leaves: the last record lacks its newline.

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from banditmix import runner
+from banditmix import runner, trace
 from banditmix.config import ConfigError, ExperimentConfig, load_config
 from banditmix.mixture import Batch, MixtureDistribution
 from banditmix.registry import builtin_registry
@@ -138,22 +138,51 @@ class TestRunExperiment:
         write = TraceWriter.write
         on_disk = []
 
-        def failing_write(writer, record):
-            if record.step == 15:
+        def failing_write(writer, window, counts, rates):
+            if window.first == 11:
                 on_disk.append((tmp_path / TRACE_FILENAME).read_text(encoding="utf-8"))
                 raise RuntimeError("disk full")
-            write(writer, record)
+            write(writer, window, counts, rates)
 
         monkeypatch.setattr(TraceWriter, "write", failing_write)
         with pytest.raises(RuntimeError, match="disk full"):
             run_experiment(cfg, out_dir=tmp_path)
-        # The first window (steps 1-10) reached the file before the second
-        # window's records, which stay buffered until the writer closes.
+        # The first window (steps 1-10) was flushed before the second was
+        # handed to the writer, and the failed window left no line.
         steps_on_disk = [json.loads(line)["step"] for line in on_disk[0].splitlines()[1:]]
         assert steps_on_disk == list(range(1, 11))
-        assert (tmp_path / TRACE_FILENAME).read_text(encoding="utf-8").endswith("}\n")
+        assert (tmp_path / TRACE_FILENAME).read_text(encoding="utf-8") == on_disk[0]
         _, records = read_trace(tmp_path / TRACE_FILENAME)
-        assert records == clean[:14]
+        assert records == clean[:10]
+
+    @pytest.mark.parametrize(
+        "world, policy, window_draws",
+        [
+            # Reward rounds every 50 steps and a last window of 43 steps.
+            ("tulu_default", None, None),
+            # A non-adaptive policy: one distribution and no rewards.
+            ("tulu_default", "uniform", None),
+            # Windows of 3, 3, 3 and 1 steps per interval, the last with a round.
+            ("volatile_world", None, 96),
+            # Two-step windows, each ending in a round.
+            ("deep_gap_world", None, None),
+        ],
+    )
+    def test_trace_lines_are_json_dumps_of_records(self, tmp_path, monkeypatch, world, policy, window_draws):
+        obj = json.loads((CONFIGS / f"{world}.json").read_text(encoding="utf-8"))
+        if policy is not None:
+            obj["policy"] = {"variant": policy}
+        if window_draws is not None:
+            monkeypatch.setattr(runner, "WINDOW_DRAWS", window_draws)
+        result = run_experiment(ExperimentConfig.from_dict(obj), out_dir=tmp_path)
+        sizes = [w.last - w.first + 1 for w in result.windows]
+        if window_draws is not None:
+            assert sizes[:4] == [3, 3, 3, 1]
+        if world == "tulu_default":
+            assert sizes[-1] == 43
+        assert any(r.rewards is not None for r in result.records) is (policy is None)
+        lines = (tmp_path / TRACE_FILENAME).read_text(encoding="utf-8").splitlines()[1:]
+        assert lines == [json.dumps(r.to_json_obj()) for r in result.records]
 
     def test_artifact_write_raising_midway_leaves_no_partial_file(self, tmp_path, monkeypatch):
         # The world's JSON is streamed into a temp file that never replaces
@@ -259,6 +288,29 @@ class TestColumns:
         records = result.records
         assert built == list(range(1, 5144))
         assert result.records is records
+
+    def test_traced_run_writes_windows_and_builds_no_record(self, tmp_path, monkeypatch):
+        built, written = [], []
+
+        def counted(*args, **kwargs):
+            built.append(args[0] if args else kwargs["step"])
+            return TraceRecord(*args, **kwargs)
+
+        write = TraceWriter.write
+
+        def counted_write(writer, window, counts, rates):
+            written.append(window)
+            write(writer, window, counts, rates)
+
+        monkeypatch.setattr(runner, "TraceRecord", counted)
+        monkeypatch.setattr(trace, "TraceRecord", counted)
+        monkeypatch.setattr(TraceWriter, "write", counted_write)
+        result = run_experiment(load_config(CONFIGS / "tulu_default.json"), out_dir=tmp_path)
+        assert built == []
+        assert len(written) == 103
+        assert tuple(written) == result.windows
+        assert len(result.records) == 5143
+        assert built == list(range(1, 5144))
 
     def test_columns_are_read_only(self):
         result = run_experiment(small_cfg())

@@ -18,6 +18,7 @@ from banditmix.trace import (
     RunSummary,
     TraceRecord,
     TraceWriter,
+    Window,
     export_plot_data,
     iter_trace,
     read_trace,
@@ -70,7 +71,7 @@ class TestRecordSerialization:
                     q=tuple(rng.normal(size=3).tolist()),
                     counts=tuple(int(c) for c in counts),
                 )
-                writer.write(rec)
+                writer.write(*one_step(rec))
                 records.append(rec)
         header, back = read_trace(path)
         assert header["seed"] == 9
@@ -79,88 +80,146 @@ class TestRecordSerialization:
         assert back == records
 
 
+def one_step(record):
+    """``TraceWriter.write``'s arguments for a window of the one record."""
+    window = Window(record.step, record.step, record.probabilities, record.q, record.q, record.rewards)
+    return window, np.array([record.cumulative_counts]), [record.learning_rate]
+
+
+def window_of(first, last, rewards=None):
+    """A window of steps ``first`` to ``last`` with its counts and rates."""
+    window = Window(first, last, (0.2, 0.3, 0.5), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), rewards)
+    counts = np.arange(first, last + 1)[:, None] * np.ones(3, dtype=np.int64)
+    return window, counts, [0.01] * (last - first + 1)
+
+
 class TestTraceWriter:
     def test_header_is_first_line(self, tmp_path):
         path = tmp_path / "t.jsonl"
         with TraceWriter(path, NAMES, seed=1, config_hash="abc") as writer:
-            writer.write(make_record(1))
+            writer.write(*window_of(1, 2))
         first = json.loads(path.read_text().splitlines()[0])
         assert first["kind"] == "banditmix-trace"
         assert first["schema_version"] == 1
 
     def test_steps_must_strictly_increase(self, tmp_path):
         with TraceWriter(tmp_path / "t.jsonl", NAMES, seed=1, config_hash="abc") as writer:
-            writer.write(make_record(2))
-            with pytest.raises(ValueError):
-                writer.write(make_record(2))
+            writer.write(*window_of(2, 4))
+            for first in (2, 4):
+                with pytest.raises(ValueError, match="strictly increasing"):
+                    writer.write(*window_of(first, 5))
+            writer.write(*window_of(5, 5))
+
+    def test_window_must_not_end_before_it_starts(self, tmp_path):
+        with TraceWriter(tmp_path / "t.jsonl", NAMES, seed=1, config_hash="abc") as writer:
+            window, _, _ = window_of(3, 3)
+            with pytest.raises(ValueError, match="ends at step 2, before its first step 3"):
+                writer.write(window._replace(last=2), np.empty((0, 3), dtype=np.int64), [])
 
     def test_arm_arity_checked(self, tmp_path):
         with TraceWriter(tmp_path / "t.jsonl", NAMES, seed=1, config_hash="abc") as writer:
-            with pytest.raises(ValueError):
-                writer.write(make_record(1, p=(0.5, 0.5)))
+            window, counts, rates = window_of(1, 2)
+            for field in ("probabilities", "q", "q_after"):
+                with pytest.raises(ValueError, match=f"window {field} must have 3 entries"):
+                    writer.write(window._replace(**{field: (0.5, 0.5)}), counts, rates)
 
     def test_rewards_arity_checked(self, tmp_path):
         path = tmp_path / "t.jsonl"
         with TraceWriter(path, ("a", "b"), seed=1, config_hash="abc") as writer:
+            window = Window(1, 1, (0.5, 0.5), (0.0, 0.0), (0.0, 0.0), (0.1, 0.2, 0.3))
             with pytest.raises(ValueError, match="rewards must have 2 entries"):
-                writer.write(TraceRecord(1, (0.5, 0.5), (0.0, 0.0), 0.1, (1, 1), rewards=(0.1, 0.2, 0.3)))
-            writer.write(TraceRecord(1, (0.5, 0.5), (0.0, 0.0), 0.1, (1, 1), rewards=(0.1, 0.2)))
+                writer.write(window, np.array([[1, 1]]), [0.1])
+            writer.write(window._replace(rewards=(0.1, 0.2)), np.array([[1, 1]]), [0.1])
         _, records = read_trace(path)
         assert [r.rewards for r in records] == [(0.1, 0.2)]
 
+    @pytest.mark.parametrize(
+        "counts, rates, message",
+        [
+            (np.ones((3, 3), dtype=np.int64), [0.01] * 2, r"counts must be \(2, 3\) integers"),
+            (np.ones((2, 2), dtype=np.int64), [0.01] * 2, r"counts must be \(2, 3\) integers"),
+            (np.ones(6, dtype=np.int64), [0.01] * 2, r"counts must be \(2, 3\) integers"),
+            (np.ones((2, 3)), [0.01] * 2, r"counts must be \(2, 3\) integers, got float64"),
+            (np.ones((2, 3), dtype=bool), [0.01] * 2, r"counts must be \(2, 3\) integers, got bool"),
+            (np.ones((2, 3), dtype=np.int64), [0.01], "rates must be 2 floats"),
+            (np.ones((2, 3), dtype=np.int64), [0.01] * 3, "rates must be 2 floats"),
+            (np.ones((2, 3), dtype=np.int64), ["0.1", "0.1"], "rates must be 2 floats"),
+            (np.ones((2, 3), dtype=np.int64), [1, 2], "rates must be 2 floats"),
+        ],
+    )
+    def test_columns_checked(self, tmp_path, counts, rates, message):
+        path = tmp_path / "t.jsonl"
+        with TraceWriter(path, NAMES, seed=1, config_hash="abc") as writer:
+            window, _, _ = window_of(1, 2)
+            with pytest.raises(ValueError, match=message):
+                writer.write(window, counts, rates)
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+
     def test_write_requires_open(self, tmp_path):
         writer = TraceWriter(tmp_path / "t.jsonl", NAMES, seed=1, config_hash="abc")
-        with pytest.raises(ValueError):
-            writer.write(make_record(1))
+        with pytest.raises(ValueError, match="not open"):
+            writer.write(*window_of(1, 1))
 
     def test_creates_parent_directories(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "t.jsonl"
         with TraceWriter(path, NAMES, seed=1, config_hash="abc") as writer:
-            writer.write(make_record(1))
+            writer.write(*window_of(1, 1))
         assert path.exists()
 
     def test_lines_equal_json_dumps_of_each_record(self, tmp_path):
-        # Shared row tuples, fresh but equal ones, a row that changes between
-        # writes and changes back, rewards set and unset, non-finite floats.
+        # Windows of one and several steps, rows shared between windows and
+        # fresh but equal ones, a row that changes and changes back, rewards
+        # set and unset, non-finite floats in rows, rewards and rates.
         p1, p2 = (0.2, 0.3, 0.5), (0.1, float("nan"), 0.9)
-        q1 = (0.0, float("inf"), -0.25)
+        q1, q2 = (0.0, float("inf"), -0.25), (1e-300, 2.5e17, -0.0)
+        nan_rewards = (0.5, float("nan"), -1.0)
+        windows = [
+            (Window(1, 2, p1, q1, q1, None), [[1, 2, 3], [2, 3, 4]], [0.01, 0.01]),
+            (Window(3, 3, tuple(list(p1)), tuple(list(q1)), q1, nan_rewards), [[3, 4, 5]], [float("-inf")]),
+            (Window(4, 5, p2, q1, q2, (1.0, 2.0, 3.0)), [[4, 5, 6], [5, 6, 7]], [0.02, float("nan")]),
+            (Window(6, 8, p1, q2, q1, None), [[6, 7, 8], [7, 8, 9], [8, 9, 10]], [0.04, 0.05, float("inf")]),
+        ]
         records = [
-            make_record(1, p=p1, q=q1),
+            TraceRecord(1, p1, q1, 0.01, (1, 2, 3)),
             TraceRecord(2, p1, q1, 0.01, (2, 3, 4)),
-            TraceRecord(3, tuple(list(p1)), tuple(list(q1)), float("-inf"), (3, 4, 5), rewards=(0.5, float("nan"), -1.0)),
+            TraceRecord(3, p1, q1, float("-inf"), (3, 4, 5), rewards=nan_rewards),
             TraceRecord(4, p2, q1, 0.02, (4, 5, 6)),
-            TraceRecord(5, p2, (1e-300, 2.5e17, -0.0), 0.03, (5, 6, 7), rewards=(1.0, 2.0, 3.0)),
-            TraceRecord(6, p1, q1, 0.04, (6, 7, 8)),
-            TraceRecord(7, p1, q1, 0.05, (7, 8, 9), wall_time_ms=5),
+            TraceRecord(5, p2, q2, float("nan"), (5, 6, 7), rewards=(1.0, 2.0, 3.0)),
+            TraceRecord(6, p1, q2, 0.04, (6, 7, 8)),
+            TraceRecord(7, p1, q2, 0.05, (7, 8, 9)),
+            TraceRecord(8, p1, q1, float("inf"), (8, 9, 10)),
         ]
         path = tmp_path / "t.jsonl"
         with TraceWriter(path, NAMES, seed=1, config_hash="abc") as writer:
-            for record in records:
-                writer.write(record)
+            for window, counts, rates in windows:
+                writer.write(window, np.array(counts), rates)
         lines = path.read_text(encoding="utf-8").splitlines()[1:]
         assert lines == [json.dumps(r.to_json_obj()) for r in records]
 
     def test_lines_reach_the_file_on_flush(self, tmp_path):
         path = tmp_path / "t.jsonl"
         with TraceWriter(path, NAMES, seed=1, config_hash="abc") as writer:
-            writer.write(make_record(1))
-            writer.write(make_record(2))
+            writer.write(*window_of(1, 2))
             assert len(path.read_text(encoding="utf-8").splitlines()) == 1
             writer.flush()
             assert len(path.read_text(encoding="utf-8").splitlines()) == 3
-            writer.write(make_record(3))
+            writer.write(*window_of(3, 3))
         assert len(path.read_text(encoding="utf-8").splitlines()) == 4
 
     def test_rejected_record_leaves_no_line(self, tmp_path):
+        # A row json cannot encode fails the whole window, whichever of its
+        # lines the row belongs to; none of them reaches the file.
         path = tmp_path / "t.jsonl"
         with TraceWriter(path, NAMES, seed=1, config_hash="abc") as writer:
-            shared = (0.2, 0.3, 0.5)
-            writer.write(make_record(1, p=shared))
-            with pytest.raises(TypeError):
-                writer.write(make_record(2, q=(0.0, np.float32(1.0), 0.0)))
-            writer.write(make_record(2, p=shared))
+            writer.write(*window_of(1, 1))
+            window, counts, rates = window_of(2, 4, rewards=(0.1, 0.2, 0.3))
+            for field in ("probabilities", "q", "q_after", "rewards"):
+                with pytest.raises(TypeError):
+                    writer.write(window._replace(**{field: (0.0, np.float32(1.0), 0.0)}), counts, rates)
+                writer.flush()
+            writer.write(window, counts, rates)
         lines = path.read_text(encoding="utf-8").splitlines()[1:]
-        assert [json.loads(line)["step"] for line in lines] == [1, 2]
+        assert [json.loads(line)["step"] for line in lines] == [1, 2, 3, 4]
 
 
 class TestReadTrace:
@@ -292,7 +351,15 @@ BAD_LINES = {
         "missing key 'learning_rate'",
     ),
     "wrong type": (json.dumps({**RECORD_3, "cumulative_counts": 7}), "cumulative_counts must be a list, got 7"),
-    "null value": (json.dumps({**RECORD_3, "learning_rate": None}), "float() argument must be"),
+    "null value": (json.dumps({**RECORD_3, "learning_rate": None}), "learning_rate must be a number, got None"),
+    "string rate": (json.dumps({**RECORD_3, "learning_rate": "0.1"}), "learning_rate must be a number, got '0.1'"),
+    "boolean rate": (json.dumps({**RECORD_3, "learning_rate": True}), "learning_rate must be a number, got True"),
+    "string in row": (json.dumps({**RECORD_3, "q": ["z", None, 0.0]}), "q must hold only numbers, got ['z', None, 0.0]"),
+    "null in row": (json.dumps({**RECORD_3, "probabilities": [0.5, None, 0.5]}), "probabilities must hold only numbers, got [0.5, None, 0.5]"),
+    "boolean in row": (json.dumps({**RECORD_3, "q": [0.0, True, 0.0]}), "q must hold only numbers, got [0.0, True, 0.0]"),
+    "float count": (json.dumps({**RECORD_3, "cumulative_counts": [4.7, 1, 2]}), "cumulative_counts must hold only integers, got [4.7, 1, 2]"),
+    "boolean count": (json.dumps({**RECORD_3, "cumulative_counts": [4, True, 2]}), "cumulative_counts must hold only integers, got [4, True, 2]"),
+    "string reward": (json.dumps({**RECORD_3, "rewards": [0.1, "0.2", 0.3]}), "rewards must hold only numbers, got [0.1, '0.2', 0.3]"),
     "bad integer": (json.dumps({**RECORD_3, "step": "three"}), "step must be an integer, got 'three'"),
     "float step": (json.dumps({**RECORD_3, "step": 3.5}), "step must be an integer, got 3.5"),
     "boolean step": (json.dumps({**RECORD_3, "step": True}), "step must be an integer, got True"),
@@ -465,6 +532,32 @@ class TestExport:
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValueError):
             export_plot_data(self.make_records(), "q_over_time", ("a", "b"))
+
+    def test_cells_equal_repr_of_floats_and_str_of_ints(self, tmp_path):
+        # The cells once came from ``repr`` for floats and ``str`` for the
+        # rest; ``str`` alone must print the same text for what a trace holds.
+        nan, inf = float("nan"), float("inf")
+        windows = [
+            (Window(1, 2, (-0.0, nan, inf), (1e-300, 2.5e17, 3), (-inf, -7, 0.1), (nan, 0, -2.5e-17)),
+             [[0, 2**40, 7], [1, 2**62, 9]]),
+            (Window(3, 3, (0.5, 0, 1e22), (-0.0, 1e16, 5e-324), (-0.0, 1e16, 5e-324), None), [[2, 2**62, 10]]),
+        ]
+        path = tmp_path / "t.jsonl"
+        with TraceWriter(path, NAMES, seed=1, config_hash="abc") as writer:
+            for window, counts in windows:
+                writer.write(window, np.array(counts), [0.01] * len(counts))
+        _, records = read_trace(path)
+        for kind, field in [
+            ("proportions_over_time", "probabilities"),
+            ("instance_coverage", "cumulative_counts"),
+            ("q_over_time", "q"),
+        ]:
+            old = "".join(
+                f"{r.step}," + ",".join(repr(v) if isinstance(v, float) else str(v) for v in getattr(r, field)) + "\n"
+                for r in records
+            )
+            assert export_plot_data(iter(records), kind, NAMES) == "step,a,b,c\n" + old
+        assert {type(v) for r in records for v in r.q} == {int, float}
 
 
 class TestWorldCheckpoint:
