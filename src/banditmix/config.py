@@ -240,9 +240,9 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         """Short content hash over everything that shapes the run but the seed."""
-        obj = self.to_dict()
-        obj.pop("seed")
-        obj.pop("output_dir")
+        obj = dataclasses.asdict(self)
+        del obj["seed"], obj["output_dir"]
+        # json writes tuples as arrays, as to_dict's round trip would.
         canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 

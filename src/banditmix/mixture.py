@@ -198,13 +198,10 @@ def sample_batch(
         raise ValueError(
             f"distribution covers {dist.num_arms} arms but registry has {registry.num_arms}"
         )
-    if steps > 1:
-        window = _pcg64_window(dist, registry.counts, batch_size, steps, rng)
-        if window is not None:
-            return window
+    window = _pcg64_window(dist, registry.counts, batch_size, steps, rng)
+    if window is not None:
+        return window
     draws = [_draw_step(dist, registry.counts, batch_size, rng) for _ in range(steps)]
-    if steps == 1:
-        return Batch(*draws[0])
     arms, examples = zip(*draws)
     return Batch(arms=np.concatenate(arms), examples=np.concatenate(examples))
 

@@ -63,9 +63,11 @@ class Learner(ABC):
 
         ``batch`` holds ``len(learning_rates)`` rows of equal length joined
         end to end, as ``sample_batch(..., steps=m)`` draws them; step ``t``
-        is a ``train_step`` on row ``t`` at ``learning_rates[t]``.  An
-        override must leave the learner exactly as this loop does, bit for
-        bit, hidden state such as a generator included.
+        is a ``train_step`` on row ``t`` at ``learning_rates[t]``.  On valid
+        input an override must leave the learner exactly as this loop does,
+        bit for bit, hidden state such as a generator included.  This loop
+        takes the steps before an invalid one; ``SimWorld`` refuses an
+        invalid window whole, before its first step.
         """
         m = len(learning_rates)
         if m < 1 or len(batch) % m:

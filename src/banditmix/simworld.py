@@ -17,6 +17,11 @@ order-independent product form of that per-element rule, then one zero-mean
 noise draw of scale ``noise_scale * eta`` per arm, re-clamped to the floor.
 A full batch from arm ``j`` shrinks arm ``k``'s gap by roughly
 ``exp(-eta * T_kj)``.
+
+``SimWorld.train_steps`` is the only implementation of this law:
+``train_step`` is a window of one row, and ``SimWorld.probe`` computes a
+reward round's steps, each on one arm's row, in closed form with the same
+operations.
 """
 
 from __future__ import annotations
@@ -254,64 +259,44 @@ class SimWorld(Learner):
         return ENTROPY_LOSS_RATIO * self.loss(batch)
 
     def train_step(self, batch: Batch, learning_rate: float) -> None:
-        arms = batch.arms
-        if arms.size == 0:
-            raise ValueError("batch must be nonempty")
-        # The per-arm counts double as the lower range check: bincount
-        # rejects a negative arm.  The upper check must come first, since
-        # bincount sizes its output by the largest arm.
-        k = self._loss.size
-        if arms.max() >= k:
-            raise ValueError("batch refers to arms outside this world")
-        try:
-            n = np.bincount(arms, minlength=k)
-        except ValueError:
-            raise ValueError("batch refers to arms outside this world") from None
-        if not 0.0 <= learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be finite and >= 0, got {learning_rate}")
-        if learning_rate == 0.0:
-            # A zero-rate step must leave the world bit-identical, generator
-            # included.
-            return
-        factors = np.maximum(1.0 - learning_rate * self._transfer / arms.size, 0.0)
-        gap = (self._loss - self._floor) * (factors ** n.astype(np.float64)).prod(axis=1)
-        if self._noise_scale > 0:
-            gap = gap + self._noise_scale * learning_rate * self._rng.standard_normal(k)
-        self._loss = self._floor + np.maximum(gap, 0.0)
+        self.train_steps(batch, [learning_rate])
 
     def train_steps(self, batch: Batch, learning_rates: Sequence[float]) -> None:
-        """``train_step`` on each row, with the arithmetic done per window.
+        """One step per rate on the batch's equal rows; the world's only update.
 
-        The factor matrices of all steps are stacked and raised to their
-        per-step counts at once, and the normals of all steps are drawn in
-        one call, which yields the same numbers as one draw per step.  Only
-        the clip and the floor, which depend on the previous step, stay in a
-        loop; every operation keeps ``train_step``'s order, so the result
-        matches it bit for bit.  A one-arm world (see ``probe``), a zero-rate
-        step (it draws no normals) and invalid input take the generic loop.
+        The whole window is checked before any step is taken, so an invalid
+        one raises and leaves the world untouched.  A zero-rate step is
+        skipped: it neither moves the losses nor draws normals.  The factor
+        matrices of the other steps are stacked and raised to their per-step
+        counts at once, and their normals come from one call, which yields
+        the same numbers as one draw per step.  Only the clip and the floor,
+        which depend on the previous step, stay in a loop.
         """
         lr = np.asarray(learning_rates, dtype=np.float64)
         arms = batch.arms
         k, m = self._loss.size, lr.size
-        width = arms.size // m if m else 0
-        if (
-            k == 1
-            or width == 0
-            or arms.size != m * width
-            or not ((lr > 0.0) & (lr < math.inf)).all()
-            or arms.min() < 0
-            or arms.max() >= k
-        ):
-            return super().train_steps(batch, learning_rates)
+        if m < 1 or arms.size % m:
+            raise ValueError(f"a batch of {arms.size} does not split into {m} equal steps")
+        if arms.size == 0:
+            raise ValueError("batch must be nonempty")
+        # Checked before bincount, which would size its output by the arms.
+        if arms.min() < 0 or arms.max() >= k:
+            raise ValueError("batch refers to arms outside this world")
+        bad = lr[~((lr >= 0.0) & (lr < math.inf))]
+        if bad.size:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {float(bad[0])}")
+        live = np.flatnonzero(lr)
+        width = arms.size // m
         rows = np.arange(m).repeat(width)
-        n = np.bincount(rows * k + arms, minlength=m * k).reshape(m, k).astype(np.float64)
+        n = np.bincount(rows * k + arms, minlength=m * k).reshape(m, k)[live].astype(np.float64)
+        lr = lr[live]
         factors = np.maximum(1.0 - lr[:, np.newaxis, np.newaxis] * self._transfer / width, 0.0)
         shrink = (factors ** n[:, np.newaxis, :]).prod(axis=2)
         noise = None
         if self._noise_scale > 0:
-            noise = (self._noise_scale * lr)[:, np.newaxis] * self._rng.standard_normal((m, k))
+            noise = (self._noise_scale * lr)[:, np.newaxis] * self._rng.standard_normal((live.size, k))
         loss, floor = self._loss, self._floor
-        for t in range(m):
+        for t in range(live.size):
             gap = (loss - floor) * shrink[t]
             if noise is not None:
                 gap = gap + noise[t]
@@ -328,16 +313,11 @@ class SimWorld(Learner):
         starts from the current state with the generator rewound, so a step
         on arm ``j``'s row moves arm ``j`` to
         ``floor_j + max(gap_j * f_jj**B + noise * lr * z_j, 0)``, where ``f``
-        is the clipped factor matrix of ``train_step`` and ``z`` the
+        is the clipped factor matrix of ``train_steps`` and ``z`` the
         normals it would draw.  Only arm ``j``'s loss is measured afterwards,
         and ``prod(f**onehot)`` equals the single factor exactly, so the
-        results match the generic loop bit for bit.  An invalid rate takes
-        the generic loop, which raises.
-
-        A one-arm world takes the generic loop too: there ``train_step``
-        raises a (1, 1) factor matrix to a one-entry count vector, and numpy
-        evaluates that broadcast power as a scalar one, whose shortcut for
-        an exponent of 2 can differ from ``pow`` in the last bit.
+        results match the generic loop bit for bit.  An invalid rate raises
+        before the world is read.
         """
         examples = np.asarray(examples)
         k = self._loss.size
@@ -345,8 +325,8 @@ class SimWorld(Learner):
         if not shape_ok or examples.dtype.kind not in "iu":
             got = f"{examples.dtype} of shape {examples.shape}"
             raise ValueError(f"probe examples must be integers of shape ({k}, B >= 1), got {got}")
-        if k == 1 or not 0.0 <= learning_rate < math.inf:
-            return super().probe(examples, learning_rate, entropy)
+        if not 0.0 <= learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {learning_rate}")
 
         # Before and after the step, each probe observes the same examples.
         width = examples.shape[1]

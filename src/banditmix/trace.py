@@ -78,11 +78,12 @@ class TraceRecord:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TraceRecord":
-        rewards, step = obj.get("rewards"), obj["step"]
+        rewards, step, wall = obj.get("rewards"), obj["step"], obj.get("wall_time_ms", 0)
         # JSON gives exact types: a float or boolean step is no step, a row not a
         # list would be read element by element, and true, "z" or null is no number.
-        if type(step) is not int:
-            raise ValueError(f"step must be an integer, got {step!r}")
+        for key, value in (("step", step), ("wall_time_ms", wall)):
+            if type(value) is not int:
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         probabilities, q, counts = obj["probabilities"], obj["q"], obj["cumulative_counts"]
         lr = obj["learning_rate"]
         if rewards is not None and type(rewards) is not list:
@@ -105,7 +106,7 @@ class TraceRecord:
             learning_rate=float(lr),
             cumulative_counts=tuple(counts),
             rewards=None if rewards is None else tuple(rewards),
-            wall_time_ms=int(obj.get("wall_time_ms", 0)),
+            wall_time_ms=wall,
         )
 
 

@@ -370,6 +370,10 @@ class TestExportOfABadTrace:
                 "cumulative_counts must hold only integers, got [4.7, True]",
             ),
             ({"learning_rate": "0.1"}, "proportions_over_time", "learning_rate must be a number, got '0.1'"),
+            # Each once read as 7, 4 and 1.
+            ({"wall_time_ms": "7"}, "q_over_time", "wall_time_ms must be an integer, got '7'"),
+            ({"wall_time_ms": 4.7}, "q_over_time", "wall_time_ms must be an integer, got 4.7"),
+            ({"wall_time_ms": True}, "q_over_time", "wall_time_ms must be an integer, got True"),
         ],
     )
     def test_ill_typed_element_exits_3(self, tmp_path, capsys, change, kind, detail):

@@ -1,8 +1,9 @@
 """Golden artifact hashes: runs must stay byte-identical.
 
 Pins the sha256 of ``trace.jsonl``, ``summary.json`` and ``world.json`` for
-every shipped world config x four policy variants x two seeds.  The tulu run
-is shortened to keep the test quick.  A performance change must pass with
+every shipped world config x four policy variants x two seeds, and for the
+one-arm world of ``test_probe_oracle`` x {bandit, uniform} x two seeds.  The
+tulu run is shortened to keep the test quick.  A performance change must pass with
 these hashes untouched; a change that alters behaviour on purpose re-pins
 them with
 
@@ -12,6 +13,7 @@ which prints the current hashes in the format of ``GOLDEN`` below, and says
 why in the change log.
 """
 
+import copy
 import hashlib
 import json
 import sys
@@ -23,16 +25,22 @@ import pytest
 from banditmix.config import ExperimentConfig
 from banditmix.runner import SUMMARY_FILENAME, TRACE_FILENAME, WORLD_FILENAME, run_experiment
 
+from test_probe_oracle import ONE_ARM
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 WORLDS = ("tulu_default", "deep_gap_world", "volatile_world")
 POLICIES = ("bandit", "delta_entropy", "uniform", "static")
 SEEDS = (0, 1)
+ONE_ARM_POLICIES = ("bandit", "uniform")
 TULU_STEPS = 500
 ARTIFACTS = (TRACE_FILENAME, SUMMARY_FILENAME, WORLD_FILENAME)
 
 
 def golden_config(world: str, policy: str) -> ExperimentConfig:
-    obj = json.loads((CONFIGS / f"{world}.json").read_text(encoding="utf-8"))
+    if world == "one_arm":
+        obj = copy.deepcopy(ONE_ARM)
+    else:
+        obj = json.loads((CONFIGS / f"{world}.json").read_text(encoding="utf-8"))
     if world == "tulu_default":
         obj["bandit"]["total_steps"] = TULU_STEPS
     if policy == "delta_entropy":
@@ -53,7 +61,8 @@ def artifact_hashes(world: str, policy: str, seed: int, out_dir: Path) -> tuple[
 
 
 def cases() -> list[str]:
-    return [f"{w}/{p}/{s}" for w in WORLDS for p in POLICIES for s in SEEDS]
+    shipped = [f"{w}/{p}/{s}" for w in WORLDS for p in POLICIES for s in SEEDS]
+    return shipped + [f"one_arm/{p}/{s}" for p in ONE_ARM_POLICIES for s in SEEDS]
 
 
 # case -> sha256 of (trace.jsonl, summary.json, world.json)
@@ -177,6 +186,26 @@ GOLDEN = {
         "578692fd66453544ff42e9e31c7b84a10438c85193ec2a48b95e848b3734193b",
         "117b3109979b07b9acdeb535aec638c63b9d66935d2a1f8fa847a08d571990b0",
         "382a17d21c0567a3fed10458c25cbef9663aa576f80a06756e9215b301873b51",
+    ),
+    "one_arm/bandit/0": (
+        "1cd783364d90ec4ab2a37f4b8d97ada54c241e41007d50eeeebf585143ff11f9",
+        "34c49f8f3c8691686bea5e652b139e2e65a8fcec65eeeda9bddc19626f46d414",
+        "e829f233d864b983b08d37221c58970a2904477c8a06495bd0b2d9ed7a3408b0",
+    ),
+    "one_arm/bandit/1": (
+        "6159483baeced27975d5e541ac90f2e0b1b6567c03be941a77ad065a1e0effe5",
+        "9f70c5f3fd9196f68756be398f30773f6ff8123addd9d3e4d267a2cde927cbd8",
+        "7f8a1fc6b64d70cfe6b61c2ee8e8bd9e3655e74bcfdbebd510ee1a495b39154e",
+    ),
+    "one_arm/uniform/0": (
+        "5d64fae0b93d39471c1ca7ef65f31f9b87e04bfacd7a6bb1722af234ccdedcdb",
+        "90298dd10fe5e1bb32e95828eea017680a45dfe07e47f37af30e55a3c129c169",
+        "e829f233d864b983b08d37221c58970a2904477c8a06495bd0b2d9ed7a3408b0",
+    ),
+    "one_arm/uniform/1": (
+        "3c24391525711240bfce401d16d0bfbd68c2e579f0c18d775be3ffeabb8c77bd",
+        "647c8c7cbbeb2f7432f4db3df939c1d99e688124de5718056327b7e2eae92a39",
+        "7f8a1fc6b64d70cfe6b61c2ee8e8bd9e3655e74bcfdbebd510ee1a495b39154e",
     ),
 }
 

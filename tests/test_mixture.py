@@ -240,6 +240,9 @@ class TestSampling:
         assert np.searchsorted(dist.cumulative, top, side="right") == k
 
         class TopDraws:
+            # Not numpy's PCG64, so sample_batch draws through the one-step loop.
+            bit_generator = None
+
             def __init__(self):
                 self.examples = np.random.default_rng(0)
 

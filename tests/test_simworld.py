@@ -488,8 +488,8 @@ def test_probe_hashes_the_jitter_once(monkeypatch):
 @example(k=1, width=1, lr=0.0, noise=0.3, transfer=None, entropy=False, seed=0)
 @example(k=3, width=1, lr=1.5, noise=0.0, transfer=0.05, entropy=False, seed=1)
 @example(k=4, width=2, lr=2.5, noise=0.4, transfer=None, entropy=True, seed=2)
-# One arm, two examples: the world's own step squares the factor through
-# numpy's scalar-exponent shortcut, which differs from pow in the last bit.
+# One arm, two examples: the factor is squared, where numpy's scalar power
+# loop can differ from its vector loop in the last bit.
 @example(k=1, width=2, lr=0.12699137774989258, noise=0.0, transfer=None, entropy=False, seed=17038255)
 def test_probe_matches_generic_loop(k, width, lr, noise, transfer, entropy, seed):
     """SimWorld's one-pass probe equals Learner.probe's per-batch loop bit for

@@ -50,6 +50,15 @@ class TestRecordSerialization:
         obj = make_record(1).to_json_obj()
         assert "rewards" not in obj
 
+    @pytest.mark.parametrize("wall", [None, 0, 7])
+    def test_wall_time_read_as_written_or_zero_when_absent(self, wall):
+        obj = make_record(1).to_json_obj()
+        if wall is None:
+            del obj["wall_time_ms"]
+        else:
+            obj["wall_time_ms"] = wall
+        assert TraceRecord.from_json_obj(obj).wall_time_ms == (wall or 0)
+
     def test_floats_survive_json_exactly(self):
         # json uses repr for floats, which round-trips doubles losslessly
         ugly = (0.1 + 0.2, 1.0 / 3.0, 2.0**-40)
@@ -363,6 +372,9 @@ BAD_LINES = {
     "bad integer": (json.dumps({**RECORD_3, "step": "three"}), "step must be an integer, got 'three'"),
     "float step": (json.dumps({**RECORD_3, "step": 3.5}), "step must be an integer, got 3.5"),
     "boolean step": (json.dumps({**RECORD_3, "step": True}), "step must be an integer, got True"),
+    "string wall time": (json.dumps({**RECORD_3, "wall_time_ms": "7"}), "wall_time_ms must be an integer, got '7'"),
+    "float wall time": (json.dumps({**RECORD_3, "wall_time_ms": 4.7}), "wall_time_ms must be an integer, got 4.7"),
+    "boolean wall time": (json.dumps({**RECORD_3, "wall_time_ms": True}), "wall_time_ms must be an integer, got True"),
     "string row": (json.dumps({**RECORD_3, "q": "zz"}), "q must be a list, got 'zz'"),
     "object row": (json.dumps({**RECORD_3, "probabilities": {"a": 1.0}}), "probabilities must be a list, got {'a': 1.0}"),
     "string rewards": (json.dumps({**RECORD_3, "rewards": "zz"}), "rewards must be a list or null, got 'zz'"),

@@ -1,11 +1,11 @@
 """Window paths against the one-step loop, bit for bit.
 
 A run steps one update interval at a time.  ``sample_batch(..., steps=m)``
-must equal ``m`` one-step calls joined end to end, a reward round's probe
-draw the per-arm loop, ``SimWorld.train_steps`` the generic
-``Learner.train_steps`` loop of ``train_step`` calls, and ``run_experiment``
-a loop that does one step at a time; generator state is compared in every
-case.
+must equal ``m`` steps of numpy's own draws (``_draw_step``) joined end to
+end, a reward round's probe draw the per-arm loop, ``SimWorld.train_steps``
+both a loop of ``reference_step`` (the training law in plain 2-d arithmetic)
+and the generic ``Learner.train_steps`` loop, and ``run_experiment`` a loop
+that does one step at a time; generator state is compared in every case.
 """
 
 from pathlib import Path
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from banditmix import rewards, runner
 from banditmix.config import ExperimentConfig, load_config
-from banditmix.mixture import Batch, MixtureDistribution, _pcg64_window, sample_batch
+from banditmix.mixture import Batch, MixtureDistribution, _draw_step, _pcg64_window, sample_batch
 from banditmix.policies import MixturePolicy
 from banditmix.registry import ArmRegistry
 from banditmix.rewards import Learner, _probe_examples, lookahead_round
@@ -51,10 +51,10 @@ def state(rng):
 
 def assert_window_matches_loop(dist, reg, batch_size, steps, loop_rng, window_rng):
     assert state(window_rng) == state(loop_rng)
-    parts = [sample_batch(dist, reg, batch_size, loop_rng) for _ in range(steps)]
+    arms, examples = zip(*(_draw_step(dist, reg.counts, batch_size, loop_rng) for _ in range(steps)))
     window = sample_batch(dist, reg, batch_size, window_rng, steps=steps)
-    assert np.array_equal(window.arms, np.concatenate([b.arms for b in parts]))
-    assert np.array_equal(window.examples, np.concatenate([b.examples for b in parts]))
+    assert np.array_equal(window.arms, np.concatenate(arms))
+    assert np.array_equal(window.examples, np.concatenate(examples))
     assert state(window_rng) == state(loop_rng)
 
 
@@ -113,12 +113,13 @@ class TestWindowDraw:
 @given(
     k=st.integers(1, 6),
     batch_size=st.integers(1, 70),
-    steps=st.integers(2, 12),
+    steps=st.integers(1, 12),
     held=st.booleans(),
     top=st.sampled_from([2, 1000, 2**31, 2**32, 2**33]),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(k=1, batch_size=1, steps=2, held=True, top=2, seed=0)
+@example(k=3, batch_size=1, steps=1, held=True, top=1000, seed=0)
 def test_window_draw_matches_loop(k, batch_size, steps, held, top, seed):
     rng = np.random.default_rng(seed)
     counts = rng.integers(1, top + 1, size=k)
@@ -229,11 +230,34 @@ def make_world(k=3, noise=0.2, transfer=None, seed=0):
     return build_world(params, k, np.random.default_rng(seed + 1), np.random.default_rng(seed + 2))
 
 
+def reference_step(world, batch, lr):
+    """One step of the training law in plain 2-d arithmetic, on ``world``'s state.
+
+    The exponent is tiled to the factor matrix's shape, so numpy takes the
+    same power loop as the stacked window at every K; a (1, 1) matrix raised
+    to a broadcast one-entry exponent would take its scalar loop, which can
+    round the last bit differently.
+    """
+    if lr == 0.0:
+        return
+    k = world.num_arms
+    n = np.bincount(batch.arms, minlength=k).astype(np.float64)
+    factors = np.maximum(1.0 - lr * world._transfer / len(batch), 0.0)
+    gap = (world._loss - world._floor) * (factors ** np.tile(n, (k, 1))).prod(axis=1)
+    if world._noise_scale > 0:
+        gap = gap + world._noise_scale * lr * world._rng.standard_normal(k)
+    world._loss = world._floor + np.maximum(gap, 0.0)
+
+
 def assert_update_matches_loop(k, noise, transfer, batch, rates, seed=0):
-    fast, loop = make_world(k, noise, transfer, seed), make_world(k, noise, transfer, seed)
+    fast, ref, loop = (make_world(k, noise, transfer, seed) for _ in range(3))
     fast.train_steps(batch, rates)
+    width = len(batch) // len(rates)
+    for t, lr in enumerate(rates):
+        rows = slice(t * width, (t + 1) * width)
+        reference_step(ref, Batch(arms=batch.arms[rows], examples=batch.examples[rows]), lr)
     Learner.train_steps(loop, batch, rates)
-    assert fast.state_dict() == loop.state_dict()
+    assert fast.state_dict() == ref.state_dict() == loop.state_dict()
     check_train_steps_matches_default(make_world(k, noise, transfer, seed), batch, rates)
 
 
@@ -242,7 +266,7 @@ class TestWindowUpdate:
     @pytest.mark.parametrize(
         "k, rates",
         [
-            (1, [0.1, 0.2, 0.3]),  # one arm: numpy's scalar-exponent shortcut
+            (1, [0.1, 0.2, 0.3]),  # one arm: a (1, 1) factor matrix
             (3, [0.0, 0.0, 0.0]),  # base_rate 0
             (3, [0.1, 0.0, 0.2]),  # a zero-rate step draws no normals
             (3, [0.05, 0.1, 0.15, 0.2]),
@@ -264,8 +288,8 @@ class TestWindowUpdate:
 
     @pytest.mark.parametrize("seed", [6, 20, 37])
     def test_one_arm_width_two_matches_loop(self, seed):
-        # One arm, two examples: the loop's step squares the factor through
-        # numpy's scalar-exponent shortcut, 1 ulp off pow for these bases.
+        # One arm, two examples: every step squares the factor, where numpy's
+        # scalar power loop is 1 ulp off its vector loop for these bases.
         rates = list(np.random.default_rng(seed).uniform(0.01, 0.5, size=4))
         batch = Batch(arms=np.zeros(8, dtype=np.int64), examples=np.zeros(8, dtype=np.int64))
         assert_update_matches_loop(1, 0.0, None, batch, rates, seed)
@@ -290,23 +314,27 @@ class TestWindowUpdate:
         assert world.state_dict() == before
 
     @pytest.mark.parametrize(
-        "arms, rates",
+        "arms, rates, message",
         [
-            ([0, 1, 2, 1, 3, 0], [0.1, 0.1, 0.1]),  # arm 3 of 3, in row 2
-            ([0, 1, -1, 1, 2, 0], [0.1, 0.1, 0.1]),
-            ([0, 1, 2, 1, 2, 0], [0.1, -0.1, 0.1]),
-            ([0, 1, 2, 1, 2, 0], [0.1, 0.1, float("nan")]),
-            ([0, 1, 2, 1, 2, 0], [0.1, float("inf"), 0.1]),
+            ([0, 1, 2, 1, 3, 0], [0.1, 0.1, 0.1], "arms outside"),  # arm 3 of 3, in row 2
+            ([0, 1, -1, 1, 2, 0], [0.1, 0.1, 0.1], "arms outside"),
+            ([0, 1, 2, 1, 2, 0], [0.1, -0.1, 0.1], "got -0.1"),
+            ([0, 1, 2, 1, 2, 0], [0.1, 0.1, float("nan")], "got nan"),
+            ([0, 1, 2, 1, 2, 0], [0.1, float("inf"), 0.1], "got inf"),
+            ([], [0.1], "nonempty"),
+            ([0, 1, 2, 1, 2], [0.1, 0.1, 0.1], "a batch of 5 does not split into 3 equal steps"),
         ],
+        ids=["arm=3", "arm=-1", "lr=-0.1", "lr=nan", "lr=inf", "empty", "split"],
     )
-    def test_invalid_step_raises_after_the_steps_before_it(self, arms, rates):
-        fast, loop = make_world(), make_world()
-        batch = Batch(arms=arms, examples=[0] * len(arms))
-        with pytest.raises(ValueError):
-            fast.train_steps(batch, rates)
-        with pytest.raises(ValueError):
-            Learner.train_steps(loop, batch, rates)
-        assert fast.state_dict() == loop.state_dict()
+    def test_invalid_window_raises_and_leaves_the_world_untouched(self, arms, rates, message):
+        # The whole window is checked first: the valid steps before the bad
+        # one are not taken either.
+        world = make_world()
+        before = world.state_dict()
+        batch = Batch(arms=np.array(arms, dtype=np.int64), examples=np.zeros(len(arms), dtype=np.int64))
+        with pytest.raises(ValueError, match=message):
+            world.train_steps(batch, rates)
+        assert world.state_dict() == before
 
 
 @settings(deadline=None, max_examples=200)
