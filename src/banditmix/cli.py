@@ -8,12 +8,10 @@ key), 3 for runtime failures.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from pathlib import Path
 
-from .config import ConfigError, load_config, resolve_output_dir
+from .config import ConfigError, load_config, load_json, resolve_output_dir
 from .runner import (
     SUMMARY_FILENAME,
     TRACE_FILENAME,
@@ -74,12 +72,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _load_grid(path: str) -> dict:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as e:
-        raise ConfigError(f"cannot read grid {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path} is not valid JSON: {e}") from e
+    obj = load_json(path, "grid")
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: grid must be an object of parameter -> values")
     return obj

@@ -26,6 +26,7 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "ResolvedExperiment",
+    "load_json",
     "load_config",
     "default_config",
     "apply_param_overrides",
@@ -290,18 +291,31 @@ class ResolvedExperiment:
     config_hash: str
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate a JSON config file."""
+def load_json(path: str | Path, what: str) -> object:
+    """Parse a JSON file; an unreadable file, bad JSON or a repeated key is a ConfigError."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
+        raise ConfigError(f"cannot read {what} {path}: {e}") from e
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        obj = json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path} is not valid JSON: {e}") from e
-    return ExperimentConfig.from_dict(obj)
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    """Parse and validate a JSON config file."""
+    return ExperimentConfig.from_dict(load_json(path, "config"))
 
 
 def default_config() -> ExperimentConfig:

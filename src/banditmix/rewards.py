@@ -18,7 +18,7 @@ from typing import Any, Literal, Sequence
 
 import numpy as np
 
-from .mixture import BanditConfig, Batch, _pcg64_fits, _pcg64_integers
+from .mixture import BanditConfig, Batch
 from .registry import ArmRegistry
 
 __all__ = [
@@ -165,26 +165,6 @@ def ema_update(
     return alpha * q + (1.0 - alpha) * reward
 
 
-def _probe_examples(registry: ArmRegistry, batch_size: int, rng: np.random.Generator) -> np.ndarray:
-    """A round's ``(K, B)`` probe examples, row ``j`` drawn for arm ``j``.
-
-    Equals the per-arm loop below.  On a generator ``_pcg64_fits`` accepts,
-    the whole round comes from one ``random_raw`` call with the same values
-    and generator state; a rejected draw rewinds the generator and takes
-    the loop.
-    """
-    k = registry.num_arms
-    if _pcg64_fits(rng, registry.counts):
-        bit_gen = rng.bit_generator
-        start = bit_gen.state
-        # One raw gives two 32-bit draws; a buffered half gives the first.
-        words = bit_gen.random_raw((k * batch_size - start["has_uint32"] + 1) // 2)
-        examples = _pcg64_integers(bit_gen, start, words, registry.counts, np.arange(k).repeat(batch_size))
-        if examples is not None:
-            return examples.reshape(k, batch_size)
-    return np.stack([rng.integers(0, c, size=batch_size) for c in registry.counts])
-
-
 def lookahead_round(
     learner: Learner,
     registry: ArmRegistry,
@@ -196,9 +176,12 @@ def lookahead_round(
 ) -> np.ndarray:
     """Probe every arm once, update the estimates ``q`` in place, return the rewards.
 
-    ``q`` must be a finite float64 array of shape ``(K,)``.  Draws a row of
-    probe examples per arm from ``rng``, has ``learner.probe`` measure each
-    before and after a virtual step, and scores all arms in one pass.
+    ``q`` must be a finite float64 array of shape ``(K,)``.  Draws the
+    ``(K, B)`` probe examples, row ``j`` for arm ``j``, with one numpy call
+    that gives the values and generator state of ``rng.integers(0, c,
+    size=B)`` for each arm's count ``c`` in turn.  Has ``learner.probe``
+    measure each row before and after a virtual step, and scores all arms
+    in one pass.
     Returns the round's ``(K,)`` float64 rewards in arm order.  ``q``
     changes only after the whole round has been checked and scored, so a
     failed round leaves it untouched.
@@ -213,7 +196,7 @@ def lookahead_round(
     entropy = reward_kind == "delta_entropy"
     what = "entropies" if entropy else "losses"
 
-    examples = _probe_examples(registry, cfg.batch_size, rng)
+    examples = rng.integers(0, registry.counts.repeat(cfg.batch_size)).reshape(k, cfg.batch_size)
     pres, posts = learner.probe(examples, learning_rate, entropy=entropy)
     # Score the round as one (K, B) pair; a ragged result cannot stack.
     try:

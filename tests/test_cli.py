@@ -75,6 +75,24 @@ class TestValidate:
         assert capsys.readouterr().err.startswith(f"config error: {path}")
 
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            # Without the check this validates as two arms, "a" at 2000.
+            (
+                '{"registry": {"arms": {"a": 1000, "a": 2000, "b": 500}},'
+                ' "bandit": {"total_steps": 30}, "bandit": {"total_steps": 40}}',
+                "'a'",
+            ),
+            ('{"registry": {"arms": {"a": 1000, "b": 500}}, "seed": 1, "seed": 2}', "'seed'"),
+        ],
+    )
+    def test_duplicate_key_exits_2(self, tmp_path, capsys, text, key):
+        config = tmp_path / "twice.json"
+        config.write_text(text)
+        assert main(["validate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"config error: {config}: duplicate key {key}\n"
+
     # World values that need the arm count: validate must reject what run
     # rejects, with the same key.
     WORLD_VALUES = [
@@ -197,6 +215,13 @@ class TestSweep:
         assert (
             main(["sweep", "--config", str(config), "--grid", str(grid), "--seeds", "1"]) == 2
         )
+
+    def test_duplicate_grid_key_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, "base.json")
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"beta": [1.0], "gamma": [0.3], "beta": [2.0]}')
+        assert main(["sweep", "--config", str(config), "--grid", str(grid), "--seeds", "1"]) == 2
+        assert capsys.readouterr().err == f"config error: {grid}: duplicate key 'beta'\n"
 
 
 class TestExport:

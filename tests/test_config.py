@@ -312,6 +312,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
 
+    # json.loads keeps the last of two equal keys; a config must not.
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"registry": {"arms": {"a": 1000, "a": 2000, "b": 500}}}', "'a'"),
+            ('{"registry": {"arms": {"a": 1000, "b": 500}}, "bandit": {"beta": 1.0}, "bandit": {"beta": 2.0}}', "'bandit'"),
+        ],
+    )
+    def test_duplicate_key(self, tmp_path, text, key):
+        path = tmp_path / "twice.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"duplicate key {key}"):
+            load_config(path)
+
 
 class TestOverrides:
     def test_sweepable_table(self):

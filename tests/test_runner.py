@@ -340,9 +340,10 @@ class TestColumns:
 SHIPPED = ("tulu_default", "deep_gap_world", "volatile_world")
 
 
-def shipped_config(name, variant):
+def shipped_config(name, variant, **bandit):
     obj = json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
     obj["policy"] = {"variant": variant}
+    obj["bandit"].update(bandit)
     return ExperimentConfig.from_dict(obj)
 
 

@@ -2,7 +2,8 @@
 
 A run steps one update interval at a time.  ``sample_batch(..., steps=m)``
 must equal ``m`` steps of numpy's own draws (``_draw_step``) joined end to
-end, a reward round's probe draw the per-arm loop, ``SimWorld.train_steps``
+end, the probe examples ``lookahead_round`` hands a learner one
+``rng.integers(0, c, size=B)`` per arm in turn, ``SimWorld.train_steps``
 both a loop of ``reference_step`` (the training law in plain 2-d arithmetic)
 and the generic ``Learner.train_steps`` loop, and ``run_experiment`` a loop
 that does one step at a time; generator state is compared in every case.
@@ -15,12 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from banditmix import rewards, runner
+from banditmix import runner
 from banditmix.config import ExperimentConfig, load_config
-from banditmix.mixture import Batch, MixtureDistribution, _draw_step, _pcg64_window, sample_batch
+from banditmix.mixture import BanditConfig, Batch, MixtureDistribution, _draw_step, _pcg64_window, sample_batch
 from banditmix.policies import MixturePolicy
 from banditmix.registry import ArmRegistry
-from banditmix.rewards import Learner, _probe_examples, lookahead_round
+from banditmix.rewards import Learner, lookahead_round
 from banditmix.simworld import WorldParams, build_world
 from banditmix.trace import TraceRecord
 
@@ -130,76 +131,66 @@ def test_window_draw_matches_loop(k, batch_size, steps, held, top, seed):
     )
 
 
+class RecordingLearner(LinearLearner):
+    """A ``LinearLearner`` that keeps the probe examples it is handed."""
+
+    def probe(self, examples, learning_rate, entropy=False):
+        self.examples = examples
+        return super().probe(examples, learning_rate, entropy)
+
+
 def assert_probe_draw_matches_loop(reg, batch_size, loop_rng, round_rng):
     assert state(round_rng) == state(loop_rng)
     loop = [loop_rng.integers(0, count, size=batch_size) for count in reg.counts]
-    examples = _probe_examples(reg, batch_size, round_rng)
-    assert examples.shape == (reg.num_arms, batch_size) and examples.dtype == np.int64
+    k = reg.num_arms
+    learner = RecordingLearner(np.ones(k))
+    cfg = BanditConfig(num_arms=k, total_steps=0, batch_size=batch_size)
+    lookahead_round(learner, reg, np.zeros(k), cfg, 0.1, round_rng)
+    examples = learner.examples
+    assert examples.shape == (k, batch_size) and examples.dtype == np.int64
     assert np.array_equal(examples, loop)
     assert state(round_rng) == state(loop_rng)
 
 
-@pytest.fixture
-def one_draw_results(monkeypatch):
-    """What each one-call draw of a probe round returned: examples, or None."""
-    results = []
-    original = rewards._pcg64_integers
-
-    def spy(*args):
-        results.append(original(*args))
-        return results[-1]
-
-    monkeypatch.setattr(rewards, "_pcg64_integers", spy)
-    return results
-
-
-def took_one_draw(results):
-    return len(results) == 1 and results[0] is not None
-
-
 class TestProbeRoundDraw:
-    """A reward round's ``(K, B)`` probe examples from one ``random_raw`` call."""
+    """A reward round's ``(K, B)`` probe examples from numpy's own call."""
 
     @pytest.mark.parametrize("batch_size", [1, 2, 5, 128])
     @pytest.mark.parametrize("held", [False, True])
-    def test_matches_per_arm_loop(self, batch_size, held, one_draw_results):
+    def test_matches_per_arm_loop(self, batch_size, held):
         reg = registry(1000, 3000, 6000, 2)
         assert_probe_draw_matches_loop(reg, batch_size, make_rng(5, held), make_rng(5, held))
-        assert took_one_draw(one_draw_results)
 
     @pytest.mark.parametrize("held", [False, True])
-    def test_one_arm_one_example(self, held, one_draw_results):
+    def test_one_arm_one_example(self, held):
         # With a half held, K * B = 1 draws no raw at all.
         reg = registry(77)
         assert_probe_draw_matches_loop(reg, 1, make_rng(9, held), make_rng(9, held))
-        assert took_one_draw(one_draw_results)
 
     @pytest.mark.parametrize("held", [False, True])
-    def test_counts_up_to_two_to_the_32(self, held, one_draw_results):
+    def test_counts_up_to_two_to_the_32(self, held):
         # 2**32 never rejects; 2**32 - 1 and 7 reject with odds of 1 and 4
         # in 2**32.
         reg = registry(2**32, 2**32 - 1, 7)
         assert_probe_draw_matches_loop(reg, 9, make_rng(4, held), make_rng(4, held))
-        assert took_one_draw(one_draw_results)
 
     @pytest.mark.parametrize("held", [False, True])
-    def test_rejected_draw_rewinds_and_takes_the_loop(self, held, one_draw_results):
-        # 3 * 2**30 rejects about one draw in four, so 64 draws reject one.
+    def test_rejected_draw_rewinds_and_takes_the_loop(self, held):
+        # 3 * 2**30 rejects about one draw in four, so 64 draws reject one,
+        # and the redraw must come where the per-arm loop takes it.
         reg = registry(3 * 2**30, 10)
         assert_probe_draw_matches_loop(reg, 32, make_rng(2, held), make_rng(2, held))
-        assert one_draw_results == [None]
 
+    # A one-value range draws nothing; above 32 bits numpy draws 64-bit values.
     @pytest.mark.parametrize("counts", [(1, 500), (2**32 + 1, 10), (2**40, 3)])
     @pytest.mark.parametrize("held", [False, True])
-    def test_other_counts_take_the_loop(self, counts, held, one_draw_results):
+    def test_other_counts_take_the_loop(self, counts, held):
         assert_probe_draw_matches_loop(registry(*counts), 9, make_rng(4, held), make_rng(4, held))
-        assert one_draw_results == []
 
     @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
-    def test_other_bit_generators_take_the_loop(self, bit_generator, one_draw_results):
+    def test_other_bit_generators_take_the_loop(self, bit_generator):
         make = lambda: np.random.Generator(bit_generator(5))
         assert_probe_draw_matches_loop(registry(1000, 3000), 12, make(), make())
-        assert one_draw_results == []
 
 
 @settings(deadline=None, max_examples=200)
