@@ -12,7 +12,6 @@ from .mixture import (
     BanditConfig,
     Batch,
     MixtureDistribution,
-    boltzmann_probs,
     mixture_probs,
     prior_scaled_probs,
     sample_batch,
@@ -58,7 +57,6 @@ __all__ = [
     "TraceRecord",
     "TraceWriter",
     "WorldParams",
-    "boltzmann_probs",
     "build_world",
     "builtin_registry",
     "compare_experiments",

@@ -18,7 +18,6 @@ __all__ = [
     "BanditConfig",
     "MixtureDistribution",
     "Batch",
-    "boltzmann_probs",
     "prior_scaled_probs",
     "mixture_probs",
     "sample_batch",
@@ -96,6 +95,35 @@ class MixtureDistribution:
         """Cumulative sums in fixed arm order, used by inverse-CDF sampling."""
         return np.cumsum(self.p)
 
+    @cached_property
+    def thresholds(self) -> np.ndarray:
+        """``cumulative`` in the domain of a uniform's 53-bit key.
+
+        numpy's uniform double is ``key * 2**-53`` exactly, so ``u >= c``
+        holds iff ``key >= ceil(max(c, 0) * 2**53)``: every comparison of
+        a key with these thresholds agrees with the double's with
+        ``cumulative``.
+        """
+        return np.ceil(np.maximum(self.cumulative, 0.0) * 2.0**53).astype(np.uint64)
+
+    @cached_property
+    def bucket_arms(self) -> np.ndarray | None:
+        """Per bucket of a key's top ``_BUCKET_BITS`` bits, the arm of its keys.
+
+        The arm is unclipped, and -1 where a threshold falls inside the
+        bucket, so its keys' arms differ.  None when a negative entry of
+        ``p`` leaves the thresholds unsorted: a binary search then need not
+        return the count of thresholds at or below a key, which is what the
+        table holds.
+        """
+        thresholds = self.thresholds
+        if (thresholds[1:] < thresholds[:-1]).any():
+            return None
+        below_first = thresholds.searchsorted(_BUCKET_FIRST, side="right")
+        below_last = thresholds.searchsorted(_BUCKET_LAST, side="right")
+        below_first[below_first != below_last] = -1
+        return below_first
+
 
 @dataclass(frozen=True)
 class Batch:
@@ -123,16 +151,6 @@ def _check_finite_vector(name: str, v: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} entries must be finite")
     return v
-
-
-def boltzmann_probs(q: np.ndarray, beta: float) -> np.ndarray:
-    """Softmax of ``beta * q``, stabilized by subtracting the max logit."""
-    q = _check_finite_vector("q", q)
-    if not np.isfinite(beta) or beta < 0:
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    z = beta * q
-    w = np.exp(z - np.max(z))
-    return w / np.sum(w)
 
 
 def prior_scaled_probs(q: np.ndarray, prior: np.ndarray, beta: float) -> np.ndarray:
@@ -219,9 +237,38 @@ def _draw_step(
 
 _LOW32 = np.uint64(0xFFFFFFFF)
 
+# A window's keys go through ``bucket_arms`` when there are this many; on
+# fewer, building and reading the table costs more than it saves.
+_TABLE_MIN_KEYS = 2048
+_BUCKET_BITS = 8
+_BUCKET_SHIFT = np.uint64(53 - _BUCKET_BITS)
+# The first and the last key of each bucket.
+_BUCKET_FIRST = np.arange(1 << _BUCKET_BITS, dtype=np.uint64) << _BUCKET_SHIFT
+_BUCKET_LAST = _BUCKET_FIRST + np.uint64((1 << (53 - _BUCKET_BITS)) - 1)
+
+
+def _key_arms(dist: MixtureDistribution, keys: np.ndarray) -> np.ndarray:
+    """The arms ``_draw_step`` picks for the uniforms ``keys * 2**-53``.
+
+    ``keys`` are 53-bit integers.  A large window reads the arms of the
+    keys in buckets that hold no threshold from ``bucket_arms`` in one
+    gather, and searches only the keys of the others.
+    """
+    table = dist.bucket_arms if keys.size >= _TABLE_MIN_KEYS else None
+    if table is None:
+        arms = dist.thresholds.searchsorted(keys, side="right")
+    else:
+        # Bucket numbers fit in int64, which ``take`` indexes without a cast.
+        arms = table.take((keys >> _BUCKET_SHIFT).view(np.int64))
+        split = np.flatnonzero(arms < 0)
+        if split.size:
+            arms[split] = dist.thresholds.searchsorted(keys[split], side="right")
+    np.minimum(arms, dist.num_arms - 1, out=arms)
+    return arms
+
 
 def _pcg64_fits(rng: np.random.Generator, counts: np.ndarray) -> bool:
-    """Whether ``_pcg64_integers`` can replay ``rng.integers(0, c)`` for each count.
+    """Whether ``_pcg64_window`` can replay ``rng.integers(0, c)`` for each count.
 
     That needs numpy's ``PCG64`` and counts in ``[2, 2**32]``: a count of 1
     draws nothing, and a larger one draws 64-bit values.
@@ -231,37 +278,6 @@ def _pcg64_fits(rng: np.random.Generator, counts: np.ndarray) -> bool:
     return counts.min() >= 2 and counts.max() <= 2**32
 
 
-def _pcg64_integers(
-    bit_gen: np.random.PCG64, start: dict, words: np.ndarray, counts: np.ndarray, arms: np.ndarray
-) -> np.ndarray | None:
-    """Integers in ``[0, counts[arms[i]])`` as numpy draws them, or None.
-
-    ``words`` are raws ``bit_gen`` drew from state ``start`` for 32-bit use.
-    The 32-bit draws are the half ``start`` holds buffered, if any, then the
-    low and high halves of each word; numpy's ``Generator.integers`` turns
-    one draw ``u`` into ``(u * c) >> 32`` by Lemire's method, rejected iff
-    ``(u * c) mod 2**32`` is below ``(2**32 - c) mod c``.  On success the
-    generator keeps the high half of the last word, and whether it is still
-    unused.  Returns None with the generator rewound to ``start`` when any
-    draw would be rejected.
-    """
-    halves = np.column_stack((words & _LOW32, words >> np.uint64(32))).ravel()
-    if start["has_uint32"]:
-        halves = np.concatenate(([np.uint64(start["uinteger"])], halves))
-    bound = counts.astype(np.uint64)
-    threshold = (np.uint64(2**32) - bound) % bound
-    scaled = halves[: arms.size] * bound[arms]
-    if ((scaled & _LOW32) < threshold[arms]).any():
-        bit_gen.state = start
-        return None
-    end = bit_gen.state
-    end["has_uint32"] = halves.size - arms.size
-    if words.size:
-        end["uinteger"] = int(words[-1] >> np.uint64(32))
-    bit_gen.state = end
-    return (scaled >> np.uint64(32)).astype(np.int64)
-
-
 def _pcg64_window(
     dist: MixtureDistribution,
     counts: np.ndarray,
@@ -269,31 +285,74 @@ def _pcg64_window(
     steps: int,
     rng: np.random.Generator,
 ) -> Batch | None:
-    """``steps`` calls of ``_draw_step`` from one ``random_raw`` call, or None.
+    """``steps`` calls of ``_draw_step``, mostly from one ``random_raw`` call.
 
-    Follows numpy's PCG64 ``Generator`` bit for bit, as the tests pin: a
-    uniform double is a raw's top 53 bits over 2**53, and the example
-    indices come from ``_pcg64_integers`` on the raws drawn after each
-    step's doubles.  Returns None with ``rng`` unchanged when ``_pcg64_fits``
-    does not hold or any draw would be rejected.
+    Follows numpy's PCG64 ``Generator`` bit for bit, as the tests pin.  Each
+    step draws ``batch_size`` raws for its doubles, a double being a raw's
+    top 53 bits over 2**53, then the raws its example indices take.  Those
+    are drawn 32 bits at a time: first the half the generator holds
+    buffered, if any, then the low and high halves of each raw.  numpy's
+    ``Generator.integers`` turns one such draw ``u`` into ``(u * c) >> 32``
+    by Lemire's method, rejected iff ``(u * c) mod 2**32`` is below
+    ``(2**32 - c) mod c``.  At a rejected draw the steps before its step are
+    kept, the generator is set to their end, that step is drawn by
+    ``_draw_step`` and the window goes on from the next one.  Returns None
+    with ``rng`` unchanged when ``_pcg64_fits`` does not hold.
     """
     if not _pcg64_fits(rng, counts):
         return None
     bit_gen = rng.bit_generator
-    start = bit_gen.state
-    # Raws spent on 32-bit draws by the end of each step.
-    spent = (np.arange(1, steps + 1) * batch_size - start["has_uint32"] + 1) // 2
-    per_step = np.diff(spent, prepend=0)
-    # Each step draws batch_size raws for its doubles, then its share of raws
-    # for 32-bit draws.
-    is_double = np.repeat(
-        np.tile([True, False], steps), np.column_stack((np.full(steps, batch_size), per_step)).ravel()
-    )
-    raws = bit_gen.random_raw(is_double.size)
-    us = (raws[is_double] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    arms = dist.cumulative.searchsorted(us, side="right")
-    np.minimum(arms, dist.num_arms - 1, out=arms)
-    examples = _pcg64_integers(bit_gen, start, raws[~is_double], counts, arms)
-    if examples is None:
-        return None
-    return Batch(arms=arms, examples=examples)
+    bound = counts.astype(np.uint64)
+    reject_below = (np.uint64(2**32) - bound) % bound
+    arm_parts, example_parts = [], []
+    while steps:
+        start = bit_gen.state
+        held = start["has_uint32"]
+        # Raws spent on 32-bit draws by the end of each step.
+        spent = np.arange(batch_size - held + 1, steps * batch_size - held + 2, batch_size) // 2
+        # Each step draws batch_size raws for its doubles, then its share of
+        # raws for 32-bit draws.
+        sizes = np.full(2 * steps, batch_size)
+        sizes[1::2] = spent
+        sizes[3::2] -= spent[:-1]
+        is_double = np.repeat(np.arange(2 * steps) % 2 == 0, sizes)
+        raws = bit_gen.random_raw(is_double.size)
+        keys, words = raws[is_double], raws[~is_double]
+        # Freed here, so the window's peak memory holds no second copy.
+        del raws, is_double
+        keys >>= np.uint64(11)
+        arms = _key_arms(dist, keys)
+        del keys
+        halves = np.empty(held + 2 * words.size, dtype=np.uint64)
+        if held:
+            halves[0] = start["uinteger"]
+        np.bitwise_and(words, _LOW32, out=halves[held::2])
+        np.right_shift(words, np.uint64(32), out=halves[held + 1 :: 2])
+        scaled = halves[: arms.size]
+        scaled *= bound[arms]
+        rejected = np.flatnonzero((scaled & _LOW32) < reject_below[arms])
+        scaled >>= np.uint64(32)
+        examples = scaled.view(np.int64)
+        # Steps kept, and the raws they spent on 32-bit draws.
+        kept = int(rejected[0]) // batch_size if rejected.size else steps
+        used = int(spent[kept - 1]) if kept else 0
+        if kept < steps:
+            bit_gen.state = start
+            bit_gen.advance(kept * batch_size + used)
+        end = bit_gen.state
+        # numpy keeps a raw's high half buffered until a draw takes it.
+        end["has_uint32"] = held + 2 * used - kept * batch_size
+        # ``advance`` clears the buffer, so it is always set here.
+        end["uinteger"] = int(words[used - 1] >> np.uint64(32)) if used else start["uinteger"]
+        bit_gen.state = end
+        arm_parts.append(arms[: kept * batch_size])
+        example_parts.append(examples[: kept * batch_size])
+        if kept == steps:
+            break
+        step_arms, step_examples = _draw_step(dist, counts, batch_size, rng)
+        arm_parts.append(step_arms)
+        example_parts.append(step_examples)
+        steps -= kept + 1
+    if len(arm_parts) == 1:
+        return Batch(arms=arm_parts[0], examples=example_parts[0])
+    return Batch(arms=np.concatenate(arm_parts), examples=np.concatenate(example_parts))

@@ -21,7 +21,8 @@ A full batch from arm ``j`` shrinks arm ``k``'s gap by roughly
 ``SimWorld.train_steps`` is the only implementation of this law:
 ``train_step`` is a window of one row, and ``SimWorld.probe`` computes a
 reward round's steps, each on one arm's row, in closed form with the same
-operations.
+operations.  The clip to the floor runs per arm over the window's steps in
+Python floats, which round each operation as numpy's float64 arrays do.
 """
 
 from __future__ import annotations
@@ -270,7 +271,9 @@ class SimWorld(Learner):
         matrices of the other steps are stacked and raised to their per-step
         counts at once, and their normals come from one call, which yields
         the same numbers as one draw per step.  Only the clip and the floor,
-        which depend on the previous step, stay in a loop.
+        which depend on the previous step, stay in a loop: per arm, over the
+        live steps, in Python floats, as
+        ``loss = floor + max((loss - floor) * shrink + noise, 0)``.
         """
         lr = np.asarray(learning_rates, dtype=np.float64)
         arms = batch.arms
@@ -292,16 +295,23 @@ class SimWorld(Learner):
         lr = lr[live]
         factors = np.maximum(1.0 - lr[:, np.newaxis, np.newaxis] * self._transfer / width, 0.0)
         shrink = (factors ** n[:, np.newaxis, :]).prod(axis=2)
-        noise = None
+        # Python floats round each operation as numpy does, and for the few
+        # arms of a mixture, scalar steps cost less than K-wide numpy calls.
+        shrink_by_arm = shrink.T.tolist()
         if self._noise_scale > 0:
             noise = (self._noise_scale * lr)[:, np.newaxis] * self._rng.standard_normal((live.size, k))
-        loss, floor = self._loss, self._floor
-        for t in range(live.size):
-            gap = (loss - floor) * shrink[t]
-            if noise is not None:
-                gap = gap + noise[t]
-            loss = floor + np.maximum(gap, 0.0)
-        self._loss = loss
+            noise_by_arm = noise.T.tolist()
+        else:
+            # Without noise a gap is +0.0 or more, and adding 0.0 keeps it.
+            noise_by_arm = [[0.0] * live.size] * k
+        losses = self._loss.tolist()
+        for j, floor in enumerate(self._floor.tolist()):
+            loss = losses[j]
+            for a, z in zip(shrink_by_arm[j], noise_by_arm[j]):
+                gap = (loss - floor) * a + z
+                loss = floor + (gap if gap > 0.0 else 0.0)
+            losses[j] = loss
+        self._loss = np.array(losses)
 
     def probe(
         self, examples: np.ndarray, learning_rate: float, entropy: bool = False

@@ -18,7 +18,7 @@ import pytest
 import scipy.stats
 
 from banditmix.config import ExperimentConfig
-from banditmix.mixture import BanditConfig, boltzmann_probs, mixture_probs, sample_batch
+from banditmix.mixture import BanditConfig, mixture_probs, sample_batch
 from banditmix.registry import builtin_registry
 from banditmix.rewards import delta_loss_reward, delta_entropy_reward, ema_update, lookahead_round
 from banditmix.runner import run_experiment
@@ -30,6 +30,7 @@ from learner_contract import (
     check_snapshot_roundtrip,
     random_batch,
 )
+from test_mixture import boltzmann_probs
 
 # Frozen arbitrary-precision oracle values (epsilon = 1e-8 folded in).
 DELTA_LOSS_SINGLE = 0.4999999975000000125  # pre=(2,), post=(1,)

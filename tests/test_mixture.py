@@ -7,7 +7,6 @@ from banditmix.mixture import (
     BanditConfig,
     Batch,
     MixtureDistribution,
-    boltzmann_probs,
     mixture_probs,
     prior_scaled_probs,
     sample_batch,
@@ -22,6 +21,16 @@ MIXTURE_ORACLE = (0.5424992421434256366215, 0.2779696674185899449446, 0.17953109
 
 Q3 = np.array([0.1, 0.0, -0.1])
 PRIOR3 = np.array([0.5, 0.3, 0.2])
+
+
+def boltzmann_probs(q, beta):
+    """Softmax of ``beta * q``, stabilized by subtracting the max logit.
+
+    The law ``prior_scaled_probs`` must reduce to under a uniform prior.
+    """
+    z = beta * np.asarray(q, dtype=np.float64)
+    w = np.exp(z - np.max(z))
+    return w / np.sum(w)
 
 
 def oracle_config(num_arms=3, **kw):

@@ -5,9 +5,12 @@ from their own.  So a relation between two configs that differ in one knob
 pins what a round may touch, over every step of a run.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from banditmix.policies import PolicyKind
 from banditmix.runner import run_experiment
 
 from test_runner import SHIPPED, shipped_config
@@ -31,3 +34,40 @@ def test_bandit_at_gamma_one_is_uniform(name, seed):
     assert np.array_equal(bandit.counts, uniform.counts)
     assert np.array_equal(bandit.learning_rates, uniform.learning_rates)
     assert bandit.world.state_dict() == uniform.world.state_dict()
+
+
+def assert_equals_static_run(cfg, seed, bandit):
+    """``bandit`` drew and trained as a static run at its first probabilities."""
+    static = dataclasses.replace(cfg, policy=PolicyKind("static", static_probs=bandit.windows[0].probabilities))
+    static = run_experiment(static, seed=seed)
+    assert np.array_equal(bandit.counts, static.counts)
+    assert np.array_equal(bandit.learning_rates, static.learning_rates)
+    assert bandit.world.state_dict() == static.world.state_dict()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_zero_rate_freezes_the_run(name, seed):
+    # At rate 0 no step moves the world and no probe moves a loss, so every
+    # reward is 0, the estimates stay 0 and the distribution never changes.
+    cfg = short_config(name, "bandit")
+    cfg = dataclasses.replace(cfg, schedule=dataclasses.replace(cfg.schedule, base_rate=0.0))
+    bandit = run_experiment(cfg, seed=seed)
+    assert sum(w.rewards is not None for w in bandit.windows) >= 2
+    assert all(w.q_after == (0.0,) * len(w.q_after) for w in bandit.windows)
+    assert not bandit.learning_rates.any()
+    assert_equals_static_run(cfg, seed, bandit)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_one_final_round_changes_nothing(name, seed):
+    # The only round follows the last draw; if it drew from the training or
+    # noise stream, or left the world moved, the static twin would differ.
+    cfg = short_config(name, "bandit")
+    total = cfg.resolve().bandit.total_steps
+    cfg = dataclasses.replace(cfg, bandit=dataclasses.replace(cfg.bandit, update_interval=total))
+    bandit = run_experiment(cfg, seed=seed)
+    assert [w.rewards is not None for w in bandit.windows][-1]
+    assert sum(w.rewards is not None for w in bandit.windows) == 1
+    assert_equals_static_run(cfg, seed, bandit)

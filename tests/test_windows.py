@@ -16,9 +16,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from banditmix import runner
+from banditmix import mixture, runner
 from banditmix.config import ExperimentConfig, load_config
-from banditmix.mixture import BanditConfig, Batch, MixtureDistribution, _draw_step, _pcg64_window, sample_batch
+from banditmix.mixture import (
+    BanditConfig,
+    Batch,
+    MixtureDistribution,
+    _draw_step,
+    _key_arms,
+    _pcg64_window,
+    sample_batch,
+)
 from banditmix.policies import MixturePolicy
 from banditmix.registry import ArmRegistry
 from banditmix.rewards import Learner, lookahead_round
@@ -87,7 +95,6 @@ class TestWindowDraw:
             (1, 500, 9),  # a one-value range draws nothing
             (2**32 + 1, 10, 10),  # above 32 bits numpy draws 64-bit values
             (2**40, 3, 3),
-            (3 * 2**30, 5, 5),  # Lemire rejects about one draw in four
         ],
     )
     @pytest.mark.parametrize("held", [False, True])
@@ -98,6 +105,47 @@ class TestWindowDraw:
         assert _pcg64_window(DIST3, reg.counts, 16, 6, rng) is None
         assert rng.bit_generator.state == before
         assert_window_matches_loop(DIST3, reg, 16, 6, make_rng(11, held), make_rng(11, held))
+
+    @pytest.mark.parametrize("held", [False, True])
+    def test_frequent_rejections_keep_the_window(self, held):
+        # Lemire rejects about one draw in four at 3 * 2**30.
+        reg = registry(3 * 2**30, 5, 5)
+        assert _pcg64_window(DIST3, reg.counts, 16, 6, make_rng(11, held)) is not None
+        assert_window_matches_loop(DIST3, reg, 16, 6, make_rng(11, held), make_rng(11, held))
+
+    # 2**32 - 2**26 rejects one draw in 64, so an 8-step window of 16 rejects
+    # about once; each seed puts its rejections in the steps named.
+    @pytest.mark.parametrize(
+        "held, seed, steps",
+        [
+            (False, 25, [0]),
+            (True, 1, [0]),
+            (False, 19, [3]),
+            (True, 19, [3]),
+            (False, 3, [7]),
+            (True, 3, [7]),
+            (False, 86, [1, 3]),
+            (True, 112, [1, 3]),
+            (False, 22, [4, 5]),  # the step after a redrawn one rejects too
+            (True, 22, [4, 5]),
+        ],
+    )
+    def test_a_rejection_redraws_only_its_step(self, held, seed, steps, monkeypatch):
+        reg = registry(2**32 - 2**26, 1000, 3000)
+        loop_rng = make_rng(seed, held)
+        starts = []
+        for _ in range(8):
+            starts.append(state(loop_rng))
+            _draw_step(DIST3, reg.counts, 16, loop_rng)
+        redrawn = []
+
+        def spy(dist, counts, batch_size, rng):
+            redrawn.append(starts.index(state(rng)))
+            return _draw_step(dist, counts, batch_size, rng)
+
+        monkeypatch.setattr(mixture, "_draw_step", spy)
+        assert_window_matches_loop(DIST3, reg, 16, 8, make_rng(seed, held), make_rng(seed, held))
+        assert redrawn == steps
 
     @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
     def test_other_bit_generators_take_the_loop(self, bit_generator):
@@ -129,6 +177,119 @@ def test_window_draw_matches_loop(k, batch_size, steps, held, top, seed):
     assert_window_matches_loop(
         dist, reg, batch_size, steps, make_rng(seed + 1, held), make_rng(seed + 1, held)
     )
+
+
+@st.composite
+def edge_distributions(draw):
+    """Distributions whose thresholds sit on, next to or outside bucket edges."""
+    k = draw(st.integers(2, 16))
+    n = draw(st.integers(1, 14))
+    # Dyadic probabilities j / 2**n put every threshold on a multiple of
+    # 2**(53 - n), a bucket edge for n up to the table's bits; a repeated
+    # cut gives an arm probability zero.
+    cuts = sorted(draw(st.lists(st.integers(0, 2**n), min_size=k - 1, max_size=k - 1)))
+    p = np.diff([0, *cuts, 2**n]) / 2.0**n
+    arm = draw(st.integers(0, k - 1))
+    change = draw(st.sampled_from(["none", "up", "down", "negative"]))
+    if change in ("up", "down"):
+        # One ulp off: its threshold and the ones after it leave the edge.
+        p[arm] = np.nextafter(p[arm], np.inf if change == "up" else -np.inf)
+    elif change == "negative":
+        # The smallest entry MixtureDistribution accepts; the cumulative dips.
+        p[(arm + 1) % k] += p[arm] + 1e-12
+        p[arm] = -1e-12
+    return MixtureDistribution(p=p)
+
+
+# Cumulatives that end one ulp below and one above 1.0.
+ENDS_BELOW_ONE = MixtureDistribution(p=np.full(10, 0.1))
+ENDS_ABOVE_ONE = MixtureDistribution(p=np.array([0.2, 0.4, 0.3, 0.1]))
+TABLE_DISTRIBUTIONS = st.one_of(
+    edge_distributions(),
+    st.sampled_from([ENDS_BELOW_ONE, ENDS_ABOVE_ONE]),
+    st.integers(1, 16).flatmap(
+        lambda k: st.integers(0, 2**32 - 1).map(
+            lambda seed: MixtureDistribution(p=np.random.default_rng(seed).dirichlet(np.ones(k)))
+        )
+    ),
+)
+
+
+def test_cumulatives_end_off_one_as_stated():
+    assert ENDS_BELOW_ONE.cumulative[-1] < 1.0 < ENDS_ABOVE_ONE.cumulative[-1]
+
+
+@settings(deadline=None, max_examples=200)
+@given(dist=TABLE_DISTRIBUTIONS, seed=st.integers(0, 2**32 - 1))
+def test_key_arms_match_float_search(dist, seed):
+    # Keys on, next to and between the thresholds and the bucket edges, as
+    # many as take the table.
+    thresholds = dist.thresholds.astype(np.int64)
+    edges = mixture._BUCKET_FIRST.astype(np.int64)
+    special = np.concatenate([thresholds, edges, [2**53 - 1]])
+    special = np.concatenate([special - 1, special, special + 1])
+    special = special[(special >= 0) & (special < 2**53)]
+    fill = np.random.default_rng(seed).integers(0, 2**53, size=mixture._TABLE_MIN_KEYS)
+    keys = np.concatenate([special, fill]).astype(np.uint64)
+    expected = dist.cumulative.searchsorted(keys.astype(np.float64) * 2.0**-53, side="right")
+    np.minimum(expected, dist.num_arms - 1, out=expected)
+    assert np.array_equal(_key_arms(dist, keys), expected)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    dist=TABLE_DISTRIBUTIONS,
+    batch_size=st.integers(64, 160),
+    extra_steps=st.integers(0, 8),
+    held=st.booleans(),
+    top=st.sampled_from([2, 1000, 2**31, 2**32]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_table_window_matches_loop(dist, batch_size, extra_steps, held, top, seed):
+    steps = -(-mixture._TABLE_MIN_KEYS // batch_size) + extra_steps
+    counts = np.random.default_rng(seed).integers(1, top + 1, size=dist.num_arms)
+    assert_window_matches_loop(
+        dist, registry(*counts), batch_size, steps, make_rng(seed + 1, held), make_rng(seed + 1, held)
+    )
+
+
+def step_rejects(dist, counts, batch_size, rng):
+    """Take one ``_draw_step``; whether numpy redrew any of its example draws.
+
+    Without a redraw the step ends where its doubles and its share of raws
+    for 32-bit draws leave the generator.
+    """
+    start = rng.bit_generator.state
+    _draw_step(dist, counts, batch_size, rng)
+    held = start["has_uint32"]
+    words = (batch_size - held + 1) // 2
+    clean = np.random.PCG64()
+    clean.state = start
+    clean.advance(batch_size + words)
+    end = rng.bit_generator.state
+    return (end["state"], end["has_uint32"]) != (clean.state["state"], held + 2 * words - batch_size)
+
+
+def test_default_tulu_run_redraws_only_rejected_steps(monkeypatch):
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "tulu_default.json")
+    redrawn = []
+
+    def counted(*args):
+        redrawn.append(1)
+        return _draw_step(*args)
+
+    monkeypatch.setattr(mixture, "_draw_step", counted)
+    result = runner.run_experiment(cfg)
+    # Replay the run's training draws one numpy step at a time.
+    registry, width = result.resolved.registry, result.resolved.bandit.batch_size
+    train_rng = runner._rng_streams(cfg.seed)[0]
+    rejecting = 0
+    for w in result.windows:
+        dist = MixtureDistribution(p=np.array(w.probabilities))
+        rejecting += sum(step_rejects(dist, registry.counts, width, train_rng) for _ in range(w.first, w.last + 1))
+    assert rejecting >= 1
+    # One redraw per step with a rejected draw, so at most one per rejection.
+    assert len(redrawn) == rejecting
 
 
 class RecordingLearner(LinearLearner):
@@ -241,7 +402,12 @@ def reference_step(world, batch, lr):
 
 
 def assert_update_matches_loop(k, noise, transfer, batch, rates, seed=0):
-    fast, ref, loop = (make_world(k, noise, transfer, seed) for _ in range(3))
+    assert_worlds_match_loop(lambda: make_world(k, noise, transfer, seed), batch, rates)
+
+
+def assert_worlds_match_loop(make, batch, rates):
+    """``train_steps`` on a world from ``make`` against both loops."""
+    fast, ref, loop = make(), make(), make()
     fast.train_steps(batch, rates)
     width = len(batch) // len(rates)
     for t, lr in enumerate(rates):
@@ -249,7 +415,8 @@ def assert_update_matches_loop(k, noise, transfer, batch, rates, seed=0):
         reference_step(ref, Batch(arms=batch.arms[rows], examples=batch.examples[rows]), lr)
     Learner.train_steps(loop, batch, rates)
     assert fast.state_dict() == ref.state_dict() == loop.state_dict()
-    check_train_steps_matches_default(make_world(k, noise, transfer, seed), batch, rates)
+    check_train_steps_matches_default(make(), batch, rates)
+    return fast
 
 
 class TestWindowUpdate:
@@ -284,6 +451,22 @@ class TestWindowUpdate:
         rates = list(np.random.default_rng(seed).uniform(0.01, 0.5, size=4))
         batch = Batch(arms=np.zeros(8, dtype=np.int64), examples=np.zeros(8, dtype=np.int64))
         assert_update_matches_loop(1, 0.0, None, batch, rates, seed)
+
+    def test_zero_floor_clips_under_noise(self, rng):
+        # Noise as large as the gaps pushes losses below a floor of 0, where
+        # the clip puts them at exactly 0.
+        params = WorldParams(base_loss=(0.05, 0.2, 0.01), floor=0.0, learnability=0.5, noise_scale=1.0)
+        make = lambda: build_world(params, 3, np.random.default_rng(1), np.random.default_rng(2))
+        batch = random_batch(3, 8 * 6, rng)
+        world = assert_worlds_match_loop(make, batch, [0.3, 0.1, 0.0, 0.5, 0.2, 0.4])
+        assert (world.loss_vector == 0.0).any()
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    def test_all_zero_rates_leave_the_world_as_it_was(self, noise, rng):
+        world = make_world(k=4, noise=noise)
+        before = world.state_dict()
+        world.train_steps(random_batch(4, 8 * 5, rng), [0.0] * 5)
+        assert world.state_dict() == before
 
     def test_clipped_factor_lands_on_the_floor(self):
         # 1 - lr * T_00 / B < 0 for a learnability of at least 0.3.
