@@ -16,9 +16,9 @@ as one call per step.  A long interval is split into windows of at most
 
 The run keeps its history as columns: the cumulative draws per arm and the
 learning rate of every step, plus one ``Window`` per window with the rows
-that change only between windows.  The trace is written from them one window
-at a time, records are built only when ``RunResult.records`` is first read,
-and the summary comes from the columns alone.
+that change only between windows.  The trace is written a window at a time,
+from its per-step draws and rates, records are built only when
+``RunResult.records`` is first read, and the summary uses the columns alone.
 
 Randomness is split into four independent streams derived from the run seed:
 training-batch sampling, reward-batch sampling, world initialization, and
@@ -168,6 +168,7 @@ def run_experiment(
             arm_names=registry.names,
             seed=cfg.seed,
             config_hash=resolved.config_hash,
+            total_steps=steps,
         )
         writer.__enter__()
 
@@ -191,9 +192,9 @@ def run_experiment(
                 probabilities = tuple(dist.p.tolist())
                 changes.append((first - 1, probabilities))
             batch = sample_batch(dist, registry, width, train_rng, steps=m)
-            per_step = np.bincount(np.arange(m).repeat(width) * k + batch.arms, minlength=m * k)
+            per_step = np.bincount(np.arange(m).repeat(width) * k + batch.arms, minlength=m * k).reshape(m, k)
             block = counts[first - 1 : last]
-            np.cumsum(per_step.reshape(m, k), axis=0, out=block)
+            np.cumsum(per_step, axis=0, out=block)
             block += drawn
             drawn = block[-1]
             rates[first - 1 : last] = resolved.schedule.rates(first - 1, last)
@@ -216,7 +217,7 @@ def run_experiment(
             window = Window(first, last, probabilities, q, q_after, rewards)
             windows.append(window)
             if writer is not None:
-                writer.write(window, block, rates[first - 1 : last])
+                writer.write(window, per_step, rates[first - 1 : last])
                 writer.flush()
             q = q_after
             first = last + 1

@@ -1,11 +1,13 @@
 """Run traces: JSON-lines persistence, summaries, and plot-data export.
 
 A trace file starts with a single header object naming the schema version,
-the arm order, the seed, and the config hash; every following line is one
-per-step record.  Floats are written with Python's shortest round-trip
+the arm order, the seed, the config hash and the step count; every following
+line is one step, less the rows the line before holds, with the step's
+draws per arm.  Floats are written with Python's shortest round-trip
 representation, so reading a trace back reproduces the arrays bit for bit.
 A run writes its trace one ``Window`` at a time, from the window's blocks of
-its counts and learning-rate columns.
+its draws and learning-rate columns.  Schema v1 traces, with every row on
+every line and cumulative counts, are still read.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import io
 import json
 import os
 from dataclasses import dataclass
+from operator import add
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -37,7 +40,7 @@ __all__ = [
     "save_world_checkpoint",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 TRACE_KIND = "banditmix-trace"
 
 EXPORT_KINDS = ("proportions_over_time", "instance_coverage", "q_over_time")
@@ -50,8 +53,8 @@ class TraceRecord:
 
     ``probabilities`` is the distribution in effect when the step's batch was
     drawn; ``q`` and ``rewards`` reflect any reward round that ran at this
-    step.  ``wall_time_ms`` is always written as 0 so traces stay
-    byte-reproducible.
+    step.  ``wall_time_ms`` is 0 unless a v1 trace gave another value.
+    ``to_json_obj`` gives the record's v1 line.
     """
 
     step: int
@@ -63,7 +66,6 @@ class TraceRecord:
     wall_time_ms: int = 0
 
     def to_json_obj(self) -> dict:
-        # A trace line's keys in order; ``TraceWriter.write`` spells it out.
         obj = {
             "step": self.step,
             "probabilities": list(self.probabilities),
@@ -77,21 +79,34 @@ class TraceRecord:
         return obj
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "TraceRecord":
+    def from_json_obj(
+        cls, obj: dict, previous: "TraceRecord | None" = None, summed: bool = False
+    ) -> "TraceRecord":
+        """The record of a parsed trace line, which may leave out ``previous``'s rows.
+
+        The counts are the line's ``cumulative_counts``, or with ``summed`` (a
+        v2 line) ``previous``'s, or zeros, plus the line's ``draws``.
+        """
         rewards, step, wall = obj.get("rewards"), obj["step"], obj.get("wall_time_ms", 0)
         # JSON gives exact types: a float or boolean step is no step, a row not a
         # list would be read element by element, and true, "z" or null is no number.
         for key, value in (("step", step), ("wall_time_ms", wall)):
             if type(value) is not int:
                 raise ValueError(f"{key} must be an integer, got {value!r}")
-        probabilities, q, counts = obj["probabilities"], obj["q"], obj["cumulative_counts"]
-        lr = obj["learning_rate"]
+        if previous is None:
+            probabilities, q = obj["probabilities"], obj["q"]
+        else:
+            probabilities, q = obj.get("probabilities", previous.probabilities), obj.get("q", previous.q)
+        counts_key = "draws" if summed else "cumulative_counts"
+        counts, lr = obj[counts_key], obj["learning_rate"]
         if rewards is not None and type(rewards) is not list:
             raise ValueError(f"rewards must be a list or null, got {rewards!r}")
         for key, row, kinds in (
             ("probabilities", probabilities, _NUMBERS), ("q", q, _NUMBERS),
-            ("cumulative_counts", counts, _INTS), ("rewards", rewards or [], _NUMBERS),
+            (counts_key, counts, _INTS), ("rewards", rewards or [], _NUMBERS),
         ):
+            if previous is not None and (row is previous.probabilities or row is previous.q):
+                continue  # carried, and checked when it was read
             if type(row) is not list:
                 raise ValueError(f"{key} must be a list, got {row!r}")
             if not kinds.issuperset(map(type, row)):
@@ -99,6 +114,11 @@ class TraceRecord:
                 raise ValueError(f"{key} must hold only {noun}, got {row!r}")
         if type(lr) not in _NUMBERS:
             raise ValueError(f"learning_rate must be a number, got {lr!r}")
+        if summed:
+            before = (0,) * len(counts) if previous is None else previous.cumulative_counts
+            if len(counts) != len(before):
+                raise ValueError(f"draws must have {len(before)} entries, got {counts!r}")
+            counts = map(add, before, counts)
         return cls(
             step=step,
             probabilities=tuple(probabilities),
@@ -128,25 +148,33 @@ class Window(NamedTuple):
 
 
 class TraceWriter:
-    """Streams a run's records to a JSONL file, header first, a window at a time.
+    """Streams a run's steps to a JSONL file, header first, a window at a time.
 
     Lines are buffered until ``flush`` or the writer closes; a window's lines
     are written whole or not at all, so a run that raises leaves a file of
-    whole records.  Every line equals ``json.dumps(record.to_json_obj())`` of
-    the matching record, with ``wall_time_ms`` 0.
+    whole lines.  A line is ``{"step", "probabilities", "q", "learning_rate",
+    "draws", "rewards"}`` in that key order, less each row that is the same
+    object as the line before's (``probabilities`` then appears only on the
+    first line of a window whose distribution changed, ``q`` on the first
+    line and after each reward round) and less ``rewards`` when no round ran.
     """
 
-    def __init__(self, path: str | Path, arm_names: tuple[str, ...], seed: int, config_hash: str):
+    def __init__(
+        self, path: str | Path, arm_names: tuple[str, ...], seed: int, config_hash: str, total_steps: int
+    ):
         self.path = Path(path)
         self.arm_names = tuple(arm_names)
+        self.total_steps = int(total_steps)
         self._fh: io.TextIOBase | None = None
-        self._last_step = -1
+        self._last_step = 0
+        self._probabilities = self._q = None  # the rows of the last line written
         self._header = {
             "schema_version": SCHEMA_VERSION,
             "kind": TRACE_KIND,
             "arm_names": list(self.arm_names),
             "seed": int(seed),
             "config_hash": config_hash,
+            "total_steps": self.total_steps,
         }
 
     def __enter__(self) -> "TraceWriter":
@@ -156,10 +184,10 @@ class TraceWriter:
         self._fh.flush()
         return self
 
-    def write(self, window: Window, counts: np.ndarray, rates: Sequence[float]) -> None:
-        """Write the records of steps ``window.first`` to ``window.last``.
+    def write(self, window: Window, draws: np.ndarray, rates: Sequence[float]) -> None:
+        """Write the lines of steps ``window.first`` to ``window.last``.
 
-        ``counts`` is the window's ``(m, K)`` integer block of the cumulative
+        ``draws`` is the window's ``(m, K)`` integer block of each step's
         draws per arm and ``rates`` its ``m`` learning rates.  The window is
         checked and all its lines built before the first is written, so a
         rejected window leaves no line.
@@ -167,37 +195,49 @@ class TraceWriter:
         if self._fh is None:
             raise ValueError("writer is not open")
         first, last, probabilities, q, q_after, rewards = window
-        if first <= self._last_step:
-            raise ValueError(f"steps must be strictly increasing; got {first} after {self._last_step}")
         if last < first:
             raise ValueError(f"window ends at step {last}, before its first step {first}")
+        # A line's draws add to the line before's, so no step may be missing.
+        if first != self._last_step + 1 or last > self.total_steps:
+            raise ValueError(
+                f"steps must be strictly increasing, one at a time, to {self.total_steps}; "
+                f"got {first} to {last} after {self._last_step}"
+            )
         m, k = last - first + 1, len(self.arm_names)
         for name, row in zip(Window._fields[2:], window[2:]):
             if row is not None and len(row) != k:
                 raise ValueError(f"window {name} must have {k} entries")
-        counts = np.asarray(counts)
-        if counts.dtype.kind not in "iu" or counts.shape != (m, k):
-            raise ValueError(f"counts must be ({m}, {k}) integers, got {counts.dtype} {counts.shape}")
+        draws = np.asarray(draws)
+        if draws.dtype.kind not in "iu" or draws.shape != (m, k):
+            raise ValueError(f"draw counts must be ({m}, {k}) integers, got {draws.dtype} {draws.shape}")
         rates = np.asarray(rates)
         if rates.dtype.kind != "f" or rates.shape != (m,):
             raise ValueError(f"rates must be {m} floats, got {rates.dtype} {rates.shape}")
-        # Each row is encoded once, and the rates in one ``json.dumps``, which
-        # writes a non-finite rate as ``NaN`` or ``Infinity``.
-        probs_json, q_json = json.dumps(list(probabilities)), json.dumps(list(q))
+
+        def field(key, row):
+            return f', "{key}": {json.dumps(list(row))}'
+
+        def line(i, head="", rest=""):
+            return f'{{"step": {first + i}{head}, "learning_rate": {lrs[i]}, "draws": {rows[i]}{rest}}}\n'
+
+        # A window's first line holds each row that is not the line before's,
+        # and q can change again only on its last line, at the round.  The
+        # rates go through one ``json.dumps``, which writes a non-finite rate
+        # as ``NaN`` or ``Infinity``.
+        first_q = q if m > 1 else q_after
+        head = "" if probabilities is self._probabilities else field("probabilities", probabilities)
+        if first_q is not self._q:
+            head += field("q", first_q)
+        tail = "" if q_after is first_q else field("q", q_after)
+        rest = "" if rewards is None else field("rewards", rewards)
         lrs = json.dumps(rates.tolist())[1:-1].split(", ")
-        rows = counts.tolist()
-
-        def line(step, q_json, lr, row, rest=""):
-            return (
-                f'{{"step": {step}, "probabilities": {probs_json}, "q": {q_json}, '
-                f'"learning_rate": {lr}, "cumulative_counts": {row}, "wall_time_ms": 0{rest}}}\n'
-            )
-
-        lines = [line(step, q_json, lr, row) for step, lr, row in zip(range(first, last), lrs, rows)]
-        rest = "" if rewards is None else f', "rewards": {json.dumps(list(rewards))}'
-        lines.append(line(last, json.dumps(list(q_after)), lrs[-1], rows[-1], rest))
+        rows = draws.tolist()
+        if m == 1:
+            lines = [line(0, head, rest)]
+        else:
+            lines = [line(0, head), *map(line, range(1, m - 1)), line(m - 1, tail, rest)]
         self._fh.write("".join(lines))
-        self._last_step = last
+        self._last_step, self._probabilities, self._q = last, probabilities, q_after
 
     def flush(self) -> None:
         """Push the lines written so far to the file."""
@@ -218,12 +258,15 @@ def iter_trace(path: str | Path) -> tuple[dict, Iterator[TraceRecord]]:
     at a line that is not a record, does not step past the one before, or
     lacks its newline: the writer ends every line with one, so such a last
     line is what a killed writer leaves, and it is reported as truncated,
-    not parsed.  The file closes when ``records`` ends, raises or is dropped.
+    not parsed.  A v2 trace's steps must run 1, 2, ... to the header's
+    ``total_steps``; one that stops short raises ``ValueError("<path>:
+    truncated trace: N of M steps")`` after its last record.  The file
+    closes when ``records`` ends, raises or is dropped.
     """
     fh = Path(path).open("r", encoding="utf-8")
     try:
-        header = _read_header(fh.readline(), path)
-        records = _iter_records(fh, path)
+        header, total = _read_header(fh.readline(), path)
+        records = _iter_records(fh, path, total)
         # Run the generator into its ``with``, so that closing it, or
         # dropping it unstarted, closes the file.
         next(records)
@@ -233,7 +276,8 @@ def iter_trace(path: str | Path) -> tuple[dict, Iterator[TraceRecord]]:
     return header, records
 
 
-def _read_header(line: str, path: str | Path) -> dict:
+def _read_header(line: str, path: str | Path) -> tuple[dict, int | None]:
+    """The checked header and its ``total_steps``, None for a v1 trace."""
     if not line:
         raise ValueError(f"{path}: empty trace file")
     if not line.endswith("\n"):
@@ -245,27 +289,32 @@ def _read_header(line: str, path: str | Path) -> dict:
     kind = header.get("kind") if isinstance(header, dict) else None
     if kind != TRACE_KIND:
         raise ValueError(f"{path}: not a trace file (kind={kind!r})")
-    if header.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: unsupported schema version {header.get('schema_version')!r}"
-        )
+    version = header.get("schema_version")
+    if version not in (1, SCHEMA_VERSION):
+        raise ValueError(f"{path}: unsupported schema version {version!r}")
     names = header.get("arm_names")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ValueError(f"{path}:1: bad header: arm_names must be a list of strings")
-    return header
+    total = None if version == 1 else header.get("total_steps")
+    if version != 1 and (type(total) is not int or total < 0):
+        raise ValueError(f"{path}:1: bad header: total_steps must be a nonnegative integer, got {total!r}")
+    return header, total
 
 
-def _iter_records(fh: io.TextIOBase, path: str | Path) -> Iterator[TraceRecord]:
+def _iter_records(fh: io.TextIOBase, path: str | Path, total: int | None) -> Iterator[TraceRecord]:
     with fh:
         yield  # the priming stop ``iter_trace`` runs to
-        last = -1
+        # A v1 line holds every row and cumulative counts; a v2 line (with a
+        # ``total``) carries rows from the record before and sums draws.
+        summed = total is not None
+        record, last = None, 0 if summed else -1
         for lineno, line in enumerate(fh, 2):
             if not line.endswith("\n"):
                 raise ValueError(f"{path}:{lineno}: truncated record")
             if line.isspace():
                 continue
             try:
-                record = TraceRecord.from_json_obj(json.loads(line))
+                record = TraceRecord.from_json_obj(json.loads(line), record, summed)
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}:{lineno}: bad record: {_not_json(e)}") from None
             except KeyError as e:
@@ -274,8 +323,12 @@ def _iter_records(fh: io.TextIOBase, path: str | Path) -> Iterator[TraceRecord]:
                 raise ValueError(f"{path}:{lineno}: bad record: {e}") from None
             if record.step <= last:
                 raise ValueError(f"{path}:{lineno}: record steps must be strictly increasing")
+            if summed and (record.step != last + 1 or record.step > total):
+                raise ValueError(f"{path}:{lineno}: step {record.step} after step {last} of a {total}-step trace")
             last = record.step
             yield record
+        if summed and last < total:
+            raise ValueError(f"{path}: truncated trace: {last} of {total} steps")
 
 
 def _not_json(e: json.JSONDecodeError) -> str:
@@ -412,13 +465,18 @@ def export_plot_data(records: Iterable[TraceRecord], kind: str, arm_names: tuple
         "q_over_time": "q",
     }[kind]
     # Lines keep their newlines and are joined once: the text is the largest
-    # object an export holds, and ``+ "\n"`` on it would copy it.
+    # object an export holds, and ``+ "\n"`` on it would copy it.  The cells
+    # of a row the reader carried over, the same tuple, are reused; not those
+    # of an equal row: ``1 == 1.0`` and ``0.0 == -0.0`` print differently.
     lines = ["step," + ",".join(arm_names) + "\n"]
+    values = cells = None
     for r in records:
-        values = getattr(r, field)
-        if len(values) != len(arm_names):
-            raise ValueError(f"record at step {r.step} has {len(values)} arms, expected {len(arm_names)}")
-        lines.append(f"{r.step},{','.join(map(str, values))}\n")
+        row = getattr(r, field)
+        if row is not values:
+            if len(row) != len(arm_names):
+                raise ValueError(f"record at step {r.step} has {len(row)} arms, expected {len(arm_names)}")
+            values, cells = row, ",".join(map(str, row))
+        lines.append(f"{r.step},{cells}\n")
     return "".join(lines)
 
 

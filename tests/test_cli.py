@@ -12,7 +12,9 @@ import banditmix
 from banditmix.cli import main
 from banditmix.config import ExperimentConfig
 from banditmix.runner import TRACE_FILENAME, run_experiment
-from banditmix.trace import EXPORT_KINDS, TraceWriter, Window, export_plot_data, read_trace
+from banditmix.trace import EXPORT_KINDS, TraceRecord, TraceWriter, Window, export_plot_data, read_trace
+
+from trace_oracles import write_v1_trace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = ("tulu_default", "deep_gap_world", "volatile_world")
@@ -332,13 +334,22 @@ def small_trace(tmp_path):
     return tmp_path / "out" / "trace.jsonl"
 
 
-def one_step_trace(trace, change):
-    """Write a two-arm trace of one step, its record's keys then set from ``change``."""
+def one_step_trace(trace, change, version=1):
+    """Write a two-arm trace of one step, its line's keys then set from ``change``.
+
+    The v1 line holds every field a record has, ``cumulative_counts`` and
+    ``wall_time_ms`` among them; the v2 line those of a trace's first line.
+    """
     window = Window(1, 1, (0.5, 0.5), (0.0, 0.0), (0.0, 0.0), None)
-    with TraceWriter(trace, arm_names=("a", "b"), seed=0, config_hash="0") as writer:
+    with TraceWriter(trace, arm_names=("a", "b"), seed=0, config_hash="0", total_steps=1) as writer:
         writer.write(window, np.array([[4, 4]]), [0.1])
+    if version == 1:
+        # The v1 trace of the same step, its header the v2 one less total_steps.
+        header = json.loads(trace.read_text(encoding="utf-8").splitlines()[0])
+        write_v1_trace(trace, header, [TraceRecord(1, (0.5, 0.5), (0.0, 0.0), 0.1, (4, 4))])
     header, line = trace.read_text(encoding="utf-8").splitlines(keepends=True)
-    trace.write_text(header + json.dumps({**json.loads(line), **change}) + "\n", encoding="utf-8")
+    obj = {key: value for key, value in {**json.loads(line), **change}.items() if value is not None}
+    trace.write_text(header + json.dumps(obj) + "\n", encoding="utf-8")
 
 
 class TestExportOfABadTrace:
@@ -363,7 +374,8 @@ class TestExportOfABadTrace:
         "line, message",
         [
             ("{not json\n", ":4: bad record: not JSON"),
-            ('{"step": 3}\n', ":4: bad record: missing key 'probabilities'"),
+            # Rows carry over from the line before; the draws do not.
+            ('{"step": 3}\n', ":4: bad record: missing key 'draws'"),
         ],
     )
     def test_bad_record_exits_3_with_nothing_on_stdout(self, tmp_path, capsys, line, message):
@@ -407,6 +419,34 @@ class TestExportOfABadTrace:
         capsys.readouterr()
         assert main(["export", "--trace", str(trace), "--kind", kind]) == 3
         assert capsys.readouterr() == ("", f"error: {trace}:2: bad record: {detail}\n")
+
+    @pytest.mark.parametrize(
+        "change, kind, detail",
+        [
+            ({"draws": [4.7, True]}, "instance_coverage", "draws must hold only integers, got [4.7, True]"),
+            ({"draws": None}, "proportions_over_time", "missing key 'draws'"),
+            ({"probabilities": None}, "q_over_time", "missing key 'probabilities'"),
+            ({"q": None}, "proportions_over_time", "missing key 'q'"),
+        ],
+    )
+    def test_ill_typed_v2_line_exits_3(self, tmp_path, capsys, change, kind, detail):
+        # A change of None leaves the key out; the first line carries no row
+        # over, so it must hold both.
+        trace = tmp_path / TRACE_FILENAME
+        one_step_trace(trace, change, version=2)
+        capsys.readouterr()
+        assert main(["export", "--trace", str(trace), "--kind", kind]) == 3
+        assert capsys.readouterr() == ("", f"error: {trace}:2: bad record: {detail}\n")
+
+    def test_trace_cut_at_a_line_boundary_exits_3(self, shipped_traces, tmp_path, capsys):
+        # The default tulu trace less its last 1,000 lines: every line whole,
+        # so only the header's total_steps shows the run is not all there.
+        lines = shipped_traces["tulu_default", "bandit"].read_text(encoding="utf-8").splitlines(keepends=True)
+        cut = tmp_path / TRACE_FILENAME
+        cut.write_text("".join(lines[:-1000]), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["export", "--trace", str(cut), "--kind", "instance_coverage"]) == 3
+        assert capsys.readouterr() == ("", f"error: {cut}: truncated trace: 4143 of 5143 steps\n")
 
     def test_truncated_trace_exits_3_with_nothing_on_stdout(self, tmp_path, capsys):
         # What a killed writer leaves: the last record lacks its newline.

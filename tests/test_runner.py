@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -18,11 +19,24 @@ from banditmix.runner import (
     run_experiment,
     sweep_experiments,
 )
-from banditmix.trace import TraceRecord, TraceWriter, read_trace, summarize
+from banditmix.trace import TraceRecord, TraceWriter, iter_trace, read_trace, summarize
 
 from test_golden import POLICIES, SEEDS, WORLDS, golden_config
+from trace_oracles import v2_lines
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def read_crashed_trace(path, steps, total):
+    """The header and the records of a trace that stops after ``steps`` of ``total``.
+
+    The reader yields every whole record, then raises on the steps missing.
+    """
+    header, records = iter_trace(path)
+    read = []
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: truncated trace: {steps} of {total} steps$"):
+        read.extend(records)
+    return header, read
 
 
 def small_cfg(**overrides):
@@ -152,7 +166,7 @@ class TestRunExperiment:
         steps_on_disk = [json.loads(line)["step"] for line in on_disk[0].splitlines()[1:]]
         assert steps_on_disk == list(range(1, 11))
         assert (tmp_path / TRACE_FILENAME).read_text(encoding="utf-8") == on_disk[0]
-        _, records = read_trace(tmp_path / TRACE_FILENAME)
+        _, records = read_crashed_trace(tmp_path / TRACE_FILENAME, 10, 40)
         assert records == clean[:10]
 
     @pytest.mark.parametrize(
@@ -182,7 +196,7 @@ class TestRunExperiment:
             assert sizes[-1] == 43
         assert any(r.rewards is not None for r in result.records) is (policy is None)
         lines = (tmp_path / TRACE_FILENAME).read_text(encoding="utf-8").splitlines()[1:]
-        assert lines == [json.dumps(r.to_json_obj()) for r in result.records]
+        assert lines == v2_lines(result.records)
 
     def test_artifact_write_raising_midway_leaves_no_partial_file(self, tmp_path, monkeypatch):
         # The world's JSON is streamed into a temp file that never replaces
@@ -219,7 +233,7 @@ class TestRunExperiment:
             run_experiment(cfg, seed=1, out_dir=tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == [TRACE_FILENAME]
         # The four windows before the failed round are whole records.
-        header, records = read_trace(tmp_path / TRACE_FILENAME)
+        header, records = read_crashed_trace(tmp_path / TRACE_FILENAME, 40, 200)
         assert header["seed"] == 1
         assert [r.step for r in records] == list(range(1, 41))
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from banditmix.config import ExperimentConfig
+from banditmix.cli import main
+from banditmix.config import ExperimentConfig, load_config
 from banditmix.registry import ArmRegistry
 from banditmix.runner import TRACE_FILENAME, run_experiment
 from banditmix.simworld import WorldParams, build_world
@@ -26,6 +27,9 @@ from banditmix.trace import (
     summarize,
     summarize_columns,
 )
+
+from test_golden import CONFIGS, cases, golden_config
+from trace_oracles import write_v1_trace
 
 NAMES = ("a", "b", "c")
 
@@ -70,17 +74,18 @@ class TestRecordSerialization:
         path = tmp_path / "trace.jsonl"
         records = []
         counts = np.zeros(3, dtype=int)
-        with TraceWriter(path, NAMES, seed=9, config_hash="deadbeefcafe") as writer:
+        with TraceWriter(path, NAMES, seed=9, config_hash="deadbeefcafe", total_steps=10_000) as writer:
             for step in range(1, 10_001):
                 raw = rng.dirichlet(np.ones(3))
-                counts += rng.integers(1, 10, size=3)
+                draws = rng.integers(1, 10, size=3)
+                counts += draws
                 rec = make_record(
                     step,
                     p=tuple(raw.tolist()),
                     q=tuple(rng.normal(size=3).tolist()),
                     counts=tuple(int(c) for c in counts),
                 )
-                writer.write(*one_step(rec))
+                writer.write(*one_step(rec, draws))
                 records.append(rec)
         header, back = read_trace(path)
         assert header["seed"] == 9
@@ -89,44 +94,52 @@ class TestRecordSerialization:
         assert back == records
 
 
-def one_step(record):
+def one_step(record, draws):
     """``TraceWriter.write``'s arguments for a window of the one record."""
     window = Window(record.step, record.step, record.probabilities, record.q, record.q, record.rewards)
-    return window, np.array([record.cumulative_counts]), [record.learning_rate]
+    return window, np.array([draws]), [record.learning_rate]
 
 
 def window_of(first, last, rewards=None):
-    """A window of steps ``first`` to ``last`` with its counts and rates."""
+    """A window of steps ``first`` to ``last`` with its draws and rates."""
     window = Window(first, last, (0.2, 0.3, 0.5), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), rewards)
-    counts = np.arange(first, last + 1)[:, None] * np.ones(3, dtype=np.int64)
-    return window, counts, [0.01] * (last - first + 1)
+    draws = np.arange(first, last + 1)[:, None] * np.ones(3, dtype=np.int64)
+    return window, draws, [0.01] * (last - first + 1)
 
 
 class TestTraceWriter:
     def test_header_is_first_line(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        with TraceWriter(path, NAMES, seed=1, config_hash="abc") as writer:
+        with TraceWriter(path, NAMES, seed=1, config_hash="abc", total_steps=2) as writer:
             writer.write(*window_of(1, 2))
         first = json.loads(path.read_text().splitlines()[0])
         assert first["kind"] == "banditmix-trace"
-        assert first["schema_version"] == 1
+        assert first["schema_version"] == 2
+        assert first["total_steps"] == 2
 
     def test_steps_must_strictly_increase(self, tmp_path):
-        with TraceWriter(tmp_path / "t.jsonl", NAMES, seed=1, config_hash="abc") as writer:
-            writer.write(*window_of(2, 4))
-            for first in (2, 4):
-                with pytest.raises(ValueError, match="strictly increasing"):
-                    writer.write(*window_of(first, 5))
-            writer.write(*window_of(5, 5))
+        # One step at a time from 1 to total_steps: a line's draws add to the
+        # line before's, so the reader rejects a gap, and so does the writer.
+        path = tmp_path / "t.jsonl"
+        with TraceWriter(path, NAMES, seed=1, config_hash="abc", total_steps=5) as writer:
+            for first, last in ((2, 4), (0, 4)):
+                with pytest.raises(ValueError, match=rf"strictly increasing, one at a time, to 5; got {first} to 4 after 0$"):
+                    writer.write(*window_of(first, last))
+            writer.write(*window_of(1, 3))
+            for first, last in ((2, 5), (3, 5), (5, 5), (4, 6)):
+                with pytest.raises(ValueError, match=rf"strictly increasing, one at a time, to 5; got {first} to {last} after 3$"):
+                    writer.write(*window_of(first, last))
+            writer.write(*window_of(4, 5))
+        assert [r.step for r in read_trace(path)[1]] == [1, 2, 3, 4, 5]
 
     def test_window_must_not_end_before_it_starts(self, tmp_path):
-        with TraceWriter(tmp_path / "t.jsonl", NAMES, seed=1, config_hash="abc") as writer:
+        with TraceWriter(tmp_path / "t.jsonl", NAMES, seed=1, config_hash="abc", total_steps=3) as writer:
             window, _, _ = window_of(3, 3)
             with pytest.raises(ValueError, match="ends at step 2, before its first step 3"):
                 writer.write(window._replace(last=2), np.empty((0, 3), dtype=np.int64), [])
 
     def test_arm_arity_checked(self, tmp_path):
-        with TraceWriter(tmp_path / "t.jsonl", NAMES, seed=1, config_hash="abc") as writer:
+        with TraceWriter(tmp_path / "t.jsonl", NAMES, seed=1, config_hash="abc", total_steps=2) as writer:
             window, counts, rates = window_of(1, 2)
             for field in ("probabilities", "q", "q_after"):
                 with pytest.raises(ValueError, match=f"window {field} must have 3 entries"):
@@ -134,7 +147,7 @@ class TestTraceWriter:
 
     def test_rewards_arity_checked(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        with TraceWriter(path, ("a", "b"), seed=1, config_hash="abc") as writer:
+        with TraceWriter(path, ("a", "b"), seed=1, config_hash="abc", total_steps=1) as writer:
             window = Window(1, 1, (0.5, 0.5), (0.0, 0.0), (0.0, 0.0), (0.1, 0.2, 0.3))
             with pytest.raises(ValueError, match="rewards must have 2 entries"):
                 writer.write(window, np.array([[1, 1]]), [0.1])
@@ -158,27 +171,28 @@ class TestTraceWriter:
     )
     def test_columns_checked(self, tmp_path, counts, rates, message):
         path = tmp_path / "t.jsonl"
-        with TraceWriter(path, NAMES, seed=1, config_hash="abc") as writer:
+        with TraceWriter(path, NAMES, seed=1, config_hash="abc", total_steps=2) as writer:
             window, _, _ = window_of(1, 2)
             with pytest.raises(ValueError, match=message):
                 writer.write(window, counts, rates)
         assert len(path.read_text(encoding="utf-8").splitlines()) == 1
 
     def test_write_requires_open(self, tmp_path):
-        writer = TraceWriter(tmp_path / "t.jsonl", NAMES, seed=1, config_hash="abc")
+        writer = TraceWriter(tmp_path / "t.jsonl", NAMES, seed=1, config_hash="abc", total_steps=1)
         with pytest.raises(ValueError, match="not open"):
             writer.write(*window_of(1, 1))
 
     def test_creates_parent_directories(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "t.jsonl"
-        with TraceWriter(path, NAMES, seed=1, config_hash="abc") as writer:
+        with TraceWriter(path, NAMES, seed=1, config_hash="abc", total_steps=1) as writer:
             writer.write(*window_of(1, 1))
         assert path.exists()
 
     def test_lines_equal_json_dumps_of_each_record(self, tmp_path):
         # Windows of one and several steps, rows shared between windows and
         # fresh but equal ones, a row that changes and changes back, rewards
-        # set and unset, non-finite floats in rows, rewards and rates.
+        # set and unset, non-finite floats in rows, rewards and rates.  A line
+        # holds each row that is not the same object as the line before's.
         p1, p2 = (0.2, 0.3, 0.5), (0.1, float("nan"), 0.9)
         q1, q2 = (0.0, float("inf"), -0.25), (1e-300, 2.5e17, -0.0)
         nan_rewards = (0.5, float("nan"), -1.0)
@@ -188,26 +202,30 @@ class TestTraceWriter:
             (Window(4, 5, p2, q1, q2, (1.0, 2.0, 3.0)), [[4, 5, 6], [5, 6, 7]], [0.02, float("nan")]),
             (Window(6, 8, p1, q2, q1, None), [[6, 7, 8], [7, 8, 9], [8, 9, 10]], [0.04, 0.05, float("inf")]),
         ]
-        records = [
-            TraceRecord(1, p1, q1, 0.01, (1, 2, 3)),
-            TraceRecord(2, p1, q1, 0.01, (2, 3, 4)),
-            TraceRecord(3, p1, q1, float("-inf"), (3, 4, 5), rewards=nan_rewards),
-            TraceRecord(4, p2, q1, 0.02, (4, 5, 6)),
-            TraceRecord(5, p2, q2, float("nan"), (5, 6, 7), rewards=(1.0, 2.0, 3.0)),
-            TraceRecord(6, p1, q2, 0.04, (6, 7, 8)),
-            TraceRecord(7, p1, q2, 0.05, (7, 8, 9)),
-            TraceRecord(8, p1, q1, float("inf"), (8, 9, 10)),
+        lines = [
+            # The first line holds every row.
+            {"step": 1, "probabilities": p1, "q": q1, "learning_rate": 0.01, "draws": [1, 2, 3]},
+            # A plain line.
+            {"step": 2, "learning_rate": 0.01, "draws": [2, 3, 4]},
+            # An equal row that is a new object is written again; the q of a
+            # one-step window is its q_after, here the row before.
+            {"step": 3, "probabilities": p1, "learning_rate": float("-inf"), "draws": [3, 4, 5], "rewards": nan_rewards},
+            {"step": 4, "probabilities": p2, "learning_rate": 0.02, "draws": [4, 5, 6]},
+            # An update line.
+            {"step": 5, "q": q2, "learning_rate": float("nan"), "draws": [5, 6, 7], "rewards": (1.0, 2.0, 3.0)},
+            {"step": 6, "probabilities": p1, "learning_rate": 0.04, "draws": [6, 7, 8]},
+            {"step": 7, "learning_rate": 0.05, "draws": [7, 8, 9]},
+            {"step": 8, "q": q1, "learning_rate": float("inf"), "draws": [8, 9, 10]},
         ]
         path = tmp_path / "t.jsonl"
-        with TraceWriter(path, NAMES, seed=1, config_hash="abc") as writer:
-            for window, counts, rates in windows:
-                writer.write(window, np.array(counts), rates)
-        lines = path.read_text(encoding="utf-8").splitlines()[1:]
-        assert lines == [json.dumps(r.to_json_obj()) for r in records]
+        with TraceWriter(path, NAMES, seed=1, config_hash="abc", total_steps=8) as writer:
+            for window, draws, rates in windows:
+                writer.write(window, np.array(draws), rates)
+        assert path.read_text(encoding="utf-8").splitlines()[1:] == [json.dumps(obj) for obj in lines]
 
     def test_lines_reach_the_file_on_flush(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        with TraceWriter(path, NAMES, seed=1, config_hash="abc") as writer:
+        with TraceWriter(path, NAMES, seed=1, config_hash="abc", total_steps=3) as writer:
             writer.write(*window_of(1, 2))
             assert len(path.read_text(encoding="utf-8").splitlines()) == 1
             writer.flush()
@@ -219,7 +237,7 @@ class TestTraceWriter:
         # A row json cannot encode fails the whole window, whichever of its
         # lines the row belongs to; none of them reaches the file.
         path = tmp_path / "t.jsonl"
-        with TraceWriter(path, NAMES, seed=1, config_hash="abc") as writer:
+        with TraceWriter(path, NAMES, seed=1, config_hash="abc", total_steps=4) as writer:
             writer.write(*window_of(1, 1))
             window, counts, rates = window_of(2, 4, rewards=(0.1, 0.2, 0.3))
             for field in ("probabilities", "q", "q_after", "rewards"):
@@ -421,6 +439,146 @@ class TestReaderErrors:
             read_trace(path)
 
 
+V2_HEADER = {**HEADER, "schema_version": 2, "total_steps": 3}
+V2_FIRST = {"step": 1, "probabilities": [0.2, 0.3, 0.5], "q": [0.0, 0.0, 0.0], "learning_rate": 0.01, "draws": [1, 2, 3]}
+
+
+def v2_line(step, **fields):
+    return json.dumps({"step": step, "learning_rate": 0.01, "draws": [1, 1, 1], **fields})
+
+
+def write_v2_lines(path, lines, header=V2_HEADER):
+    path.write_text("".join(line + "\n" for line in [json.dumps(header), *lines]), encoding="utf-8")
+    return path
+
+
+# A second v2 line that is not a record -> what the reader says after "bad record: ".
+BAD_V2_LINES = {
+    "float draw": (v2_line(2, draws=[4.7, 1, 2]), "draws must hold only integers, got [4.7, 1, 2]"),
+    "boolean draw": (v2_line(2, draws=[1, True, 2]), "draws must hold only integers, got [1, True, 2]"),
+    "short draws": (v2_line(2, draws=[1, 2]), "draws must have 3 entries, got [1, 2]"),
+    "draws not a list": (v2_line(2, draws=7), "draws must be a list, got 7"),
+    "counts for draws": (
+        json.dumps({"step": 2, "learning_rate": 0.01, "cumulative_counts": [2, 3, 4]}),
+        "missing key 'draws'",
+    ),
+    "string in a new row": (v2_line(2, q=["z", 0.0, 0.0]), "q must hold only numbers, got ['z', 0.0, 0.0]"),
+}
+
+
+class TestV2Reader:
+    def test_rows_carry_over_as_the_same_tuple(self, tmp_path):
+        lines = [json.dumps(V2_FIRST), v2_line(2, q=[0.5, 0.0, 0.0], rewards=[1.0, 2.0, 3.0]), v2_line(3, draws=[0, 2, 6])]
+        path = write_v2_lines(tmp_path / "t.jsonl", lines)
+        _, records = read_trace(path)
+        assert [r.cumulative_counts for r in records] == [(1, 2, 3), (2, 3, 4), (2, 5, 10)]
+        assert records[2].probabilities is records[1].probabilities is records[0].probabilities
+        assert records[2].q is records[1].q == (0.5, 0.0, 0.0)
+        assert [r.rewards for r in records] == [None, (1.0, 2.0, 3.0), None]
+
+    @pytest.mark.parametrize("line, detail", list(BAD_V2_LINES.values()), ids=list(BAD_V2_LINES))
+    def test_bad_line_names_file_and_line(self, tmp_path, line, detail):
+        path = write_v2_lines(tmp_path / "t.jsonl", [json.dumps(V2_FIRST), line, v2_line(3)])
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}:3: bad record: {detail}')}$"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("key", ["probabilities", "q"])
+    def test_first_line_must_hold_every_row(self, tmp_path, key):
+        first = {k: v for k, v in V2_FIRST.items() if k != key}
+        path = write_v2_lines(tmp_path / "t.jsonl", [json.dumps(first), v2_line(2), v2_line(3)])
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}:2: bad record: missing key {key!r}')}$"):
+            read_trace(path)
+
+    @pytest.mark.parametrize(
+        "steps, lineno, message",
+        [
+            ([1, 3], 3, "step 3 after step 1 of a 3-step trace"),
+            ([2], 2, "step 2 after step 0 of a 3-step trace"),
+            ([1, 2, 3, 4], 5, "step 4 after step 3 of a 3-step trace"),
+            ([1, 1], 3, "record steps must be strictly increasing"),
+        ],
+    )
+    def test_steps_run_one_to_total_without_a_gap(self, tmp_path, steps, lineno, message):
+        lines = [json.dumps({**V2_FIRST, "step": steps[0]}), *(v2_line(s) for s in steps[1:])]
+        path = write_v2_lines(tmp_path / "t.jsonl", lines)
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}:{lineno}: {message}')}$"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("kept", [0, 1, 2])
+    def test_short_trace_raises_after_its_last_record(self, tmp_path, kept):
+        lines = [json.dumps(V2_FIRST), v2_line(2), v2_line(3)][:kept]
+        path = write_v2_lines(tmp_path / "t.jsonl", lines)
+        _, records = iter_trace(path)
+        read = []
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}: truncated trace: {kept} of 3 steps')}$"):
+            read.extend(records)
+        assert [r.step for r in read] == list(range(1, kept + 1))
+
+    @pytest.mark.parametrize("total", ["missing", None, -1, 2.0, True, "3"])
+    def test_header_total_steps_must_be_a_nonnegative_integer(self, tmp_path, total):
+        header = {**V2_HEADER, "total_steps": total}
+        if total == "missing":
+            del header["total_steps"]
+            total = None
+        path = write_v2_lines(tmp_path / "t.jsonl", [], header)
+        message = f":1: bad header: total_steps must be a nonnegative integer, got {total!r}"
+        with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
+            read_trace(path)
+
+    def test_zero_step_trace_reads_empty(self, tmp_path):
+        path = write_v2_lines(tmp_path / "t.jsonl", [], {**V2_HEADER, "total_steps": 0})
+        assert read_trace(path) == ({**V2_HEADER, "total_steps": 0}, [])
+
+
+@pytest.fixture(scope="module")
+def tulu_trace(tmp_path_factory):
+    """The trace of the default tulu run (bandit, 5,143 steps)."""
+    out = tmp_path_factory.mktemp("tulu")
+    run_experiment(load_config(CONFIGS / "tulu_default.json"), out_dir=out)
+    return out / TRACE_FILENAME
+
+
+def test_default_tulu_trace_is_under_1_mb(tulu_trace):
+    # 4.82 MB in schema v1, which wrote every row on every line.
+    assert tulu_trace.stat().st_size < 1_000_000
+
+
+def test_trace_cut_at_a_line_boundary(tulu_trace, tmp_path):
+    # Every line of the cut trace is whole, so only the header's total_steps
+    # can tell it from a shorter run; a v1 trace has none, and reads short.
+    header, records = read_trace(tulu_trace)
+    lines = tulu_trace.read_text(encoding="utf-8").splitlines(keepends=True)
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("".join(lines[:-1000]), encoding="utf-8")
+    _, cut_records = iter_trace(cut)
+    read = []
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(cut))}: truncated trace: 4143 of 5143 steps$"):
+        read.extend(cut_records)
+    assert read == records[:4143]
+    v1 = write_v1_trace(tmp_path / "v1.jsonl", header, records[:4143])
+    assert read_trace(v1)[1] == records[:4143]
+
+
+@pytest.mark.parametrize("case", cases())
+def test_v2_trace_reads_and_exports_like_the_v1_trace(case, tmp_path, capsys):
+    """A run's v2 trace reads to its records, and so does the v1 trace the
+    old writer wrote; every export prints the same bytes from both."""
+    world, policy, seed = case.split("/")
+    result = run_experiment(golden_config(world, policy), seed=int(seed), out_dir=tmp_path)
+    v2 = tmp_path / TRACE_FILENAME
+    header, records = read_trace(v2)
+    v1 = write_v1_trace(tmp_path / "v1.jsonl", header, result.records)
+    assert records == result.records == read_trace(v1)[1]
+    assert header["total_steps"] == len(records)
+    for kind in EXPORT_KINDS:
+        texts = []
+        for path in (v1, v2):
+            assert main(["export", "--trace", str(path), "--kind", kind]) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].count("\n") == len(records) + 1
+
+
 class TestSummarize:
     def registry(self):
         return ArmRegistry.from_counts({"a": 100, "b": 200, "c": 400})
@@ -555,7 +713,7 @@ class TestExport:
             (Window(3, 3, (0.5, 0, 1e22), (-0.0, 1e16, 5e-324), (-0.0, 1e16, 5e-324), None), [[2, 2**62, 10]]),
         ]
         path = tmp_path / "t.jsonl"
-        with TraceWriter(path, NAMES, seed=1, config_hash="abc") as writer:
+        with TraceWriter(path, NAMES, seed=1, config_hash="abc", total_steps=3) as writer:
             for window, counts in windows:
                 writer.write(window, np.array(counts), [0.01] * len(counts))
         _, records = read_trace(path)
@@ -570,6 +728,27 @@ class TestExport:
             )
             assert export_plot_data(iter(records), kind, NAMES) == "step,a,b,c\n" + old
         assert {type(v) for r in records for v in r.q} == {int, float}
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_equal_rows_print_their_own_text(self, tmp_path, version):
+        # Consecutive rows equal in value but not in text: export reuses a
+        # row's cells only for the same tuple, never for an equal one.
+        rows = [(1, 0.0, 0.5), (1.0, -0.0, 0.5), (1, 0.0, 0.5), (1, 0.0, 0.5)]
+        records = [make_record(i, p=row, q=row[::-1], counts=(i, i, i)) for i, row in enumerate(rows, 1)]
+        path = tmp_path / "t.jsonl"
+        if version == 1:
+            write_v1_trace(path, HEADER, records)
+        else:
+            with TraceWriter(path, NAMES, seed=0, config_hash="x", total_steps=4) as writer:
+                for r in records:
+                    writer.write(*one_step(r, [1, 1, 1]))
+        _, back = read_trace(path)
+        expected = {
+            "proportions_over_time": ["1,1,0.0,0.5", "2,1.0,-0.0,0.5", "3,1,0.0,0.5", "4,1,0.0,0.5"],
+            "q_over_time": ["1,0.5,0.0,1", "2,0.5,-0.0,1.0", "3,0.5,0.0,1", "4,0.5,0.0,1"],
+        }
+        for kind, lines in expected.items():
+            assert export_plot_data(iter(back), kind, NAMES).splitlines()[1:] == lines
 
 
 class TestWorldCheckpoint:
@@ -630,7 +809,17 @@ def test_readme_trace_schema_matches_a_real_trace(tmp_path):
     lines = (tmp_path / TRACE_FILENAME).read_text(encoding="utf-8").splitlines()
     header_keys, fields = readme_trace_schema()
     assert header_keys == set(json.loads(lines[0]))
-    records = [json.loads(line) for line in lines[1:]]
-    # Update steps carry every field; other steps all but rewards.
-    assert fields == list(records[2])
-    assert [list(r) for r in records[:2]] == [fields[:-1]] * 2
+    keys = [list(json.loads(line)) for line in lines[1:]]
+
+    def shape(*left_out):
+        return [f for f in fields if f not in left_out]
+
+    # The first line, a plain line, an update line, and the first line of
+    # the window after it, which holds the new distribution.
+    assert keys[:4] == [
+        shape("rewards"),
+        shape("probabilities", "q", "rewards"),
+        shape("probabilities"),
+        shape("q", "rewards"),
+    ]
+    assert fields == ["step", "probabilities", "q", "learning_rate", "draws", "rewards"]
