@@ -90,21 +90,10 @@ class LrSchedule:
             return 0
         return min(int(round(self.warmup_fraction * self.total_steps)), self.total_steps - 1)
 
-    def rate(self, step: int) -> float:
-        """Learning rate for step ``step`` (0-based)."""
-        if not 0 <= step < self.total_steps:
-            raise ValueError(f"step {step} outside [0, {self.total_steps})")
-        w = self.warmup_steps
-        if step < w:
-            return self.base_rate * (step + 1) / w
-        return self.base_rate * (self.total_steps - step) / (self.total_steps - w)
-
     def rates(self, lo: int, hi: int) -> np.ndarray:
-        """``[rate(s) for s in range(lo, hi)]`` as one array, bit for bit.
-
-        Same operations in the same order as ``rate``, on whole ranges, and
-        the same error for the first step out of range.
-        """
+        """The rates of steps ``lo`` to ``hi - 1`` (0-based), bit for bit those of
+        the one-step oracle ``rate_at`` in ``tests/test_simworld.py``, with its
+        error for the first step out of range."""
         if lo < hi and not (0 <= lo and hi <= self.total_steps):
             bad = self.total_steps if 0 <= lo < self.total_steps else lo
             raise ValueError(f"step {bad} outside [0, {self.total_steps})")

@@ -47,13 +47,13 @@ EXPORT_KINDS = ("proportions_over_time", "instance_coverage", "q_over_time")
 _NUMBERS, _INTS = frozenset((int, float)), frozenset((int,))
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One training step: the distribution sampled from, estimates, counts.
 
     ``probabilities`` is the distribution in effect when the step's batch was
     drawn; ``q`` and ``rewards`` reflect any reward round that ran at this
-    step.  ``wall_time_ms`` is 0 unless a v1 trace gave another value.
+    step.  ``wall_time_ms`` is 0 unless a v1 trace gave another value.  A
+    record is a plain tuple of its fields, so it also equals that tuple.
     ``to_json_obj`` gives the record's v1 line.
     """
 
@@ -80,54 +80,56 @@ class TraceRecord:
 
     @classmethod
     def from_json_obj(
-        cls, obj: dict, previous: "TraceRecord | None" = None, summed: bool = False
+        cls, obj: dict, previous: "TraceRecord | None" = None, summed: bool = False, arms: int | None = None
     ) -> "TraceRecord":
         """The record of a parsed trace line, which may leave out ``previous``'s rows.
 
         The counts are the line's ``cumulative_counts``, or with ``summed`` (a
-        v2 line) ``previous``'s, or zeros, plus the line's ``draws``.
+        v2 line) ``previous``'s, or zeros, plus the line's ``draws``.  Each
+        row the line holds must have ``arms`` entries, by default as many as
+        ``previous``'s counts; a row it leaves out is ``previous``'s tuple.
         """
         rewards, step, wall = obj.get("rewards"), obj["step"], obj.get("wall_time_ms", 0)
         # JSON gives exact types: a float or boolean step is no step, a row not a
         # list would be read element by element, and true, "z" or null is no number.
-        for key, value in (("step", step), ("wall_time_ms", wall)):
-            if type(value) is not int:
-                raise ValueError(f"{key} must be an integer, got {value!r}")
+        if type(step) is not int:
+            raise ValueError(f"step must be an integer, got {step!r}")
+        if type(wall) is not int:
+            raise ValueError(f"wall_time_ms must be an integer, got {wall!r}")
         if previous is None:
             probabilities, q = obj["probabilities"], obj["q"]
         else:
             probabilities, q = obj.get("probabilities", previous.probabilities), obj.get("q", previous.q)
+            if arms is None:
+                arms = len(previous.cumulative_counts)
         counts_key = "draws" if summed else "cumulative_counts"
         counts, lr = obj[counts_key], obj["learning_rate"]
         if rewards is not None and type(rewards) is not list:
             raise ValueError(f"rewards must be a list or null, got {rewards!r}")
-        for key, row, kinds in (
-            ("probabilities", probabilities, _NUMBERS), ("q", q, _NUMBERS),
-            (counts_key, counts, _INTS), ("rewards", rewards or [], _NUMBERS),
-        ):
-            if previous is not None and (row is previous.probabilities or row is previous.q):
-                continue  # carried, and checked when it was read
-            if type(row) is not list:
-                raise ValueError(f"{key} must be a list, got {row!r}")
-            if not kinds.issuperset(map(type, row)):
-                noun = "integers" if kinds is _INTS else "numbers"
-                raise ValueError(f"{key} must hold only {noun}, got {row!r}")
+        if previous is None or probabilities is not previous.probabilities:
+            probabilities = _check_row("probabilities", probabilities, _NUMBERS, arms)
+        if previous is None or q is not previous.q:
+            q = _check_row("q", q, _NUMBERS, arms)
+        counts = _check_row(counts_key, counts, _INTS, arms)
+        if rewards is not None:
+            rewards = _check_row("rewards", rewards, _NUMBERS, arms)
         if type(lr) not in _NUMBERS:
             raise ValueError(f"learning_rate must be a number, got {lr!r}")
-        if summed:
-            before = (0,) * len(counts) if previous is None else previous.cumulative_counts
-            if len(counts) != len(before):
-                raise ValueError(f"draws must have {len(before)} entries, got {counts!r}")
-            counts = map(add, before, counts)
-        return cls(
-            step=step,
-            probabilities=tuple(probabilities),
-            q=tuple(q),
-            learning_rate=float(lr),
-            cumulative_counts=tuple(counts),
-            rewards=None if rewards is None else tuple(rewards),
-            wall_time_ms=wall,
-        )
+        if summed and previous is not None:
+            counts = tuple(map(add, previous.cumulative_counts, counts))
+        return tuple.__new__(cls, (step, probabilities, q, float(lr), counts, rewards, wall))
+
+
+def _check_row(key: str, row: list, kinds: frozenset, arms: int | None) -> tuple:
+    """``row`` as a tuple, once it is a list of ``arms`` entries of ``kinds``."""
+    if type(row) is not list:
+        raise ValueError(f"{key} must be a list, got {row!r}")
+    if not kinds.issuperset(map(type, row)):
+        noun = "integers" if kinds is _INTS else "numbers"
+        raise ValueError(f"{key} must hold only {noun}, got {row!r}")
+    if arms is not None and len(row) != arms:
+        raise ValueError(f"{key} must have {arms} entries, got {row!r}")
+    return tuple(row)
 
 
 class Window(NamedTuple):
@@ -254,19 +256,20 @@ def iter_trace(path: str | Path) -> tuple[dict, Iterator[TraceRecord]]:
     """Open a trace as ``(header, records)``, reading one line at a time.
 
     The header is checked before this returns.  ``records`` yields one
-    ``TraceRecord`` per line and raises ``ValueError("<path>:<line>: ...")``
-    at a line that is not a record, does not step past the one before, or
-    lacks its newline: the writer ends every line with one, so such a last
-    line is what a killed writer leaves, and it is reported as truncated,
-    not parsed.  A v2 trace's steps must run 1, 2, ... to the header's
-    ``total_steps``; one that stops short raises ``ValueError("<path>:
-    truncated trace: N of M steps")`` after its last record.  The file
-    closes when ``records`` ends, raises or is dropped.
+    ``TraceRecord`` per line, parsed once, and raises ``ValueError("<path>:
+    <line>: ...")`` at a line that is not a record, holds a row of another
+    length than the header's ``arm_names``, does not step past the one
+    before, or lacks its newline: the writer ends every line with one, so
+    such a last line is what a killed writer leaves, and it is reported as
+    truncated, not parsed.  A v2 trace's steps must run 1, 2, ... to the
+    header's ``total_steps``; one that stops short raises
+    ``ValueError("<path>: truncated trace: N of M steps")`` after its last
+    record.  The file closes when ``records`` ends, raises or is dropped.
     """
     fh = Path(path).open("r", encoding="utf-8")
     try:
         header, total = _read_header(fh.readline(), path)
-        records = _iter_records(fh, path, total)
+        records = _iter_records(fh, path, total, len(header["arm_names"]))
         # Run the generator into its ``with``, so that closing it, or
         # dropping it unstarted, closes the file.
         next(records)
@@ -301,20 +304,30 @@ def _read_header(line: str, path: str | Path) -> tuple[dict, int | None]:
     return header, total
 
 
-def _iter_records(fh: io.TextIOBase, path: str | Path, total: int | None) -> Iterator[TraceRecord]:
+def _iter_records(fh: io.TextIOBase, path: str | Path, total: int | None, arms: int) -> Iterator[TraceRecord]:
     with fh:
         yield  # the priming stop ``iter_trace`` runs to
         # A v1 line holds every row and cumulative counts; a v2 line (with a
         # ``total``) carries rows from the record before and sums draws.
         summed = total is not None
         record, last = None, 0 if summed else -1
+        decode = json.JSONDecoder().raw_decode
         for lineno, line in enumerate(fh, 2):
             if not line.endswith("\n"):
                 raise ValueError(f"{path}:{lineno}: truncated record")
-            if line.isspace():
-                continue
+            # The scanner alone reads a line that is one object ending at its
+            # newline; any other line goes to ``json.loads``, for its object
+            # or its error.
             try:
-                record = TraceRecord.from_json_obj(json.loads(line), record, summed)
+                obj, end = decode(line)
+            except json.JSONDecodeError:
+                end = None
+            try:
+                if end != len(line) - 1:
+                    if line.isspace():
+                        continue
+                    obj = json.loads(line)
+                record = TraceRecord.from_json_obj(obj, record, summed, arms)
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}:{lineno}: bad record: {_not_json(e)}") from None
             except KeyError as e:
@@ -459,11 +472,8 @@ def export_plot_data(records: Iterable[TraceRecord], kind: str, arm_names: tuple
     """
     if kind not in EXPORT_KINDS:
         raise ValueError(f"unknown export kind {kind!r}; choose from {EXPORT_KINDS}")
-    field = {
-        "proportions_over_time": "probabilities",
-        "instance_coverage": "cumulative_counts",
-        "q_over_time": "q",
-    }[kind]
+    series = {"proportions_over_time": "probabilities", "instance_coverage": "cumulative_counts", "q_over_time": "q"}
+    field = TraceRecord._fields.index(series[kind])
     # Lines keep their newlines and are joined once: the text is the largest
     # object an export holds, and ``+ "\n"`` on it would copy it.  The cells
     # of a row the reader carried over, the same tuple, are reused; not those
@@ -471,7 +481,7 @@ def export_plot_data(records: Iterable[TraceRecord], kind: str, arm_names: tuple
     lines = ["step," + ",".join(arm_names) + "\n"]
     values = cells = None
     for r in records:
-        row = getattr(r, field)
+        row = r[field]
         if row is not values:
             if len(row) != len(arm_names):
                 raise ValueError(f"record at step {r.step} has {len(row)} arms, expected {len(arm_names)}")

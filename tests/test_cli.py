@@ -427,11 +427,14 @@ class TestExportOfABadTrace:
             ({"draws": None}, "proportions_over_time", "missing key 'draws'"),
             ({"probabilities": None}, "q_over_time", "missing key 'probabilities'"),
             ({"q": None}, "proportions_over_time", "missing key 'q'"),
+            # One draw on a two-arm trace: q_over_time once printed both columns.
+            ({"draws": [4]}, "q_over_time", "draws must have 2 entries, got [4]"),
+            ({"q": [0.0, 0.0, 0.0]}, "proportions_over_time", "q must have 2 entries, got [0.0, 0.0, 0.0]"),
         ],
     )
     def test_ill_typed_v2_line_exits_3(self, tmp_path, capsys, change, kind, detail):
         # A change of None leaves the key out; the first line carries no row
-        # over, so it must hold both.
+        # over, so it must hold both, and only the header gives its arm count.
         trace = tmp_path / TRACE_FILENAME
         one_step_trace(trace, change, version=2)
         capsys.readouterr()

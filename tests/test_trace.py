@@ -63,6 +63,11 @@ class TestRecordSerialization:
             obj["wall_time_ms"] = wall
         assert TraceRecord.from_json_obj(obj).wall_time_ms == (wall or 0)
 
+    def test_rows_are_checked_against_previous_without_arms(self):
+        line = {"step": 2, "learning_rate": 0.01, "draws": [1, 2]}
+        with pytest.raises(ValueError, match=r"^draws must have 3 entries, got \[1, 2\]$"):
+            TraceRecord.from_json_obj(line, make_record(1), summed=True)
+
     def test_floats_survive_json_exactly(self):
         # json uses repr for floats, which round-trips doubles losslessly
         ugly = (0.1 + 0.2, 1.0 / 3.0, 2.0**-40)
@@ -92,6 +97,25 @@ class TestRecordSerialization:
         assert header["config_hash"] == "deadbeefcafe"
         assert header["arm_names"] == list(NAMES)
         assert back == records
+
+
+class TestRecordType:
+    def test_fields_and_defaults(self):
+        assert TraceRecord._fields == (
+            "step", "probabilities", "q", "learning_rate", "cumulative_counts", "rewards", "wall_time_ms"
+        )
+        record = TraceRecord(1, (0.5, 0.5), (0.0, 0.0), 0.1, (4, 4))
+        assert (record.rewards, record.wall_time_ms) == (None, 0)
+        # A record is a plain tuple of its fields, and equals one.
+        assert record == (1, (0.5, 0.5), (0.0, 0.0), 0.1, (4, 4), None, 0)
+
+    @pytest.mark.parametrize("case", cases())
+    def test_read_records_equal_the_run_records(self, case, tmp_path):
+        world, policy, seed = case.split("/")
+        result = run_experiment(golden_config(world, policy), seed=int(seed), out_dir=tmp_path)
+        _, records = read_trace(tmp_path / TRACE_FILENAME)
+        assert records == result.records
+        assert {type(r) for r in records} == {type(r) for r in result.records} == {TraceRecord}
 
 
 def one_step(record, draws):
@@ -528,6 +552,69 @@ class TestV2Reader:
     def test_zero_step_trace_reads_empty(self, tmp_path):
         path = write_v2_lines(tmp_path / "t.jsonl", [], {**V2_HEADER, "total_steps": 0})
         assert read_trace(path) == ({**V2_HEADER, "total_steps": 0}, [])
+
+    @pytest.mark.parametrize("key", ["probabilities", "q", "draws", "rewards"])
+    def test_first_line_rows_must_have_an_entry_per_arm(self, tmp_path, key):
+        # With no line before it, only the header's arm_names can tell that
+        # the first line's rows are short; the line after matches them.
+        first = {**V2_FIRST, "rewards": [0.1, 0.2, 0.3], key: [1, 2]}
+        lines = [json.dumps(first), v2_line(2, draws=[1, 2]), v2_line(3, draws=[1, 2])]
+        path = write_v2_lines(tmp_path / "t.jsonl", lines)
+        message = f"{path}:2: bad record: {key} must have 3 entries, got [1, 2]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_trace(path)
+
+    def test_v1_rows_must_have_an_entry_per_arm(self, tmp_path):
+        line = json.dumps({**RECORD_3, "step": 1, "cumulative_counts": [1, 2, 3, 4]})
+        path = write_lines(tmp_path / "t.jsonl", [line])
+        message = f"{path}:2: bad record: cumulative_counts must have 3 entries, got [1, 2, 3, 4]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_trace(path)
+
+
+# A line that ``json.loads`` reads otherwise than as one object ending at the
+# newline -> what the reader gives for a trace with it as line 3: records
+# (None), or the end of its error.
+EDGE_LINES = {
+    "leading spaces": ("   " + v2_line(2), None),
+    "trailing spaces": (v2_line(2) + " \t ", None),
+    "whitespace only": ("  \t ", ":4: step 3 after step 1 of a 3-step trace"),
+    "extra object": (v2_line(2) + v2_line(2), f":3: bad record: not JSON (Extra data at char {len(v2_line(2))})"),
+    "extra text": (v2_line(2) + " x", f":3: bad record: not JSON (Extra data at char {len(v2_line(2)) + 1})"),
+    "byte-order mark": (
+        "\ufeff" + v2_line(2), ":3: bad record: not JSON (Unexpected UTF-8 BOM (decode using utf-8-sig) at char 0)"
+    ),
+    "bare number": ("3", ":3: bad record: 'int' object has no attribute 'get'"),
+    "NaN in q": (v2_line(2, q=[float("nan"), 0.0, 0.0]), None),
+}
+
+
+def read_outcome(path):
+    """The records of a trace, as text so that NaNs compare, or its error."""
+    try:
+        return repr(read_trace(path)[1])
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("line, ending", list(EDGE_LINES.values()), ids=list(EDGE_LINES))
+def test_decoder_fast_path_reads_like_json_loads(tmp_path, monkeypatch, line, ending):
+    """The reader decodes a line with the scanner alone only when one object
+    ends at its newline, so every line reads as ``json.loads`` reads it."""
+    path = write_v2_lines(tmp_path / "t.jsonl", [json.dumps(V2_FIRST), line, v2_line(3)])
+    outcome = read_outcome(path)
+
+    class LoadsOnly(json.JSONDecoder):
+        def raw_decode(self, s, idx=0):
+            raise json.JSONDecodeError("no fast path", s, idx)
+
+    # ``json.loads`` keeps its own decoder; only the reader's scanner goes.
+    monkeypatch.setattr(json, "JSONDecoder", LoadsOnly)
+    assert outcome == read_outcome(path)
+    if ending is None:
+        assert outcome.startswith("[TraceRecord(step=1,") and outcome.count("TraceRecord(") == 3
+    else:
+        assert outcome == f"{path}{ending}"
 
 
 @pytest.fixture(scope="module")

@@ -34,6 +34,7 @@ from banditmix.simworld import WorldParams, build_world
 from banditmix.trace import TraceRecord
 
 from learner_contract import LinearLearner, check_train_steps_matches_default, random_batch
+from test_simworld import rate_at
 
 
 def registry(*counts):
@@ -536,7 +537,7 @@ def one_step_run(cfg):
     counts = np.zeros(registry.num_arms, dtype=np.int64)
     records = []
     for step in range(1, bandit.total_steps + 1):
-        lr = resolved.schedule.rate(step - 1)
+        lr = rate_at(resolved.schedule, step - 1)
         dist = policy.distribution()
         probabilities = tuple(dist.p.tolist())
         batch = sample_batch(dist, registry, bandit.batch_size, train_rng)
