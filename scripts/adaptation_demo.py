@@ -54,10 +54,11 @@ def main() -> None:
     if args.trace:
         result = run_experiment(base, seed=0)
         print("\ndeep-arm probability by step (seed 0):")
-        for record in result.records:
-            if record.step % 5 == 0 or record.step == 1:
-                bar = "#" * int(40 * record.probabilities[0])
-                print(f"  {record.step:>3} {record.probabilities[0]:.3f} {bar}")
+        for window in result.windows:
+            deep = window.probabilities[0]
+            for step in range(window.first, window.last + 1):
+                if step % 5 == 0 or step == 1:
+                    print(f"  {step:>3} {deep:.3f} {'#' * int(40 * deep)}")
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ from .trace import (
     TraceWriter,
     export_plot_data,
     iter_trace,
-    read_trace,
     summarize,
 )
 
@@ -70,7 +69,6 @@ __all__ = [
     "make_tulu_registry",
     "mixture_probs",
     "prior_scaled_probs",
-    "read_trace",
     "run_experiment",
     "sample_batch",
     "summarize",

@@ -7,8 +7,8 @@ arrays: a ``(K, B)`` integer array of probe examples in, row ``j`` for arm
 ``j``, and the ``(K,)`` float64 estimates ``q``, which ``lookahead_round``
 updates in place through an exponential moving average before it returns
 the ``(K,)`` rewards.  ``Learner.probe`` runs the measurements of a whole
-round and ``Learner.train_steps`` the real steps between two rounds; a
-learner that can compute either in closed form may override it.
+round and ``Learner.train_steps`` the real steps between two rounds; each
+must give what a loop of ``train_step`` calls gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -58,29 +58,23 @@ class Learner(ABC):
     def train_step(self, batch: Batch, learning_rate: float) -> None:
         """Apply one real optimizer step."""
 
+    @abstractmethod
     def train_steps(self, batch: Batch, learning_rates: Sequence[float]) -> None:
         """Apply one real step per learning rate, on equal consecutive rows.
 
         ``batch`` holds ``len(learning_rates)`` rows of equal length joined
         end to end, as ``sample_batch(..., steps=m)`` draws them; step ``t``
         is a ``train_step`` on row ``t`` at ``learning_rates[t]``.  On valid
-        input an override must leave the learner exactly as this loop does,
-        bit for bit, hidden state such as a generator included.  This loop
-        takes the steps before an invalid one; ``SimWorld`` refuses an
-        invalid window whole, before its first step.
+        input the learner must end exactly as that loop leaves it, bit for
+        bit, hidden state such as a generator included.  ``SimWorld``
+        refuses an invalid window whole, before its first step.
         """
-        m = len(learning_rates)
-        if m < 1 or len(batch) % m:
-            raise ValueError(f"a batch of {len(batch)} does not split into {m} equal steps")
-        width = len(batch) // m
-        for t, lr in enumerate(learning_rates):
-            rows = slice(t * width, (t + 1) * width)
-            self.train_step(Batch(arms=batch.arms[rows], examples=batch.examples[rows]), lr)
 
     def entropy(self, batch: Batch) -> np.ndarray:
         """Per-example predictive entropies; optional capability."""
         raise NotImplementedError(f"{type(self).__name__} does not expose entropies")
 
+    @abstractmethod
     def probe(
         self, examples: np.ndarray, learning_rate: float, entropy: bool = False
     ) -> tuple[Sequence[np.ndarray], Sequence[np.ndarray]]:
@@ -88,24 +82,12 @@ class Learner(ABC):
 
         Row ``j`` holds arm ``j``'s probe examples.  Returns ``(pres,
         posts)``, row ``j``'s losses (entropies with ``entropy=True``) before
-        and after the step.  Every probe starts from the current state: per
-        row, on ``Batch(np.full(B, j), examples[j])``, measure, snapshot,
-        take the step as a ``train_step``, measure again, and restore, even
-        when a measurement raises.  An override must return the same values
-        bit for bit and leave the learner unchanged.
+        and after the step.  The values must be, bit for bit, those of a
+        loop that per row, on ``Batch(np.full(B, j), examples[j])``,
+        measures, snapshots, takes the step as a ``train_step``, measures
+        again and restores; every probe starts from the current state, and
+        the learner is left unchanged, even when a measurement raises.
         """
-        measure = self.entropy if entropy else self.loss
-        pres, posts = [], []
-        for arm, row in enumerate(examples):
-            batch = Batch(arms=np.full(len(row), arm), examples=row)
-            pres.append(np.asarray(measure(batch), dtype=np.float64))
-            token = self.snapshot()
-            try:
-                self.train_step(batch, learning_rate)
-                posts.append(np.asarray(measure(batch), dtype=np.float64))
-            finally:
-                self.restore(token)
-        return pres, posts
 
 
 def _shape_error(what: str) -> ValueError:

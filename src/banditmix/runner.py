@@ -17,8 +17,7 @@ as one call per step.  A long interval is split into windows of at most
 The run keeps its history as columns: the cumulative draws per arm and the
 learning rate of every step, plus one ``Window`` per window with the rows
 that change only between windows.  The trace is written a window at a time,
-from its per-step draws and rates, records are built only when
-``RunResult.records`` is first read, and the summary uses the columns alone.
+from its per-step draws and rates, and the summary uses the columns alone.
 
 Randomness is split into four independent streams derived from the run seed:
 training-batch sampling, reward-batch sampling, world initialization, and
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -48,17 +46,15 @@ from .rewards import lookahead_round
 from .simworld import SimWorld, build_world
 from .trace import (
     RunSummary,
-    TraceRecord,
     TraceWriter,
     Window,
     save_world_checkpoint,
-    summarize_columns,
+    summarize,
     write_json_atomic,
 )
 
 __all__ = [
     "RunResult",
-    "Window",
     "run_experiment",
     "CompareRow",
     "compare_experiments",
@@ -80,19 +76,6 @@ SUMMARY_FILENAME = "summary.json"
 WORLD_FILENAME = "world.json"
 
 
-def _window_records(window: Window, counts: np.ndarray, rates: np.ndarray) -> list[TraceRecord]:
-    """The trace records of one window, from the run's columns."""
-    first, last, probabilities, q, q_after, rewards = window
-    rows = counts[first - 1 : last].tolist()
-    lrs = rates[first - 1 : last].tolist()
-    records = [
-        TraceRecord(step, probabilities, q, lr, tuple(row))
-        for step, lr, row in zip(range(first, last), lrs, rows)
-    ]
-    records.append(TraceRecord(last, probabilities, q_after, lrs[-1], tuple(rows[-1]), rewards))
-    return records
-
-
 @dataclass(frozen=True, eq=False)
 class RunResult:
     """A finished run, its history held as columns.
@@ -108,15 +91,6 @@ class RunResult:
     counts: np.ndarray
     learning_rates: np.ndarray
     windows: tuple[Window, ...]
-
-    @cached_property
-    def records(self) -> list[TraceRecord]:
-        """One record per step, built on first access."""
-        return [
-            record
-            for window in self.windows
-            for record in _window_records(window, self.counts, self.learning_rates)
-        ]
 
     @property
     def final_mean_loss(self) -> float:
@@ -228,7 +202,7 @@ def run_experiment(
     counts.setflags(write=False)
     rates.setflags(write=False)
     final_losses = tuple(world.loss_vector.tolist())
-    summary = summarize_columns(
+    summary = summarize(
         drawn,
         changes,
         steps,

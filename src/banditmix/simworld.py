@@ -315,8 +315,8 @@ class SimWorld(Learner):
         is the clipped factor matrix of ``train_steps`` and ``z`` the
         normals it would draw.  Only arm ``j``'s loss is measured afterwards,
         and ``prod(f**onehot)`` equals the single factor exactly, so the
-        results match the generic loop bit for bit.  An invalid rate raises
-        before the world is read.
+        results match the per-row loop of ``Learner.probe``'s contract bit
+        for bit.  An invalid rate raises before the world is read.
         """
         examples = np.asarray(examples)
         k = self._loss.size

@@ -32,10 +32,8 @@ __all__ = [
     "TraceWriter",
     "Window",
     "iter_trace",
-    "read_trace",
     "RunSummary",
     "summarize",
-    "summarize_columns",
     "export_plot_data",
     "save_world_checkpoint",
 ]
@@ -54,7 +52,6 @@ class TraceRecord(NamedTuple):
     drawn; ``q`` and ``rewards`` reflect any reward round that ran at this
     step.  ``wall_time_ms`` is 0 unless a v1 trace gave another value.  A
     record is a plain tuple of its fields, so it also equals that tuple.
-    ``to_json_obj`` gives the record's v1 line.
     """
 
     step: int
@@ -64,19 +61,6 @@ class TraceRecord(NamedTuple):
     cumulative_counts: tuple[int, ...]
     rewards: tuple[float, ...] | None = None
     wall_time_ms: int = 0
-
-    def to_json_obj(self) -> dict:
-        obj = {
-            "step": self.step,
-            "probabilities": list(self.probabilities),
-            "q": list(self.q),
-            "learning_rate": self.learning_rate,
-            "cumulative_counts": list(self.cumulative_counts),
-            "wall_time_ms": self.wall_time_ms,
-        }
-        if self.rewards is not None:
-            obj["rewards"] = list(self.rewards)
-        return obj
 
     @classmethod
     def from_json_obj(
@@ -348,15 +332,9 @@ def _not_json(e: json.JSONDecodeError) -> str:
     return f"not JSON ({e.msg} at char {e.pos})"
 
 
-def read_trace(path: str | Path) -> tuple[dict, list[TraceRecord]]:
-    """Read a trace file back as ``(header, records)``; see ``iter_trace``."""
-    header, records = iter_trace(path)
-    return header, list(records)
-
-
 @dataclass(frozen=True)
 class RunSummary:
-    """End-of-run aggregates derived from the trace."""
+    """End-of-run aggregates of a run's columns; see ``summarize``."""
 
     seed: int
     config_hash: str
@@ -389,40 +367,6 @@ class RunSummary:
 
 
 def summarize(
-    records: list[TraceRecord],
-    registry: ArmRegistry,
-    *,
-    seed: int,
-    config_hash: str,
-    final_losses: tuple[float, ...] | None = None,
-) -> RunSummary:
-    """Aggregate a trace into a summary.
-
-    ``coverage_ratio[k]`` is draws of arm ``k`` divided by its instance
-    count: how many passes over that source the run amounted to.  The
-    schedule-churn measure is the mean total-variation distance between
-    consecutive steps' distributions.  Runs of equal ``probabilities`` rows
-    are passed to ``summarize_columns`` as one change each.
-    """
-    if not records:
-        raise ValueError("cannot summarize an empty trace")
-    changes: list[tuple[int, tuple[float, ...]]] = []
-    for i, r in enumerate(records):
-        row = r.probabilities
-        if not changes or (row is not changes[-1][1] and row != changes[-1][1]):
-            changes.append((i, row))
-    return summarize_columns(
-        records[-1].cumulative_counts,
-        changes,
-        len(records),
-        registry,
-        seed=seed,
-        config_hash=config_hash,
-        final_losses=final_losses,
-    )
-
-
-def summarize_columns(
     final_counts: Sequence[int] | np.ndarray,
     changes: list[tuple[int, tuple[float, ...]]],
     steps: int,
@@ -432,7 +376,12 @@ def summarize_columns(
     config_hash: str,
     final_losses: tuple[float, ...] | None = None,
 ) -> RunSummary:
-    """``summarize`` from a run's columns rather than its records.
+    """Aggregate a run's columns into a summary.
+
+    ``coverage_ratio[k]`` is draws of arm ``k`` divided by its instance
+    count: how many passes over that source the run amounted to.  The
+    schedule-churn measure is the mean total-variation distance between
+    consecutive steps' distributions.
 
     ``final_counts`` are the cumulative draws per arm after the last step,
     and ``changes`` the ``(index, probabilities)`` pairs at which the

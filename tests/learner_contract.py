@@ -1,8 +1,9 @@
 """Reusable contract checks for Learner implementations.
 
 Any learner usable with lookahead_round must pass these: the simulator
-does, and so must any adapter wrapping a real training loop.  Imported
-by test modules; not collected directly.
+does, and so must any adapter wrapping a real training loop.  LoopLearner
+holds the reference loops of train_steps and probe that the checks compare
+a learner against.  Imported by test modules; not collected directly.
 """
 
 import numpy as np
@@ -11,7 +12,45 @@ from banditmix.mixture import Batch
 from banditmix.rewards import Learner
 
 
-class LinearLearner(Learner):
+class LoopLearner(Learner):
+    """A Learner whose train_steps and probe are plain loops of train_step.
+
+    These loops are the contract's references: a learner's own train_steps
+    and probe must give what they give, bit for bit.
+    """
+
+    def train_steps(self, batch, learning_rates):
+        """One train_step per rate, on the batch's equal consecutive rows.
+
+        Takes the steps before an invalid one.
+        """
+        m = len(learning_rates)
+        if m < 1 or len(batch) % m:
+            raise ValueError(f"a batch of {len(batch)} does not split into {m} equal steps")
+        width = len(batch) // m
+        for t, lr in enumerate(learning_rates):
+            rows = slice(t * width, (t + 1) * width)
+            self.train_step(Batch(arms=batch.arms[rows], examples=batch.examples[rows]), lr)
+
+    def probe(self, examples, learning_rate, entropy=False):
+        """Per row ``j`` of ``examples``, on ``Batch(np.full(B, j), examples[j])``:
+        measure, snapshot, train_step, measure, and restore, even when a
+        measurement raises."""
+        measure = self.entropy if entropy else self.loss
+        pres, posts = [], []
+        for arm, row in enumerate(examples):
+            batch = Batch(arms=np.full(len(row), arm), examples=row)
+            pres.append(np.asarray(measure(batch), dtype=np.float64))
+            token = self.snapshot()
+            try:
+                self.train_step(batch, learning_rate)
+                posts.append(np.asarray(measure(batch), dtype=np.float64))
+            finally:
+                self.restore(token)
+        return pres, posts
+
+
+class LinearLearner(LoopLearner):
     """Toy learner with a closed-form loss response, for oracle tests.
 
     Per-arm loss is a scalar theta_j; a step on a batch moves each
@@ -79,7 +118,7 @@ def check_mutate_restore_cycles(learner, num_arms, rng, cycles=1000, batch_size=
 
 
 def check_probe_matches_default(learner, examples, lr, entropy=False):
-    """An overridden probe() must return what the generic Learner.probe loop
+    """A learner's probe() must return what the LoopLearner.probe loop
     returns, bit for bit, and leave the learner exactly as it found it.
 
     ``examples`` is a round's ``(K, B)`` array, row ``j`` for arm ``j``.
@@ -97,19 +136,18 @@ def check_probe_matches_default(learner, examples, lr, entropy=False):
     learner.train_step(batches[0], lr)
     assert np.array_equal(learner.loss(batches[0]), stepped)
     learner.restore(token)
-    want_pres, want_posts = Learner.probe(learner, examples, lr, entropy=entropy)
+    want_pres, want_posts = LoopLearner.probe(learner, examples, lr, entropy=entropy)
     assert len(pres) == len(posts) == len(batches)
     for got, want in zip([*pres, *posts], [*want_pres, *want_posts]):
         assert np.array_equal(got, want)
 
 
 def check_train_steps_matches_default(learner, batch, learning_rates):
-    """An overridden train_steps() must leave the learner as the generic
-    Learner.train_steps loop does, bit for bit; the learner ends in that
-    state."""
+    """A learner's train_steps() must leave it as the LoopLearner.train_steps
+    loop does, bit for bit; the learner ends in that state."""
     token = learner.snapshot()
     seen = []
-    for train_steps in (type(learner).train_steps, Learner.train_steps):
+    for train_steps in (type(learner).train_steps, LoopLearner.train_steps):
         learner.restore(token)
         train_steps(learner, batch, learning_rates)
         after = np.asarray(learner.loss(batch))

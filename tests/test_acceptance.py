@@ -284,7 +284,8 @@ def test_criterion_08_uniform_anchor_stays_near_uniform():
 
 def _mean_tv_from_uniform(result):
     k = result.resolved.registry.num_arms
-    probs = np.asarray([r.probabilities for r in result.records])
+    sizes = [w.last - w.first + 1 for w in result.windows]
+    probs = np.repeat([w.probabilities for w in result.windows], sizes, axis=0)
     return float(np.mean(0.5 * np.abs(probs - 1.0 / k).sum(axis=1)))
 
 

@@ -12,9 +12,9 @@ import banditmix
 from banditmix.cli import main
 from banditmix.config import ExperimentConfig
 from banditmix.runner import TRACE_FILENAME, run_experiment
-from banditmix.trace import EXPORT_KINDS, TraceRecord, TraceWriter, Window, export_plot_data, read_trace
+from banditmix.trace import EXPORT_KINDS, TraceRecord, TraceWriter, Window, export_plot_data
 
-from trace_oracles import write_v1_trace
+from trace_oracles import read_trace, write_v1_trace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = ("tulu_default", "deep_gap_world", "volatile_world")

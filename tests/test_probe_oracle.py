@@ -1,7 +1,7 @@
 """End-to-end oracle for the closed-form reward round.
 
-Each run is repeated with ``SimWorld.probe`` replaced by the generic
-``Learner.probe`` loop; both runs must produce equal records and an equal
+Each run is repeated with ``SimWorld.probe`` replaced by the reference
+``LoopLearner.probe`` loop; both runs must produce equal records and an equal
 final world.
 """
 
@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 from banditmix.config import ExperimentConfig
-from banditmix.rewards import Learner
 from banditmix.runner import run_experiment
 from banditmix.simworld import SimWorld
+
+from learner_contract import LoopLearner
+from trace_oracles import run_records
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 WORLDS = ("tulu_default", "deep_gap_world", "volatile_world")
@@ -50,7 +52,7 @@ def cases():
 @pytest.mark.parametrize("cfg, seed", cases())
 def test_closed_form_round_matches_generic_loop(cfg, seed, monkeypatch):
     closed = run_experiment(cfg, seed=seed)
-    monkeypatch.setattr(SimWorld, "probe", Learner.probe)
+    monkeypatch.setattr(SimWorld, "probe", LoopLearner.probe)
     generic = run_experiment(cfg, seed=seed)
-    assert closed.records == generic.records
+    assert run_records(closed) == run_records(generic)
     assert closed.world.state_dict() == generic.world.state_dict()

@@ -10,6 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from banditmix.config import RegistrySection
 from banditmix.policies import PolicyKind
 from banditmix.runner import run_experiment
 
@@ -71,3 +72,26 @@ def test_one_final_round_changes_nothing(name, seed):
     assert [w.rewards is not None for w in bandit.windows][-1]
     assert sum(w.rewards is not None for w in bandit.windows) == 1
     assert_equals_static_run(cfg, seed, bandit)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_no_prior_is_the_bandit_on_equal_counts(name, seed):
+    # With every arm's count equal the prior c / (K c) is 1 / K, the same
+    # double as the no-prior anchor, so the two variants run alike; only
+    # the summary's config hash tells them apart.
+    runs = []
+    for variant in ("bandit", "bandit_no_prior"):
+        cfg = shipped_config(name, variant, **({"total_steps": 300} if name == "tulu_default" else {}))
+        names = cfg.resolve().registry.names
+        cfg = dataclasses.replace(cfg, registry=RegistrySection(arms=tuple((n, 4000) for n in names)))
+        runs.append(run_experiment(cfg, seed=seed))
+    bandit, no_prior = runs
+    assert sum(w.rewards is not None for w in bandit.windows) >= 2
+    assert len(set(bandit.windows[-1].probabilities)) > 1
+    assert np.array_equal(bandit.counts, no_prior.counts)
+    assert np.array_equal(bandit.learning_rates, no_prior.learning_rates)
+    assert bandit.windows == no_prior.windows
+    assert bandit.world.state_dict() == no_prior.world.state_dict()
+    assert bandit.summary.config_hash != no_prior.summary.config_hash
+    assert dataclasses.replace(bandit.summary, config_hash=no_prior.summary.config_hash) == no_prior.summary

@@ -270,7 +270,7 @@ class FixedProbe(Learner):
     def loss(self, batch):
         raise AssertionError("probe is overridden")
 
-    train_step = loss
+    train_step = train_steps = loss
 
 
 def fixed_round(k, b, epsilon=1e-8, alpha=0.9):

@@ -19,10 +19,10 @@ from banditmix.runner import (
     run_experiment,
     sweep_experiments,
 )
-from banditmix.trace import TraceRecord, TraceWriter, iter_trace, read_trace, summarize
+from banditmix.trace import TraceRecord, TraceWriter, iter_trace
 
 from test_golden import POLICIES, SEEDS, WORLDS, golden_config
-from trace_oracles import v2_lines
+from trace_oracles import read_trace, run_records, summarize_records, v2_lines
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -56,13 +56,11 @@ def small_cfg(**overrides):
 
 class TestRunExperiment:
     def test_one_record_per_step(self):
-        result = run_experiment(small_cfg())
-        assert len(result.records) == 40
-        assert [r.step for r in result.records] == list(range(1, 41))
+        records = run_records(run_experiment(small_cfg()))
+        assert [r.step for r in records] == list(range(1, 41))
 
     def test_counts_conserve_batch_size(self):
-        result = run_experiment(small_cfg())
-        for r in result.records:
+        for r in run_records(run_experiment(small_cfg())):
             assert sum(r.cumulative_counts) == r.step * 16
 
     def test_first_record_is_the_anchored_law_at_zero_estimates(self):
@@ -71,11 +69,10 @@ class TestRunExperiment:
         )
         registry = builtin_registry("tulu_v2")
         expected = (1.0 - 0.3) * (registry.prior / np.sum(registry.prior)) + 0.3 / 16
-        assert np.array_equal(np.asarray(result.records[0].probabilities), expected)
+        assert np.array_equal(np.asarray(run_records(result)[0].probabilities), expected)
 
     def test_reward_rounds_land_on_interval_steps(self):
-        result = run_experiment(small_cfg())
-        for r in result.records:
+        for r in run_records(run_experiment(small_cfg())):
             if r.step % 10 == 0:
                 assert r.rewards is not None and len(r.rewards) == 3
             else:
@@ -84,22 +81,22 @@ class TestRunExperiment:
     def test_record_probabilities_predate_the_round(self):
         # the distribution logged at a round step is the one the batch was
         # drawn from; the updated one first applies at the next step
-        result = run_experiment(small_cfg())
-        before = result.records[8].probabilities  # step 9
-        at_round = result.records[9].probabilities  # step 10, round runs after
-        after = result.records[10].probabilities  # step 11
+        records = run_records(run_experiment(small_cfg()))
+        before = records[8].probabilities  # step 9
+        at_round = records[9].probabilities  # step 10, round runs after
+        after = records[10].probabilities  # step 11
         assert at_round == before
         assert after != at_round
 
     def test_estimates_recorded_after_the_round(self):
-        result = run_experiment(small_cfg())
-        assert result.records[9].q != (0.0, 0.0, 0.0)
-        assert result.records[8].q == (0.0, 0.0, 0.0)
+        records = run_records(run_experiment(small_cfg()))
+        assert records[9].q != (0.0, 0.0, 0.0)
+        assert records[8].q == (0.0, 0.0, 0.0)
 
     def test_non_adaptive_policy_never_rounds(self):
-        result = run_experiment(small_cfg(policy={"variant": "uniform"}))
-        assert all(r.rewards is None for r in result.records)
-        assert all(r.q == (0.0, 0.0, 0.0) for r in result.records)
+        records = run_records(run_experiment(small_cfg(policy={"variant": "uniform"})))
+        assert all(r.rewards is None for r in records)
+        assert all(r.q == (0.0, 0.0, 0.0) for r in records)
 
     def test_seed_override(self):
         base = small_cfg()
@@ -117,7 +114,7 @@ class TestRunExperiment:
     def test_same_seed_reproduces_records_exactly(self):
         a = run_experiment(small_cfg(), seed=3)
         b = run_experiment(small_cfg(), seed=3)
-        assert a.records == b.records
+        assert run_records(a) == run_records(b)
 
     def test_final_mean_loss_matches_world(self):
         result = run_experiment(small_cfg())
@@ -144,11 +141,11 @@ class TestRunExperiment:
     def test_written_trace_equals_in_memory_records(self, tmp_path):
         result = run_experiment(small_cfg(), out_dir=tmp_path)
         _, records = read_trace(tmp_path / TRACE_FILENAME)
-        assert records == result.records
+        assert records == run_records(result)
 
     def test_run_raising_mid_window_leaves_whole_records(self, tmp_path, monkeypatch):
         cfg = small_cfg()
-        clean = run_experiment(cfg).records
+        clean = run_records(run_experiment(cfg))
         write = TraceWriter.write
         on_disk = []
 
@@ -194,9 +191,10 @@ class TestRunExperiment:
             assert sizes[:4] == [3, 3, 3, 1]
         if world == "tulu_default":
             assert sizes[-1] == 43
-        assert any(r.rewards is not None for r in result.records) is (policy is None)
+        records = run_records(result)
+        assert any(r.rewards is not None for r in records) is (policy is None)
         lines = (tmp_path / TRACE_FILENAME).read_text(encoding="utf-8").splitlines()[1:]
-        assert lines == v2_lines(result.records)
+        assert lines == v2_lines(records)
 
     def test_artifact_write_raising_midway_leaves_no_partial_file(self, tmp_path, monkeypatch):
         # The world's JSON is streamed into a temp file that never replaces
@@ -256,7 +254,7 @@ class TestRunExperiment:
     def test_zero_step_run(self):
         cfg = small_cfg(bandit={"total_steps": 0})
         result = run_experiment(cfg)
-        assert result.records == []
+        assert run_records(result) == []
         assert result.summary.steps == 0
         assert result.summary.coverage_ratio == (0.0, 0.0, 0.0)
 
@@ -273,7 +271,7 @@ class TestRunExperiment:
 
 
 class TestColumns:
-    """A run keeps its history as columns and builds records on demand."""
+    """A run keeps its history as columns and windows, and builds no record."""
 
     @pytest.mark.parametrize("world", WORLDS)
     @pytest.mark.parametrize("policy", POLICIES)
@@ -281,27 +279,13 @@ class TestColumns:
     def test_summary_equals_summarize_of_records(self, world, policy, seed):
         result = run_experiment(golden_config(world, policy), seed=seed)
         resolved = result.resolved
-        assert summarize(
-            result.records,
+        assert summarize_records(
+            run_records(result),
             resolved.registry,
             seed=resolved.config.seed,
             config_hash=resolved.config_hash,
             final_losses=result.summary.final_losses,
         ) == result.summary
-
-    def test_no_record_until_records_is_read(self, monkeypatch):
-        built = []
-
-        def counted(*args, **kwargs):
-            built.append(args[0] if args else kwargs["step"])
-            return TraceRecord(*args, **kwargs)
-
-        monkeypatch.setattr(runner, "TraceRecord", counted)
-        result = run_experiment(load_config(CONFIGS / "tulu_default.json"))
-        assert built == []
-        records = result.records
-        assert built == list(range(1, 5144))
-        assert result.records is records
 
     def test_traced_run_writes_windows_and_builds_no_record(self, tmp_path, monkeypatch):
         built, written = [], []
@@ -316,15 +300,12 @@ class TestColumns:
             written.append(window)
             write(writer, window, counts, rates)
 
-        monkeypatch.setattr(runner, "TraceRecord", counted)
         monkeypatch.setattr(trace, "TraceRecord", counted)
         monkeypatch.setattr(TraceWriter, "write", counted_write)
         result = run_experiment(load_config(CONFIGS / "tulu_default.json"), out_dir=tmp_path)
         assert built == []
         assert len(written) == 103
         assert tuple(written) == result.windows
-        assert len(result.records) == 5143
-        assert built == list(range(1, 5144))
 
     def test_columns_are_read_only(self):
         result = run_experiment(small_cfg())

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from banditmix import simworld
 from banditmix.mixture import Batch
-from banditmix.rewards import Learner
 from banditmix.simworld import (
     ENTROPY_LOSS_RATIO,
     LrSchedule,
@@ -16,7 +15,7 @@ from banditmix.simworld import (
     build_world,
 )
 
-from learner_contract import check_full_contract, check_probe_matches_default, random_batch
+from learner_contract import LoopLearner, check_full_contract, check_probe_matches_default, random_batch
 
 
 def make_world(
@@ -479,7 +478,7 @@ def test_probe_hashes_the_jitter_once(monkeypatch):
 
     world = make_world(noise_scale=0.3)
     examples = probe_examples(3, 16)
-    expected = Learner.probe(make_world(noise_scale=0.3), examples, 0.2)
+    expected = LoopLearner.probe(make_world(noise_scale=0.3), examples, 0.2)
     monkeypatch.setattr(simworld, "_jitter_uniform", counted)
     pres, posts = world.probe(examples, 0.2)
     assert len(calls) == 1
@@ -503,8 +502,8 @@ def test_probe_hashes_the_jitter_once(monkeypatch):
 # loop can differ from its vector loop in the last bit.
 @example(k=1, width=2, lr=0.12699137774989258, noise=0.0, transfer=None, entropy=False, seed=17038255)
 def test_probe_matches_generic_loop(k, width, lr, noise, transfer, entropy, seed):
-    """SimWorld's one-pass probe equals Learner.probe's per-batch loop bit for
-    bit and changes neither the losses nor the generator."""
+    """SimWorld's one-pass probe equals LoopLearner.probe's per-batch loop
+    bit for bit and changes neither the losses nor the generator."""
     rng = np.random.default_rng(seed)
     learnability = tuple(rng.uniform(0.05, 1.0, size=k))
     floor = tuple(rng.uniform(0.0, 1.0, size=k))

@@ -22,14 +22,12 @@ from banditmix.trace import (
     Window,
     export_plot_data,
     iter_trace,
-    read_trace,
     save_world_checkpoint,
     summarize,
-    summarize_columns,
 )
 
 from test_golden import CONFIGS, cases, golden_config
-from trace_oracles import write_v1_trace
+from trace_oracles import read_trace, run_records, summarize_records, v1_obj, write_v1_trace
 
 NAMES = ("a", "b", "c")
 
@@ -48,15 +46,15 @@ def make_record(step, p=(0.2, 0.3, 0.5), q=(0.0, 0.0, 0.0), counts=(1, 2, 3), re
 class TestRecordSerialization:
     def test_round_trip_identity(self):
         rec = make_record(3, rewards=(0.1, 0.2, 0.3))
-        assert TraceRecord.from_json_obj(rec.to_json_obj()) == rec
+        assert TraceRecord.from_json_obj(v1_obj(rec)) == rec
 
     def test_rewards_key_omitted_when_absent(self):
-        obj = make_record(1).to_json_obj()
+        obj = v1_obj(make_record(1))
         assert "rewards" not in obj
 
     @pytest.mark.parametrize("wall", [None, 0, 7])
     def test_wall_time_read_as_written_or_zero_when_absent(self, wall):
-        obj = make_record(1).to_json_obj()
+        obj = v1_obj(make_record(1))
         if wall is None:
             del obj["wall_time_ms"]
         else:
@@ -72,7 +70,7 @@ class TestRecordSerialization:
         # json uses repr for floats, which round-trips doubles losslessly
         ugly = (0.1 + 0.2, 1.0 / 3.0, 2.0**-40)
         rec = make_record(1, p=(ugly[0] / sum(ugly), ugly[1] / sum(ugly), ugly[2] / sum(ugly)))
-        back = TraceRecord.from_json_obj(json.loads(json.dumps(rec.to_json_obj())))
+        back = TraceRecord.from_json_obj(json.loads(json.dumps(v1_obj(rec))))
         assert back.probabilities == rec.probabilities
 
     def test_many_records_round_trip(self, rng, tmp_path):
@@ -114,8 +112,8 @@ class TestRecordType:
         world, policy, seed = case.split("/")
         result = run_experiment(golden_config(world, policy), seed=int(seed), out_dir=tmp_path)
         _, records = read_trace(tmp_path / TRACE_FILENAME)
-        assert records == result.records
-        assert {type(r) for r in records} == {type(r) for r in result.records} == {TraceRecord}
+        assert records == run_records(result)
+        assert {type(r) for r in records} == {TraceRecord}
 
 
 def one_step(record, draws):
@@ -298,8 +296,8 @@ class TestReadTrace:
         path = tmp_path / "bad.jsonl"
         lines = [
             json.dumps({"kind": "banditmix-trace", "schema_version": 1, "arm_names": list(NAMES), "seed": 0, "config_hash": "x"}),
-            json.dumps(make_record(2).to_json_obj()),
-            json.dumps(make_record(1).to_json_obj()),
+            json.dumps(v1_obj(make_record(2))),
+            json.dumps(v1_obj(make_record(1))),
         ]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r":3: record steps must be strictly increasing$"):
@@ -315,7 +313,7 @@ def write_lines(path, lines, end="\n"):
 
 
 def record_lines(n):
-    return [json.dumps(make_record(step).to_json_obj()) for step in range(1, n + 1)]
+    return [json.dumps(v1_obj(make_record(step))) for step in range(1, n + 1)]
 
 
 def assert_no_unclosed_file(action):
@@ -344,7 +342,7 @@ class TestIterTrace:
         path = write_lines(tmp_path / "t.jsonl", record_lines(5))
         header, records = iter_trace(path)
         assert header == HEADER
-        assert list(records) == read_trace(path)[1]
+        assert list(records) == read_trace(path)[1] == [make_record(step) for step in range(1, 6)]
 
     def test_header_is_checked_before_returning(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -391,7 +389,7 @@ class TestIterTrace:
             assert_no_unclosed_file(lambda: path.open(encoding="utf-8"))
 
 
-RECORD_3 = make_record(3).to_json_obj()
+RECORD_3 = v1_obj(make_record(3))
 
 # A line that is not a record -> what the reader says after "bad record: ".
 BAD_LINES = {
@@ -654,8 +652,9 @@ def test_v2_trace_reads_and_exports_like_the_v1_trace(case, tmp_path, capsys):
     result = run_experiment(golden_config(world, policy), seed=int(seed), out_dir=tmp_path)
     v2 = tmp_path / TRACE_FILENAME
     header, records = read_trace(v2)
-    v1 = write_v1_trace(tmp_path / "v1.jsonl", header, result.records)
-    assert records == result.records == read_trace(v1)[1]
+    expected = run_records(result)
+    v1 = write_v1_trace(tmp_path / "v1.jsonl", header, expected)
+    assert records == expected == read_trace(v1)[1]
     assert header["total_steps"] == len(records)
     for kind in EXPORT_KINDS:
         texts = []
@@ -672,7 +671,7 @@ class TestSummarize:
 
     def test_coverage_from_final_counts(self):
         records = [make_record(1, counts=(10, 20, 40)), make_record(2, counts=(50, 50, 100))]
-        summary = summarize(records, self.registry(), seed=0, config_hash="x")
+        summary = summarize_records(records, self.registry(), seed=0, config_hash="x")
         assert summary.coverage_ratio == (0.5, 0.25, 0.25)
         assert summary.steps == 2
 
@@ -682,20 +681,20 @@ class TestSummarize:
             make_record(2, p=(0.3, 0.3, 0.4)),
             make_record(3, p=(0.3, 0.3, 0.4)),
         ]
-        summary = summarize(records, self.registry(), seed=0, config_hash="x")
+        summary = summarize_records(records, self.registry(), seed=0, config_hash="x")
         # one move of 0.1 then no move, averaged
         assert summary.mean_step_tv == pytest.approx(0.05, abs=1e-15)
 
     def test_single_record_has_zero_tv(self):
-        summary = summarize([make_record(1)], self.registry(), seed=0, config_hash="x")
+        summary = summarize_records([make_record(1)], self.registry(), seed=0, config_hash="x")
         assert summary.mean_step_tv == 0.0
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
-            summarize([], self.registry(), seed=0, config_hash="x")
+            summarize_records([], self.registry(), seed=0, config_hash="x")
 
     def test_dict_round_trip(self):
-        summary = summarize(
+        summary = summarize_records(
             [make_record(1)], self.registry(), seed=3, config_hash="y", final_losses=(1.0, 2.0, 3.0)
         )
         assert RunSummary.from_dict(summary.to_dict()) == summary
@@ -741,8 +740,8 @@ def test_sparse_mean_tv_equals_dense(k, steps, change_odds, copy_odds, seed):
         make_record(i + 1, p=row, q=(0.0,) * k, counts=(i,) * k) for i, row in enumerate(rows)
     ]
     expected = dense_mean_tv(rows)
-    by_records = summarize(records, registry, seed=0, config_hash="x")
-    by_columns = summarize_columns(
+    by_records = summarize_records(records, registry, seed=0, config_hash="x")
+    by_columns = summarize(
         (steps - 1,) * k, changes, steps, registry, seed=0, config_hash="x"
     )
     assert by_records.mean_step_tv.hex() == expected.hex()

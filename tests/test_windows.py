@@ -5,8 +5,9 @@ must equal ``m`` steps of numpy's own draws (``_draw_step``) joined end to
 end, the probe examples ``lookahead_round`` hands a learner one
 ``rng.integers(0, c, size=B)`` per arm in turn, ``SimWorld.train_steps``
 both a loop of ``reference_step`` (the training law in plain 2-d arithmetic)
-and the generic ``Learner.train_steps`` loop, and ``run_experiment`` a loop
-that does one step at a time; generator state is compared in every case.
+and the reference ``LoopLearner.train_steps`` loop, and ``run_experiment``
+a loop that does one step at a time; generator state is compared in every
+case.
 """
 
 from pathlib import Path
@@ -29,12 +30,13 @@ from banditmix.mixture import (
 )
 from banditmix.policies import MixturePolicy
 from banditmix.registry import ArmRegistry
-from banditmix.rewards import Learner, lookahead_round
+from banditmix.rewards import lookahead_round
 from banditmix.simworld import WorldParams, build_world
 from banditmix.trace import TraceRecord
 
-from learner_contract import LinearLearner, check_train_steps_matches_default, random_batch
+from learner_contract import LinearLearner, LoopLearner, check_train_steps_matches_default, random_batch
 from test_simworld import rate_at
+from trace_oracles import run_records
 
 
 def registry(*counts):
@@ -414,7 +416,7 @@ def assert_worlds_match_loop(make, batch, rates):
     for t, lr in enumerate(rates):
         rows = slice(t * width, (t + 1) * width)
         reference_step(ref, Batch(arms=batch.arms[rows], examples=batch.examples[rows]), lr)
-    Learner.train_steps(loop, batch, rates)
+    LoopLearner.train_steps(loop, batch, rates)
     assert fast.state_dict() == ref.state_dict() == loop.state_dict()
     check_train_steps_matches_default(make(), batch, rates)
     return fast
@@ -579,7 +581,7 @@ def test_run_matches_one_step_loop(bandit, policy):
     )
     records, world = one_step_run(cfg)
     result = runner.run_experiment(cfg)
-    assert result.records == records
+    assert run_records(result) == records
     assert result.world.state_dict() == world
 
 
@@ -587,7 +589,7 @@ def test_default_tulu_run_matches_one_step_loop():
     cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "tulu_default.json")
     records, world = one_step_run(cfg)
     result = runner.run_experiment(cfg)
-    assert result.records == records
+    assert run_records(result) == records
     assert result.world.state_dict() == world
 
 
@@ -616,7 +618,7 @@ def test_long_interval_splits_into_capped_windows(monkeypatch, window_sizes):
     monkeypatch.setattr(runner, "WINDOW_DRAWS", 24)
     result = runner.run_experiment(cfg)
     assert window_sizes == [3, 3, 3, 1, 3, 3, 3, 1, 3]
-    assert result.records == records
+    assert run_records(result) == records
     assert result.world.state_dict() == world
 
 

@@ -1,19 +1,84 @@
-"""Reference trace writers, for the tests of the v2 writer and reader.
+"""Per-record references, for the tests of the run's columns, the writer and the reader.
 
-``write_v1_trace`` writes what schema v1's writer wrote: the header without
-``total_steps``, then ``json.dumps(record.to_json_obj())`` per record.
-``v2_lines`` gives the lines the v2 writer must write for a run's records,
-worked out one record at a time rather than one window at a time.
+A run keeps its history as columns and ``Window``s; ``run_records`` gives
+the one ``TraceRecord`` per step they stand for, and ``summarize_records``
+the summary of a list of records, through the columns' ``summarize``.
+``read_trace`` reads a whole trace into a list.  ``v1_obj`` gives a
+record's schema v1 line, and ``write_v1_trace`` writes what schema v1's
+writer wrote: the header without ``total_steps``, then one ``v1_obj`` per
+record.  ``v2_lines`` gives the lines the v2 writer must write for a run's
+records, worked out one record at a time rather than one window at a time.
 """
 
 import json
+
+from banditmix.trace import TraceRecord, iter_trace, summarize
+
+
+def run_records(result):
+    """One record per step of ``result``, from its windows and columns.
+
+    Every step of a window shares the window's row tuples, so the records
+    carry rows over as the trace reader does.
+    """
+    counts, rates = result.counts.tolist(), result.learning_rates.tolist()
+    records = []
+    for first, last, probabilities, q, q_after, rewards in result.windows:
+        records += [
+            TraceRecord(step, probabilities, q, rates[step - 1], tuple(counts[step - 1]))
+            for step in range(first, last)
+        ]
+        records.append(TraceRecord(last, probabilities, q_after, rates[last - 1], tuple(counts[last - 1]), rewards))
+    return records
+
+
+def read_trace(path):
+    """A trace file as ``(header, records)``, the records in a list; see ``iter_trace``."""
+    header, records = iter_trace(path)
+    return header, list(records)
+
+
+def summarize_records(records, registry, *, seed, config_hash, final_losses=None):
+    """``summarize`` of a list of records: the last record's counts, and one
+    change per run of equal ``probabilities`` rows."""
+    if not records:
+        raise ValueError("cannot summarize an empty trace")
+    changes = []
+    for i, r in enumerate(records):
+        row = r.probabilities
+        if not changes or (row is not changes[-1][1] and row != changes[-1][1]):
+            changes.append((i, row))
+    return summarize(
+        records[-1].cumulative_counts,
+        changes,
+        len(records),
+        registry,
+        seed=seed,
+        config_hash=config_hash,
+        final_losses=final_losses,
+    )
+
+
+def v1_obj(record):
+    """The JSON object of ``record``'s schema v1 line."""
+    obj = {
+        "step": record.step,
+        "probabilities": list(record.probabilities),
+        "q": list(record.q),
+        "learning_rate": record.learning_rate,
+        "cumulative_counts": list(record.cumulative_counts),
+        "wall_time_ms": record.wall_time_ms,
+    }
+    if record.rewards is not None:
+        obj["rewards"] = list(record.rewards)
+    return obj
 
 
 def write_v1_trace(path, header, records):
     """Write ``records`` as a schema v1 trace with ``header``'s arms, seed and hash."""
     v1 = {key: value for key, value in header.items() if key != "total_steps"}
     v1["schema_version"] = 1
-    lines = [json.dumps(v1), *(json.dumps(r.to_json_obj()) for r in records)]
+    lines = [json.dumps(v1), *(json.dumps(v1_obj(r)) for r in records)]
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return path
 
