@@ -110,14 +110,14 @@ def _arms(v: object, path: str) -> tuple[tuple[str, int], ...]:
 @dataclass(frozen=True)
 class BanditSection:
     """``BanditConfig`` without the arm count; ``resolve`` adds it and
-    derives a null ``total_steps``."""
+    derives a null ``total_steps``.  The defaults are ``BanditConfig``'s."""
 
-    beta: float = 4.0
-    gamma: float = 0.3
-    alpha: float = 0.95
-    epsilon: float = 1e-8
-    update_interval: int = 50
-    batch_size: int = 128
+    beta: float = BanditConfig.beta
+    gamma: float = BanditConfig.gamma
+    alpha: float = BanditConfig.alpha
+    epsilon: float = BanditConfig.epsilon
+    update_interval: int = BanditConfig.update_interval
+    batch_size: int = BanditConfig.batch_size
     total_steps: int | None = None
 
 
@@ -126,7 +126,7 @@ class ScheduleSection:
     """``LrSchedule`` without the step budget, which ``resolve`` adds."""
 
     base_rate: float = 0.01
-    warmup_fraction: float = 0.03
+    warmup_fraction: float = LrSchedule.warmup_fraction
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 One run wires registry -> policy -> world -> trace.  Steps are 1-based; at
 every step the current distribution samples a batch and the world takes one
 training step, and on steps divisible by the update interval an adaptive
-policy runs a reward round and recomputes its distribution.  Each record
-therefore carries the distribution the step's batch was drawn from and the
+policy runs a reward round and recomputes its distribution.  A step's trace
+line therefore holds the distribution its batch was drawn from and the
 estimates as of the end of the step.
 
 Since the distribution changes only at a reward round, the loop runs in

@@ -6,8 +6,7 @@ line is one step, less the rows the line before holds, with the step's
 draws per arm.  Floats are written with Python's shortest round-trip
 representation, so reading a trace back reproduces the arrays bit for bit.
 A run writes its trace one ``Window`` at a time, from the window's blocks of
-its draws and learning-rate columns.  Schema v1 traces, with every row on
-every line and cumulative counts, are still read.
+its draws and learning-rate columns.
 """
 
 from __future__ import annotations
@@ -50,8 +49,8 @@ class TraceRecord(NamedTuple):
 
     ``probabilities`` is the distribution in effect when the step's batch was
     drawn; ``q`` and ``rewards`` reflect any reward round that ran at this
-    step.  ``wall_time_ms`` is 0 unless a v1 trace gave another value.  A
-    record is a plain tuple of its fields, so it also equals that tuple.
+    step.  A record is a plain tuple of its fields, so it also equals that
+    tuple.
     """
 
     step: int
@@ -60,58 +59,49 @@ class TraceRecord(NamedTuple):
     learning_rate: float
     cumulative_counts: tuple[int, ...]
     rewards: tuple[float, ...] | None = None
-    wall_time_ms: int = 0
 
     @classmethod
-    def from_json_obj(
-        cls, obj: dict, previous: "TraceRecord | None" = None, summed: bool = False, arms: int | None = None
-    ) -> "TraceRecord":
+    def from_json_obj(cls, obj: dict, previous: "TraceRecord | None", arms: int) -> "TraceRecord":
         """The record of a parsed trace line, which may leave out ``previous``'s rows.
 
-        The counts are the line's ``cumulative_counts``, or with ``summed`` (a
-        v2 line) ``previous``'s, or zeros, plus the line's ``draws``.  Each
-        row the line holds must have ``arms`` entries, by default as many as
-        ``previous``'s counts; a row it leaves out is ``previous``'s tuple.
+        The counts are ``previous``'s, or zeros, plus the line's ``draws``.
+        Each row the line holds must have ``arms`` entries; a row it leaves
+        out is ``previous``'s tuple.
         """
-        rewards, step, wall = obj.get("rewards"), obj["step"], obj.get("wall_time_ms", 0)
+        rewards, step = obj.get("rewards"), obj["step"]
         # JSON gives exact types: a float or boolean step is no step, a row not a
         # list would be read element by element, and true, "z" or null is no number.
         if type(step) is not int:
             raise ValueError(f"step must be an integer, got {step!r}")
-        if type(wall) is not int:
-            raise ValueError(f"wall_time_ms must be an integer, got {wall!r}")
         if previous is None:
             probabilities, q = obj["probabilities"], obj["q"]
         else:
             probabilities, q = obj.get("probabilities", previous.probabilities), obj.get("q", previous.q)
-            if arms is None:
-                arms = len(previous.cumulative_counts)
-        counts_key = "draws" if summed else "cumulative_counts"
-        counts, lr = obj[counts_key], obj["learning_rate"]
+        draws, lr = obj["draws"], obj["learning_rate"]
         if rewards is not None and type(rewards) is not list:
             raise ValueError(f"rewards must be a list or null, got {rewards!r}")
         if previous is None or probabilities is not previous.probabilities:
             probabilities = _check_row("probabilities", probabilities, _NUMBERS, arms)
         if previous is None or q is not previous.q:
             q = _check_row("q", q, _NUMBERS, arms)
-        counts = _check_row(counts_key, counts, _INTS, arms)
+        counts = _check_row("draws", draws, _INTS, arms)
         if rewards is not None:
             rewards = _check_row("rewards", rewards, _NUMBERS, arms)
         if type(lr) not in _NUMBERS:
             raise ValueError(f"learning_rate must be a number, got {lr!r}")
-        if summed and previous is not None:
+        if previous is not None:
             counts = tuple(map(add, previous.cumulative_counts, counts))
-        return tuple.__new__(cls, (step, probabilities, q, float(lr), counts, rewards, wall))
+        return tuple.__new__(cls, (step, probabilities, q, float(lr), counts, rewards))
 
 
-def _check_row(key: str, row: list, kinds: frozenset, arms: int | None) -> tuple:
+def _check_row(key: str, row: list, kinds: frozenset, arms: int) -> tuple:
     """``row`` as a tuple, once it is a list of ``arms`` entries of ``kinds``."""
     if type(row) is not list:
         raise ValueError(f"{key} must be a list, got {row!r}")
     if not kinds.issuperset(map(type, row)):
         noun = "integers" if kinds is _INTS else "numbers"
         raise ValueError(f"{key} must hold only {noun}, got {row!r}")
-    if arms is not None and len(row) != arms:
+    if len(row) != arms:
         raise ValueError(f"{key} must have {arms} entries, got {row!r}")
     return tuple(row)
 
@@ -239,14 +229,14 @@ class TraceWriter:
 def iter_trace(path: str | Path) -> tuple[dict, Iterator[TraceRecord]]:
     """Open a trace as ``(header, records)``, reading one line at a time.
 
-    The header is checked before this returns.  ``records`` yields one
-    ``TraceRecord`` per line, parsed once, and raises ``ValueError("<path>:
-    <line>: ...")`` at a line that is not a record, holds a row of another
-    length than the header's ``arm_names``, does not step past the one
-    before, or lacks its newline: the writer ends every line with one, so
-    such a last line is what a killed writer leaves, and it is reported as
-    truncated, not parsed.  A v2 trace's steps must run 1, 2, ... to the
-    header's ``total_steps``; one that stops short raises
+    The header, of schema ``SCHEMA_VERSION`` only, is checked before this
+    returns.  ``records`` yields one ``TraceRecord`` per line, parsed once,
+    and raises ``ValueError("<path>:<line>: ...")`` at a line that is not a
+    record, holds a row of another length than the header's ``arm_names``,
+    does not step past the one before, or lacks its newline: the writer
+    ends every line with one, so such a last line is what a killed writer
+    leaves, and it is reported as truncated, not parsed.  The steps must run
+    1, 2, ... to the header's ``total_steps``; one that stops short raises
     ``ValueError("<path>: truncated trace: N of M steps")`` after its last
     record.  The file closes when ``records`` ends, raises or is dropped.
     """
@@ -263,8 +253,8 @@ def iter_trace(path: str | Path) -> tuple[dict, Iterator[TraceRecord]]:
     return header, records
 
 
-def _read_header(line: str, path: str | Path) -> tuple[dict, int | None]:
-    """The checked header and its ``total_steps``, None for a v1 trace."""
+def _read_header(line: str, path: str | Path) -> tuple[dict, int]:
+    """The checked header and its ``total_steps``."""
     if not line:
         raise ValueError(f"{path}: empty trace file")
     if not line.endswith("\n"):
@@ -277,24 +267,22 @@ def _read_header(line: str, path: str | Path) -> tuple[dict, int | None]:
     if kind != TRACE_KIND:
         raise ValueError(f"{path}: not a trace file (kind={kind!r})")
     version = header.get("schema_version")
-    if version not in (1, SCHEMA_VERSION):
+    if version != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema version {version!r}")
     names = header.get("arm_names")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ValueError(f"{path}:1: bad header: arm_names must be a list of strings")
-    total = None if version == 1 else header.get("total_steps")
-    if version != 1 and (type(total) is not int or total < 0):
+    total = header.get("total_steps")
+    if type(total) is not int or total < 0:
         raise ValueError(f"{path}:1: bad header: total_steps must be a nonnegative integer, got {total!r}")
     return header, total
 
 
-def _iter_records(fh: io.TextIOBase, path: str | Path, total: int | None, arms: int) -> Iterator[TraceRecord]:
+def _iter_records(fh: io.TextIOBase, path: str | Path, total: int, arms: int) -> Iterator[TraceRecord]:
     with fh:
         yield  # the priming stop ``iter_trace`` runs to
-        # A v1 line holds every row and cumulative counts; a v2 line (with a
-        # ``total``) carries rows from the record before and sums draws.
-        summed = total is not None
-        record, last = None, 0 if summed else -1
+        # A line carries rows over from the record before and sums draws.
+        record, last = None, 0
         decode = json.JSONDecoder().raw_decode
         for lineno, line in enumerate(fh, 2):
             if not line.endswith("\n"):
@@ -311,7 +299,7 @@ def _iter_records(fh: io.TextIOBase, path: str | Path, total: int | None, arms: 
                     if line.isspace():
                         continue
                     obj = json.loads(line)
-                record = TraceRecord.from_json_obj(obj, record, summed, arms)
+                record = TraceRecord.from_json_obj(obj, record, arms)
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}:{lineno}: bad record: {_not_json(e)}") from None
             except KeyError as e:
@@ -320,11 +308,11 @@ def _iter_records(fh: io.TextIOBase, path: str | Path, total: int | None, arms: 
                 raise ValueError(f"{path}:{lineno}: bad record: {e}") from None
             if record.step <= last:
                 raise ValueError(f"{path}:{lineno}: record steps must be strictly increasing")
-            if summed and (record.step != last + 1 or record.step > total):
+            if record.step != last + 1 or record.step > total:
                 raise ValueError(f"{path}:{lineno}: step {record.step} after step {last} of a {total}-step trace")
             last = record.step
             yield record
-        if summed and last < total:
+        if last < total:
             raise ValueError(f"{path}: truncated trace: {last} of {total} steps")
 
 
@@ -352,18 +340,6 @@ class RunSummary:
             "coverage_ratio": list(self.coverage_ratio),
             "mean_step_tv": self.mean_step_tv,
         }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "RunSummary":
-        fl = obj["final_losses"]
-        return cls(
-            seed=int(obj["seed"]),
-            config_hash=obj["config_hash"],
-            steps=int(obj["steps"]),
-            final_losses=None if fl is None else tuple(fl),
-            coverage_ratio=tuple(obj["coverage_ratio"]),
-            mean_step_tv=float(obj["mean_step_tv"]),
-        )
 
 
 def summarize(

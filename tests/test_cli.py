@@ -12,9 +12,9 @@ import banditmix
 from banditmix.cli import main
 from banditmix.config import ExperimentConfig
 from banditmix.runner import TRACE_FILENAME, run_experiment
-from banditmix.trace import EXPORT_KINDS, TraceRecord, TraceWriter, Window, export_plot_data
+from banditmix.trace import EXPORT_KINDS, TraceWriter, Window, export_plot_data
 
-from trace_oracles import read_trace, write_v1_trace
+from trace_oracles import read_trace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = ("tulu_default", "deep_gap_world", "volatile_world")
@@ -334,19 +334,15 @@ def small_trace(tmp_path):
     return tmp_path / "out" / "trace.jsonl"
 
 
-def one_step_trace(trace, change, version=1):
+def one_step_trace(trace, change):
     """Write a two-arm trace of one step, its line's keys then set from ``change``.
 
-    The v1 line holds every field a record has, ``cumulative_counts`` and
-    ``wall_time_ms`` among them; the v2 line those of a trace's first line.
+    The line holds the fields of a trace's first line: every row but
+    ``rewards``.  A change of None leaves the key out.
     """
     window = Window(1, 1, (0.5, 0.5), (0.0, 0.0), (0.0, 0.0), None)
     with TraceWriter(trace, arm_names=("a", "b"), seed=0, config_hash="0", total_steps=1) as writer:
         writer.write(window, np.array([[4, 4]]), [0.1])
-    if version == 1:
-        # The v1 trace of the same step, its header the v2 one less total_steps.
-        header = json.loads(trace.read_text(encoding="utf-8").splitlines()[0])
-        write_v1_trace(trace, header, [TraceRecord(1, (0.5, 0.5), (0.0, 0.0), 0.1, (4, 4))])
     header, line = trace.read_text(encoding="utf-8").splitlines(keepends=True)
     obj = {key: value for key, value in {**json.loads(line), **change}.items() if value is not None}
     trace.write_text(header + json.dumps(obj) + "\n", encoding="utf-8")
@@ -399,18 +395,14 @@ class TestExportOfABadTrace:
     @pytest.mark.parametrize(
         "change, kind, detail",
         [
-            # Each once exported with exit 0: as 1,z,None and as 1,4,1.
+            # The q row once exported with exit 0, as 1,z,None.
             ({"q": ["z", None]}, "q_over_time", "q must hold only numbers, got ['z', None]"),
-            (
-                {"cumulative_counts": [4.7, True]},
-                "instance_coverage",
-                "cumulative_counts must hold only integers, got [4.7, True]",
-            ),
+            ({"draws": [4, True]}, "instance_coverage", "draws must hold only integers, got [4, True]"),
             ({"learning_rate": "0.1"}, "proportions_over_time", "learning_rate must be a number, got '0.1'"),
-            # Each once read as 7, 4 and 1.
-            ({"wall_time_ms": "7"}, "q_over_time", "wall_time_ms must be an integer, got '7'"),
-            ({"wall_time_ms": 4.7}, "q_over_time", "wall_time_ms must be an integer, got 4.7"),
-            ({"wall_time_ms": True}, "q_over_time", "wall_time_ms must be an integer, got True"),
+            # Draws are checked whatever the kind prints.
+            ({"draws": ["7", 4]}, "q_over_time", "draws must hold only integers, got ['7', 4]"),
+            ({"draws": [4, None]}, "q_over_time", "draws must hold only integers, got [4, None]"),
+            ({"draws": "44"}, "q_over_time", "draws must be a list, got '44'"),
         ],
     )
     def test_ill_typed_element_exits_3(self, tmp_path, capsys, change, kind, detail):
@@ -433,13 +425,22 @@ class TestExportOfABadTrace:
         ],
     )
     def test_ill_typed_v2_line_exits_3(self, tmp_path, capsys, change, kind, detail):
-        # A change of None leaves the key out; the first line carries no row
-        # over, so it must hold both, and only the header gives its arm count.
+        # The first line carries no row over, so it must hold both, and only
+        # the header gives its arm count.
         trace = tmp_path / TRACE_FILENAME
-        one_step_trace(trace, change, version=2)
+        one_step_trace(trace, change)
         capsys.readouterr()
         assert main(["export", "--trace", str(trace), "--kind", kind]) == 3
         assert capsys.readouterr() == ("", f"error: {trace}:2: bad record: {detail}\n")
+
+    def test_schema_v1_trace_exits_3_with_nothing_on_stdout(self, tmp_path, capsys):
+        # The reader reads only the schema the writer writes.
+        trace = small_trace(tmp_path)
+        header, rest = trace.read_text(encoding="utf-8").split("\n", 1)
+        trace.write_text(json.dumps({**json.loads(header), "schema_version": 1}) + "\n" + rest, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["export", "--trace", str(trace), "--kind", "proportions_over_time"]) == 3
+        assert capsys.readouterr() == ("", f"error: {trace}: unsupported schema version 1\n")
 
     def test_trace_cut_at_a_line_boundary_exits_3(self, shipped_traces, tmp_path, capsys):
         # The default tulu trace less its last 1,000 lines: every line whole,

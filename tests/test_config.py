@@ -13,6 +13,8 @@ from banditmix.config import (
     load_config,
     resolve_output_dir,
 )
+from banditmix.mixture import BanditConfig
+from banditmix.simworld import LrSchedule
 
 INLINE_REGISTRY = {"arms": {"a": 1000, "b": 3000}}
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -91,6 +93,14 @@ class TestFromDict:
         assert cfg.policy.variant == "bandit"
         assert cfg.registry.name == "tulu_v2"
         assert cfg.seed == 0
+
+    def test_empty_object_resolves_to_the_runtime_defaults(self):
+        # The sections take their defaults from the runtime types, so the two
+        # cannot drift apart.
+        resolved = ExperimentConfig.from_dict({}).resolve()
+        bandit, schedule = resolved.bandit, resolved.schedule
+        assert bandit == BanditConfig(num_arms=bandit.num_arms, total_steps=bandit.total_steps)
+        assert schedule == LrSchedule(base_rate=schedule.base_rate, total_steps=schedule.total_steps)
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="config"):

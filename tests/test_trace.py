@@ -16,7 +16,6 @@ from banditmix.runner import TRACE_FILENAME, run_experiment
 from banditmix.simworld import WorldParams, build_world
 from banditmix.trace import (
     EXPORT_KINDS,
-    RunSummary,
     TraceRecord,
     TraceWriter,
     Window,
@@ -27,7 +26,7 @@ from banditmix.trace import (
 )
 
 from test_golden import CONFIGS, cases, golden_config
-from trace_oracles import read_trace, run_records, summarize_records, v1_obj, write_v1_trace
+from trace_oracles import read_trace, run_records, summarize_records, v2_lines
 
 NAMES = ("a", "b", "c")
 
@@ -45,32 +44,22 @@ def make_record(step, p=(0.2, 0.3, 0.5), q=(0.0, 0.0, 0.0), counts=(1, 2, 3), re
 
 class TestRecordSerialization:
     def test_round_trip_identity(self):
-        rec = make_record(3, rewards=(0.1, 0.2, 0.3))
-        assert TraceRecord.from_json_obj(v1_obj(rec)) == rec
+        first = make_record(1, counts=(1, 1, 1))
+        rec = make_record(2, q=(0.5, 0.0, 0.0), counts=(1, 2, 3), rewards=(0.1, 0.2, 0.3))
+        lines = [json.loads(line) for line in v2_lines([first, rec])]
+        back = TraceRecord.from_json_obj(lines[0], None, 3)
+        assert back == first
+        assert TraceRecord.from_json_obj(lines[1], back, 3) == rec
 
     def test_rewards_key_omitted_when_absent(self):
-        obj = v1_obj(make_record(1))
+        obj = json.loads(v2_lines([make_record(1)])[0])
         assert "rewards" not in obj
-
-    @pytest.mark.parametrize("wall", [None, 0, 7])
-    def test_wall_time_read_as_written_or_zero_when_absent(self, wall):
-        obj = v1_obj(make_record(1))
-        if wall is None:
-            del obj["wall_time_ms"]
-        else:
-            obj["wall_time_ms"] = wall
-        assert TraceRecord.from_json_obj(obj).wall_time_ms == (wall or 0)
-
-    def test_rows_are_checked_against_previous_without_arms(self):
-        line = {"step": 2, "learning_rate": 0.01, "draws": [1, 2]}
-        with pytest.raises(ValueError, match=r"^draws must have 3 entries, got \[1, 2\]$"):
-            TraceRecord.from_json_obj(line, make_record(1), summed=True)
 
     def test_floats_survive_json_exactly(self):
         # json uses repr for floats, which round-trips doubles losslessly
         ugly = (0.1 + 0.2, 1.0 / 3.0, 2.0**-40)
         rec = make_record(1, p=(ugly[0] / sum(ugly), ugly[1] / sum(ugly), ugly[2] / sum(ugly)))
-        back = TraceRecord.from_json_obj(json.loads(json.dumps(v1_obj(rec))))
+        back = TraceRecord.from_json_obj(json.loads(v2_lines([rec])[0]), None, 3)
         assert back.probabilities == rec.probabilities
 
     def test_many_records_round_trip(self, rng, tmp_path):
@@ -99,13 +88,11 @@ class TestRecordSerialization:
 
 class TestRecordType:
     def test_fields_and_defaults(self):
-        assert TraceRecord._fields == (
-            "step", "probabilities", "q", "learning_rate", "cumulative_counts", "rewards", "wall_time_ms"
-        )
+        assert TraceRecord._fields == ("step", "probabilities", "q", "learning_rate", "cumulative_counts", "rewards")
         record = TraceRecord(1, (0.5, 0.5), (0.0, 0.0), 0.1, (4, 4))
-        assert (record.rewards, record.wall_time_ms) == (None, 0)
+        assert record.rewards is None
         # A record is a plain tuple of its fields, and equals one.
-        assert record == (1, (0.5, 0.5), (0.0, 0.0), 0.1, (4, 4), None, 0)
+        assert record == (1, (0.5, 0.5), (0.0, 0.0), 0.1, (4, 4), None)
 
     @pytest.mark.parametrize("case", cases())
     def test_read_records_equal_the_run_records(self, case, tmp_path):
@@ -271,6 +258,18 @@ class TestTraceWriter:
         assert [json.loads(line)["step"] for line in lines] == [1, 2, 3, 4]
 
 
+HEADER = {"kind": "banditmix-trace", "schema_version": 2, "arm_names": list(NAMES), "seed": 0, "config_hash": "x", "total_steps": 3}
+
+
+def write_lines(path, lines, header=HEADER, end="\n"):
+    path.write_text("\n".join([json.dumps(header), *lines]) + end, encoding="utf-8")
+    return path
+
+
+def record_lines(n):
+    return v2_lines([make_record(step) for step in range(1, n + 1)])
+
+
 class TestReadTrace:
     def test_rejects_wrong_kind(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -279,12 +278,11 @@ class TestReadTrace:
             read_trace(path)
 
     def test_rejects_wrong_schema_version(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(
-            json.dumps({"kind": "banditmix-trace", "schema_version": 99}) + "\n"
-        )
-        with pytest.raises(ValueError):
-            read_trace(path)
+        # A schema v1 trace is refused like one of any other version.
+        for version in (99, 1):
+            path = write_lines(tmp_path / f"v{version}.jsonl", record_lines(3), {**HEADER, "schema_version": version})
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unsupported schema version {version}$"):
+                read_trace(path)
 
     def test_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -293,27 +291,10 @@ class TestReadTrace:
             read_trace(path)
 
     def test_rejects_out_of_order_records(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        lines = [
-            json.dumps({"kind": "banditmix-trace", "schema_version": 1, "arm_names": list(NAMES), "seed": 0, "config_hash": "x"}),
-            json.dumps(v1_obj(make_record(2))),
-            json.dumps(v1_obj(make_record(1))),
-        ]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r":3: record steps must be strictly increasing$"):
+        lines = record_lines(2)
+        path = write_lines(tmp_path / "bad.jsonl", [*lines, lines[0]])
+        with pytest.raises(ValueError, match=r":4: record steps must be strictly increasing$"):
             read_trace(path)
-
-
-HEADER = {"kind": "banditmix-trace", "schema_version": 1, "arm_names": list(NAMES), "seed": 0, "config_hash": "x"}
-
-
-def write_lines(path, lines, end="\n"):
-    path.write_text("\n".join([json.dumps(HEADER), *lines]) + end, encoding="utf-8")
-    return path
-
-
-def record_lines(n):
-    return [json.dumps(v1_obj(make_record(step))) for step in range(1, n + 1)]
 
 
 def assert_no_unclosed_file(action):
@@ -339,10 +320,10 @@ def assert_no_unclosed_file(action):
 
 class TestIterTrace:
     def test_yields_what_read_trace_returns(self, tmp_path):
-        path = write_lines(tmp_path / "t.jsonl", record_lines(5))
+        path = write_lines(tmp_path / "t.jsonl", record_lines(3))
         header, records = iter_trace(path)
         assert header == HEADER
-        assert list(records) == read_trace(path)[1] == [make_record(step) for step in range(1, 6)]
+        assert list(records) == read_trace(path)[1] == [make_record(step) for step in range(1, 4)]
 
     def test_header_is_checked_before_returning(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -389,7 +370,7 @@ class TestIterTrace:
             assert_no_unclosed_file(lambda: path.open(encoding="utf-8"))
 
 
-RECORD_3 = v1_obj(make_record(3))
+RECORD_3 = {**json.loads(record_lines(1)[0]), "step": 3}
 
 # A line that is not a record -> what the reader says after "bad record: ".
 BAD_LINES = {
@@ -399,22 +380,22 @@ BAD_LINES = {
         json.dumps({k: v for k, v in RECORD_3.items() if k != "learning_rate"}),
         "missing key 'learning_rate'",
     ),
-    "wrong type": (json.dumps({**RECORD_3, "cumulative_counts": 7}), "cumulative_counts must be a list, got 7"),
+    "wrong type": (json.dumps({**RECORD_3, "draws": 7}), "draws must be a list, got 7"),
     "null value": (json.dumps({**RECORD_3, "learning_rate": None}), "learning_rate must be a number, got None"),
     "string rate": (json.dumps({**RECORD_3, "learning_rate": "0.1"}), "learning_rate must be a number, got '0.1'"),
     "boolean rate": (json.dumps({**RECORD_3, "learning_rate": True}), "learning_rate must be a number, got True"),
     "string in row": (json.dumps({**RECORD_3, "q": ["z", None, 0.0]}), "q must hold only numbers, got ['z', None, 0.0]"),
     "null in row": (json.dumps({**RECORD_3, "probabilities": [0.5, None, 0.5]}), "probabilities must hold only numbers, got [0.5, None, 0.5]"),
     "boolean in row": (json.dumps({**RECORD_3, "q": [0.0, True, 0.0]}), "q must hold only numbers, got [0.0, True, 0.0]"),
-    "float count": (json.dumps({**RECORD_3, "cumulative_counts": [4.7, 1, 2]}), "cumulative_counts must hold only integers, got [4.7, 1, 2]"),
-    "boolean count": (json.dumps({**RECORD_3, "cumulative_counts": [4, True, 2]}), "cumulative_counts must hold only integers, got [4, True, 2]"),
+    "float count": (json.dumps({**RECORD_3, "draws": [4.7, 1, 2]}), "draws must hold only integers, got [4.7, 1, 2]"),
+    "boolean count": (json.dumps({**RECORD_3, "draws": [4, True, 2]}), "draws must hold only integers, got [4, True, 2]"),
+    "string count": (json.dumps({**RECORD_3, "draws": ["7", 1, 2]}), "draws must hold only integers, got ['7', 1, 2]"),
+    "null count": (json.dumps({**RECORD_3, "draws": [None, 1, 2]}), "draws must hold only integers, got [None, 1, 2]"),
+    "null draws": (json.dumps({**RECORD_3, "draws": None}), "draws must be a list, got None"),
     "string reward": (json.dumps({**RECORD_3, "rewards": [0.1, "0.2", 0.3]}), "rewards must hold only numbers, got [0.1, '0.2', 0.3]"),
     "bad integer": (json.dumps({**RECORD_3, "step": "three"}), "step must be an integer, got 'three'"),
     "float step": (json.dumps({**RECORD_3, "step": 3.5}), "step must be an integer, got 3.5"),
     "boolean step": (json.dumps({**RECORD_3, "step": True}), "step must be an integer, got True"),
-    "string wall time": (json.dumps({**RECORD_3, "wall_time_ms": "7"}), "wall_time_ms must be an integer, got '7'"),
-    "float wall time": (json.dumps({**RECORD_3, "wall_time_ms": 4.7}), "wall_time_ms must be an integer, got 4.7"),
-    "boolean wall time": (json.dumps({**RECORD_3, "wall_time_ms": True}), "wall_time_ms must be an integer, got True"),
     "string row": (json.dumps({**RECORD_3, "q": "zz"}), "q must be a list, got 'zz'"),
     "object row": (json.dumps({**RECORD_3, "probabilities": {"a": 1.0}}), "probabilities must be a list, got {'a': 1.0}"),
     "string rewards": (json.dumps({**RECORD_3, "rewards": "zz"}), "rewards must be a list or null, got 'zz'"),
@@ -461,17 +442,11 @@ class TestReaderErrors:
             read_trace(path)
 
 
-V2_HEADER = {**HEADER, "schema_version": 2, "total_steps": 3}
 V2_FIRST = {"step": 1, "probabilities": [0.2, 0.3, 0.5], "q": [0.0, 0.0, 0.0], "learning_rate": 0.01, "draws": [1, 2, 3]}
 
 
 def v2_line(step, **fields):
     return json.dumps({"step": step, "learning_rate": 0.01, "draws": [1, 1, 1], **fields})
-
-
-def write_v2_lines(path, lines, header=V2_HEADER):
-    path.write_text("".join(line + "\n" for line in [json.dumps(header), *lines]), encoding="utf-8")
-    return path
 
 
 # A second v2 line that is not a record -> what the reader says after "bad record: ".
@@ -491,7 +466,7 @@ BAD_V2_LINES = {
 class TestV2Reader:
     def test_rows_carry_over_as_the_same_tuple(self, tmp_path):
         lines = [json.dumps(V2_FIRST), v2_line(2, q=[0.5, 0.0, 0.0], rewards=[1.0, 2.0, 3.0]), v2_line(3, draws=[0, 2, 6])]
-        path = write_v2_lines(tmp_path / "t.jsonl", lines)
+        path = write_lines(tmp_path / "t.jsonl", lines)
         _, records = read_trace(path)
         assert [r.cumulative_counts for r in records] == [(1, 2, 3), (2, 3, 4), (2, 5, 10)]
         assert records[2].probabilities is records[1].probabilities is records[0].probabilities
@@ -500,14 +475,14 @@ class TestV2Reader:
 
     @pytest.mark.parametrize("line, detail", list(BAD_V2_LINES.values()), ids=list(BAD_V2_LINES))
     def test_bad_line_names_file_and_line(self, tmp_path, line, detail):
-        path = write_v2_lines(tmp_path / "t.jsonl", [json.dumps(V2_FIRST), line, v2_line(3)])
+        path = write_lines(tmp_path / "t.jsonl", [json.dumps(V2_FIRST), line, v2_line(3)])
         with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}:3: bad record: {detail}')}$"):
             read_trace(path)
 
     @pytest.mark.parametrize("key", ["probabilities", "q"])
     def test_first_line_must_hold_every_row(self, tmp_path, key):
         first = {k: v for k, v in V2_FIRST.items() if k != key}
-        path = write_v2_lines(tmp_path / "t.jsonl", [json.dumps(first), v2_line(2), v2_line(3)])
+        path = write_lines(tmp_path / "t.jsonl", [json.dumps(first), v2_line(2), v2_line(3)])
         with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}:2: bad record: missing key {key!r}')}$"):
             read_trace(path)
 
@@ -522,14 +497,14 @@ class TestV2Reader:
     )
     def test_steps_run_one_to_total_without_a_gap(self, tmp_path, steps, lineno, message):
         lines = [json.dumps({**V2_FIRST, "step": steps[0]}), *(v2_line(s) for s in steps[1:])]
-        path = write_v2_lines(tmp_path / "t.jsonl", lines)
+        path = write_lines(tmp_path / "t.jsonl", lines)
         with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}:{lineno}: {message}')}$"):
             read_trace(path)
 
     @pytest.mark.parametrize("kept", [0, 1, 2])
     def test_short_trace_raises_after_its_last_record(self, tmp_path, kept):
         lines = [json.dumps(V2_FIRST), v2_line(2), v2_line(3)][:kept]
-        path = write_v2_lines(tmp_path / "t.jsonl", lines)
+        path = write_lines(tmp_path / "t.jsonl", lines)
         _, records = iter_trace(path)
         read = []
         with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}: truncated trace: {kept} of 3 steps')}$"):
@@ -538,18 +513,18 @@ class TestV2Reader:
 
     @pytest.mark.parametrize("total", ["missing", None, -1, 2.0, True, "3"])
     def test_header_total_steps_must_be_a_nonnegative_integer(self, tmp_path, total):
-        header = {**V2_HEADER, "total_steps": total}
+        header = {**HEADER, "total_steps": total}
         if total == "missing":
             del header["total_steps"]
             total = None
-        path = write_v2_lines(tmp_path / "t.jsonl", [], header)
+        path = write_lines(tmp_path / "t.jsonl", [], header)
         message = f":1: bad header: total_steps must be a nonnegative integer, got {total!r}"
         with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
             read_trace(path)
 
     def test_zero_step_trace_reads_empty(self, tmp_path):
-        path = write_v2_lines(tmp_path / "t.jsonl", [], {**V2_HEADER, "total_steps": 0})
-        assert read_trace(path) == ({**V2_HEADER, "total_steps": 0}, [])
+        path = write_lines(tmp_path / "t.jsonl", [], {**HEADER, "total_steps": 0})
+        assert read_trace(path) == ({**HEADER, "total_steps": 0}, [])
 
     @pytest.mark.parametrize("key", ["probabilities", "q", "draws", "rewards"])
     def test_first_line_rows_must_have_an_entry_per_arm(self, tmp_path, key):
@@ -557,15 +532,8 @@ class TestV2Reader:
         # the first line's rows are short; the line after matches them.
         first = {**V2_FIRST, "rewards": [0.1, 0.2, 0.3], key: [1, 2]}
         lines = [json.dumps(first), v2_line(2, draws=[1, 2]), v2_line(3, draws=[1, 2])]
-        path = write_v2_lines(tmp_path / "t.jsonl", lines)
+        path = write_lines(tmp_path / "t.jsonl", lines)
         message = f"{path}:2: bad record: {key} must have 3 entries, got [1, 2]"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            read_trace(path)
-
-    def test_v1_rows_must_have_an_entry_per_arm(self, tmp_path):
-        line = json.dumps({**RECORD_3, "step": 1, "cumulative_counts": [1, 2, 3, 4]})
-        path = write_lines(tmp_path / "t.jsonl", [line])
-        message = f"{path}:2: bad record: cumulative_counts must have 3 entries, got [1, 2, 3, 4]"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_trace(path)
 
@@ -599,7 +567,7 @@ def read_outcome(path):
 def test_decoder_fast_path_reads_like_json_loads(tmp_path, monkeypatch, line, ending):
     """The reader decodes a line with the scanner alone only when one object
     ends at its newline, so every line reads as ``json.loads`` reads it."""
-    path = write_v2_lines(tmp_path / "t.jsonl", [json.dumps(V2_FIRST), line, v2_line(3)])
+    path = write_lines(tmp_path / "t.jsonl", [json.dumps(V2_FIRST), line, v2_line(3)])
     outcome = read_outcome(path)
 
     class LoadsOnly(json.JSONDecoder):
@@ -630,8 +598,8 @@ def test_default_tulu_trace_is_under_1_mb(tulu_trace):
 
 def test_trace_cut_at_a_line_boundary(tulu_trace, tmp_path):
     # Every line of the cut trace is whole, so only the header's total_steps
-    # can tell it from a shorter run; a v1 trace has none, and reads short.
-    header, records = read_trace(tulu_trace)
+    # can tell it from a shorter run.
+    _, records = read_trace(tulu_trace)
     lines = tulu_trace.read_text(encoding="utf-8").splitlines(keepends=True)
     cut = tmp_path / "cut.jsonl"
     cut.write_text("".join(lines[:-1000]), encoding="utf-8")
@@ -640,29 +608,27 @@ def test_trace_cut_at_a_line_boundary(tulu_trace, tmp_path):
     with pytest.raises(ValueError, match=rf"^{re.escape(str(cut))}: truncated trace: 4143 of 5143 steps$"):
         read.extend(cut_records)
     assert read == records[:4143]
-    v1 = write_v1_trace(tmp_path / "v1.jsonl", header, records[:4143])
-    assert read_trace(v1)[1] == records[:4143]
+
+
+# Each export kind and the record field it prints.
+EXPORT_FIELDS = [("proportions_over_time", "probabilities"), ("instance_coverage", "cumulative_counts"), ("q_over_time", "q")]
 
 
 @pytest.mark.parametrize("case", cases())
 def test_v2_trace_reads_and_exports_like_the_v1_trace(case, tmp_path, capsys):
-    """A run's v2 trace reads to its records, and so does the v1 trace the
-    old writer wrote; every export prints the same bytes from both."""
+    """A run's v2 trace reads to its records, and every export prints those
+    records' rows one at a time, as a schema v1 trace, which held every row
+    on every line, once printed them."""
     world, policy, seed = case.split("/")
     result = run_experiment(golden_config(world, policy), seed=int(seed), out_dir=tmp_path)
     v2 = tmp_path / TRACE_FILENAME
     header, records = read_trace(v2)
-    expected = run_records(result)
-    v1 = write_v1_trace(tmp_path / "v1.jsonl", header, expected)
-    assert records == expected == read_trace(v1)[1]
+    assert records == run_records(result)
     assert header["total_steps"] == len(records)
-    for kind in EXPORT_KINDS:
-        texts = []
-        for path in (v1, v2):
-            assert main(["export", "--trace", str(path), "--kind", kind]) == 0
-            texts.append(capsys.readouterr().out)
-        assert texts[0] == texts[1]
-        assert texts[0].count("\n") == len(records) + 1
+    for kind, field in EXPORT_FIELDS:
+        assert main(["export", "--trace", str(v2), "--kind", kind]) == 0
+        rows = "".join(f"{r.step}," + ",".join(map(str, getattr(r, field))) + "\n" for r in records)
+        assert capsys.readouterr().out == "step," + ",".join(header["arm_names"]) + "\n" + rows
 
 
 class TestSummarize:
@@ -692,12 +658,6 @@ class TestSummarize:
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
             summarize_records([], self.registry(), seed=0, config_hash="x")
-
-    def test_dict_round_trip(self):
-        summary = summarize_records(
-            [make_record(1)], self.registry(), seed=3, config_hash="y", final_losses=(1.0, 2.0, 3.0)
-        )
-        assert RunSummary.from_dict(summary.to_dict()) == summary
 
 
 def dense_mean_tv(rows):
@@ -803,11 +763,7 @@ class TestExport:
             for window, counts in windows:
                 writer.write(window, np.array(counts), [0.01] * len(counts))
         _, records = read_trace(path)
-        for kind, field in [
-            ("proportions_over_time", "probabilities"),
-            ("instance_coverage", "cumulative_counts"),
-            ("q_over_time", "q"),
-        ]:
+        for kind, field in EXPORT_FIELDS:
             old = "".join(
                 f"{r.step}," + ",".join(repr(v) if isinstance(v, float) else str(v) for v in getattr(r, field)) + "\n"
                 for r in records
@@ -815,20 +771,24 @@ class TestExport:
             assert export_plot_data(iter(records), kind, NAMES) == "step,a,b,c\n" + old
         assert {type(v) for r in records for v in r.q} == {int, float}
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_equal_rows_print_their_own_text(self, tmp_path, version):
+    @pytest.mark.parametrize("tuples", [1, 2])
+    def test_equal_rows_print_their_own_text(self, tmp_path, tuples):
         # Consecutive rows equal in value but not in text: export reuses a
-        # row's cells only for the same tuple, never for an equal one.
-        rows = [(1, 0.0, 0.5), (1.0, -0.0, 0.5), (1, 0.0, 0.5), (1, 0.0, 0.5)]
+        # row's cells only for the same tuple, never for an equal one.  The
+        # equal rows of steps 3 and 4 are one tuple, which the line of step 4
+        # carries over, or two, which it writes again.
+        rows = [(1, 0.0, 0.5), (1.0, -0.0, 0.5), (1, 0.0, 0.5)]
         records = [make_record(i, p=row, q=row[::-1], counts=(i, i, i)) for i, row in enumerate(rows, 1)]
+        p, q = records[-1].probabilities, records[-1].q
+        if tuples == 2:
+            p, q = tuple(list(p)), tuple(list(q))
+        records.append(make_record(4, p=p, q=q, counts=(4, 4, 4)))
         path = tmp_path / "t.jsonl"
-        if version == 1:
-            write_v1_trace(path, HEADER, records)
-        else:
-            with TraceWriter(path, NAMES, seed=0, config_hash="x", total_steps=4) as writer:
-                for r in records:
-                    writer.write(*one_step(r, [1, 1, 1]))
+        with TraceWriter(path, NAMES, seed=0, config_hash="x", total_steps=4) as writer:
+            for r in records:
+                writer.write(*one_step(r, [1, 1, 1]))
         _, back = read_trace(path)
+        assert (back[3].probabilities is back[2].probabilities) == (back[3].q is back[2].q) == (tuples == 1)
         expected = {
             "proportions_over_time": ["1,1,0.0,0.5", "2,1.0,-0.0,0.5", "3,1,0.0,0.5", "4,1,0.0,0.5"],
             "q_over_time": ["1,0.5,0.0,1", "2,0.5,-0.0,1.0", "3,0.5,0.0,1", "4,0.5,0.0,1"],

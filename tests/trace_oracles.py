@@ -3,11 +3,9 @@
 A run keeps its history as columns and ``Window``s; ``run_records`` gives
 the one ``TraceRecord`` per step they stand for, and ``summarize_records``
 the summary of a list of records, through the columns' ``summarize``.
-``read_trace`` reads a whole trace into a list.  ``v1_obj`` gives a
-record's schema v1 line, and ``write_v1_trace`` writes what schema v1's
-writer wrote: the header without ``total_steps``, then one ``v1_obj`` per
-record.  ``v2_lines`` gives the lines the v2 writer must write for a run's
-records, worked out one record at a time rather than one window at a time.
+``read_trace`` reads a whole trace into a list.  ``v2_lines`` gives the
+lines the writer must write for a run's records, worked out one record at a
+time rather than one window at a time.
 """
 
 import json
@@ -57,30 +55,6 @@ def summarize_records(records, registry, *, seed, config_hash, final_losses=None
         config_hash=config_hash,
         final_losses=final_losses,
     )
-
-
-def v1_obj(record):
-    """The JSON object of ``record``'s schema v1 line."""
-    obj = {
-        "step": record.step,
-        "probabilities": list(record.probabilities),
-        "q": list(record.q),
-        "learning_rate": record.learning_rate,
-        "cumulative_counts": list(record.cumulative_counts),
-        "wall_time_ms": record.wall_time_ms,
-    }
-    if record.rewards is not None:
-        obj["rewards"] = list(record.rewards)
-    return obj
-
-
-def write_v1_trace(path, header, records):
-    """Write ``records`` as a schema v1 trace with ``header``'s arms, seed and hash."""
-    v1 = {key: value for key, value in header.items() if key != "total_steps"}
-    v1["schema_version"] = 1
-    lines = [json.dumps(v1), *(json.dumps(v1_obj(r)) for r in records)]
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    return path
 
 
 def v2_lines(records):
