@@ -20,7 +20,7 @@ from .runner import (
     run_experiment,
     sweep_experiments,
 )
-from .trace import EXPORT_KINDS, export_plot_data, iter_trace
+from .trace import EXPORT_KINDS, export_plot_data
 
 __all__ = ["main", "build_parser"]
 
@@ -120,9 +120,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    header, records = iter_trace(args.trace)
-    text = export_plot_data(records, args.kind, tuple(header["arm_names"]))
-    print(text, end="")
+    print(export_plot_data(args.trace, args.kind), end="")
     return 0
 
 

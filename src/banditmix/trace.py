@@ -5,6 +5,8 @@ the arm order, the seed, the config hash and the step count; every following
 line is one step, less the rows the line before holds, with the step's
 draws per arm.  Floats are written with Python's shortest round-trip
 representation, so reading a trace back reproduces the arrays bit for bit.
+The reader takes a plain line, one with no row as the writer writes it, by
+one pattern, and every other line through ``json``, with the same checks.
 A run writes its trace one ``Window`` at a time, from the window's blocks of
 its draws and learning-rate columns.
 """
@@ -14,10 +16,12 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 from dataclasses import dataclass
+from itertools import islice
 from operator import add
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,6 +45,7 @@ SCHEMA_VERSION = 2
 TRACE_KIND = "banditmix-trace"
 
 EXPORT_KINDS = ("proportions_over_time", "instance_coverage", "q_over_time")
+_BLOCK = 512  # trace lines per block of an export
 _NUMBERS, _INTS = frozenset((int, float)), frozenset((int,))
 
 
@@ -60,38 +65,35 @@ class TraceRecord(NamedTuple):
     cumulative_counts: tuple[int, ...]
     rewards: tuple[float, ...] | None = None
 
-    @classmethod
-    def from_json_obj(cls, obj: dict, previous: "TraceRecord | None", arms: int) -> "TraceRecord":
-        """The record of a parsed trace line, which may leave out ``previous``'s rows.
 
-        The counts are ``previous``'s, or zeros, plus the line's ``draws``.
-        Each row the line holds must have ``arms`` entries; a row it leaves
-        out is ``previous``'s tuple.
-        """
-        rewards, step = obj.get("rewards"), obj["step"]
-        # JSON gives exact types: a float or boolean step is no step, a row not a
-        # list would be read element by element, and true, "z" or null is no number.
-        if type(step) is not int:
-            raise ValueError(f"step must be an integer, got {step!r}")
-        if previous is None:
-            probabilities, q = obj["probabilities"], obj["q"]
-        else:
-            probabilities, q = obj.get("probabilities", previous.probabilities), obj.get("q", previous.q)
-        draws, lr = obj["draws"], obj["learning_rate"]
-        if rewards is not None and type(rewards) is not list:
-            raise ValueError(f"rewards must be a list or null, got {rewards!r}")
-        if previous is None or probabilities is not previous.probabilities:
-            probabilities = _check_row("probabilities", probabilities, _NUMBERS, arms)
-        if previous is None or q is not previous.q:
-            q = _check_row("q", q, _NUMBERS, arms)
-        counts = _check_row("draws", draws, _INTS, arms)
-        if rewards is not None:
-            rewards = _check_row("rewards", rewards, _NUMBERS, arms)
-        if type(lr) not in _NUMBERS:
-            raise ValueError(f"learning_rate must be a number, got {lr!r}")
-        if previous is not None:
-            counts = tuple(map(add, previous.cumulative_counts, counts))
-        return tuple.__new__(cls, (step, probabilities, q, float(lr), counts, rewards))
+def _read_line(obj: dict, previous: tuple | None, arms: int) -> tuple:
+    """The fields of a parsed trace line: ``(step, probabilities, q, learning_rate, draws, rewards)``.
+
+    A row the line leaves out is ``previous``'s tuple; each row it holds,
+    and its draws, must have ``arms`` entries.
+    """
+    rewards, step = obj.get("rewards"), obj["step"]
+    # JSON gives exact types: a float or boolean step is no step, a row not a
+    # list would be read element by element, and true, "z" or null is no number.
+    if type(step) is not int:
+        raise ValueError(f"step must be an integer, got {step!r}")
+    if previous is None:
+        probabilities, q = obj["probabilities"], obj["q"]
+    else:
+        probabilities, q = obj.get("probabilities", previous[1]), obj.get("q", previous[2])
+    draws, lr = obj["draws"], obj["learning_rate"]
+    if rewards is not None and type(rewards) is not list:
+        raise ValueError(f"rewards must be a list or null, got {rewards!r}")
+    if previous is None or probabilities is not previous[1]:
+        probabilities = _check_row("probabilities", probabilities, _NUMBERS, arms)
+    if previous is None or q is not previous[2]:
+        q = _check_row("q", q, _NUMBERS, arms)
+    draws = _check_row("draws", draws, _INTS, arms)
+    if rewards is not None:
+        rewards = _check_row("rewards", rewards, _NUMBERS, arms)
+    if type(lr) not in _NUMBERS:
+        raise ValueError(f"learning_rate must be a number, got {lr!r}")
+    return step, probabilities, q, float(lr), draws, rewards
 
 
 def _check_row(key: str, row: list, kinds: frozenset, arms: int) -> tuple:
@@ -240,17 +242,35 @@ def iter_trace(path: str | Path) -> tuple[dict, Iterator[TraceRecord]]:
     ``ValueError("<path>: truncated trace: N of M steps")`` after its last
     record.  The file closes when ``records`` ends, raises or is dropped.
     """
+    header, lines = _open_lines(path)
+    return header, _records(lines)
+
+
+def _records(lines: Iterator[tuple]) -> Iterator[TraceRecord]:
+    """The records of ``_iter_lines``'s lines, each with the running sums of the draws."""
+    counts = None
+    for step, plain, fields in lines:
+        if plain is None:
+            counts = fields[4] if counts is None else tuple(map(add, counts, fields[4]))
+            yield tuple.__new__(TraceRecord, (step, fields[1], fields[2], fields[3], counts, fields[5]))
+        else:
+            counts = tuple(map(add, counts, map(int, plain[3].split(", "))))
+            yield tuple.__new__(TraceRecord, (step, fields[1], fields[2], float(plain[2]), counts, None))
+
+
+def _open_lines(path: str | Path) -> tuple[dict, Iterator[tuple]]:
+    """The checked header of a trace and ``_iter_lines`` of the rest, open."""
     fh = Path(path).open("r", encoding="utf-8")
     try:
         header, total = _read_header(fh.readline(), path)
-        records = _iter_records(fh, path, total, len(header["arm_names"]))
+        lines = _iter_lines(fh, path, total, len(header["arm_names"]))
         # Run the generator into its ``with``, so that closing it, or
         # dropping it unstarted, closes the file.
-        next(records)
+        next(lines)
     except BaseException:
         fh.close()
         raise
-    return header, records
+    return header, lines
 
 
 def _read_header(line: str, path: str | Path) -> tuple[dict, int]:
@@ -278,40 +298,68 @@ def _read_header(line: str, path: str | Path) -> tuple[dict, int]:
     return header, total
 
 
-def _iter_records(fh: io.TextIOBase, path: str | Path, total: int, arms: int) -> Iterator[TraceRecord]:
+# A plain line as the writer writes it, with no row: the step, the rate in
+# ``repr``'s float form and each draw below 10**9.  ``float`` of such a rate
+# is what ``json`` reads; any other form (an integer, signed or non-finite
+# rate, a leading zero, other spacing or key order) goes to ``json``.
+_RATE = r"(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:e[-+][0-9]+)?|e[-+][0-9]+)"
+_DRAW = r"(?:0|[1-9][0-9]{0,8})"
+
+
+def _plain_line(arms: int):
+    """A ``fullmatch`` of the plain lines of an ``arms``-arm trace: groups step, rate, draws."""
+    if not arms:
+        return lambda line: None
+    draws = ", ".join([_DRAW] * arms)
+    return re.compile(rf'\{{"step": ([1-9][0-9]*), "learning_rate": ({_RATE}), "draws": \[({draws})\]\}}\n').fullmatch
+
+
+def _iter_lines(fh: io.TextIOBase, path: str | Path, total: int, arms: int) -> Iterator[tuple]:
+    """Check each line after the header and yield ``(step, plain, fields)`` per record.
+
+    A plain line after the first record gives its match as ``plain``, and
+    ``fields`` are the last other line's ``_read_line`` fields, whose rows
+    it carries over; any other line is read by ``json``, gives ``plain``
+    None and its own fields.
+    """
     with fh:
-        yield  # the priming stop ``iter_trace`` runs to
-        # A line carries rows over from the record before and sums draws.
-        record, last = None, 0
+        yield  # the priming stop ``_open_lines`` runs to
+        fields, last = None, 0
+        match = _plain_line(arms)
         decode = json.JSONDecoder().raw_decode
-        for lineno, line in enumerate(fh, 2):
-            if not line.endswith("\n"):
-                raise ValueError(f"{path}:{lineno}: truncated record")
-            # The scanner alone reads a line that is one object ending at its
-            # newline; any other line goes to ``json.loads``, for its object
-            # or its error.
-            try:
-                obj, end = decode(line)
-            except json.JSONDecodeError:
-                end = None
-            try:
-                if end != len(line) - 1:
-                    if line.isspace():
-                        continue
-                    obj = json.loads(line)
-                record = TraceRecord.from_json_obj(obj, record, arms)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}:{lineno}: bad record: {_not_json(e)}") from None
-            except KeyError as e:
-                raise ValueError(f"{path}:{lineno}: bad record: missing key {e}") from None
-            except (AttributeError, TypeError, ValueError) as e:
-                raise ValueError(f"{path}:{lineno}: bad record: {e}") from None
-            if record.step <= last:
+        for lineno, text in enumerate(fh, 2):
+            plain = match(text) if fields else None
+            if plain is not None:
+                step = int(plain[1])
+            else:
+                if not text.endswith("\n"):
+                    raise ValueError(f"{path}:{lineno}: truncated record")
+                # The scanner alone reads a line that is one object ending at
+                # its newline; any other line goes to ``json.loads``, for its
+                # object or its error.
+                try:
+                    obj, end = decode(text)
+                except json.JSONDecodeError:
+                    end = None
+                try:
+                    if end != len(text) - 1:
+                        if text.isspace():
+                            continue
+                        obj = json.loads(text)
+                    fields = _read_line(obj, fields, arms)
+                except json.JSONDecodeError as e:
+                    raise ValueError(f"{path}:{lineno}: bad record: {_not_json(e)}") from None
+                except KeyError as e:
+                    raise ValueError(f"{path}:{lineno}: bad record: missing key {e}") from None
+                except (AttributeError, TypeError, ValueError) as e:
+                    raise ValueError(f"{path}:{lineno}: bad record: {e}") from None
+                step = fields[0]
+            if step <= last:
                 raise ValueError(f"{path}:{lineno}: record steps must be strictly increasing")
-            if record.step != last + 1 or record.step > total:
-                raise ValueError(f"{path}:{lineno}: step {record.step} after step {last} of a {total}-step trace")
-            last = record.step
-            yield record
+            if step != last + 1 or step > total:
+                raise ValueError(f"{path}:{lineno}: step {step} after step {last} of a {total}-step trace")
+            last = step
+            yield step, plain, fields
         if last < total:
             raise ValueError(f"{path}: truncated trace: {last} of {total} steps")
 
@@ -388,31 +436,69 @@ def summarize(
     )
 
 
-def export_plot_data(records: Iterable[TraceRecord], kind: str, arm_names: tuple[str, ...]) -> str:
-    """Render one trace series as CSV: a step column plus one column per arm.
+def export_plot_data(trace_path: str | Path, kind: str) -> str:
+    """Render one series of a trace file as CSV: a step column plus one column per arm.
 
-    ``records`` is consumed once, so it may be ``iter_trace``'s iterator;
-    the text is returned only after the last record, so an error in any
-    record leaves no partial output.
+    The trace is read with ``iter_trace``'s checks and messages, in blocks
+    of ``_BLOCK`` lines; the text is returned only after the last line, so
+    an error in any line leaves no partial output.
     """
     if kind not in EXPORT_KINDS:
         raise ValueError(f"unknown export kind {kind!r}; choose from {EXPORT_KINDS}")
-    series = {"proportions_over_time": "probabilities", "instance_coverage": "cumulative_counts", "q_over_time": "q"}
-    field = TraceRecord._fields.index(series[kind])
-    # Lines keep their newlines and are joined once: the text is the largest
-    # object an export holds, and ``+ "\n"`` on it would copy it.  The cells
-    # of a row the reader carried over, the same tuple, are reused; not those
-    # of an equal row: ``1 == 1.0`` and ``0.0 == -0.0`` print differently.
-    lines = ["step," + ",".join(arm_names) + "\n"]
+    header, lines = _open_lines(trace_path)
+    names = header["arm_names"]
+    blocks = iter(lambda: list(islice(lines, _BLOCK)), [])
+    if kind == "instance_coverage":
+        body = _coverage_csv(blocks, len(names))
+    else:
+        body = _rows_csv(blocks, 1 if kind == "proportions_over_time" else 2)
+    # Each block is one string: the text is the largest object an export
+    # holds, and a string per line would hold it a second time over.
+    return "".join(["step," + ",".join(names) + "\n", *body])
+
+
+def _rows_csv(blocks: Iterator[list], field: int) -> Iterator[str]:
+    """The CSV text of each block's ``probabilities`` (``field`` 1) or ``q`` (2) rows."""
+    # The cells of a row the reader carried over, the same tuple, are reused;
+    # not those of an equal row: ``1 == 1.0`` and ``0.0 == -0.0`` print
+    # differently.
     values = cells = None
-    for r in records:
-        row = r[field]
-        if row is not values:
-            if len(row) != len(arm_names):
-                raise ValueError(f"record at step {r.step} has {len(row)} arms, expected {len(arm_names)}")
-            values, cells = row, ",".join(map(str, row))
-        lines.append(f"{r.step},{cells}\n")
-    return "".join(lines)
+    for block in blocks:
+        text = []
+        for step, _, fields in block:
+            row = fields[field]
+            if row is not values:
+                values, cells = row, ",".join(map(str, row))
+            text.append(f"{step},{cells}\n")
+        yield "".join(text)
+
+
+def _coverage_csv(blocks: Iterator[list], arms: int) -> Iterator[str]:
+    """The CSV text of each block's running sums of the draws."""
+    row = "%d," + ",".join(["%d"] * arms) + "\n"
+    counts = [0] * arms
+    for block in blocks:
+        draws = [fields[4] if plain is None else plain[3] for _, plain, fields in block]
+        # A plain line's draws are below 10**9, so int64 sums over a block
+        # are exact while the totals stay below 2**62 and every other line's
+        # draws are small too; past that the sums are Python ints.  The
+        # steps run one at a time.
+        if arms and max(map(abs, counts)) < 2**62 and all(
+            type(d) is str or max(map(abs, d)) < 2**31 for d in draws
+        ):
+            text = ", ".join(d if type(d) is str else ", ".join(map(str, d)) for d in draws)
+            sums = np.fromstring(text, dtype=np.int64, sep=",").reshape(len(block), arms).cumsum(axis=0)
+            sums += np.array(counts, dtype=np.int64)
+            first = block[0][0]
+            table = np.column_stack((np.arange(first, first + len(block)), sums))
+            yield (row * len(block)) % tuple(table.ravel().tolist())
+            counts = sums[-1].tolist()
+        else:
+            text = []
+            for (step, _, _), d in zip(block, draws):
+                counts = list(map(add, counts, map(int, d.split(", ")) if type(d) is str else d))
+                text.append(row % (step, *counts))
+            yield "".join(text)
 
 
 def save_world_checkpoint(path: str | Path, state: dict) -> None:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,14 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import banditmix
 from banditmix.cli import main
 from banditmix.config import ExperimentConfig
 from banditmix.runner import TRACE_FILENAME, run_experiment
-from banditmix.trace import EXPORT_KINDS, TraceWriter, Window, export_plot_data
+from banditmix.trace import EXPORT_KINDS, TraceWriter, Window
 
-from trace_oracles import read_trace
+from test_trace import BAD_LINES, BAD_V2_LINES, HEADER, V2_FIRST, read_outcome, write_lines
+from trace_oracles import export_outcome, export_records, json_reader, read_trace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = ("tulu_default", "deep_gap_world", "volatile_world")
@@ -298,16 +303,17 @@ class TestStreamingExport:
     @pytest.mark.parametrize("world", SHIPPED)
     def test_equals_export_of_the_whole_trace(self, shipped_traces, capsys, world, variant, kind):
         trace = shipped_traces[world, variant]
-        header, records = read_trace(trace)
-        expected = export_plot_data(records, kind, tuple(header["arm_names"]))
+        with json_reader():
+            header, records = read_trace(trace)
+        expected = export_records(records, kind, tuple(header["arm_names"]))
         assert main(["export", "--trace", str(trace), "--kind", kind]) == 0
         assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("kind", EXPORT_KINDS)
     def test_peak_memory_stays_small(self, shipped_traces, tmp_path, monkeypatch, kind):
         # Reading the default tulu trace into a list of its 5,143 records
-        # peaks at 11-15 MB; a streamed export holds one record at a time,
-        # plus the CSV text it prints.
+        # peaks at 11-15 MB; a streamed export holds one block of at most
+        # 512 lines at a time, plus the CSV text it prints.
         trace = shipped_traces["tulu_default", "bandit"]
         with (tmp_path / "out.csv").open("w", encoding="utf-8") as sink:
             monkeypatch.setattr(sys, "stdout", sink)
@@ -403,19 +409,9 @@ class TestExportOfABadTrace:
             ({"draws": ["7", 4]}, "q_over_time", "draws must hold only integers, got ['7', 4]"),
             ({"draws": [4, None]}, "q_over_time", "draws must hold only integers, got [4, None]"),
             ({"draws": "44"}, "q_over_time", "draws must be a list, got '44'"),
-        ],
-    )
-    def test_ill_typed_element_exits_3(self, tmp_path, capsys, change, kind, detail):
-        trace = tmp_path / TRACE_FILENAME
-        one_step_trace(trace, change)
-        capsys.readouterr()
-        assert main(["export", "--trace", str(trace), "--kind", kind]) == 3
-        assert capsys.readouterr() == ("", f"error: {trace}:2: bad record: {detail}\n")
-
-    @pytest.mark.parametrize(
-        "change, kind, detail",
-        [
             ({"draws": [4.7, True]}, "instance_coverage", "draws must hold only integers, got [4.7, True]"),
+            # The first line carries no row over, so it must hold both, and
+            # only the header gives its arm count.
             ({"draws": None}, "proportions_over_time", "missing key 'draws'"),
             ({"probabilities": None}, "q_over_time", "missing key 'probabilities'"),
             ({"q": None}, "proportions_over_time", "missing key 'q'"),
@@ -424,9 +420,7 @@ class TestExportOfABadTrace:
             ({"q": [0.0, 0.0, 0.0]}, "proportions_over_time", "q must have 2 entries, got [0.0, 0.0, 0.0]"),
         ],
     )
-    def test_ill_typed_v2_line_exits_3(self, tmp_path, capsys, change, kind, detail):
-        # The first line carries no row over, so it must hold both, and only
-        # the header gives its arm count.
+    def test_ill_typed_element_exits_3(self, tmp_path, capsys, change, kind, detail):
         trace = tmp_path / TRACE_FILENAME
         one_step_trace(trace, change)
         capsys.readouterr()
@@ -459,3 +453,154 @@ class TestExportOfABadTrace:
         capsys.readouterr()
         assert main(["export", "--trace", str(trace), "--kind", "instance_coverage"]) == 3
         assert capsys.readouterr() == ("", f"error: {trace}:31: truncated record\n")
+
+
+def cli_export(path, kind):
+    """The exit code, stdout and stderr of ``banditmix export``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["export", "--trace", str(path), "--kind", kind])
+    return code, out.getvalue(), err.getvalue()
+
+
+def plain_line(step, rate="0.01", draws=None, step_text=None, end=""):
+    """A line without a row, as the writer writes it for a 3-arm trace unless changed."""
+    draws = f"{step % 7}, {step % 5}, {2 * step}" if draws is None else draws
+    return f'{{"step": {step if step_text is None else step_text}, "learning_rate": {rate}, "draws": [{draws}]}}{end}'
+
+
+PLAIN_STEPS = 600  # two blocks of the export
+
+
+def plain_trace(path, changes):
+    """A 3-arm trace of a first line and plain lines, with ``changes`` (step -> line) made."""
+    lines = [json.dumps(V2_FIRST), *map(plain_line, range(2, PLAIN_STEPS + 1))]
+    for step, line in changes.items():
+        lines[step - 1] = line
+    return write_lines(path, lines, {**HEADER, "total_steps": PLAIN_STEPS})
+
+
+def test_plain_line_is_what_the_writer_writes(tmp_path):
+    path = tmp_path / "t.jsonl"
+    with TraceWriter(path, ("a", "b", "c"), seed=0, config_hash="x", total_steps=3) as writer:
+        window = Window(1, 3, (0.2, 0.3, 0.5), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), None)
+        writer.write(window, np.array([[1, 1, 2], [2, 2, 4], [3, 3, 6]]), [0.5, 1e-05, 0.01])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[2:] == [plain_line(2, rate="1e-05"), plain_line(3)]
+
+
+# A line that is one near miss of a plain line -> its changes to ``plain_line``.
+NEAR_MISSES = {
+    "rate -0": {"rate": "-0"},
+    "rate -0.0": {"rate": "-0.0"},
+    "integer rate": {"rate": "1"},
+    # json reads an int, which float() cannot take; float("1e400") is inf.
+    "integer rate past a float": {"rate": "1" + "0" * 400},
+    "rate 1E5": {"rate": "1E5"},
+    "rate 1e5": {"rate": "1e5"},
+    "rate NaN": {"rate": "NaN"},
+    "rate Infinity": {"rate": "Infinity"},
+    "rate 1e400": {"rate": "1e400"},
+    "rate 1e+16": {"rate": "1e+16"},
+    "rate 00.5": {"rate": "00.5"},
+    "rate .5": {"rate": ".5"},
+    "rate 5.": {"rate": "5."},
+    "step with a leading zero": {"step_text": "0{step}"},
+    "doubled space": {"rate": " 0.01"},
+    "trailing spaces": {"end": "  "},
+    "crlf": {"end": "\r"},
+    "one draw short": {"draws": "1, 2"},
+    "one draw over": {"draws": "1, 2, 3, 4"},
+    "10-digit count": {"draws": "9999999999, 1, 2"},
+    "9-digit count": {"draws": "999999999, 1, 2"},
+    "count with a leading zero": {"draws": "01, 1, 2"},
+    "negative count": {"draws": "-1, 1, 2"},
+    "no space after a comma": {"draws": "1,1, 2"},
+}
+
+
+class TestPlainLines:
+    """A line the writer writes without a row is read by one pattern and every
+    other line by ``json``, with the same checks, messages and exports."""
+
+    @pytest.mark.parametrize("kind", EXPORT_KINDS)
+    @pytest.mark.parametrize(
+        "line, detail, step",
+        [*((line, detail, 3) for line, detail in BAD_LINES.values()), *((line, detail, 2) for line, detail in BAD_V2_LINES.values())],
+        ids=[*BAD_LINES, *BAD_V2_LINES],
+    )
+    def test_bad_line_at_a_plain_line_exits_3_like_iter_trace(self, tmp_path, line, detail, step, kind):
+        path = plain_trace(tmp_path / "t.jsonl", {step: line})
+        with pytest.raises(ValueError) as raised:
+            read_trace(path)
+        message = str(raised.value)
+        assert message.startswith(f"{path}:{step + 1}: bad record: {detail}")
+        assert cli_export(path, kind) == (3, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("step", [3, 520])
+    @pytest.mark.parametrize("change", list(NEAR_MISSES.values()), ids=list(NEAR_MISSES))
+    def test_near_miss_reads_as_json_reads_it(self, tmp_path, change, step):
+        change = {k: v.format(step=step) for k, v in change.items()}
+        path = plain_trace(tmp_path / "t.jsonl", {step: plain_line(step, **change)})
+        for kind in EXPORT_KINDS:
+            assert cli_export(path, kind) == export_outcome(path, kind)
+        assert read_outcome(path) == read_outcome(path, json_only=True)
+
+    def test_plain_first_line_lacks_its_rows(self, tmp_path):
+        # No line before it has rows to carry over.
+        path = plain_trace(tmp_path / "t.jsonl", {1: plain_line(1)})
+        for kind in EXPORT_KINDS:
+            assert cli_export(path, kind) == export_outcome(path, kind) == (
+                3, "", f"error: {path}:2: bad record: missing key 'probabilities'\n"
+            )
+
+    @pytest.mark.parametrize("kind", EXPORT_KINDS)
+    def test_running_totals_past_int64_stay_exact(self, tmp_path, kind):
+        # The first line's counts sit just below 2**63, past it and at -2**63,
+        # and the plain lines of both blocks add to them.
+        draws = {1: [2**63 - 700, 2**64, -(2**63)], 300: [999_999_999, 0, 1]}
+        draws.update({step: [step % 7, step % 5, 2 * step] for step in range(2, PLAIN_STEPS + 1) if step not in draws})
+        first = json.dumps({**V2_FIRST, "draws": draws[1]})
+        path = plain_trace(tmp_path / "t.jsonl", {1: first, 300: plain_line(300, draws="999999999, 0, 1")})
+        outcome = cli_export(path, kind)
+        assert outcome == export_outcome(path, kind)
+        if kind == "instance_coverage":
+            totals = [sum(column) for column in zip(*draws.values())]
+            assert outcome[1].splitlines()[-1] == f"{PLAIN_STEPS}," + ",".join(map(str, totals))
+
+
+@pytest.fixture(scope="module")
+def plain_line_indices(shipped_traces):
+    """Each shipped trace's lines, and the indices of those that hold no row."""
+    found = {}
+    for key, trace in shipped_traces.items():
+        lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
+        plain = [i for i, line in enumerate(lines[1:], 1) if list(json.loads(line)) == ["step", "learning_rate", "draws"]]
+        if plain:  # a bandit run with 2-step windows writes a row on every line
+            found[key] = lines, plain
+    return found
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_plain_line_exports_as_json_reads_it(plain_line_indices, tmp_path_factory, data):
+    """One character deleted, inserted, replaced or doubled in a plain line of
+    a shipped trace: ``export`` prints, or fails with, what the reader gives
+    when ``json`` reads every line."""
+    key = data.draw(st.sampled_from(sorted(plain_line_indices)))
+    lines, plain = plain_line_indices[key]
+    i = data.draw(st.sampled_from(plain))
+    line = lines[i]
+    at = data.draw(st.integers(0, len(line) - 1))
+    op = data.draw(st.sampled_from(["delete", "insert", "replace", "double"]))
+    char = data.draw(st.sampled_from(' 0123456789.,-+eE[]{}":\r\t'))
+    line = {
+        "delete": line[:at] + line[at + 1 :],
+        "insert": line[:at] + char + line[at:],
+        "replace": line[:at] + char + line[at + 1 :],
+        "double": line[:at] + line[at] + line[at:],
+    }[op]
+    path = tmp_path_factory.getbasetemp() / "mutated.jsonl"
+    path.write_text("".join([*lines[:i], line, *lines[i + 1 :]]), encoding="utf-8")
+    kind = data.draw(st.sampled_from(EXPORT_KINDS))
+    assert cli_export(path, kind) == export_outcome(path, kind)

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import json
 import re
@@ -26,7 +27,7 @@ from banditmix.trace import (
 )
 
 from test_golden import CONFIGS, cases, golden_config
-from trace_oracles import read_trace, run_records, summarize_records, v2_lines
+from trace_oracles import export_records, json_reader, read_trace, run_records, summarize_records, v2_lines
 
 NAMES = ("a", "b", "c")
 
@@ -43,24 +44,22 @@ def make_record(step, p=(0.2, 0.3, 0.5), q=(0.0, 0.0, 0.0), counts=(1, 2, 3), re
 
 
 class TestRecordSerialization:
-    def test_round_trip_identity(self):
+    def test_round_trip_identity(self, tmp_path):
         first = make_record(1, counts=(1, 1, 1))
         rec = make_record(2, q=(0.5, 0.0, 0.0), counts=(1, 2, 3), rewards=(0.1, 0.2, 0.3))
-        lines = [json.loads(line) for line in v2_lines([first, rec])]
-        back = TraceRecord.from_json_obj(lines[0], None, 3)
-        assert back == first
-        assert TraceRecord.from_json_obj(lines[1], back, 3) == rec
+        path = write_lines(tmp_path / "t.jsonl", v2_lines([first, rec]), {**HEADER, "total_steps": 2})
+        assert read_trace(path)[1] == [first, rec]
 
     def test_rewards_key_omitted_when_absent(self):
         obj = json.loads(v2_lines([make_record(1)])[0])
         assert "rewards" not in obj
 
-    def test_floats_survive_json_exactly(self):
+    def test_floats_survive_json_exactly(self, tmp_path):
         # json uses repr for floats, which round-trips doubles losslessly
         ugly = (0.1 + 0.2, 1.0 / 3.0, 2.0**-40)
         rec = make_record(1, p=(ugly[0] / sum(ugly), ugly[1] / sum(ugly), ugly[2] / sum(ugly)))
-        back = TraceRecord.from_json_obj(json.loads(v2_lines([rec])[0]), None, 3)
-        assert back.probabilities == rec.probabilities
+        path = write_lines(tmp_path / "t.jsonl", v2_lines([rec]), {**HEADER, "total_steps": 1})
+        assert read_trace(path)[1][0].probabilities == rec.probabilities
 
     def test_many_records_round_trip(self, rng, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -359,7 +358,7 @@ class TestIterTrace:
 
         def export_too_few_arms():
             header, records = iter_trace(path)
-            export_plot_data(records, "q_over_time", tuple(header["arm_names"][:2]))
+            export_records(records, "q_over_time", tuple(header["arm_names"][:2]))
 
         with pytest.raises(ValueError, match="expected 2"):
             assert_no_unclosed_file(export_too_few_arms)
@@ -380,15 +379,12 @@ BAD_LINES = {
         json.dumps({k: v for k, v in RECORD_3.items() if k != "learning_rate"}),
         "missing key 'learning_rate'",
     ),
-    "wrong type": (json.dumps({**RECORD_3, "draws": 7}), "draws must be a list, got 7"),
     "null value": (json.dumps({**RECORD_3, "learning_rate": None}), "learning_rate must be a number, got None"),
     "string rate": (json.dumps({**RECORD_3, "learning_rate": "0.1"}), "learning_rate must be a number, got '0.1'"),
     "boolean rate": (json.dumps({**RECORD_3, "learning_rate": True}), "learning_rate must be a number, got True"),
     "string in row": (json.dumps({**RECORD_3, "q": ["z", None, 0.0]}), "q must hold only numbers, got ['z', None, 0.0]"),
     "null in row": (json.dumps({**RECORD_3, "probabilities": [0.5, None, 0.5]}), "probabilities must hold only numbers, got [0.5, None, 0.5]"),
     "boolean in row": (json.dumps({**RECORD_3, "q": [0.0, True, 0.0]}), "q must hold only numbers, got [0.0, True, 0.0]"),
-    "float count": (json.dumps({**RECORD_3, "draws": [4.7, 1, 2]}), "draws must hold only integers, got [4.7, 1, 2]"),
-    "boolean count": (json.dumps({**RECORD_3, "draws": [4, True, 2]}), "draws must hold only integers, got [4, True, 2]"),
     "string count": (json.dumps({**RECORD_3, "draws": ["7", 1, 2]}), "draws must hold only integers, got ['7', 1, 2]"),
     "null count": (json.dumps({**RECORD_3, "draws": [None, 1, 2]}), "draws must hold only integers, got [None, 1, 2]"),
     "null draws": (json.dumps({**RECORD_3, "draws": None}), "draws must be a list, got None"),
@@ -555,12 +551,14 @@ EDGE_LINES = {
 }
 
 
-def read_outcome(path):
-    """The records of a trace, as text so that NaNs compare, or its error."""
-    try:
-        return repr(read_trace(path)[1])
-    except ValueError as e:
-        return str(e)
+def read_outcome(path, json_only=False):
+    """The records of a trace, as text so that NaNs compare, or its error;
+    with ``json_only``, every line is read by ``json``."""
+    with json_reader() if json_only else contextlib.nullcontext():
+        try:
+            return repr(read_trace(path)[1])
+        except Exception as e:
+            return str(e)
 
 
 @pytest.mark.parametrize("line, ending", list(EDGE_LINES.values()), ids=list(EDGE_LINES))
@@ -715,39 +713,46 @@ class TestExport:
             make_record(2, p=(0.25, 0.25, 0.5), q=(0.1, 0.1, 0.2), counts=(4, 6, 10)),
         ]
 
+    def export(self, tmp_path, kind, records=None, names=NAMES):
+        """``export_plot_data`` of a trace of ``records``, by default ``make_records``."""
+        records = self.make_records() if records is None else records
+        header = {**HEADER, "arm_names": list(names), "total_steps": len(records)}
+        return export_plot_data(write_lines(tmp_path / "t.jsonl", v2_lines(records), header), kind)
+
     def test_kinds_table(self):
         assert EXPORT_KINDS == ("proportions_over_time", "instance_coverage", "q_over_time")
 
-    def test_proportions_rows_sum_to_one(self):
-        text = export_plot_data(self.make_records(), "proportions_over_time", NAMES)
+    def test_proportions_rows_sum_to_one(self, tmp_path):
+        text = self.export(tmp_path, "proportions_over_time")
         lines = text.strip().splitlines()
         assert lines[0] == "step,a,b,c"
         for line in lines[1:]:
             cells = line.split(",")
             assert abs(sum(float(c) for c in cells[1:]) - 1.0) <= 1e-9
 
-    def test_float_cells_reparse_exactly(self):
+    def test_float_cells_reparse_exactly(self, tmp_path):
         records = [make_record(1, p=(1.0 / 3, 1.0 / 3, 1.0 - 2.0 / 3))]
-        text = export_plot_data(records, "proportions_over_time", NAMES)
+        text = self.export(tmp_path, "proportions_over_time", records)
         cells = text.strip().splitlines()[1].split(",")
         assert float(cells[1]) == 1.0 / 3
 
-    def test_coverage_kind_uses_counts(self):
-        text = export_plot_data(self.make_records(), "instance_coverage", NAMES)
+    def test_coverage_kind_uses_counts(self, tmp_path):
+        text = self.export(tmp_path, "instance_coverage")
         assert text.strip().splitlines()[1] == "1,2,3,5"
 
-    def test_q_kind(self):
-        text = export_plot_data(self.make_records(), "q_over_time", NAMES)
+    def test_q_kind(self, tmp_path):
+        text = self.export(tmp_path, "q_over_time")
         assert text.startswith("step,a,b,c\n")
         assert ",0.1," in text.splitlines()[2]
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            export_plot_data(self.make_records(), "heatmap", NAMES)
+    def test_unknown_kind_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown export kind 'heatmap'"):
+            self.export(tmp_path, "heatmap")
 
-    def test_arity_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            export_plot_data(self.make_records(), "q_over_time", ("a", "b"))
+    def test_arity_mismatch_rejected(self, tmp_path):
+        # The header names the columns, and a row of another length is a bad line.
+        with pytest.raises(ValueError, match=r":2: bad record: probabilities must have 2 entries"):
+            self.export(tmp_path, "q_over_time", names=("a", "b"))
 
     def test_cells_equal_repr_of_floats_and_str_of_ints(self, tmp_path):
         # The cells once came from ``repr`` for floats and ``str`` for the
@@ -768,7 +773,7 @@ class TestExport:
                 f"{r.step}," + ",".join(repr(v) if isinstance(v, float) else str(v) for v in getattr(r, field)) + "\n"
                 for r in records
             )
-            assert export_plot_data(iter(records), kind, NAMES) == "step,a,b,c\n" + old
+            assert export_plot_data(path, kind) == "step,a,b,c\n" + old
         assert {type(v) for r in records for v in r.q} == {int, float}
 
     @pytest.mark.parametrize("tuples", [1, 2])
@@ -794,7 +799,7 @@ class TestExport:
             "q_over_time": ["1,0.5,0.0,1", "2,0.5,-0.0,1.0", "3,0.5,0.0,1", "4,0.5,0.0,1"],
         }
         for kind, lines in expected.items():
-            assert export_plot_data(iter(back), kind, NAMES).splitlines()[1:] == lines
+            assert export_plot_data(path, kind).splitlines()[1:] == lines
 
 
 class TestWorldCheckpoint:

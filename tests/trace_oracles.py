@@ -5,12 +5,18 @@ the one ``TraceRecord`` per step they stand for, and ``summarize_records``
 the summary of a list of records, through the columns' ``summarize``.
 ``read_trace`` reads a whole trace into a list.  ``v2_lines`` gives the
 lines the writer must write for a run's records, worked out one record at a
-time rather than one window at a time.
+time rather than one window at a time.  ``export_records`` renders records
+as CSV one record at a time, the reference for ``export_plot_data``, and
+``export_outcome`` gives what ``banditmix export`` must do with a trace
+when ``json_reader`` reads every line.
 """
 
+import contextlib
 import json
+from unittest import mock
 
-from banditmix.trace import TraceRecord, iter_trace, summarize
+from banditmix import trace
+from banditmix.trace import EXPORT_KINDS, TraceRecord, iter_trace, summarize
 
 
 def run_records(result):
@@ -78,3 +84,47 @@ def v2_lines(records):
         lines.append(json.dumps(obj))
         before = r
     return lines
+
+
+def export_records(records, kind, arm_names):
+    """Render one series of ``records`` as CSV: a step column plus one column per arm.
+
+    ``records`` is consumed once, so it may be ``iter_trace``'s iterator;
+    the text is returned only after the last record.  The cells of a row
+    carried over from the record before, the same tuple, are reused; not
+    those of an equal row: ``1 == 1.0`` and ``0.0 == -0.0`` print
+    differently.
+    """
+    if kind not in EXPORT_KINDS:
+        raise ValueError(f"unknown export kind {kind!r}; choose from {EXPORT_KINDS}")
+    field = TraceRecord._fields.index(
+        {"proportions_over_time": "probabilities", "instance_coverage": "cumulative_counts", "q_over_time": "q"}[kind]
+    )
+    lines = ["step," + ",".join(arm_names) + "\n"]
+    values = cells = None
+    for r in records:
+        row = r[field]
+        if row is not values:
+            if len(row) != len(arm_names):
+                raise ValueError(f"record at step {r.step} has {len(row)} arms, expected {len(arm_names)}")
+            values, cells = row, ",".join(map(str, row))
+        lines.append(f"{r.step},{cells}\n")
+    return "".join(lines)
+
+
+@contextlib.contextmanager
+def json_reader():
+    """Read every trace line with ``json``, as the reader reads a line that is not plain."""
+    with mock.patch.object(trace, "_plain_line", lambda arms: lambda text: None):
+        yield
+
+
+def export_outcome(path, kind):
+    """The exit code, stdout and stderr of ``banditmix export``, by ``export_records``
+    of ``iter_trace`` with every line read by ``json``."""
+    with json_reader():
+        try:
+            header, records = iter_trace(path)
+            return 0, export_records(records, kind, tuple(header["arm_names"])), ""
+        except Exception as e:
+            return 3, "", f"error: {e}\n"
