@@ -5,7 +5,8 @@ every key to a reader that checks its value, for config files and sweep
 grids alike; unknown keys are errors, and every complaint names the key
 path.  The policy and world sections are their runtime types, checked at
 load.  ``resolve`` builds the rest (registry, bandit hyperparameters,
-schedule), deriving the step budget from the registry unless given.
+schedule), deriving the step budget from the registry unless given, once per
+config object; the copies ``with_seed`` makes share what it built.
 """
 
 from __future__ import annotations
@@ -236,19 +237,40 @@ class ExperimentConfig:
         return json.loads(json.dumps(obj, default=list))
 
     def with_seed(self, seed: object) -> "ExperimentConfig":
-        """A copy with ``seed`` read as the config's ``seed`` key is."""
-        return dataclasses.replace(self, seed=_read("config", "seed", seed))
+        """A copy with ``seed`` read as the config's ``seed`` key is.
+
+        The copy shares this config's resolution, if it has one, since no
+        part of it depends on the seed.  Every other copy resolves anew.
+        """
+        copy = dataclasses.replace(self, seed=_read("config", "seed", seed))
+        if "_resolution" in self.__dict__:
+            object.__setattr__(copy, "_resolution", self._resolution)
+        return copy
 
     def config_hash(self) -> str:
         """Short content hash over everything that shapes the run but the seed."""
-        obj = dataclasses.asdict(self)
-        del obj["seed"], obj["output_dir"]
-        # json writes tuples as arrays, as to_dict's round trip would.
+        # Each section's fields as they are, the values ``asdict`` would
+        # deep-copy; json writes tuples as arrays, as to_dict's round trip would.
+        obj = {}
+        for name in _SECTIONS:
+            section = getattr(self, name)
+            obj[name] = {f.name: getattr(section, f.name) for f in dataclasses.fields(section)}
         canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
     def resolve(self) -> "ResolvedExperiment":
-        """Build the runtime objects, or raise ConfigError naming the problem."""
+        """Build the runtime objects, or raise ConfigError naming the problem.
+
+        They are built on the first call and kept on this object, outside
+        its fields, so ``==``, ``hash`` and ``repr`` ignore them; a call that
+        raises keeps nothing, and the next call raises again.
+        """
+        if "_resolution" not in self.__dict__:
+            object.__setattr__(self, "_resolution", self._build_resolution())
+        return ResolvedExperiment(config=self, **self._resolution)
+
+    def _build_resolution(self) -> dict:
+        """The seed-independent fields of ``resolve``'s result."""
         registry = _build("registry", self.registry.build)
         k = registry.num_arms
         total = self.bandit.total_steps
@@ -267,13 +289,12 @@ class ExperimentConfig:
         # The run builds its world from these values; check them here so a
         # config that validates also runs.
         _build("world", self.world.per_arm, num_arms=k)
-        return ResolvedExperiment(
-            config=self,
-            registry=registry,
-            bandit=bandit,
-            schedule=schedule,
-            config_hash=self.config_hash(),
-        )
+        return {
+            "registry": registry,
+            "bandit": bandit,
+            "schedule": schedule,
+            "config_hash": self.config_hash(),
+        }
 
 
 @dataclass(frozen=True)

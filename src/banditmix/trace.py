@@ -283,6 +283,8 @@ def _read_header(line: str, path: str | Path) -> tuple[dict, int]:
         header = json.loads(line)
     except json.JSONDecodeError as e:
         raise ValueError(f"{path}:1: bad header: {_not_json(e)}") from None
+    except ValueError as e:  # an integer past int's digit limit
+        raise ValueError(f"{path}:1: bad header: {e}") from None
     kind = header.get("kind") if isinstance(header, dict) else None
     if kind != TRACE_KIND:
         raise ValueError(f"{path}: not a trace file (kind={kind!r})")
@@ -298,10 +300,12 @@ def _read_header(line: str, path: str | Path) -> tuple[dict, int]:
     return header, total
 
 
-# A plain line as the writer writes it, with no row: the step, the rate in
-# ``repr``'s float form and each draw below 10**9.  ``float`` of such a rate
-# is what ``json`` reads; any other form (an integer, signed or non-finite
-# rate, a leading zero, other spacing or key order) goes to ``json``.
+# A plain line as the writer writes it, with no row: the step below 10**18,
+# the rate in ``repr``'s float form and each draw below 10**9.  ``float`` of
+# such a rate is what ``json`` reads, and ``int`` of such a step cannot pass
+# int's digit limit; any other form (a longer step, an integer, signed or
+# non-finite rate, a leading zero, other spacing or key order) goes to ``json``.
+_STEP = r"[1-9][0-9]{0,17}"
 _RATE = r"(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:e[-+][0-9]+)?|e[-+][0-9]+)"
 _DRAW = r"(?:0|[1-9][0-9]{0,8})"
 
@@ -311,7 +315,7 @@ def _plain_line(arms: int):
     if not arms:
         return lambda line: None
     draws = ", ".join([_DRAW] * arms)
-    return re.compile(rf'\{{"step": ([1-9][0-9]*), "learning_rate": ({_RATE}), "draws": \[({draws})\]\}}\n').fullmatch
+    return re.compile(rf'\{{"step": ({_STEP}), "learning_rate": ({_RATE}), "draws": \[({draws})\]\}}\n').fullmatch
 
 
 def _iter_lines(fh: io.TextIOBase, path: str | Path, total: int, arms: int) -> Iterator[tuple]:
@@ -335,11 +339,12 @@ def _iter_lines(fh: io.TextIOBase, path: str | Path, total: int, arms: int) -> I
                 if not text.endswith("\n"):
                     raise ValueError(f"{path}:{lineno}: truncated record")
                 # The scanner alone reads a line that is one object ending at
-                # its newline; any other line goes to ``json.loads``, for its
-                # object or its error.
+                # its newline; any other line, or one holding an integer past
+                # int's digit limit, goes to ``json.loads``, for its object or
+                # its error.
                 try:
                     obj, end = decode(text)
-                except json.JSONDecodeError:
+                except ValueError:
                     end = None
                 try:
                     if end != len(text) - 1:
@@ -351,7 +356,8 @@ def _iter_lines(fh: io.TextIOBase, path: str | Path, total: int, arms: int) -> I
                     raise ValueError(f"{path}:{lineno}: bad record: {_not_json(e)}") from None
                 except KeyError as e:
                     raise ValueError(f"{path}:{lineno}: bad record: missing key {e}") from None
-                except (AttributeError, TypeError, ValueError) as e:
+                except (AttributeError, TypeError, ValueError, OverflowError) as e:
+                    # OverflowError: an integer rate too large for a float.
                     raise ValueError(f"{path}:{lineno}: bad record: {e}") from None
                 step = fields[0]
             if step <= last:

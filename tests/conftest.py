@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from banditmix.config import ExperimentConfig
 from banditmix.mixture import BanditConfig
 from banditmix.registry import ArmRegistry
 
@@ -18,3 +19,17 @@ def small_registry():
 @pytest.fixture
 def small_config():
     return BanditConfig(num_arms=3, total_steps=100, update_interval=10, batch_size=8)
+
+
+@pytest.fixture
+def resolutions(monkeypatch):
+    """A list that gets each config the uncached resolver builds for."""
+    built = []
+    build = ExperimentConfig._build_resolution
+
+    def counted(cfg):
+        built.append(cfg)
+        return build(cfg)
+
+    monkeypatch.setattr(ExperimentConfig, "_build_resolution", counted)
+    return built

@@ -18,7 +18,7 @@ from banditmix.config import ExperimentConfig
 from banditmix.runner import TRACE_FILENAME, run_experiment
 from banditmix.trace import EXPORT_KINDS, TraceWriter, Window
 
-from test_trace import BAD_LINES, BAD_V2_LINES, HEADER, V2_FIRST, read_outcome, write_lines
+from test_trace import BAD_LINES, BAD_V2_LINES, HEADER, V2_FIRST, read_outcome, v2_line, write_lines
 from trace_oracles import export_outcome, export_records, json_reader, read_trace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -567,6 +567,42 @@ class TestPlainLines:
         if kind == "instance_coverage":
             totals = [sum(column) for column in zip(*draws.values())]
             assert outcome[1].splitlines()[-1] == f"{PLAIN_STEPS}," + ",".join(map(str, totals))
+
+
+def error_of(convert, value):
+    """What ``convert(value)`` raises, as text."""
+    try:
+        convert(value)
+    except (OverflowError, ValueError) as e:
+        return str(e)
+    pytest.skip(f"{convert.__name__} reads a {len(str(value))}-character value here")
+
+
+# A number past what its type takes: an integer rate too large for a float,
+# and a step past int's digit limit.  Each at step 3 of a plain trace, as a
+# plain line and as a line with a row -> (line, detail).
+LONG_STEP = "1" * 5000
+UNREADABLE_NUMBERS = {
+    "integer rate past a float, plain": (plain_line(3, rate=str(10**400)), lambda: error_of(float, 10**400)),
+    "integer rate past a float, with a row": (
+        v2_line(3, q=[0.5, 0.0, 0.0], learning_rate=10**400), lambda: error_of(float, 10**400)
+    ),
+    "step past int's digit limit, plain": (plain_line(3, step_text=LONG_STEP), lambda: error_of(int, LONG_STEP)),
+    "step past int's digit limit, with a row": (
+        v2_line(3, q=[0.5, 0.0, 0.0]).replace('"step": 3', f'"step": {LONG_STEP}'), lambda: error_of(int, LONG_STEP)
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", EXPORT_KINDS)
+@pytest.mark.parametrize("line, detail", list(UNREADABLE_NUMBERS.values()), ids=list(UNREADABLE_NUMBERS))
+def test_number_past_its_type_is_a_bad_record_on_its_line(tmp_path, line, detail, kind):
+    """Such a number once escaped the reader as a bare ``error: ...`` naming
+    neither the file nor the line."""
+    path = plain_trace(tmp_path / "t.jsonl", {3: line})
+    message = f"{path}:4: bad record: {detail()}"
+    assert read_outcome(path) == read_outcome(path, json_only=True) == message
+    assert cli_export(path, kind) == export_outcome(path, kind) == (3, "", f"error: {message}\n")
 
 
 @pytest.fixture(scope="module")

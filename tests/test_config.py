@@ -1,7 +1,11 @@
+import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banditmix.config import (
     OUTPUT_DIR_ENV,
@@ -13,7 +17,10 @@ from banditmix.config import (
     load_config,
     resolve_output_dir,
 )
+from banditmix.config import BanditSection
 from banditmix.mixture import BanditConfig
+from banditmix.policies import POLICY_VARIANTS
+from banditmix.registry import BUILTIN_REGISTRIES
 from banditmix.simworld import LrSchedule
 
 INLINE_REGISTRY = {"arms": {"a": 1000, "b": 3000}}
@@ -236,6 +243,158 @@ class TestConfigHash:
         h = default_config().config_hash()
         assert len(h) == 12
         int(h, 16)
+
+
+def reference_config_hash(cfg):
+    """``config_hash`` as it was first written: ``asdict``, a deep copy, then the dump."""
+    obj = dataclasses.asdict(cfg)
+    del obj["seed"], obj["output_dir"]
+    canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+
+
+SHIPPED = sorted(p.stem for p in CONFIGS.glob("*.json") if p.stem != "alpha_grid")
+
+# from_dict input: JSON ints and floats (-0.0 too) for number keys, world
+# keys as a number or a list, inline arms as an object or pairs with and
+# without a prior, a static policy with its probabilities.  Each section and
+# key may be left out.
+_numbers = st.one_of(
+    st.integers(-5, 5), st.sampled_from([0.0, -0.0, 0.5, -2.5, 1e-6, 1e300]), st.floats(allow_nan=False)
+)
+_unit = st.one_of(st.sampled_from([0, 1, 0.0, -0.0, 1.0]), st.floats(0, 1))
+_arms = st.lists(st.tuples(st.text("abc", min_size=1, max_size=3), st.integers(0, 10**6)), min_size=1, max_size=4)
+_registry = st.one_of(
+    st.sampled_from(sorted(BUILTIN_REGISTRIES)),
+    st.fixed_dictionaries({"name": st.sampled_from(sorted(BUILTIN_REGISTRIES))}),
+    st.fixed_dictionaries(
+        {"arms": st.one_of(_arms.map(dict), _arms.map(lambda pairs: [list(p) for p in pairs]))},
+        optional={"prior": st.lists(_numbers, max_size=4)},
+    ),
+)
+_policy = st.one_of(
+    st.fixed_dictionaries(
+        {"variant": st.sampled_from([v for v in POLICY_VARIANTS if v != "static"])},
+        optional={"reward_kind": st.sampled_from(["delta_loss", "delta_entropy"])},
+    ),
+    st.fixed_dictionaries({"variant": st.just("static"), "static_probs": st.lists(_numbers, max_size=4)}),
+)
+_world = st.fixed_dictionaries(
+    {},
+    optional={
+        **dict.fromkeys(("base_loss", "floor", "learnability"), st.one_of(_numbers, st.lists(_numbers, max_size=4))),
+        "transfer": st.one_of(st.none(), _unit),
+        "noise_scale": st.one_of(st.integers(0, 3), st.floats(0, 10)),
+        "init_spread": st.one_of(st.just(0), st.floats(0, 0.99)),
+    },
+)
+_bandit = st.fixed_dictionaries(
+    {},
+    optional={
+        **dict.fromkeys(("beta", "gamma", "alpha", "epsilon"), _numbers),
+        "update_interval": st.integers(-2, 100),
+        "batch_size": st.integers(-2, 256),
+        "total_steps": st.one_of(st.none(), st.integers(0, 10**4)),
+    },
+)
+CONFIG_INPUTS = st.fixed_dictionaries(
+    {},
+    optional={
+        "bandit": _bandit,
+        "schedule": st.fixed_dictionaries({}, optional={"base_rate": _numbers, "warmup_fraction": _numbers}),
+        "policy": _policy,
+        "world": _world,
+        "registry": _registry,
+        "seed": st.integers(0, 99),
+        "output_dir": st.one_of(st.none(), st.text(max_size=3)),
+    },
+)
+
+
+class TestHashReference:
+    @pytest.mark.parametrize("name", sorted({*SHIPPED, *PINNED_INLINE}))
+    def test_equals_the_asdict_form(self, name):
+        cfg = pinned_config(name)
+        assert cfg.config_hash() == reference_config_hash(cfg)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(obj=CONFIG_INPUTS)
+    def test_equals_the_asdict_form_on_from_dict_input(self, obj):
+        cfg = ExperimentConfig.from_dict(obj)
+        assert cfg.config_hash() == reference_config_hash(cfg)
+
+    @pytest.mark.parametrize("a, b", [(4, 4.0), (0.0, -0.0)])
+    def test_equal_configs_of_other_number_types_hash_apart(self, a, b):
+        # Such configs compare equal, so a cache keyed by config equality
+        # would hand one the other's hash.
+        cfg_a, cfg_b = (ExperimentConfig(bandit=BanditSection(beta=v)) for v in (a, b))
+        assert cfg_a == cfg_b and hash(cfg_a) == hash(cfg_b)
+        hashes = cfg_a.resolve().config_hash, cfg_b.resolve().config_hash
+        assert hashes == (reference_config_hash(cfg_a), reference_config_hash(cfg_b))
+        assert hashes[0] != hashes[1]
+
+
+def registry_view(registry):
+    return registry.names, registry.counts.tolist(), registry.prior.tolist()
+
+
+class TestSharedResolution:
+    @pytest.mark.parametrize("name", SHIPPED)
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_seed_copy_resolves_like_a_fresh_load(self, name, seed):
+        cfg = load_config(CONFIGS / f"{name}.json")
+        cfg.resolve()
+        shared = cfg.with_seed(seed).resolve()
+        fresh = dataclasses.replace(load_config(CONFIGS / f"{name}.json"), seed=seed).resolve()
+        assert shared.config.seed == seed
+        assert shared.config == fresh.config
+        assert (shared.config_hash, shared.bandit, shared.schedule) == (fresh.config_hash, fresh.bandit, fresh.schedule)
+        assert registry_view(shared.registry) == registry_view(fresh.registry)
+
+    def test_resolves_once_per_object_and_seed_copy(self, resolutions):
+        cfg = default_config()
+        first = cfg.resolve()
+        copies = [cfg.with_seed(seed) for seed in range(3)]
+        results = [c.resolve() for c in [cfg, *copies, *copies]]
+        assert resolutions == [cfg]
+        assert [r.config.seed for r in results] == [0, 0, 1, 2, 0, 1, 2]
+        assert all(r.registry is first.registry and r.bandit is first.bandit for r in results)
+
+    def test_other_copies_resolve_anew(self, resolutions):
+        cfg = default_config()
+        cfg.resolve()
+        copies = [
+            apply_param_overrides(cfg, {"beta": 2.0}),
+            dataclasses.replace(cfg, seed=3),
+            ExperimentConfig.from_dict(cfg.to_dict()),
+        ]
+        for copy in copies:
+            copy.resolve()
+        assert resolutions == [cfg, *copies]
+
+    def test_seed_copy_of_an_unresolved_config_resolves_itself(self, resolutions):
+        cfg = default_config()
+        copy = cfg.with_seed(1)
+        copy.resolve()
+        cfg.resolve()
+        assert resolutions == [copy, cfg]
+
+    def test_failed_resolution_is_not_kept(self, resolutions):
+        cfg = ExperimentConfig.from_dict({"bandit": {"gamma": 1.5}, "registry": INLINE_REGISTRY})
+        for _ in range(3):
+            with pytest.raises(ConfigError, match="bandit"):
+                cfg.resolve()
+            with pytest.raises(ConfigError, match="bandit"):
+                cfg.with_seed(1).resolve()
+        assert len(resolutions) == 6
+
+    def test_eq_hash_and_repr_stay_field_only(self):
+        cfg, twin = default_config(), default_config()
+        before = repr(cfg)
+        cfg.resolve()
+        assert repr(cfg) == before == repr(twin)
+        assert cfg == twin and hash(cfg) == hash(twin)
+        assert cfg.to_dict() == twin.to_dict()
 
 
 class TestResolve:

@@ -421,6 +421,10 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare_experiments([], seed=0)
 
+    def test_resolves_each_config_once(self, resolutions):
+        compare_experiments(self.variants(), seed=3)
+        assert [c.policy.variant for c in resolutions] == ["bandit", "uniform", "proportional"]
+
 
 class TestSweep:
     def test_grid_product_with_seeds(self):
@@ -484,6 +488,21 @@ class TestSweep:
     def test_nonlist_grid_values_rejected(self):
         with pytest.raises(ConfigError, match="grid.beta"):
             sweep_experiments(small_cfg(), {"beta": 4.0}, seeds=1)
+
+    def test_resolves_each_grid_point_once(self, resolutions):
+        grid = json.loads((CONFIGS / "alpha_grid.json").read_text(encoding="utf-8"))
+        result = sweep_experiments(load_config(CONFIGS / "volatile_world.json"), grid, seeds=5)
+        assert len(result.rows) == 20
+        assert [c.bandit.alpha for c in resolutions] == grid["alpha"]
+
+    def test_run_of_a_resolved_config_resolves_nothing(self, resolutions):
+        cfg = small_cfg()
+        cfg.resolve()
+        resolutions.clear()
+        result = run_experiment(cfg, seed=4)
+        assert resolutions == []
+        assert result.resolved.config.seed == 4
+        assert np.array_equal(result.counts, run_experiment(small_cfg(), seed=4).counts)
 
     def test_base_seed_offsets_runs(self):
         cfg = small_cfg(seed=10)

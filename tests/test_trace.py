@@ -431,6 +431,12 @@ class TestReaderErrors:
         with pytest.raises(ValueError, match=r":1: bad header: arm_names must be a list of strings$"):
             read_trace(path)
 
+    def test_header_number_past_int_digit_limit(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps(HEADER).replace('"total_steps": 3', '"total_steps": ' + "1" * 5000) + "\n")
+        with pytest.raises(ValueError, match=r"^" + re.escape(f"{path}:1: bad header: Exceeds the limit")):
+            read_trace(path)
+
     def test_bad_header_line(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text("{not json\n", encoding="utf-8")
