@@ -29,7 +29,6 @@ from .runner import RunResult, compare_experiments, run_experiment, sweep_experi
 from .simworld import LrSchedule, SimWorld, WorldParams, build_world
 from .trace import (
     RunSummary,
-    TraceRecord,
     TraceWriter,
     export_plot_data,
     iter_trace,
@@ -53,7 +52,6 @@ __all__ = [
     "RunResult",
     "RunSummary",
     "SimWorld",
-    "TraceRecord",
     "TraceWriter",
     "WorldParams",
     "build_world",

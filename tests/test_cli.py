@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -18,8 +19,8 @@ from banditmix.config import ExperimentConfig
 from banditmix.runner import TRACE_FILENAME, run_experiment
 from banditmix.trace import EXPORT_KINDS, TraceWriter, Window
 
-from test_trace import BAD_LINES, BAD_V2_LINES, HEADER, V2_FIRST, read_outcome, v2_line, write_lines
-from trace_oracles import export_outcome, export_records, json_reader, read_trace
+from test_trace import BAD_LINES, FIRST, HEADER, NESTED, UNREADABLE_LINES, error_of, trace_lines, write_lines
+from trace_oracles import export_outcome, export_records, read_trace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = ("tulu_default", "deep_gap_world", "volatile_world")
@@ -303,8 +304,7 @@ class TestStreamingExport:
     @pytest.mark.parametrize("world", SHIPPED)
     def test_equals_export_of_the_whole_trace(self, shipped_traces, capsys, world, variant, kind):
         trace = shipped_traces[world, variant]
-        with json_reader():
-            header, records = read_trace(trace)
+        header, records = read_trace(trace)
         expected = export_records(records, kind, tuple(header["arm_names"]))
         assert main(["export", "--trace", str(trace), "--kind", kind]) == 0
         assert capsys.readouterr().out == expected
@@ -312,8 +312,8 @@ class TestStreamingExport:
     @pytest.mark.parametrize("kind", EXPORT_KINDS)
     def test_peak_memory_stays_small(self, shipped_traces, tmp_path, monkeypatch, kind):
         # Reading the default tulu trace into a list of its 5,143 records
-        # peaks at 11-15 MB; a streamed export holds one block of at most
-        # 512 lines at a time, plus the CSV text it prints.
+        # peaks at 11-15 MB; a streamed export holds one window of at most
+        # 50 steps at a time, plus the CSV text it prints.
         trace = shipped_traces["tulu_default", "bandit"]
         with (tmp_path / "out.csv").open("w", encoding="utf-8") as sink:
             monkeypatch.setattr(sys, "stdout", sink)
@@ -329,13 +329,14 @@ class TestStreamingExport:
         assert peak < 5e6, f"export peak {peak / 1e6:.2f} MB"
 
 
-def corrupt_third_record(trace, line):
+def corrupt_third_window(trace, line):
     lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
     lines[3] = line
     trace.write_text("".join(lines), encoding="utf-8")
 
 
 def small_trace(tmp_path):
+    """The trace of ``SMALL_CONFIG``: 30 steps in three windows of 10."""
     main(["run", "--config", str(write_config(tmp_path, "exp.json")), "--out", str(tmp_path / "out")])
     return tmp_path / "out" / "trace.jsonl"
 
@@ -344,7 +345,7 @@ def one_step_trace(trace, change):
     """Write a two-arm trace of one step, its line's keys then set from ``change``.
 
     The line holds the fields of a trace's first line: every row but
-    ``rewards``.  A change of None leaves the key out.
+    ``q_after`` and ``rewards``.  A change of None leaves the key out.
     """
     window = Window(1, 1, (0.5, 0.5), (0.0, 0.0), (0.0, 0.0), None)
     with TraceWriter(trace, arm_names=("a", "b"), seed=0, config_hash="0", total_steps=1) as writer:
@@ -354,14 +355,22 @@ def one_step_trace(trace, change):
     trace.write_text(header + json.dumps(obj) + "\n", encoding="utf-8")
 
 
+def cli_export(path, kind):
+    """The exit code, stdout and stderr of ``banditmix export``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["export", "--trace", str(path), "--kind", kind])
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestExportOfABadTrace:
     def test_bad_record_prints_nothing_and_closes_the_file(self, tmp_path):
         # In a process of its own, so that an unclosed file would show on
         # stderr as an error under -W error::ResourceWarning.
         trace = small_trace(tmp_path)
-        record = json.loads(trace.read_text(encoding="utf-8").splitlines()[3])
-        del record["learning_rate"]
-        corrupt_third_record(trace, json.dumps(record) + "\n")
+        window = json.loads(trace.read_text(encoding="utf-8").splitlines()[3])
+        del window["learning_rate"]
+        corrupt_third_window(trace, json.dumps(window) + "\n")
         src = str(Path(banditmix.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
@@ -376,13 +385,13 @@ class TestExportOfABadTrace:
         "line, message",
         [
             ("{not json\n", ":4: bad record: not JSON"),
-            # Rows carry over from the line before; the draws do not.
-            ('{"step": 3}\n', ":4: bad record: missing key 'draws'"),
+            # Rows carry over from the window before; the blocks do not.
+            ('{"first": 21, "last": 30}\n', ":4: bad record: missing key 'learning_rate'"),
         ],
     )
     def test_bad_record_exits_3_with_nothing_on_stdout(self, tmp_path, capsys, line, message):
         trace = small_trace(tmp_path)
-        corrupt_third_record(trace, line)
+        corrupt_third_window(trace, line)
         capsys.readouterr()
         assert main(["export", "--trace", str(trace), "--kind", "proportions_over_time"]) == 3
         out, err = capsys.readouterr()
@@ -393,31 +402,32 @@ class TestExportOfABadTrace:
         # Both values parse as JSON; the reader once took the string as one
         # q entry per character and 1.7 as step 1, and export printed 1,z,z.
         trace = tmp_path / TRACE_FILENAME
-        one_step_trace(trace, {"q": "zz", "step": 1.7})
+        one_step_trace(trace, {"q": "zz", "first": 1.7})
         capsys.readouterr()
         assert main(["export", "--trace", str(trace), "--kind", "q_over_time"]) == 3
-        assert capsys.readouterr() == ("", f"error: {trace}:2: bad record: step must be an integer, got 1.7\n")
+        assert capsys.readouterr() == ("", f"error: {trace}:2: bad record: first must be an integer, got 1.7\n")
 
     @pytest.mark.parametrize(
         "change, kind, detail",
         [
             # The q row once exported with exit 0, as 1,z,None.
             ({"q": ["z", None]}, "q_over_time", "q must hold only numbers, got ['z', None]"),
-            ({"draws": [4, True]}, "instance_coverage", "draws must hold only integers, got [4, True]"),
-            ({"learning_rate": "0.1"}, "proportions_over_time", "learning_rate must be a number, got '0.1'"),
+            ({"draws": [[4, True]]}, "instance_coverage", "draws must hold only integers, got [4, True]"),
+            ({"learning_rate": ["0.1"]}, "proportions_over_time", "learning_rate must hold only numbers, got ['0.1']"),
             # Draws are checked whatever the kind prints.
-            ({"draws": ["7", 4]}, "q_over_time", "draws must hold only integers, got ['7', 4]"),
-            ({"draws": [4, None]}, "q_over_time", "draws must hold only integers, got [4, None]"),
+            ({"draws": [["7", 4]]}, "q_over_time", "draws must hold only integers, got ['7', 4]"),
+            ({"draws": [[4, None]]}, "q_over_time", "draws must hold only integers, got [4, None]"),
             ({"draws": "44"}, "q_over_time", "draws must be a list, got '44'"),
-            ({"draws": [4.7, True]}, "instance_coverage", "draws must hold only integers, got [4.7, True]"),
+            ({"draws": [[4.7, True]]}, "instance_coverage", "draws must hold only integers, got [4.7, True]"),
             # The first line carries no row over, so it must hold both, and
             # only the header gives its arm count.
             ({"draws": None}, "proportions_over_time", "missing key 'draws'"),
             ({"probabilities": None}, "q_over_time", "missing key 'probabilities'"),
             ({"q": None}, "proportions_over_time", "missing key 'q'"),
             # One draw on a two-arm trace: q_over_time once printed both columns.
-            ({"draws": [4]}, "q_over_time", "draws must have 2 entries, got [4]"),
+            ({"draws": [[4]]}, "q_over_time", "draws must have 2 entries, got [4]"),
             ({"q": [0.0, 0.0, 0.0]}, "proportions_over_time", "q must have 2 entries, got [0.0, 0.0, 0.0]"),
+            ({"q_after": [0.0]}, "q_over_time", "q_after must have 2 entries, got [0.0]"),
         ],
     )
     def test_ill_typed_element_exits_3(self, tmp_path, capsys, change, kind, detail):
@@ -427,216 +437,148 @@ class TestExportOfABadTrace:
         assert main(["export", "--trace", str(trace), "--kind", kind]) == 3
         assert capsys.readouterr() == ("", f"error: {trace}:2: bad record: {detail}\n")
 
-    def test_schema_v1_trace_exits_3_with_nothing_on_stdout(self, tmp_path, capsys):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_schema_trace_exits_3_with_nothing_on_stdout(self, tmp_path, capsys, version):
         # The reader reads only the schema the writer writes.
         trace = small_trace(tmp_path)
         header, rest = trace.read_text(encoding="utf-8").split("\n", 1)
-        trace.write_text(json.dumps({**json.loads(header), "schema_version": 1}) + "\n" + rest, encoding="utf-8")
+        trace.write_text(json.dumps({**json.loads(header), "schema_version": version}) + "\n" + rest, encoding="utf-8")
         capsys.readouterr()
         assert main(["export", "--trace", str(trace), "--kind", "proportions_over_time"]) == 3
-        assert capsys.readouterr() == ("", f"error: {trace}: unsupported schema version 1\n")
+        assert capsys.readouterr() == ("", f"error: {trace}: unsupported schema version {version}\n")
 
     def test_trace_cut_at_a_line_boundary_exits_3(self, shipped_traces, tmp_path, capsys):
-        # The default tulu trace less its last 1,000 lines: every line whole,
+        # The default tulu trace less its last 20 windows: every line whole,
         # so only the header's total_steps shows the run is not all there.
         lines = shipped_traces["tulu_default", "bandit"].read_text(encoding="utf-8").splitlines(keepends=True)
         cut = tmp_path / TRACE_FILENAME
-        cut.write_text("".join(lines[:-1000]), encoding="utf-8")
+        cut.write_text("".join(lines[:-20]), encoding="utf-8")
         capsys.readouterr()
         assert main(["export", "--trace", str(cut), "--kind", "instance_coverage"]) == 3
-        assert capsys.readouterr() == ("", f"error: {cut}: truncated trace: 4143 of 5143 steps\n")
+        assert capsys.readouterr() == ("", f"error: {cut}: truncated trace: 4150 of 5143 steps\n")
 
     def test_truncated_trace_exits_3_with_nothing_on_stdout(self, tmp_path, capsys):
-        # What a killed writer leaves: the last record lacks its newline.
+        # What a killed writer leaves: the last window lacks its newline.
         trace = small_trace(tmp_path)
         trace.write_text(trace.read_text(encoding="utf-8")[:-2], encoding="utf-8")
         capsys.readouterr()
         assert main(["export", "--trace", str(trace), "--kind", "instance_coverage"]) == 3
-        assert capsys.readouterr() == ("", f"error: {trace}:31: truncated record\n")
+        assert capsys.readouterr() == ("", f"error: {trace}:4: truncated record\n")
 
-
-def cli_export(path, kind):
-    """The exit code, stdout and stderr of ``banditmix export``."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["export", "--trace", str(path), "--kind", kind])
-    return code, out.getvalue(), err.getvalue()
-
-
-def plain_line(step, rate="0.01", draws=None, step_text=None, end=""):
-    """A line without a row, as the writer writes it for a 3-arm trace unless changed."""
-    draws = f"{step % 7}, {step % 5}, {2 * step}" if draws is None else draws
-    return f'{{"step": {step if step_text is None else step_text}, "learning_rate": {rate}, "draws": [{draws}]}}{end}'
-
-
-PLAIN_STEPS = 600  # two blocks of the export
-
-
-def plain_trace(path, changes):
-    """A 3-arm trace of a first line and plain lines, with ``changes`` (step -> line) made."""
-    lines = [json.dumps(V2_FIRST), *map(plain_line, range(2, PLAIN_STEPS + 1))]
-    for step, line in changes.items():
-        lines[step - 1] = line
-    return write_lines(path, lines, {**HEADER, "total_steps": PLAIN_STEPS})
-
-
-def test_plain_line_is_what_the_writer_writes(tmp_path):
-    path = tmp_path / "t.jsonl"
-    with TraceWriter(path, ("a", "b", "c"), seed=0, config_hash="x", total_steps=3) as writer:
-        window = Window(1, 3, (0.2, 0.3, 0.5), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), None)
-        writer.write(window, np.array([[1, 1, 2], [2, 2, 4], [3, 3, 6]]), [0.5, 1e-05, 0.01])
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[2:] == [plain_line(2, rate="1e-05"), plain_line(3)]
-
-
-# A line that is one near miss of a plain line -> its changes to ``plain_line``.
-NEAR_MISSES = {
-    "rate -0": {"rate": "-0"},
-    "rate -0.0": {"rate": "-0.0"},
-    "integer rate": {"rate": "1"},
-    # json reads an int, which float() cannot take; float("1e400") is inf.
-    "integer rate past a float": {"rate": "1" + "0" * 400},
-    "rate 1E5": {"rate": "1E5"},
-    "rate 1e5": {"rate": "1e5"},
-    "rate NaN": {"rate": "NaN"},
-    "rate Infinity": {"rate": "Infinity"},
-    "rate 1e400": {"rate": "1e400"},
-    "rate 1e+16": {"rate": "1e+16"},
-    "rate 00.5": {"rate": "00.5"},
-    "rate .5": {"rate": ".5"},
-    "rate 5.": {"rate": "5."},
-    "step with a leading zero": {"step_text": "0{step}"},
-    "doubled space": {"rate": " 0.01"},
-    "trailing spaces": {"end": "  "},
-    "crlf": {"end": "\r"},
-    "one draw short": {"draws": "1, 2"},
-    "one draw over": {"draws": "1, 2, 3, 4"},
-    "10-digit count": {"draws": "9999999999, 1, 2"},
-    "9-digit count": {"draws": "999999999, 1, 2"},
-    "count with a leading zero": {"draws": "01, 1, 2"},
-    "negative count": {"draws": "-1, 1, 2"},
-    "no space after a comma": {"draws": "1,1, 2"},
-}
-
-
-class TestPlainLines:
-    """A line the writer writes without a row is read by one pattern and every
-    other line by ``json``, with the same checks, messages and exports."""
-
-    @pytest.mark.parametrize("kind", EXPORT_KINDS)
-    @pytest.mark.parametrize(
-        "line, detail, step",
-        [*((line, detail, 3) for line, detail in BAD_LINES.values()), *((line, detail, 2) for line, detail in BAD_V2_LINES.values())],
-        ids=[*BAD_LINES, *BAD_V2_LINES],
-    )
-    def test_bad_line_at_a_plain_line_exits_3_like_iter_trace(self, tmp_path, line, detail, step, kind):
-        path = plain_trace(tmp_path / "t.jsonl", {step: line})
-        with pytest.raises(ValueError) as raised:
-            read_trace(path)
-        message = str(raised.value)
-        assert message.startswith(f"{path}:{step + 1}: bad record: {detail}")
-        assert cli_export(path, kind) == (3, "", f"error: {message}\n")
-
-    @pytest.mark.parametrize("step", [3, 520])
-    @pytest.mark.parametrize("change", list(NEAR_MISSES.values()), ids=list(NEAR_MISSES))
-    def test_near_miss_reads_as_json_reads_it(self, tmp_path, change, step):
-        change = {k: v.format(step=step) for k, v in change.items()}
-        path = plain_trace(tmp_path / "t.jsonl", {step: plain_line(step, **change)})
+    def test_row_nested_100000_deep_exits_3_naming_its_line(self, tmp_path):
+        # A nesting past json's recursion limit once escaped the reader as a
+        # bare RecursionError message naming neither the file nor the line.
+        trace = tmp_path / TRACE_FILENAME
+        one_step_trace(trace, {"q": "@"})
+        trace.write_text(trace.read_text(encoding="utf-8").replace('"@"', NESTED), encoding="utf-8")
+        message = f"{trace}:2: bad record: {error_of(json.loads, NESTED)}"
         for kind in EXPORT_KINDS:
-            assert cli_export(path, kind) == export_outcome(path, kind)
-        assert read_outcome(path) == read_outcome(path, json_only=True)
-
-    def test_plain_first_line_lacks_its_rows(self, tmp_path):
-        # No line before it has rows to carry over.
-        path = plain_trace(tmp_path / "t.jsonl", {1: plain_line(1)})
-        for kind in EXPORT_KINDS:
-            assert cli_export(path, kind) == export_outcome(path, kind) == (
-                3, "", f"error: {path}:2: bad record: missing key 'probabilities'\n"
-            )
-
-    @pytest.mark.parametrize("kind", EXPORT_KINDS)
-    def test_running_totals_past_int64_stay_exact(self, tmp_path, kind):
-        # The first line's counts sit just below 2**63, past it and at -2**63,
-        # and the plain lines of both blocks add to them.
-        draws = {1: [2**63 - 700, 2**64, -(2**63)], 300: [999_999_999, 0, 1]}
-        draws.update({step: [step % 7, step % 5, 2 * step] for step in range(2, PLAIN_STEPS + 1) if step not in draws})
-        first = json.dumps({**V2_FIRST, "draws": draws[1]})
-        path = plain_trace(tmp_path / "t.jsonl", {1: first, 300: plain_line(300, draws="999999999, 0, 1")})
-        outcome = cli_export(path, kind)
-        assert outcome == export_outcome(path, kind)
-        if kind == "instance_coverage":
-            totals = [sum(column) for column in zip(*draws.values())]
-            assert outcome[1].splitlines()[-1] == f"{PLAIN_STEPS}," + ",".join(map(str, totals))
-
-
-def error_of(convert, value):
-    """What ``convert(value)`` raises, as text."""
-    try:
-        convert(value)
-    except (OverflowError, ValueError) as e:
-        return str(e)
-    pytest.skip(f"{convert.__name__} reads a {len(str(value))}-character value here")
-
-
-# A number past what its type takes: an integer rate too large for a float,
-# and a step past int's digit limit.  Each at step 3 of a plain trace, as a
-# plain line and as a line with a row -> (line, detail).
-LONG_STEP = "1" * 5000
-UNREADABLE_NUMBERS = {
-    "integer rate past a float, plain": (plain_line(3, rate=str(10**400)), lambda: error_of(float, 10**400)),
-    "integer rate past a float, with a row": (
-        v2_line(3, q=[0.5, 0.0, 0.0], learning_rate=10**400), lambda: error_of(float, 10**400)
-    ),
-    "step past int's digit limit, plain": (plain_line(3, step_text=LONG_STEP), lambda: error_of(int, LONG_STEP)),
-    "step past int's digit limit, with a row": (
-        v2_line(3, q=[0.5, 0.0, 0.0]).replace('"step": 3', f'"step": {LONG_STEP}'), lambda: error_of(int, LONG_STEP)
-    ),
-}
+            assert cli_export(trace, kind) == (3, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("kind", EXPORT_KINDS)
-@pytest.mark.parametrize("line, detail", list(UNREADABLE_NUMBERS.values()), ids=list(UNREADABLE_NUMBERS))
-def test_number_past_its_type_is_a_bad_record_on_its_line(tmp_path, line, detail, kind):
-    """Such a number once escaped the reader as a bare ``error: ...`` naming
-    neither the file nor the line."""
-    path = plain_trace(tmp_path / "t.jsonl", {3: line})
-    message = f"{path}:4: bad record: {detail()}"
-    assert read_outcome(path) == read_outcome(path, json_only=True) == message
-    assert cli_export(path, kind) == export_outcome(path, kind) == (3, "", f"error: {message}\n")
+@pytest.mark.parametrize(
+    "line, detail",
+    [*BAD_LINES.values(), *UNREADABLE_LINES.values()],
+    ids=[*BAD_LINES, *UNREADABLE_LINES],
+)
+def test_bad_line_exits_3_like_iter_trace(tmp_path, line, detail, kind):
+    detail = detail() if callable(detail) else detail
+    path = write_lines(tmp_path / "t.jsonl", [*trace_lines(2), line])
+    with pytest.raises(ValueError) as raised:
+        read_trace(path)
+    message = str(raised.value)
+    assert message == f"{path}:4: bad record: {detail}"
+    assert cli_export(path, kind) == (3, "", f"error: {message}\n")
 
 
-@pytest.fixture(scope="module")
-def plain_line_indices(shipped_traces):
-    """Each shipped trace's lines, and the indices of those that hold no row."""
-    found = {}
-    for key, trace in shipped_traces.items():
-        lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
-        plain = [i for i, line in enumerate(lines[1:], 1) if list(json.loads(line)) == ["step", "learning_rate", "draws"]]
-        if plain:  # a bandit run with 2-step windows writes a row on every line
-            found[key] = lines, plain
-    return found
+# The base of the mutations: a three-arm trace of 12 steps in five windows,
+# with one-step and longer windows, a round with and without a change of
+# distribution, and a window with no round.
+BASE_WINDOWS = [
+    {**FIRST, "last": 3, "q_after": [0.5, 0.0, -0.25], "rewards": [1.0, 0.0, -1.0],
+     "learning_rate": [0.1, 0.1, 0.05], "draws": [[1, 2, 3], [0, 6, 0], [2, 2, 2]]},
+    {"first": 4, "last": 4, "probabilities": [0.5, 0.25, 0.25], "learning_rate": [0.05], "draws": [[3, 2, 1]]},
+    {"first": 5, "last": 8, "q_after": [0.25, 0.25, 0.0], "rewards": [0.5, 0.5, 0.0],
+     "learning_rate": [0.05, 0.04, 0.03, 0.02], "draws": [[1, 1, 4], [6, 0, 0], [0, 0, 6], [2, 3, 1]]},
+    {"first": 9, "last": 9, "learning_rate": [0.01], "draws": [[0, 0, 6]]},
+    {"first": 10, "last": 12, "probabilities": [1.0, 0.0, 0.0], "learning_rate": [0.01, 0.01, 0.01],
+     "draws": [[6, 0, 0], [6, 0, 0], [6, 0, 0]]},
+]
+BASE_TOTAL = 12
+
+# Values put in place of one entry of a row or a block.  Only a number past
+# int's digit limit, true, false, null, a string, a list, an object or a
+# nesting past json's recursion limit is a bad entry anywhere; a float reads
+# in a row or a rate, and an integer too large for a float in a row or a draw.
+FLOATS = ("NaN", "-Infinity", "1e400", "1.5", "-0.0")
+BIG_INT = "1" + "0" * 400
+ODD_VALUES = ["true", "false", "null", '"0.5"', '""', "[]", "{}", *FLOATS, BIG_INT, "1" * 5000, "[" * 5000 + "]" * 5000, NESTED]
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(data=st.data())
-def test_mutated_plain_line_exports_as_json_reads_it(plain_line_indices, tmp_path_factory, data):
-    """One character deleted, inserted, replaced or doubled in a plain line of
-    a shipped trace: ``export`` prints, or fails with, what the reader gives
-    when ``json`` reads every line."""
-    key = data.draw(st.sampled_from(sorted(plain_line_indices)))
-    lines, plain = plain_line_indices[key]
-    i = data.draw(st.sampled_from(plain))
-    line = lines[i]
-    at = data.draw(st.integers(0, len(line) - 1))
-    op = data.draw(st.sampled_from(["delete", "insert", "replace", "double"]))
-    char = data.draw(st.sampled_from(' 0123456789.,-+eE[]{}":\r\t'))
-    line = {
-        "delete": line[:at] + line[at + 1 :],
-        "insert": line[:at] + char + line[at:],
-        "replace": line[:at] + char + line[at + 1 :],
-        "double": line[:at] + line[at] + line[at:],
-    }[op]
+@st.composite
+def mutated_trace(draw):
+    """The lines of ``BASE_WINDOWS`` with one mutation, and whether the
+    mutation must make the trace unreadable."""
+    windows = json.loads(json.dumps(BASE_WINDOWS))
+    i = draw(st.integers(0, len(windows) - 1))
+    op = draw(st.sampled_from(["delete", "duplicate", "swap", "cut", "steps", "arms", "value"]))
+    fails = True
+    texts = None
+    if op == "delete":
+        del windows[i]
+    elif op == "duplicate":
+        windows.insert(i, windows[i])
+    elif op == "swap":
+        j = draw(st.integers(0, len(windows) - 1).filter(lambda j: j != i))
+        windows[i], windows[j] = windows[j], windows[i]
+    elif op in ("steps", "arms"):
+        w = windows[i]
+        keys = ["learning_rate", "draws"] if op == "steps" else [k for k in w if type(w[k]) is list and k != "learning_rate"]
+        key = draw(st.sampled_from(keys))
+        grow = draw(st.booleans())
+        if op == "steps":
+            block = w[key]
+            w[key] = block + block[-1:] if grow else block[:-1]
+        elif key == "draws":
+            row = draw(st.integers(0, len(w["draws"]) - 1))
+            w["draws"][row] = w["draws"][row] + [1] if grow else w["draws"][row][:-1]
+        else:
+            w[key] = w[key] + [0.0] if grow else w[key][:-1]
+    if op == "value":
+        w = windows[i]
+        key = draw(st.sampled_from([k for k in w if type(w[k]) is list]))
+        row = w[key][draw(st.integers(0, len(w[key]) - 1))] if key == "draws" else w[key]
+        value = draw(st.sampled_from(ODD_VALUES))
+        row[draw(st.integers(0, len(row) - 1))] = "@"
+        fails = not (value in FLOATS and key != "draws" or value == BIG_INT and key != "learning_rate")
+        texts = [json.dumps(w).replace('"@"', value) if n == i else json.dumps(w) for n, w in enumerate(windows)]
+    if texts is None:
+        texts = [json.dumps(w) for w in windows]
+    text = json.dumps({**HEADER, "total_steps": BASE_TOTAL}) + "\n" + "".join(t + "\n" for t in texts)
+    if op == "cut":
+        # Inside a window line: after its first character, before its newline.
+        start = text.index("\n") + 1 + sum(len(t) + 1 for t in texts[:i])
+        text = text[: start + draw(st.integers(1, len(texts[i])))]
+    return text, fails
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=mutated_trace(), kind=st.sampled_from(EXPORT_KINDS))
+def test_mutated_trace_exports_or_fails_naming_its_line(tmp_path_factory, case, kind):
+    """One mutation of one line of a good trace: ``export`` prints what the
+    per-record oracle prints of ``iter_trace``, or exits 3 with nothing on
+    stdout and an error naming the file and line, or the file and the
+    steps it holds."""
+    text, fails = case
     path = tmp_path_factory.getbasetemp() / "mutated.jsonl"
-    path.write_text("".join([*lines[:i], line, *lines[i + 1 :]]), encoding="utf-8")
-    kind = data.draw(st.sampled_from(EXPORT_KINDS))
-    assert cli_export(path, kind) == export_outcome(path, kind)
+    path.write_text(text, encoding="utf-8")
+    outcome = cli_export(path, kind)
+    assert outcome == export_outcome(path, kind)
+    code, out, err = outcome
+    assert code == (3 if fails else 0)
+    if code == 0:
+        assert out.count("\n") == BASE_TOTAL + 1
+    else:
+        assert out == ""
+        assert re.fullmatch(rf"error: {re.escape(str(path))}(:\d+: .+|: truncated trace: \d+ of {BASE_TOTAL} steps)\n", err, re.S)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from banditmix import runner, trace
+from banditmix import runner
 from banditmix.config import ConfigError, ExperimentConfig, load_config
 from banditmix.mixture import Batch, MixtureDistribution
 from banditmix.registry import builtin_registry
@@ -19,10 +19,10 @@ from banditmix.runner import (
     run_experiment,
     sweep_experiments,
 )
-from banditmix.trace import TraceRecord, TraceWriter, iter_trace
+from banditmix.trace import TraceWriter, iter_trace
 
 from test_golden import POLICIES, SEEDS, WORLDS, golden_config
-from trace_oracles import read_trace, run_records, summarize_records, v2_lines
+from trace_oracles import read_trace, run_records, summarize_records, window_lines, window_records
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -30,12 +30,12 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def read_crashed_trace(path, steps, total):
     """The header and the records of a trace that stops after ``steps`` of ``total``.
 
-    The reader yields every whole record, then raises on the steps missing.
+    The reader yields every whole window, then raises on the steps missing.
     """
-    header, records = iter_trace(path)
+    header, windows = iter_trace(path)
     read = []
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: truncated trace: {steps} of {total} steps$"):
-        read.extend(records)
+        read.extend(window_records(windows))
     return header, read
 
 
@@ -160,8 +160,8 @@ class TestRunExperiment:
             run_experiment(cfg, out_dir=tmp_path)
         # The first window (steps 1-10) was flushed before the second was
         # handed to the writer, and the failed window left no line.
-        steps_on_disk = [json.loads(line)["step"] for line in on_disk[0].splitlines()[1:]]
-        assert steps_on_disk == list(range(1, 11))
+        lines = [json.loads(line) for line in on_disk[0].splitlines()[1:]]
+        assert [(w["first"], w["last"]) for w in lines] == [(1, 10)]
         assert (tmp_path / TRACE_FILENAME).read_text(encoding="utf-8") == on_disk[0]
         _, records = read_crashed_trace(tmp_path / TRACE_FILENAME, 10, 40)
         assert records == clean[:10]
@@ -179,7 +179,7 @@ class TestRunExperiment:
             ("deep_gap_world", None, None),
         ],
     )
-    def test_trace_lines_are_json_dumps_of_records(self, tmp_path, monkeypatch, world, policy, window_draws):
+    def test_trace_lines_are_json_dumps_of_windows(self, tmp_path, monkeypatch, world, policy, window_draws):
         obj = json.loads((CONFIGS / f"{world}.json").read_text(encoding="utf-8"))
         if policy is not None:
             obj["policy"] = {"variant": policy}
@@ -191,10 +191,9 @@ class TestRunExperiment:
             assert sizes[:4] == [3, 3, 3, 1]
         if world == "tulu_default":
             assert sizes[-1] == 43
-        records = run_records(result)
-        assert any(r.rewards is not None for r in records) is (policy is None)
+        assert any(w.rewards is not None for w in result.windows) is (policy is None)
         lines = (tmp_path / TRACE_FILENAME).read_text(encoding="utf-8").splitlines()[1:]
-        assert lines == v2_lines(records)
+        assert lines == window_lines(result)
 
     def test_artifact_write_raising_midway_leaves_no_partial_file(self, tmp_path, monkeypatch):
         # The world's JSON is streamed into a temp file that never replaces
@@ -287,24 +286,18 @@ class TestColumns:
             final_losses=result.summary.final_losses,
         ) == result.summary
 
-    def test_traced_run_writes_windows_and_builds_no_record(self, tmp_path, monkeypatch):
-        built, written = [], []
-
-        def counted(*args, **kwargs):
-            built.append(args[0] if args else kwargs["step"])
-            return TraceRecord(*args, **kwargs)
-
+    def test_traced_run_writes_one_line_per_window(self, tmp_path, monkeypatch):
+        written = []
         write = TraceWriter.write
 
         def counted_write(writer, window, counts, rates):
             written.append(window)
             write(writer, window, counts, rates)
 
-        monkeypatch.setattr(trace, "TraceRecord", counted)
         monkeypatch.setattr(TraceWriter, "write", counted_write)
         result = run_experiment(load_config(CONFIGS / "tulu_default.json"), out_dir=tmp_path)
-        assert built == []
         assert len(written) == 103
+        assert len((tmp_path / TRACE_FILENAME).read_text(encoding="utf-8").splitlines()) == 1 + 103
         assert tuple(written) == result.windows
 
     def test_columns_are_read_only(self):

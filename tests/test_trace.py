@@ -1,4 +1,3 @@
-import contextlib
 import gc
 import json
 import re
@@ -17,7 +16,6 @@ from banditmix.runner import TRACE_FILENAME, run_experiment
 from banditmix.simworld import WorldParams, build_world
 from banditmix.trace import (
     EXPORT_KINDS,
-    TraceRecord,
     TraceWriter,
     Window,
     export_plot_data,
@@ -27,7 +25,7 @@ from banditmix.trace import (
 )
 
 from test_golden import CONFIGS, cases, golden_config
-from trace_oracles import export_records, json_reader, read_trace, run_records, summarize_records, v2_lines
+from trace_oracles import TraceRecord, export_outcome, export_records, read_trace, run_records, summarize_records, window_records
 
 NAMES = ("a", "b", "c")
 
@@ -43,65 +41,6 @@ def make_record(step, p=(0.2, 0.3, 0.5), q=(0.0, 0.0, 0.0), counts=(1, 2, 3), re
     )
 
 
-class TestRecordSerialization:
-    def test_round_trip_identity(self, tmp_path):
-        first = make_record(1, counts=(1, 1, 1))
-        rec = make_record(2, q=(0.5, 0.0, 0.0), counts=(1, 2, 3), rewards=(0.1, 0.2, 0.3))
-        path = write_lines(tmp_path / "t.jsonl", v2_lines([first, rec]), {**HEADER, "total_steps": 2})
-        assert read_trace(path)[1] == [first, rec]
-
-    def test_rewards_key_omitted_when_absent(self):
-        obj = json.loads(v2_lines([make_record(1)])[0])
-        assert "rewards" not in obj
-
-    def test_floats_survive_json_exactly(self, tmp_path):
-        # json uses repr for floats, which round-trips doubles losslessly
-        ugly = (0.1 + 0.2, 1.0 / 3.0, 2.0**-40)
-        rec = make_record(1, p=(ugly[0] / sum(ugly), ugly[1] / sum(ugly), ugly[2] / sum(ugly)))
-        path = write_lines(tmp_path / "t.jsonl", v2_lines([rec]), {**HEADER, "total_steps": 1})
-        assert read_trace(path)[1][0].probabilities == rec.probabilities
-
-    def test_many_records_round_trip(self, rng, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        records = []
-        counts = np.zeros(3, dtype=int)
-        with TraceWriter(path, NAMES, seed=9, config_hash="deadbeefcafe", total_steps=10_000) as writer:
-            for step in range(1, 10_001):
-                raw = rng.dirichlet(np.ones(3))
-                draws = rng.integers(1, 10, size=3)
-                counts += draws
-                rec = make_record(
-                    step,
-                    p=tuple(raw.tolist()),
-                    q=tuple(rng.normal(size=3).tolist()),
-                    counts=tuple(int(c) for c in counts),
-                )
-                writer.write(*one_step(rec, draws))
-                records.append(rec)
-        header, back = read_trace(path)
-        assert header["seed"] == 9
-        assert header["config_hash"] == "deadbeefcafe"
-        assert header["arm_names"] == list(NAMES)
-        assert back == records
-
-
-class TestRecordType:
-    def test_fields_and_defaults(self):
-        assert TraceRecord._fields == ("step", "probabilities", "q", "learning_rate", "cumulative_counts", "rewards")
-        record = TraceRecord(1, (0.5, 0.5), (0.0, 0.0), 0.1, (4, 4))
-        assert record.rewards is None
-        # A record is a plain tuple of its fields, and equals one.
-        assert record == (1, (0.5, 0.5), (0.0, 0.0), 0.1, (4, 4), None)
-
-    @pytest.mark.parametrize("case", cases())
-    def test_read_records_equal_the_run_records(self, case, tmp_path):
-        world, policy, seed = case.split("/")
-        result = run_experiment(golden_config(world, policy), seed=int(seed), out_dir=tmp_path)
-        _, records = read_trace(tmp_path / TRACE_FILENAME)
-        assert records == run_records(result)
-        assert {type(r) for r in records} == {TraceRecord}
-
-
 def one_step(record, draws):
     """``TraceWriter.write``'s arguments for a window of the one record."""
     window = Window(record.step, record.step, record.probabilities, record.q, record.q, record.rewards)
@@ -115,6 +54,100 @@ def window_of(first, last, rewards=None):
     return window, draws, [0.01] * (last - first + 1)
 
 
+def write_windows(path, windows, names=NAMES):
+    """A trace of ``(window, draws, rates)`` triples, written by ``TraceWriter``."""
+    total = windows[-1][0].last if windows else 0
+    with TraceWriter(path, names, seed=0, config_hash="x", total_steps=total) as writer:
+        for window, draws, rates in windows:
+            writer.write(window, np.array(draws), rates)
+    return path
+
+
+def write_records(path, records, names=NAMES):
+    """A trace of ``records``, each as a one-step window whose draws are its
+    counts less the record before's."""
+    windows, before = [], (0,) * len(names)
+    for r in records:
+        windows.append(one_step(r, [c - b for c, b in zip(r.cumulative_counts, before)]))
+        before = r.cumulative_counts
+    return write_windows(path, windows, names)
+
+
+class TestRoundTrip:
+    def test_windows_read_back_as_written(self, tmp_path):
+        p1, p2 = (0.2, 0.3, 0.5), (0.1, 0.6, 0.3)
+        q1, q2 = (0.0, 0.0, 0.0), (0.5, -0.25, 1e-300)
+        windows = [
+            (Window(1, 2, p1, q1, q1, None), [[1, 2, 3], [2, 3, 4]], [0.01, 0.02]),
+            (Window(3, 3, p1, q1, q2, (0.1, 0.2, 0.3)), [[3, 4, 5]], [0.03]),
+            (Window(4, 6, p2, q2, q2, None), [[0, 0, 0], [1, 0, 2], [7, 8, 9]], [0.04, 0.05, 0.06]),
+        ]
+        header, back = iter_trace(write_windows(tmp_path / "t.jsonl", windows))
+        back = list(back)
+        assert header["total_steps"] == 6
+        assert back == windows
+        assert {type(w) for w, _, _ in back} == {Window}
+        # A row the line leaves out is the window before's tuple.
+        (w1, _, _), (w2, _, _), (w3, _, _) = back
+        assert w2.probabilities is w1.probabilities and w2.q is w1.q_after is w1.q
+        assert w3.q is w2.q_after and w3.q_after is w3.q
+
+    def test_rewards_key_omitted_when_absent(self, tmp_path):
+        path = write_windows(tmp_path / "t.jsonl", [window_of(1, 2)])
+        assert "rewards" not in json.loads(path.read_text(encoding="utf-8").splitlines()[1])
+
+    def test_floats_survive_json_exactly(self, tmp_path):
+        # json uses repr for floats, which round-trips doubles losslessly
+        ugly = (0.1 + 0.2, 1.0 / 3.0, 2.0**-40)
+        p = tuple(u / sum(ugly) for u in ugly)
+        window = Window(1, 2, p, ugly, ugly, None)
+        path = write_windows(tmp_path / "t.jsonl", [(window, [[1, 1, 1], [2, 2, 2]], [ugly[0], ugly[2]])])
+        assert list(iter_trace(path)[1]) == [(window, [[1, 1, 1], [2, 2, 2]], [ugly[0], ugly[2]])]
+
+    def test_many_windows_round_trip(self, rng, tmp_path):
+        # Windows of 1 to 60 steps over 10,000 steps, a fresh distribution on
+        # some, a round with rewards on others.
+        windows, first = [], 1
+        p = q = (1 / 3, 1 / 3, 1 / 3)
+        while first <= 10_000:
+            last = min(first + int(rng.integers(0, 60)), 10_000)
+            m = last - first + 1
+            if rng.random() < 0.3:
+                p = tuple(rng.dirichlet(np.ones(3)).tolist())
+            q_after, rewards = q, None
+            if rng.random() < 0.5:
+                q_after, rewards = tuple(rng.normal(size=3).tolist()), tuple(rng.normal(size=3).tolist())
+            draws = rng.integers(0, 10, size=(m, 3)).tolist()
+            windows.append((Window(first, last, p, q, q_after, rewards), draws, rng.random(m).tolist()))
+            q, first = q_after, last + 1
+        header, back = iter_trace(write_windows(tmp_path / "trace.jsonl", windows))
+        assert header["arm_names"] == list(NAMES)
+        assert list(back) == windows
+
+    @pytest.mark.parametrize("case", cases())
+    def test_run_reads_back_as_its_windows_and_columns(self, case, tmp_path, capsys):
+        """A run's trace reads back to the run's own windows, its draws sum to
+        the run's counts, its rates are the run's bit for bit, and every
+        export prints the run's records one at a time."""
+        world, policy, seed = case.split("/")
+        result = run_experiment(golden_config(world, policy), seed=int(seed), out_dir=tmp_path)
+        path = tmp_path / TRACE_FILENAME
+        header, windows = iter_trace(path)
+        windows = list(windows)
+        assert tuple(w for w, _, _ in windows) == result.windows
+        draws = np.concatenate([d for _, d, _ in windows])
+        assert np.array_equal(np.cumsum(draws, axis=0), result.counts)
+        rates = np.array([r for _, _, block in windows for r in block])
+        assert rates.tobytes() == result.learning_rates.tobytes()
+        records = run_records(result)
+        assert header["total_steps"] == len(records)
+        assert read_trace(path)[1] == records
+        for kind, field in EXPORT_FIELDS:
+            assert main(["export", "--trace", str(path), "--kind", kind]) == 0
+            rows = "".join(f"{r.step}," + ",".join(map(str, getattr(r, field))) + "\n" for r in records)
+            assert capsys.readouterr().out == "step," + ",".join(header["arm_names"]) + "\n" + rows
+
+
 class TestTraceWriter:
     def test_header_is_first_line(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -122,12 +155,12 @@ class TestTraceWriter:
             writer.write(*window_of(1, 2))
         first = json.loads(path.read_text().splitlines()[0])
         assert first["kind"] == "banditmix-trace"
-        assert first["schema_version"] == 2
+        assert first["schema_version"] == 3
         assert first["total_steps"] == 2
 
     def test_steps_must_strictly_increase(self, tmp_path):
-        # One step at a time from 1 to total_steps: a line's draws add to the
-        # line before's, so the reader rejects a gap, and so does the writer.
+        # The windows tile steps 1 to total_steps, one after another, and the
+        # reader rejects a gap; so does the writer.
         path = tmp_path / "t.jsonl"
         with TraceWriter(path, NAMES, seed=1, config_hash="abc", total_steps=5) as writer:
             for first, last in ((2, 4), (0, 4)):
@@ -138,7 +171,7 @@ class TestTraceWriter:
                 with pytest.raises(ValueError, match=rf"strictly increasing, one at a time, to 5; got {first} to {last} after 3$"):
                     writer.write(*window_of(first, last))
             writer.write(*window_of(4, 5))
-        assert [r.step for r in read_trace(path)[1]] == [1, 2, 3, 4, 5]
+        assert [(w.first, w.last) for w, _, _ in iter_trace(path)[1]] == [(1, 3), (4, 5)]
 
     def test_window_must_not_end_before_it_starts(self, tmp_path):
         with TraceWriter(tmp_path / "t.jsonl", NAMES, seed=1, config_hash="abc", total_steps=3) as writer:
@@ -150,8 +183,9 @@ class TestTraceWriter:
         with TraceWriter(tmp_path / "t.jsonl", NAMES, seed=1, config_hash="abc", total_steps=2) as writer:
             window, counts, rates = window_of(1, 2)
             for field in ("probabilities", "q", "q_after"):
-                with pytest.raises(ValueError, match=f"window {field} must have 3 entries"):
-                    writer.write(window._replace(**{field: (0.5, 0.5)}), counts, rates)
+                for row in ((0.5, 0.5), None):
+                    with pytest.raises(ValueError, match=f"window {field} must have 3 entries"):
+                        writer.write(window._replace(**{field: row}), counts, rates)
 
     def test_rewards_arity_checked(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -160,8 +194,7 @@ class TestTraceWriter:
             with pytest.raises(ValueError, match="rewards must have 2 entries"):
                 writer.write(window, np.array([[1, 1]]), [0.1])
             writer.write(window._replace(rewards=(0.1, 0.2)), np.array([[1, 1]]), [0.1])
-        _, records = read_trace(path)
-        assert [r.rewards for r in records] == [(0.1, 0.2)]
+        assert [w.rewards for w, _, _ in iter_trace(path)[1]] == [(0.1, 0.2)]
 
     @pytest.mark.parametrize(
         "counts, rates, message",
@@ -196,11 +229,11 @@ class TestTraceWriter:
             writer.write(*window_of(1, 1))
         assert path.exists()
 
-    def test_lines_equal_json_dumps_of_each_record(self, tmp_path):
+    def test_lines_equal_json_dumps_of_each_window(self, tmp_path):
         # Windows of one and several steps, rows shared between windows and
         # fresh but equal ones, a row that changes and changes back, rewards
         # set and unset, non-finite floats in rows, rewards and rates.  A line
-        # holds each row that is not the same object as the line before's.
+        # holds each row that is not the same object as the window before's.
         p1, p2 = (0.2, 0.3, 0.5), (0.1, float("nan"), 0.9)
         q1, q2 = (0.0, float("inf"), -0.25), (1e-300, 2.5e17, -0.0)
         nan_rewards = (0.5, float("nan"), -1.0)
@@ -211,24 +244,19 @@ class TestTraceWriter:
             (Window(6, 8, p1, q2, q1, None), [[6, 7, 8], [7, 8, 9], [8, 9, 10]], [0.04, 0.05, float("inf")]),
         ]
         lines = [
-            # The first line holds every row.
-            {"step": 1, "probabilities": p1, "q": q1, "learning_rate": 0.01, "draws": [1, 2, 3]},
-            # A plain line.
-            {"step": 2, "learning_rate": 0.01, "draws": [2, 3, 4]},
-            # An equal row that is a new object is written again; the q of a
-            # one-step window is its q_after, here the row before.
-            {"step": 3, "probabilities": p1, "learning_rate": float("-inf"), "draws": [3, 4, 5], "rewards": nan_rewards},
-            {"step": 4, "probabilities": p2, "learning_rate": 0.02, "draws": [4, 5, 6]},
-            # An update line.
-            {"step": 5, "q": q2, "learning_rate": float("nan"), "draws": [5, 6, 7], "rewards": (1.0, 2.0, 3.0)},
-            {"step": 6, "probabilities": p1, "learning_rate": 0.04, "draws": [6, 7, 8]},
-            {"step": 7, "learning_rate": 0.05, "draws": [7, 8, 9]},
-            {"step": 8, "q": q1, "learning_rate": float("inf"), "draws": [8, 9, 10]},
+            # The first line holds every row a window needs.
+            {"first": 1, "last": 2, "probabilities": p1, "q": q1, "learning_rate": [0.01, 0.01], "draws": [[1, 2, 3], [2, 3, 4]]},
+            # An equal row that is a new object is written again, and so is
+            # q_after when it is not that window's q.
+            {"first": 3, "last": 3, "probabilities": p1, "q": q1, "q_after": q1, "rewards": nan_rewards,
+             "learning_rate": [float("-inf")], "draws": [[3, 4, 5]]},
+            # q is the window before's q_after; a round changed it.
+            {"first": 4, "last": 5, "probabilities": p2, "q_after": q2, "rewards": (1.0, 2.0, 3.0),
+             "learning_rate": [0.02, float("nan")], "draws": [[4, 5, 6], [5, 6, 7]]},
+            {"first": 6, "last": 8, "probabilities": p1, "q_after": q1,
+             "learning_rate": [0.04, 0.05, float("inf")], "draws": [[6, 7, 8], [7, 8, 9], [8, 9, 10]]},
         ]
-        path = tmp_path / "t.jsonl"
-        with TraceWriter(path, NAMES, seed=1, config_hash="abc", total_steps=8) as writer:
-            for window, draws, rates in windows:
-                writer.write(window, np.array(draws), rates)
+        path = write_windows(tmp_path / "t.jsonl", windows)
         assert path.read_text(encoding="utf-8").splitlines()[1:] == [json.dumps(obj) for obj in lines]
 
     def test_lines_reach_the_file_on_flush(self, tmp_path):
@@ -237,27 +265,29 @@ class TestTraceWriter:
             writer.write(*window_of(1, 2))
             assert len(path.read_text(encoding="utf-8").splitlines()) == 1
             writer.flush()
-            assert len(path.read_text(encoding="utf-8").splitlines()) == 3
+            assert len(path.read_text(encoding="utf-8").splitlines()) == 2
             writer.write(*window_of(3, 3))
-        assert len(path.read_text(encoding="utf-8").splitlines()) == 4
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 3
 
-    def test_rejected_record_leaves_no_line(self, tmp_path):
+    def test_rejected_window_leaves_no_line(self, tmp_path):
         # A row json cannot encode fails the whole window, whichever of its
-        # lines the row belongs to; none of them reaches the file.
+        # fields the row belongs to; no part of its line reaches the file.
         path = tmp_path / "t.jsonl"
         with TraceWriter(path, NAMES, seed=1, config_hash="abc", total_steps=4) as writer:
             writer.write(*window_of(1, 1))
             window, counts, rates = window_of(2, 4, rewards=(0.1, 0.2, 0.3))
+            window = window._replace(q_after=(0.5, 0.5, 0.5))
             for field in ("probabilities", "q", "q_after", "rewards"):
                 with pytest.raises(TypeError):
                     writer.write(window._replace(**{field: (0.0, np.float32(1.0), 0.0)}), counts, rates)
                 writer.flush()
             writer.write(window, counts, rates)
         lines = path.read_text(encoding="utf-8").splitlines()[1:]
-        assert [json.loads(line)["step"] for line in lines] == [1, 2, 3, 4]
+        assert [(json.loads(line)["first"], json.loads(line)["last"]) for line in lines] == [(1, 1), (2, 4)]
 
 
-HEADER = {"kind": "banditmix-trace", "schema_version": 2, "arm_names": list(NAMES), "seed": 0, "config_hash": "x", "total_steps": 3}
+HEADER = {"kind": "banditmix-trace", "schema_version": 3, "arm_names": list(NAMES), "seed": 0, "config_hash": "x", "total_steps": 3}
+FIRST = {"first": 1, "last": 1, "probabilities": [0.2, 0.3, 0.5], "q": [0.0, 0.0, 0.0], "learning_rate": [0.01], "draws": [[1, 2, 3]]}
 
 
 def write_lines(path, lines, header=HEADER, end="\n"):
@@ -265,21 +295,30 @@ def write_lines(path, lines, header=HEADER, end="\n"):
     return path
 
 
-def record_lines(n):
-    return v2_lines([make_record(step) for step in range(1, n + 1)])
+def window_line(first, last=None, **fields):
+    """The line of a window of steps ``first`` to ``last`` (``first`` alone by
+    default), each with rate 0.01 and draws [1, 1, 1], then ``fields``."""
+    last = first if last is None else last
+    m = last - first + 1
+    return json.dumps({"first": first, "last": last, "learning_rate": [0.01] * m, "draws": [[1, 1, 1]] * m, **fields})
+
+
+def trace_lines(n):
+    """The lines of an ``n``-step trace of one-step windows, the first holding every row."""
+    return [json.dumps(FIRST), *(window_line(step) for step in range(2, n + 1))]
 
 
 class TestReadTrace:
     def test_rejects_wrong_kind(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps({"kind": "other", "schema_version": 1}) + "\n")
+        path.write_text(json.dumps({"kind": "other", "schema_version": 3}) + "\n")
         with pytest.raises(ValueError):
             read_trace(path)
 
     def test_rejects_wrong_schema_version(self, tmp_path):
-        # A schema v1 trace is refused like one of any other version.
-        for version in (99, 1):
-            path = write_lines(tmp_path / f"v{version}.jsonl", record_lines(3), {**HEADER, "schema_version": version})
+        # A schema v1 or v2 trace is refused like one of any other version.
+        for version in (99, 1, 2):
+            path = write_lines(tmp_path / f"v{version}.jsonl", trace_lines(3), {**HEADER, "schema_version": version})
             with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unsupported schema version {version}$"):
                 read_trace(path)
 
@@ -289,10 +328,10 @@ class TestReadTrace:
         with pytest.raises(ValueError):
             read_trace(path)
 
-    def test_rejects_out_of_order_records(self, tmp_path):
-        lines = record_lines(2)
+    def test_rejects_a_repeated_window(self, tmp_path):
+        lines = trace_lines(2)
         path = write_lines(tmp_path / "bad.jsonl", [*lines, lines[0]])
-        with pytest.raises(ValueError, match=r":4: record steps must be strictly increasing$"):
+        with pytest.raises(ValueError, match=r":4: steps 1 to 1 after step 2 of a 3-step trace$"):
             read_trace(path)
 
 
@@ -318,47 +357,53 @@ def assert_no_unclosed_file(action):
 
 
 class TestIterTrace:
-    def test_yields_what_read_trace_returns(self, tmp_path):
-        path = write_lines(tmp_path / "t.jsonl", record_lines(3))
-        header, records = iter_trace(path)
+    def test_yields_what_the_writer_took(self, tmp_path):
+        path = write_lines(tmp_path / "t.jsonl", trace_lines(3))
+        header, windows = iter_trace(path)
         assert header == HEADER
-        assert list(records) == read_trace(path)[1] == [make_record(step) for step in range(1, 4)]
+        p, q = (0.2, 0.3, 0.5), (0.0, 0.0, 0.0)
+        assert list(windows) == [
+            (Window(1, 1, p, q, q, None), [[1, 2, 3]], [0.01]),
+            (Window(2, 2, p, q, q, None), [[1, 1, 1]], [0.01]),
+            (Window(3, 3, p, q, q, None), [[1, 1, 1]], [0.01]),
+        ]
+        assert read_trace(path)[1] == [make_record(step, counts=(step, step + 1, step + 2)) for step in range(1, 4)]
 
     def test_header_is_checked_before_returning(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps({"kind": "other", "schema_version": 1}) + "\n")
+        path.write_text(json.dumps({"kind": "other", "schema_version": 3}) + "\n")
         with pytest.raises(ValueError, match="not a trace file"):
             assert_no_unclosed_file(lambda: iter_trace(path))
 
-    def test_records_are_parsed_one_line_at_a_time(self, tmp_path):
-        path = write_lines(tmp_path / "t.jsonl", [*record_lines(2), "not json"])
-        _, records = iter_trace(path)
-        assert [r.step for r in (next(records), next(records))] == [1, 2]
+    def test_lines_are_parsed_one_at_a_time(self, tmp_path):
+        path = write_lines(tmp_path / "t.jsonl", [*trace_lines(2), "not json"])
+        _, windows = iter_trace(path)
+        assert [w.first for w, _, _ in (next(windows), next(windows))] == [1, 2]
         with pytest.raises(ValueError, match=r":4: bad record"):
-            next(records)
+            next(windows)
 
     @pytest.mark.parametrize("consumed", [0, 1, 3])
     def test_dropping_the_iterator_closes_the_file(self, tmp_path, consumed):
-        path = write_lines(tmp_path / "t.jsonl", record_lines(3))
+        path = write_lines(tmp_path / "t.jsonl", trace_lines(3))
 
         def partly_read():
-            _, records = iter_trace(path)
+            _, windows = iter_trace(path)
             for _ in range(consumed):
-                next(records)
+                next(windows)
 
         assert_no_unclosed_file(partly_read)
 
     def test_a_bad_record_closes_the_file(self, tmp_path):
-        path = write_lines(tmp_path / "t.jsonl", [*record_lines(2), "{}"])
+        path = write_lines(tmp_path / "t.jsonl", [*trace_lines(2), "{}"])
         with pytest.raises(ValueError):
             assert_no_unclosed_file(lambda: read_trace(path))
 
     def test_a_consumer_raising_closes_the_file(self, tmp_path):
-        path = write_lines(tmp_path / "t.jsonl", record_lines(3))
+        path = write_lines(tmp_path / "t.jsonl", trace_lines(3))
 
         def export_too_few_arms():
-            header, records = iter_trace(path)
-            export_records(records, "q_over_time", tuple(header["arm_names"][:2]))
+            header, windows = iter_trace(path)
+            export_records(window_records(windows), "q_over_time", tuple(header["arm_names"][:2]))
 
         with pytest.raises(ValueError, match="expected 2"):
             assert_no_unclosed_file(export_too_few_arms)
@@ -369,48 +414,115 @@ class TestIterTrace:
             assert_no_unclosed_file(lambda: path.open(encoding="utf-8"))
 
 
-RECORD_3 = {**json.loads(record_lines(1)[0]), "step": 3}
+def error_of(convert, value):
+    """What ``convert(value)`` raises, as text."""
+    try:
+        convert(value)
+    except (OverflowError, ValueError, RecursionError) as e:
+        return str(e)
+    pytest.skip(f"{convert.__name__} reads a {len(str(value))}-character value here")
 
-# A line that is not a record -> what the reader says after "bad record: ".
+
+WINDOW_3 = json.loads(window_line(3))
+LONG_NUMBER = "1" * 5000
+NESTED = "[" * 100_000 + "]" * 100_000
+
+
+def replaced(line, key, text):
+    """``line`` with the JSON value of ``key`` replaced by ``text``."""
+    obj = json.loads(line)
+    return json.dumps({**obj, key: "@"}).replace('"@"', text)
+
+
+# A third line that is not a window -> what the reader says after "bad record: ".
 BAD_LINES = {
-    "not json": ('{"step": 3,', "not JSON (Expecting property name enclosed in double quotes at char 12)"),
-    "not an object": ("[1, 2, 3]", "'list' object has no attribute 'get'"),
+    "not json": ('{"first": 3,', "not JSON (Expecting property name enclosed in double quotes at char 13)"),
+    "whitespace only": ("  \t ", "not JSON (Expecting value at char 5)"),
+    "extra object": (window_line(3) + window_line(3), f"not JSON (Extra data at char {len(window_line(3))})"),
+    "extra text": (window_line(3) + " x", f"not JSON (Extra data at char {len(window_line(3)) + 1})"),
+    "byte-order mark": ("\ufeff" + window_line(3), "not JSON (Unexpected UTF-8 BOM (decode using utf-8-sig) at char 0)"),
+    "not an object": ("[1, 2, 3]", "list indices must be integers or slices, not str"),
+    "bare number": ("3", "'int' object is not subscriptable"),
     "missing key": (
-        json.dumps({k: v for k, v in RECORD_3.items() if k != "learning_rate"}),
+        json.dumps({k: v for k, v in WINDOW_3.items() if k != "learning_rate"}),
         "missing key 'learning_rate'",
     ),
-    "null value": (json.dumps({**RECORD_3, "learning_rate": None}), "learning_rate must be a number, got None"),
-    "string rate": (json.dumps({**RECORD_3, "learning_rate": "0.1"}), "learning_rate must be a number, got '0.1'"),
-    "boolean rate": (json.dumps({**RECORD_3, "learning_rate": True}), "learning_rate must be a number, got True"),
-    "string in row": (json.dumps({**RECORD_3, "q": ["z", None, 0.0]}), "q must hold only numbers, got ['z', None, 0.0]"),
-    "null in row": (json.dumps({**RECORD_3, "probabilities": [0.5, None, 0.5]}), "probabilities must hold only numbers, got [0.5, None, 0.5]"),
-    "boolean in row": (json.dumps({**RECORD_3, "q": [0.0, True, 0.0]}), "q must hold only numbers, got [0.0, True, 0.0]"),
-    "string count": (json.dumps({**RECORD_3, "draws": ["7", 1, 2]}), "draws must hold only integers, got ['7', 1, 2]"),
-    "null count": (json.dumps({**RECORD_3, "draws": [None, 1, 2]}), "draws must hold only integers, got [None, 1, 2]"),
-    "null draws": (json.dumps({**RECORD_3, "draws": None}), "draws must be a list, got None"),
-    "string reward": (json.dumps({**RECORD_3, "rewards": [0.1, "0.2", 0.3]}), "rewards must hold only numbers, got [0.1, '0.2', 0.3]"),
-    "bad integer": (json.dumps({**RECORD_3, "step": "three"}), "step must be an integer, got 'three'"),
-    "float step": (json.dumps({**RECORD_3, "step": 3.5}), "step must be an integer, got 3.5"),
-    "boolean step": (json.dumps({**RECORD_3, "step": True}), "step must be an integer, got True"),
-    "string row": (json.dumps({**RECORD_3, "q": "zz"}), "q must be a list, got 'zz'"),
-    "object row": (json.dumps({**RECORD_3, "probabilities": {"a": 1.0}}), "probabilities must be a list, got {'a': 1.0}"),
-    "string rewards": (json.dumps({**RECORD_3, "rewards": "zz"}), "rewards must be a list or null, got 'zz'"),
+    "counts for draws": (
+        json.dumps({"first": 3, "last": 3, "learning_rate": [0.01], "cumulative_counts": [[2, 3, 4]]}),
+        "missing key 'draws'",
+    ),
+    "bad integer": (json.dumps({**WINDOW_3, "first": "three"}), "first must be an integer, got 'three'"),
+    "float step": (json.dumps({**WINDOW_3, "first": 3.5}), "first must be an integer, got 3.5"),
+    "boolean step": (json.dumps({**WINDOW_3, "first": True}), "first must be an integer, got True"),
+    "float last": (json.dumps({**WINDOW_3, "last": 3.0}), "last must be an integer, got 3.0"),
+    "last before first": (json.dumps({**WINDOW_3, "last": 2}), "window ends at step 2, before its first step 3"),
+    "null rates": (json.dumps({**WINDOW_3, "learning_rate": None}), "learning_rate must be a list, got None"),
+    "a rate for a list": (json.dumps({**WINDOW_3, "learning_rate": 0.01}), "learning_rate must be a list, got 0.01"),
+    "string rate": (json.dumps({**WINDOW_3, "learning_rate": ["0.1"]}), "learning_rate must hold only numbers, got ['0.1']"),
+    "boolean rate": (json.dumps({**WINDOW_3, "learning_rate": [True]}), "learning_rate must hold only numbers, got [True]"),
+    "rate over": (
+        json.dumps({**WINDOW_3, "learning_rate": [0.01, 0.01]}), "learning_rate must have 1 entries, got [0.01, 0.01]"
+    ),
+    "rate short": (window_line(3, 4, learning_rate=[0.01]), "learning_rate must have 2 entries, got [0.01]"),
+    "string in row": (json.dumps({**WINDOW_3, "q": ["z", None, 0.0]}), "q must hold only numbers, got ['z', None, 0.0]"),
+    "null in row": (json.dumps({**WINDOW_3, "probabilities": [0.5, None, 0.5]}), "probabilities must hold only numbers, got [0.5, None, 0.5]"),
+    "boolean in row": (json.dumps({**WINDOW_3, "q": [0.0, True, 0.0]}), "q must hold only numbers, got [0.0, True, 0.0]"),
+    "string in q_after": (json.dumps({**WINDOW_3, "q_after": [0.0, "z", 0.0]}), "q_after must hold only numbers, got [0.0, 'z', 0.0]"),
+    "null q_after": (json.dumps({**WINDOW_3, "q_after": None}), "q_after must be a list, got None"),
+    "short q_after": (json.dumps({**WINDOW_3, "q_after": [0.0, 0.0]}), "q_after must have 3 entries, got [0.0, 0.0]"),
+    "long row": (json.dumps({**WINDOW_3, "probabilities": [0.25] * 4}), "probabilities must have 3 entries, got [0.25, 0.25, 0.25, 0.25]"),
+    "string row": (json.dumps({**WINDOW_3, "q": "zz"}), "q must be a list, got 'zz'"),
+    "object row": (json.dumps({**WINDOW_3, "probabilities": {"a": 1.0}}), "probabilities must be a list, got {'a': 1.0}"),
+    "string reward": (json.dumps({**WINDOW_3, "rewards": [0.1, "0.2", 0.3]}), "rewards must hold only numbers, got [0.1, '0.2', 0.3]"),
+    "string rewards": (json.dumps({**WINDOW_3, "rewards": "zz"}), "rewards must be a list or null, got 'zz'"),
+    "string count": (json.dumps({**WINDOW_3, "draws": [["7", 1, 2]]}), "draws must hold only integers, got ['7', 1, 2]"),
+    "null count": (json.dumps({**WINDOW_3, "draws": [[None, 1, 2]]}), "draws must hold only integers, got [None, 1, 2]"),
+    "float count": (json.dumps({**WINDOW_3, "draws": [[4.7, 1, 2]]}), "draws must hold only integers, got [4.7, 1, 2]"),
+    "boolean count": (json.dumps({**WINDOW_3, "draws": [[1, True, 2]]}), "draws must hold only integers, got [1, True, 2]"),
+    "NaN count": (json.dumps({**WINDOW_3, "draws": [[float("nan"), 1, 2]]}), "draws must hold only integers, got [nan, 1, 2]"),
+    "short draws": (json.dumps({**WINDOW_3, "draws": [[1, 2]]}), "draws must have 3 entries, got [1, 2]"),
+    "long draws": (json.dumps({**WINDOW_3, "draws": [[1, 2, 3, 4]]}), "draws must have 3 entries, got [1, 2, 3, 4]"),
+    "null draws": (json.dumps({**WINDOW_3, "draws": None}), "draws must be a list, got None"),
+    "draws not a list": (json.dumps({**WINDOW_3, "draws": 7}), "draws must be a list, got 7"),
+    "draws row not a list": (json.dumps({**WINDOW_3, "draws": [7]}), "draws must be a list, got 7"),
+    "a row for a block": (json.dumps({**WINDOW_3, "draws": [1, 1, 1]}), "draws must have 1 rows, got 3"),
+    "no draws rows": (json.dumps({**WINDOW_3, "draws": []}), "draws must have 1 rows, got 0"),
+    "draws row over": (json.dumps({**WINDOW_3, "draws": [[1, 1, 1]] * 2}), "draws must have 1 rows, got 2"),
+}
+
+# A number past what its type takes, or nesting past what the parser takes,
+# in the third line -> a function giving what the reader says after "bad
+# record: ".  Each once escaped the reader as a bare error naming neither
+# the file nor the line.
+UNREADABLE_LINES = {
+    "integer rate past a float": (replaced(window_line(3), "learning_rate", f"[{10**400}]"), lambda: error_of(float, 10**400)),
+    "first past int's digit limit": (replaced(window_line(3), "first", LONG_NUMBER), lambda: error_of(int, LONG_NUMBER)),
+    "draw past int's digit limit": (
+        replaced(window_line(3), "draws", f"[[1, {LONG_NUMBER}, 1]]"), lambda: error_of(int, LONG_NUMBER)
+    ),
+    "row nested 100,000 deep": (replaced(window_line(3), "q", NESTED), lambda: error_of(json.loads, NESTED)),
 }
 
 
 class TestReaderErrors:
     @pytest.mark.parametrize("line, detail", list(BAD_LINES.values()), ids=list(BAD_LINES))
     def test_bad_line_names_file_and_line(self, tmp_path, line, detail):
-        path = write_lines(tmp_path / "t.jsonl", [*record_lines(2), line])
-        with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}:4: bad record: {detail}')}"):
+        path = write_lines(tmp_path / "t.jsonl", [*trace_lines(2), line])
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}:4: bad record: {detail}')}$"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("line, detail", list(UNREADABLE_LINES.values()), ids=list(UNREADABLE_LINES))
+    def test_unreadable_number_or_nesting_names_file_and_line(self, tmp_path, line, detail):
+        path = write_lines(tmp_path / "t.jsonl", [*trace_lines(2), line])
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}:4: bad record: {detail()}')}$"):
             read_trace(path)
 
     @pytest.mark.parametrize("cut", [1, 20, None])
     def test_last_line_without_newline_is_truncated(self, tmp_path, cut):
         # A killed writer leaves a last line without its newline, whether it
-        # is cut mid-record or only the newline is missing; both are
+        # is cut mid-window or only the newline is missing; both are
         # reported rather than parsed.
-        lines = record_lines(3)
+        lines = trace_lines(3)
         path = write_lines(tmp_path / "t.jsonl", [*lines[:2], lines[2][:cut]], end="")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:4: truncated record$"):
             read_trace(path)
@@ -433,8 +545,14 @@ class TestReaderErrors:
 
     def test_header_number_past_int_digit_limit(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        path.write_text(json.dumps(HEADER).replace('"total_steps": 3', '"total_steps": ' + "1" * 5000) + "\n")
+        path.write_text(json.dumps(HEADER).replace('"total_steps": 3', '"total_steps": ' + LONG_NUMBER) + "\n")
         with pytest.raises(ValueError, match=r"^" + re.escape(f"{path}:1: bad header: Exceeds the limit")):
+            read_trace(path)
+
+    def test_header_nested_past_the_parser(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps(HEADER).replace('"seed": 0', '"seed": ' + NESTED) + "\n")
+        with pytest.raises(ValueError, match=r"^" + re.escape(f"{path}:1: bad header: {error_of(json.loads, NESTED)}") + "$"):
             read_trace(path)
 
     def test_bad_header_line(self, tmp_path):
@@ -444,74 +562,57 @@ class TestReaderErrors:
             read_trace(path)
 
 
-V2_FIRST = {"step": 1, "probabilities": [0.2, 0.3, 0.5], "q": [0.0, 0.0, 0.0], "learning_rate": 0.01, "draws": [1, 2, 3]}
-
-
-def v2_line(step, **fields):
-    return json.dumps({"step": step, "learning_rate": 0.01, "draws": [1, 1, 1], **fields})
-
-
-# A second v2 line that is not a record -> what the reader says after "bad record: ".
-BAD_V2_LINES = {
-    "float draw": (v2_line(2, draws=[4.7, 1, 2]), "draws must hold only integers, got [4.7, 1, 2]"),
-    "boolean draw": (v2_line(2, draws=[1, True, 2]), "draws must hold only integers, got [1, True, 2]"),
-    "short draws": (v2_line(2, draws=[1, 2]), "draws must have 3 entries, got [1, 2]"),
-    "draws not a list": (v2_line(2, draws=7), "draws must be a list, got 7"),
-    "counts for draws": (
-        json.dumps({"step": 2, "learning_rate": 0.01, "cumulative_counts": [2, 3, 4]}),
-        "missing key 'draws'",
-    ),
-    "string in a new row": (v2_line(2, q=["z", 0.0, 0.0]), "q must hold only numbers, got ['z', 0.0, 0.0]"),
-}
-
-
-class TestV2Reader:
+class TestWindowReader:
     def test_rows_carry_over_as_the_same_tuple(self, tmp_path):
-        lines = [json.dumps(V2_FIRST), v2_line(2, q=[0.5, 0.0, 0.0], rewards=[1.0, 2.0, 3.0]), v2_line(3, draws=[0, 2, 6])]
+        lines = [
+            json.dumps(FIRST),
+            window_line(2, q_after=[0.5, 0.0, 0.0], rewards=[1.0, 2.0, 3.0]),
+            window_line(3, draws=[[0, 2, 6]]),
+        ]
         path = write_lines(tmp_path / "t.jsonl", lines)
-        _, records = read_trace(path)
-        assert [r.cumulative_counts for r in records] == [(1, 2, 3), (2, 3, 4), (2, 5, 10)]
-        assert records[2].probabilities is records[1].probabilities is records[0].probabilities
-        assert records[2].q is records[1].q == (0.5, 0.0, 0.0)
-        assert [r.rewards for r in records] == [None, (1.0, 2.0, 3.0), None]
-
-    @pytest.mark.parametrize("line, detail", list(BAD_V2_LINES.values()), ids=list(BAD_V2_LINES))
-    def test_bad_line_names_file_and_line(self, tmp_path, line, detail):
-        path = write_lines(tmp_path / "t.jsonl", [json.dumps(V2_FIRST), line, v2_line(3)])
-        with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}:3: bad record: {detail}')}$"):
-            read_trace(path)
+        (w1, _, _), (w2, _, _), (w3, _, _) = iter_trace(path)[1]
+        assert w3.probabilities is w2.probabilities is w1.probabilities
+        # q is the window before's q_after, and q_after is q where no round ran.
+        assert w1.q_after is w1.q is w2.q
+        assert w3.q is w3.q_after is w2.q_after == (0.5, 0.0, 0.0)
+        assert [w.rewards for w in (w1, w2, w3)] == [None, (1.0, 2.0, 3.0), None]
+        assert [r.cumulative_counts for r in read_trace(path)[1]] == [(1, 2, 3), (2, 3, 4), (2, 5, 10)]
 
     @pytest.mark.parametrize("key", ["probabilities", "q"])
     def test_first_line_must_hold_every_row(self, tmp_path, key):
-        first = {k: v for k, v in V2_FIRST.items() if k != key}
-        path = write_lines(tmp_path / "t.jsonl", [json.dumps(first), v2_line(2), v2_line(3)])
+        first = {k: v for k, v in FIRST.items() if k != key}
+        path = write_lines(tmp_path / "t.jsonl", [json.dumps(first), window_line(2), window_line(3)])
         with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}:2: bad record: missing key {key!r}')}$"):
             read_trace(path)
 
     @pytest.mark.parametrize(
-        "steps, lineno, message",
+        "windows, lineno, message",
         [
-            ([1, 3], 3, "step 3 after step 1 of a 3-step trace"),
-            ([2], 2, "step 2 after step 0 of a 3-step trace"),
-            ([1, 2, 3, 4], 5, "step 4 after step 3 of a 3-step trace"),
-            ([1, 1], 3, "record steps must be strictly increasing"),
+            ([(1, 1), (3, 3)], 3, "steps 3 to 3 after step 1 of a 3-step trace"),
+            ([(2, 2)], 2, "steps 2 to 2 after step 0 of a 3-step trace"),
+            ([(1, 2), (3, 4)], 3, "steps 3 to 4 after step 2 of a 3-step trace"),
+            ([(1, 4)], 2, "steps 1 to 4 after step 0 of a 3-step trace"),
+            ([(1, 1), (1, 1)], 3, "steps 1 to 1 after step 1 of a 3-step trace"),
+            ([(1, 2), (2, 3)], 3, "steps 2 to 3 after step 2 of a 3-step trace"),
         ],
     )
-    def test_steps_run_one_to_total_without_a_gap(self, tmp_path, steps, lineno, message):
-        lines = [json.dumps({**V2_FIRST, "step": steps[0]}), *(v2_line(s) for s in steps[1:])]
+    def test_windows_tile_one_to_total(self, tmp_path, windows, lineno, message):
+        (first, last), rest = windows[0], windows[1:]
+        m = last - first + 1
+        lines = [json.dumps({**FIRST, "first": first, "last": last, "learning_rate": [0.01] * m, "draws": [[1, 2, 3]] * m})]
+        lines += [window_line(*w) for w in rest]
         path = write_lines(tmp_path / "t.jsonl", lines)
         with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}:{lineno}: {message}')}$"):
             read_trace(path)
 
     @pytest.mark.parametrize("kept", [0, 1, 2])
-    def test_short_trace_raises_after_its_last_record(self, tmp_path, kept):
-        lines = [json.dumps(V2_FIRST), v2_line(2), v2_line(3)][:kept]
-        path = write_lines(tmp_path / "t.jsonl", lines)
-        _, records = iter_trace(path)
+    def test_short_trace_raises_after_its_last_window(self, tmp_path, kept):
+        path = write_lines(tmp_path / "t.jsonl", trace_lines(3)[:kept])
+        _, windows = iter_trace(path)
         read = []
         with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}: truncated trace: {kept} of 3 steps')}$"):
-            read.extend(records)
-        assert [r.step for r in read] == list(range(1, kept + 1))
+            read.extend(windows)
+        assert [w.first for w, _, _ in read] == list(range(1, kept + 1))
 
     @pytest.mark.parametrize("total", ["missing", None, -1, 2.0, True, "3"])
     def test_header_total_steps_must_be_a_nonnegative_integer(self, tmp_path, total):
@@ -528,63 +629,40 @@ class TestV2Reader:
         path = write_lines(tmp_path / "t.jsonl", [], {**HEADER, "total_steps": 0})
         assert read_trace(path) == ({**HEADER, "total_steps": 0}, [])
 
-    @pytest.mark.parametrize("key", ["probabilities", "q", "draws", "rewards"])
+    @pytest.mark.parametrize("key", ["probabilities", "q", "q_after", "rewards", "draws"])
     def test_first_line_rows_must_have_an_entry_per_arm(self, tmp_path, key):
         # With no line before it, only the header's arm_names can tell that
         # the first line's rows are short; the line after matches them.
-        first = {**V2_FIRST, "rewards": [0.1, 0.2, 0.3], key: [1, 2]}
-        lines = [json.dumps(first), v2_line(2, draws=[1, 2]), v2_line(3, draws=[1, 2])]
+        first = {**FIRST, "q_after": [0.0, 0.0, 0.0], "rewards": [0.1, 0.2, 0.3], key: [1, 2]}
+        if key == "draws":
+            first[key] = [[1, 2]]
+        lines = [json.dumps(first), window_line(2, draws=[[1, 2]]), window_line(3, draws=[[1, 2]])]
         path = write_lines(tmp_path / "t.jsonl", lines)
         message = f"{path}:2: bad record: {key} must have 3 entries, got [1, 2]"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_trace(path)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "   " + window_line(2),
+            window_line(2) + " \t ",
+            window_line(2).replace(", ", ",").replace(": ", ":"),
+            json.dumps(dict(reversed(json.loads(window_line(2)).items()))),
+        ],
+        ids=["leading spaces", "trailing spaces", "no spaces", "keys in another order"],
+    )
+    def test_a_line_reads_as_json_loads_reads_it(self, tmp_path, line):
+        lines = trace_lines(3)
+        canonical = write_lines(tmp_path / "canonical.jsonl", lines)
+        other = write_lines(tmp_path / "other.jsonl", [lines[0], line, lines[2]])
+        assert read_trace(other) == read_trace(canonical)
+        for kind in EXPORT_KINDS:
+            assert export_plot_data(other, kind) == export_plot_data(canonical, kind)
 
-# A line that ``json.loads`` reads otherwise than as one object ending at the
-# newline -> what the reader gives for a trace with it as line 3: records
-# (None), or the end of its error.
-EDGE_LINES = {
-    "leading spaces": ("   " + v2_line(2), None),
-    "trailing spaces": (v2_line(2) + " \t ", None),
-    "whitespace only": ("  \t ", ":4: step 3 after step 1 of a 3-step trace"),
-    "extra object": (v2_line(2) + v2_line(2), f":3: bad record: not JSON (Extra data at char {len(v2_line(2))})"),
-    "extra text": (v2_line(2) + " x", f":3: bad record: not JSON (Extra data at char {len(v2_line(2)) + 1})"),
-    "byte-order mark": (
-        "\ufeff" + v2_line(2), ":3: bad record: not JSON (Unexpected UTF-8 BOM (decode using utf-8-sig) at char 0)"
-    ),
-    "bare number": ("3", ":3: bad record: 'int' object has no attribute 'get'"),
-    "NaN in q": (v2_line(2, q=[float("nan"), 0.0, 0.0]), None),
-}
-
-
-def read_outcome(path, json_only=False):
-    """The records of a trace, as text so that NaNs compare, or its error;
-    with ``json_only``, every line is read by ``json``."""
-    with json_reader() if json_only else contextlib.nullcontext():
-        try:
-            return repr(read_trace(path)[1])
-        except Exception as e:
-            return str(e)
-
-
-@pytest.mark.parametrize("line, ending", list(EDGE_LINES.values()), ids=list(EDGE_LINES))
-def test_decoder_fast_path_reads_like_json_loads(tmp_path, monkeypatch, line, ending):
-    """The reader decodes a line with the scanner alone only when one object
-    ends at its newline, so every line reads as ``json.loads`` reads it."""
-    path = write_lines(tmp_path / "t.jsonl", [json.dumps(V2_FIRST), line, v2_line(3)])
-    outcome = read_outcome(path)
-
-    class LoadsOnly(json.JSONDecoder):
-        def raw_decode(self, s, idx=0):
-            raise json.JSONDecodeError("no fast path", s, idx)
-
-    # ``json.loads`` keeps its own decoder; only the reader's scanner goes.
-    monkeypatch.setattr(json, "JSONDecoder", LoadsOnly)
-    assert outcome == read_outcome(path)
-    if ending is None:
-        assert outcome.startswith("[TraceRecord(step=1,") and outcome.count("TraceRecord(") == 3
-    else:
-        assert outcome == f"{path}{ending}"
+    def test_nan_in_a_row_reads_as_nan(self, tmp_path):
+        path = write_lines(tmp_path / "t.jsonl", [json.dumps(FIRST), window_line(2, q=[float("nan"), 0.0, 0.0]), window_line(3)])
+        assert export_plot_data(path, "q_over_time").splitlines()[1:] == ["1,0.0,0.0,0.0", "2,nan,0.0,0.0", "3,nan,0.0,0.0"]
 
 
 @pytest.fixture(scope="module")
@@ -595,44 +673,29 @@ def tulu_trace(tmp_path_factory):
     return out / TRACE_FILENAME
 
 
-def test_default_tulu_trace_is_under_1_mb(tulu_trace):
-    # 4.82 MB in schema v1, which wrote every row on every line.
-    assert tulu_trace.stat().st_size < 1_000_000
+def test_default_tulu_trace_is_under_600_kb(tulu_trace):
+    # 0.72 MB in schema v2, a line per step, and 4.82 MB in schema v1, which
+    # wrote every row on every line.
+    assert tulu_trace.stat().st_size < 600_000
 
 
 def test_trace_cut_at_a_line_boundary(tulu_trace, tmp_path):
     # Every line of the cut trace is whole, so only the header's total_steps
     # can tell it from a shorter run.
-    _, records = read_trace(tulu_trace)
+    _, windows = iter_trace(tulu_trace)
+    windows = list(windows)
     lines = tulu_trace.read_text(encoding="utf-8").splitlines(keepends=True)
     cut = tmp_path / "cut.jsonl"
-    cut.write_text("".join(lines[:-1000]), encoding="utf-8")
-    _, cut_records = iter_trace(cut)
+    cut.write_text("".join(lines[:-20]), encoding="utf-8")
+    _, cut_windows = iter_trace(cut)
     read = []
-    with pytest.raises(ValueError, match=rf"^{re.escape(str(cut))}: truncated trace: 4143 of 5143 steps$"):
-        read.extend(cut_records)
-    assert read == records[:4143]
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(cut))}: truncated trace: 4150 of 5143 steps$"):
+        read.extend(cut_windows)
+    assert read == windows[:83]
 
 
 # Each export kind and the record field it prints.
 EXPORT_FIELDS = [("proportions_over_time", "probabilities"), ("instance_coverage", "cumulative_counts"), ("q_over_time", "q")]
-
-
-@pytest.mark.parametrize("case", cases())
-def test_v2_trace_reads_and_exports_like_the_v1_trace(case, tmp_path, capsys):
-    """A run's v2 trace reads to its records, and every export prints those
-    records' rows one at a time, as a schema v1 trace, which held every row
-    on every line, once printed them."""
-    world, policy, seed = case.split("/")
-    result = run_experiment(golden_config(world, policy), seed=int(seed), out_dir=tmp_path)
-    v2 = tmp_path / TRACE_FILENAME
-    header, records = read_trace(v2)
-    assert records == run_records(result)
-    assert header["total_steps"] == len(records)
-    for kind, field in EXPORT_FIELDS:
-        assert main(["export", "--trace", str(v2), "--kind", kind]) == 0
-        rows = "".join(f"{r.step}," + ",".join(map(str, getattr(r, field))) + "\n" for r in records)
-        assert capsys.readouterr().out == "step," + ",".join(header["arm_names"]) + "\n" + rows
 
 
 class TestSummarize:
@@ -719,11 +782,10 @@ class TestExport:
             make_record(2, p=(0.25, 0.25, 0.5), q=(0.1, 0.1, 0.2), counts=(4, 6, 10)),
         ]
 
-    def export(self, tmp_path, kind, records=None, names=NAMES):
+    def export(self, tmp_path, kind, records=None):
         """``export_plot_data`` of a trace of ``records``, by default ``make_records``."""
         records = self.make_records() if records is None else records
-        header = {**HEADER, "arm_names": list(names), "total_steps": len(records)}
-        return export_plot_data(write_lines(tmp_path / "t.jsonl", v2_lines(records), header), kind)
+        return export_plot_data(write_records(tmp_path / "t.jsonl", records), kind)
 
     def test_kinds_table(self):
         assert EXPORT_KINDS == ("proportions_over_time", "instance_coverage", "q_over_time")
@@ -744,12 +806,20 @@ class TestExport:
 
     def test_coverage_kind_uses_counts(self, tmp_path):
         text = self.export(tmp_path, "instance_coverage")
-        assert text.strip().splitlines()[1] == "1,2,3,5"
+        assert text.strip().splitlines()[1:] == ["1,2,3,5", "2,4,6,10"]
 
     def test_q_kind(self, tmp_path):
         text = self.export(tmp_path, "q_over_time")
         assert text.startswith("step,a,b,c\n")
         assert ",0.1," in text.splitlines()[2]
+
+    def test_q_kind_prints_q_after_at_the_last_step_only(self, tmp_path):
+        q1, q2 = (0.0, 0.0, 0.0), (0.5, 0.25, 0.125)
+        windows = [(Window(1, 3, (0.2, 0.3, 0.5), q1, q2, (1.0, 2.0, 3.0)), [[1, 1, 1]] * 3, [0.01] * 3)]
+        windows.append((Window(4, 4, (0.2, 0.3, 0.5), q2, q1, None), [[1, 1, 1]], [0.01]))
+        path = write_windows(tmp_path / "t.jsonl", windows)
+        rows = ["1,0.0,0.0,0.0", "2,0.0,0.0,0.0", "3,0.5,0.25,0.125", "4,0.0,0.0,0.0"]
+        assert export_plot_data(path, "q_over_time").splitlines()[1:] == rows
 
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown export kind 'heatmap'"):
@@ -757,8 +827,11 @@ class TestExport:
 
     def test_arity_mismatch_rejected(self, tmp_path):
         # The header names the columns, and a row of another length is a bad line.
+        path = write_records(tmp_path / "t.jsonl", self.make_records())
+        header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        path.write_text(json.dumps({**json.loads(header), "arm_names": ["a", "b"]}) + "\n" + rest, encoding="utf-8")
         with pytest.raises(ValueError, match=r":2: bad record: probabilities must have 2 entries"):
-            self.export(tmp_path, "q_over_time", names=("a", "b"))
+            export_plot_data(path, "q_over_time")
 
     def test_cells_equal_repr_of_floats_and_str_of_ints(self, tmp_path):
         # The cells once came from ``repr`` for floats and ``str`` for the
@@ -766,20 +839,16 @@ class TestExport:
         nan, inf = float("nan"), float("inf")
         windows = [
             (Window(1, 2, (-0.0, nan, inf), (1e-300, 2.5e17, 3), (-inf, -7, 0.1), (nan, 0, -2.5e-17)),
-             [[0, 2**40, 7], [1, 2**62, 9]]),
-            (Window(3, 3, (0.5, 0, 1e22), (-0.0, 1e16, 5e-324), (-0.0, 1e16, 5e-324), None), [[2, 2**62, 10]]),
+             [[0, 2**40, 7], [1, 2**62, 9]], [0.01] * 2),
+            (Window(3, 3, (0.5, 0, 1e22), (-0.0, 1e16, 5e-324), (-0.0, 1e16, 5e-324), None), [[2, 2**62, 10]], [0.01]),
         ]
-        path = tmp_path / "t.jsonl"
-        with TraceWriter(path, NAMES, seed=1, config_hash="abc", total_steps=3) as writer:
-            for window, counts in windows:
-                writer.write(window, np.array(counts), [0.01] * len(counts))
-        _, records = read_trace(path)
+        _, records = read_trace(write_windows(tmp_path / "t.jsonl", windows))
         for kind, field in EXPORT_FIELDS:
             old = "".join(
                 f"{r.step}," + ",".join(repr(v) if isinstance(v, float) else str(v) for v in getattr(r, field)) + "\n"
                 for r in records
             )
-            assert export_plot_data(path, kind) == "step,a,b,c\n" + old
+            assert export_plot_data(tmp_path / "t.jsonl", kind) == "step,a,b,c\n" + old
         assert {type(v) for r in records for v in r.q} == {int, float}
 
     @pytest.mark.parametrize("tuples", [1, 2])
@@ -787,17 +856,14 @@ class TestExport:
         # Consecutive rows equal in value but not in text: export reuses a
         # row's cells only for the same tuple, never for an equal one.  The
         # equal rows of steps 3 and 4 are one tuple, which the line of step 4
-        # carries over, or two, which it writes again.
+        # leaves out, or two, which it writes again.
         rows = [(1, 0.0, 0.5), (1.0, -0.0, 0.5), (1, 0.0, 0.5)]
         records = [make_record(i, p=row, q=row[::-1], counts=(i, i, i)) for i, row in enumerate(rows, 1)]
         p, q = records[-1].probabilities, records[-1].q
         if tuples == 2:
             p, q = tuple(list(p)), tuple(list(q))
         records.append(make_record(4, p=p, q=q, counts=(4, 4, 4)))
-        path = tmp_path / "t.jsonl"
-        with TraceWriter(path, NAMES, seed=0, config_hash="x", total_steps=4) as writer:
-            for r in records:
-                writer.write(*one_step(r, [1, 1, 1]))
+        path = write_records(tmp_path / "t.jsonl", records)
         _, back = read_trace(path)
         assert (back[3].probabilities is back[2].probabilities) == (back[3].q is back[2].q) == (tuples == 1)
         expected = {
@@ -806,6 +872,28 @@ class TestExport:
         }
         for kind, lines in expected.items():
             assert export_plot_data(path, kind).splitlines()[1:] == lines
+
+    def test_running_totals_past_int64_stay_exact(self, tmp_path):
+        # The first window's counts sit just below 2**62, past 2**63 and at
+        # -2**63, a later window draws 2**31, and the windows between are
+        # summed in int64 until the totals pass 2**62.
+        blocks = [
+            [[2**62 - 700, 2**64, -(2**63)]],
+            [[1, 2, 3]] * 300,
+            [[2**31, 0, 1], [5, 5, 5]],
+            [[7, 0, 2]] * 400,
+        ]
+        lines, first = [], 1
+        for block in blocks:
+            last = first + len(block) - 1
+            lines.append(window_line(first, last, draws=block))
+            first = last + 1
+        lines[0] = json.dumps({**json.loads(lines[0]), **{k: FIRST[k] for k in ("probabilities", "q")}})
+        path = write_lines(tmp_path / "t.jsonl", lines, {**HEADER, "total_steps": first - 1})
+        text = export_plot_data(path, "instance_coverage")
+        assert (0, text, "") == export_outcome(path, "instance_coverage")
+        totals = [sum(column) for column in zip(*(row for block in blocks for row in block))]
+        assert text.splitlines()[-1] == f"{first - 1}," + ",".join(map(str, totals))
 
 
 class TestWorldCheckpoint:
@@ -846,7 +934,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def readme_trace_schema():
-    """The header keys and record fields the README's trace section names."""
+    """The header keys and line fields the README's trace section names."""
     text = README.read_text(encoding="utf-8")
     section = text[text.index("## Trace format") :]
     section = section[: section.index("\n## ", 1)]
@@ -855,28 +943,30 @@ def readme_trace_schema():
     return set(header), fields
 
 
-def test_readme_trace_schema_matches_a_real_trace(tmp_path):
+@pytest.mark.parametrize("variant", ["bandit", "uniform"])
+def test_readme_trace_schema_matches_a_real_trace(tmp_path, variant):
     cfg = ExperimentConfig.from_dict(
         {
-            "bandit": {"total_steps": 6, "update_interval": 3, "batch_size": 4},
+            "bandit": {"total_steps": 8, "update_interval": 3, "batch_size": 4},
             "registry": {"arms": [["a", 10], ["b", 20]]},
+            "policy": {"variant": variant},
         }
     )
     run_experiment(cfg, out_dir=tmp_path)
     lines = (tmp_path / TRACE_FILENAME).read_text(encoding="utf-8").splitlines()
     header_keys, fields = readme_trace_schema()
     assert header_keys == set(json.loads(lines[0]))
+    assert fields == ["first", "last", "probabilities", "q", "q_after", "rewards", "learning_rate", "draws"]
     keys = [list(json.loads(line)) for line in lines[1:]]
 
     def shape(*left_out):
         return [f for f in fields if f not in left_out]
 
-    # The first line, a plain line, an update line, and the first line of
-    # the window after it, which holds the new distribution.
-    assert keys[:4] == [
-        shape("rewards"),
-        shape("probabilities", "q", "rewards"),
-        shape("probabilities"),
-        shape("q", "rewards"),
-    ]
-    assert fields == ["step", "probabilities", "q", "learning_rate", "draws", "rewards"]
+    if variant == "bandit":
+        # The first window, which holds every row; the next, whose q is the
+        # first's q_after and whose distribution a round changed; and the
+        # last, of two steps, with no round after it.
+        assert keys == [shape(), shape("q"), shape("q", "q_after", "rewards")]
+    else:
+        # One distribution and no rounds: only the first line holds rows.
+        assert keys == [shape("q_after", "rewards"), *[shape("probabilities", "q", "q_after", "rewards")] * 2]

@@ -32,11 +32,10 @@ from banditmix.policies import MixturePolicy
 from banditmix.registry import ArmRegistry
 from banditmix.rewards import lookahead_round
 from banditmix.simworld import WorldParams, build_world
-from banditmix.trace import TraceRecord
 
 from learner_contract import LinearLearner, LoopLearner, check_train_steps_matches_default, random_batch
 from test_simworld import rate_at
-from trace_oracles import run_records
+from trace_oracles import TraceRecord, run_records
 
 
 def registry(*counts):

@@ -1,22 +1,40 @@
-"""Per-record references, for the tests of the run's columns, the writer and the reader.
+"""Per-step references, for the tests of the run's columns, the writer and the reader.
 
-A run keeps its history as columns and ``Window``s; ``run_records`` gives
-the one ``TraceRecord`` per step they stand for, and ``summarize_records``
-the summary of a list of records, through the columns' ``summarize``.
-``read_trace`` reads a whole trace into a list.  ``v2_lines`` gives the
-lines the writer must write for a run's records, worked out one record at a
-time rather than one window at a time.  ``export_records`` renders records
-as CSV one record at a time, the reference for ``export_plot_data``, and
-``export_outcome`` gives what ``banditmix export`` must do with a trace
-when ``json_reader`` reads every line.
+A run keeps its history as columns and ``Window``s; ``TraceRecord`` is one
+step of it, ``run_records`` gives the one record per step a run's windows
+and columns stand for, and ``summarize_records`` the summary of a list of
+records, through the columns' ``summarize``.  ``window_records`` gives the
+records of what ``iter_trace`` yields, and ``read_trace`` reads a whole
+trace into a list of them.  ``window_lines`` gives the lines the writer
+must write for a run, each built as a dict for ``json.dumps``, with each
+step's draws taken from the cumulative counts.  ``export_records`` renders
+records as CSV one record at a time, the reference for
+``export_plot_data``, and ``export_outcome`` gives what ``banditmix
+export`` must do with a trace.
 """
 
-import contextlib
 import json
-from unittest import mock
+from operator import add
+from typing import NamedTuple
 
-from banditmix import trace
-from banditmix.trace import EXPORT_KINDS, TraceRecord, iter_trace, summarize
+from banditmix.trace import EXPORT_KINDS, iter_trace, summarize
+
+
+class TraceRecord(NamedTuple):
+    """One training step: the distribution sampled from, estimates, counts.
+
+    ``probabilities`` is the distribution in effect when the step's batch was
+    drawn; ``q`` and ``rewards`` reflect any reward round that ran at this
+    step.  A record is a plain tuple of its fields, so it also equals that
+    tuple.
+    """
+
+    step: int
+    probabilities: tuple[float, ...]
+    q: tuple[float, ...]
+    learning_rate: float
+    cumulative_counts: tuple[int, ...]
+    rewards: tuple[float, ...] | None = None
 
 
 def run_records(result):
@@ -36,10 +54,24 @@ def run_records(result):
     return records
 
 
+def window_records(windows):
+    """One record per step of ``iter_trace``'s ``(window, draws, rates)``,
+    the draws summed a step at a time; a generator, so an error in a later
+    line comes after the records before it."""
+    counts = None
+    for (first, last, probabilities, q, q_after, rewards), draws, rates in windows:
+        for step, d, rate in zip(range(first, last + 1), draws, rates):
+            counts = tuple(d) if counts is None else tuple(map(add, counts, d))
+            if step < last:
+                yield TraceRecord(step, probabilities, q, rate, counts)
+            else:
+                yield TraceRecord(step, probabilities, q_after, rate, counts, rewards)
+
+
 def read_trace(path):
     """A trace file as ``(header, records)``, the records in a list; see ``iter_trace``."""
-    header, records = iter_trace(path)
-    return header, list(records)
+    header, windows = iter_trace(path)
+    return header, list(window_records(windows))
 
 
 def summarize_records(records, registry, *, seed, config_hash, final_losses=None):
@@ -63,37 +95,46 @@ def summarize_records(records, registry, *, seed, config_hash, final_losses=None
     )
 
 
-def v2_lines(records):
-    """The v2 lines of ``records``, without their newlines.
+def window_lines(result):
+    """The lines of ``result``'s trace after the header, without their newlines.
 
-    A line holds each row that is not the same object as the record
-    before's, and the step's draws: its cumulative counts less the record
-    before's.
+    A line holds ``probabilities`` where it is not the same object as the
+    window before's, ``q`` on the first line and where it is not the window
+    before's ``q_after``, ``q_after`` where it is not ``q``, ``rewards``
+    where a round ran, and each step's draws: its cumulative counts less
+    the step before's.
     """
+    counts, rates = result.counts.tolist(), result.learning_rates.tolist()
     lines, before = [], None
-    for r in records:
-        obj = {"step": r.step}
-        for key in ("probabilities", "q"):
-            if before is None or getattr(r, key) is not getattr(before, key):
-                obj[key] = getattr(r, key)
-        counts_before = (0,) * len(r.cumulative_counts) if before is None else before.cumulative_counts
-        obj["learning_rate"] = r.learning_rate
-        obj["draws"] = [c - b for c, b in zip(r.cumulative_counts, counts_before)]
-        if r.rewards is not None:
-            obj["rewards"] = r.rewards
+    for w in result.windows:
+        obj = {"first": w.first, "last": w.last}
+        if before is None or w.probabilities is not before.probabilities:
+            obj["probabilities"] = w.probabilities
+        if before is None or w.q is not before.q_after:
+            obj["q"] = w.q
+        if w.q_after is not w.q:
+            obj["q_after"] = w.q_after
+        if w.rewards is not None:
+            obj["rewards"] = w.rewards
+        obj["learning_rate"] = rates[w.first - 1 : w.last]
+        previous = counts[w.first - 2] if w.first > 1 else [0] * len(counts[0])
+        obj["draws"] = []
+        for row in counts[w.first - 1 : w.last]:
+            obj["draws"].append([c - b for c, b in zip(row, previous)])
+            previous = row
         lines.append(json.dumps(obj))
-        before = r
+        before = w
     return lines
 
 
 def export_records(records, kind, arm_names):
     """Render one series of ``records`` as CSV: a step column plus one column per arm.
 
-    ``records`` is consumed once, so it may be ``iter_trace``'s iterator;
-    the text is returned only after the last record.  The cells of a row
-    carried over from the record before, the same tuple, are reused; not
-    those of an equal row: ``1 == 1.0`` and ``0.0 == -0.0`` print
-    differently.
+    ``records`` is consumed once, so it may be a generator over
+    ``iter_trace``; the text is returned only after the last record.  The
+    cells of a row carried over from the record before, the same tuple,
+    are reused; not those of an equal row: ``1 == 1.0`` and ``0.0 == -0.0``
+    print differently.
     """
     if kind not in EXPORT_KINDS:
         raise ValueError(f"unknown export kind {kind!r}; choose from {EXPORT_KINDS}")
@@ -112,19 +153,11 @@ def export_records(records, kind, arm_names):
     return "".join(lines)
 
 
-@contextlib.contextmanager
-def json_reader():
-    """Read every trace line with ``json``, as the reader reads a line that is not plain."""
-    with mock.patch.object(trace, "_plain_line", lambda arms: lambda text: None):
-        yield
-
-
 def export_outcome(path, kind):
-    """The exit code, stdout and stderr of ``banditmix export``, by ``export_records``
-    of ``iter_trace`` with every line read by ``json``."""
-    with json_reader():
-        try:
-            header, records = iter_trace(path)
-            return 0, export_records(records, kind, tuple(header["arm_names"])), ""
-        except Exception as e:
-            return 3, "", f"error: {e}\n"
+    """The exit code, stdout and stderr of ``banditmix export``, by
+    ``export_records`` of the records of ``iter_trace``."""
+    try:
+        header, windows = iter_trace(path)
+        return 0, export_records(window_records(windows), kind, tuple(header["arm_names"])), ""
+    except Exception as e:
+        return 3, "", f"error: {e}\n"
