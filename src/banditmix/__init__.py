@@ -18,13 +18,7 @@ from .mixture import (
 )
 from .policies import MixturePolicy, PolicyKind
 from .registry import Arm, ArmRegistry, builtin_registry, make_tulu_registry
-from .rewards import (
-    Learner,
-    delta_entropy_reward,
-    delta_loss_reward,
-    ema_update,
-    lookahead_round,
-)
+from .rewards import Learner, ema_update, lookahead_round
 from .runner import RunResult, compare_experiments, run_experiment, sweep_experiments
 from .simworld import LrSchedule, SimWorld, WorldParams, build_world
 from .trace import (
@@ -57,8 +51,6 @@ __all__ = [
     "build_world",
     "builtin_registry",
     "compare_experiments",
-    "delta_entropy_reward",
-    "delta_loss_reward",
     "ema_update",
     "export_plot_data",
     "iter_trace",

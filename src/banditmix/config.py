@@ -29,7 +29,6 @@ __all__ = [
     "ResolvedExperiment",
     "load_json",
     "load_config",
-    "default_config",
     "apply_param_overrides",
     "resolve_output_dir",
     "OUTPUT_DIR_ENV",
@@ -231,11 +230,6 @@ class ExperimentConfig:
             **{k: _read_section(k, v) if k in _SECTIONS else _read("config", k, v) for k, v in obj.items()}
         )
 
-    def to_dict(self) -> dict:
-        obj = dataclasses.asdict(self)
-        # asdict leaves tuples in place; JSON round-trips need plain lists.
-        return json.loads(json.dumps(obj, default=list))
-
     def with_seed(self, seed: object) -> "ExperimentConfig":
         """A copy with ``seed`` read as the config's ``seed`` key is.
 
@@ -250,7 +244,7 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         """Short content hash over everything that shapes the run but the seed."""
         # Each section's fields as they are, the values ``asdict`` would
-        # deep-copy; json writes tuples as arrays, as to_dict's round trip would.
+        # deep-copy; json writes tuples as arrays.
         obj = {}
         for name in _SECTIONS:
             section = getattr(self, name)
@@ -337,10 +331,6 @@ def load_json(path: str | Path, what: str) -> object:
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a JSON config file."""
     return ExperimentConfig.from_dict(load_json(path, "config"))
-
-
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()
 
 
 # Bandit hyperparameters a sweep may vary.

@@ -140,9 +140,6 @@ class Batch:
         object.__setattr__(self, "arms", arms)
         object.__setattr__(self, "examples", examples)
 
-    def __len__(self) -> int:
-        return int(self.arms.size)
-
 
 def _check_finite_vector(name: str, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)

@@ -8,7 +8,7 @@ default the prior is proportional to instance counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,12 +94,6 @@ class ArmRegistry:
     @property
     def total_count(self) -> int:
         return int(self._counts.sum())  # type: ignore[attr-defined]
-
-    def index_of(self, name: str) -> int:
-        for i, a in enumerate(self.arms):
-            if a.name == name:
-                return i
-        raise KeyError(name)
 
 
 # Instruction-tuning mixture used as the default workload.  The science bundle

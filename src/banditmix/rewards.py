@@ -7,27 +7,21 @@ arrays: a ``(K, B)`` integer array of probe examples in, row ``j`` for arm
 ``j``, and the ``(K,)`` float64 estimates ``q``, which ``lookahead_round``
 updates in place through an exponential moving average before it returns
 the ``(K,)`` rewards.  ``Learner.probe`` runs the measurements of a whole
-round and ``Learner.train_steps`` the real steps between two rounds; each
-must give what a loop of ``train_step`` calls gives, bit for bit.
+round and ``Learner.train_steps`` the real steps between two rounds; those
+two calls are all the loop asks of a learner.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
 from .mixture import BanditConfig, Batch
 from .registry import ArmRegistry
 
-__all__ = [
-    "Learner",
-    "delta_loss_reward",
-    "delta_entropy_reward",
-    "ema_update",
-    "lookahead_round",
-]
+__all__ = ["Learner", "ema_update", "lookahead_round"]
 
 RewardKind = Literal["delta_loss", "delta_entropy"]
 
@@ -35,28 +29,12 @@ RewardKind = Literal["delta_loss", "delta_entropy"]
 class Learner(ABC):
     """Contract for anything trainable by the scheduling loop.
 
-    ``snapshot`` and ``restore`` must round-trip exactly: after a snapshot,
-    any sequence of ``train_step`` calls followed by ``restore`` leaves
-    per-example losses identical to their pre-snapshot values, so a probe's
-    virtual step is a ``train_step`` that gets rolled back.  ``loss`` must be
-    a pure observation with no side effects.
+    The loop calls two methods: ``train_steps`` for the real steps of a
+    window and ``probe`` for a reward round.  ``LoopLearner`` in
+    ``tests/learner_contract.py`` defines both as plain loops of the paper's
+    one-step operations (measure, snapshot, step, restore); a learner must
+    give what those loops give, bit for bit.
     """
-
-    @abstractmethod
-    def snapshot(self) -> Any:
-        """Capture full trainable state as an opaque token."""
-
-    @abstractmethod
-    def restore(self, token: Any) -> None:
-        """Return to the state captured by ``token``."""
-
-    @abstractmethod
-    def loss(self, batch: Batch) -> np.ndarray:
-        """Per-example losses for ``batch``, nonnegative, no side effects."""
-
-    @abstractmethod
-    def train_step(self, batch: Batch, learning_rate: float) -> None:
-        """Apply one real optimizer step."""
 
     @abstractmethod
     def train_steps(self, batch: Batch, learning_rates: Sequence[float]) -> None:
@@ -64,15 +42,11 @@ class Learner(ABC):
 
         ``batch`` holds ``len(learning_rates)`` rows of equal length joined
         end to end, as ``sample_batch(..., steps=m)`` draws them; step ``t``
-        is a ``train_step`` on row ``t`` at ``learning_rates[t]``.  On valid
-        input the learner must end exactly as that loop leaves it, bit for
-        bit, hidden state such as a generator included.  ``SimWorld``
-        refuses an invalid window whole, before its first step.
+        is one optimizer step on row ``t`` at ``learning_rates[t]``.  On
+        valid input the learner must end exactly as that loop of steps leaves
+        it, bit for bit, hidden state such as a generator included.
+        ``SimWorld`` refuses an invalid window whole, before its first step.
         """
-
-    def entropy(self, batch: Batch) -> np.ndarray:
-        """Per-example predictive entropies; optional capability."""
-        raise NotImplementedError(f"{type(self).__name__} does not expose entropies")
 
     @abstractmethod
     def probe(
@@ -80,13 +54,15 @@ class Learner(ABC):
     ) -> tuple[Sequence[np.ndarray], Sequence[np.ndarray]]:
         """Measure each row of ``(K, B)`` ``examples`` before and after a virtual step.
 
-        Row ``j`` holds arm ``j``'s probe examples.  Returns ``(pres,
-        posts)``, row ``j``'s losses (entropies with ``entropy=True``) before
-        and after the step.  The values must be, bit for bit, those of a
-        loop that per row, on ``Batch(np.full(B, j), examples[j])``,
-        measures, snapshots, takes the step as a ``train_step``, measures
-        again and restores; every probe starts from the current state, and
-        the learner is left unchanged, even when a measurement raises.
+        This is the paper's 1-step look-ahead.  Row ``j`` holds arm ``j``'s
+        probe examples.  Returns ``(pres, posts)``, row ``j``'s losses
+        (entropies with ``entropy=True``) before and after the step.  The
+        values must be, bit for bit, those of a loop that per row, on
+        ``Batch(np.full(B, j), examples[j])``, measures, snapshots the
+        learner, takes one real step, measures again and restores the
+        snapshot; every probe starts from the current state, and the learner
+        is left unchanged, even when a measurement raises.
+        ``LoopLearner.probe`` in ``tests/learner_contract.py`` is that loop.
         """
 
 
@@ -94,42 +70,17 @@ def _shape_error(what: str) -> ValueError:
     return ValueError(f"pre/post {what} must be equal-length nonempty 1-d arrays")
 
 
-def _relative_drop(
-    pre: np.ndarray, post: np.ndarray, epsilon: float, what: str, ndim: int = 1
-) -> float | np.ndarray:
-    """Mean of ``(pre - post) / (pre + epsilon)`` along the last axis.
-
-    Takes ``ndim``-d arrays: a 1-d pair scores to a float, a (K, B) round to
-    its K scores.
-    """
-    pre = np.asarray(pre, dtype=np.float64)
-    post = np.asarray(post, dtype=np.float64)
-    if pre.shape != post.shape or pre.ndim != ndim or pre.size < 1:
+def _relative_drop(pre: np.ndarray, post: np.ndarray, epsilon: float, what: str) -> np.ndarray:
+    """Per-arm mean of ``(pre - post) / (pre + epsilon)`` over a ``(K, B)`` round."""
+    if pre.shape != post.shape or pre.ndim != 2 or pre.size < 1:
         raise _shape_error(what)
     if not (np.isfinite(pre).all() and np.isfinite(post).all()):
         raise ValueError(f"{what} values must be finite")
     if (pre < 0).any():
         raise ValueError(f"pre {what} must be nonnegative")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
     # Each term is (pre - post) / (pre + eps): below 1 whenever post >= 0,
     # negative when the probe step hurt.
-    drop = ((pre - post) / (pre + epsilon)).mean(axis=-1)
-    return float(drop) if ndim == 1 else drop
-
-
-def delta_loss_reward(pre: np.ndarray, post: np.ndarray, epsilon: float = 1e-8) -> float:
-    """Mean relative loss drop over a probe batch."""
-    return _relative_drop(pre, post, epsilon, "losses")
-
-
-def delta_entropy_reward(pre: np.ndarray, post: np.ndarray, epsilon: float = 1e-8) -> float:
-    """Mean relative entropy drop over a probe batch.
-
-    Same functional form as ``delta_loss_reward``; callers feed it entropies
-    instead of losses.
-    """
-    return _relative_drop(pre, post, epsilon, "entropies")
+    return ((pre - post) / (pre + epsilon)).mean(axis=-1)
 
 
 def ema_update(
@@ -186,7 +137,7 @@ def lookahead_round(
         post = np.asarray(posts, dtype=np.float64)
     except ValueError:
         raise _shape_error(what) from None
-    rewards = _relative_drop(pre, post, cfg.epsilon, what, ndim=2)
+    rewards = _relative_drop(pre, post, cfg.epsilon, what)
     if pre.shape != examples.shape:
         raise ValueError(f"probe returned shape {pre.shape} for examples of shape {examples.shape}")
     q[:] = ema_update(q, rewards, cfg.alpha)

@@ -18,9 +18,9 @@ noise draw of scale ``noise_scale * eta`` per arm, re-clamped to the floor.
 A full batch from arm ``j`` shrinks arm ``k``'s gap by roughly
 ``exp(-eta * T_kj)``.
 
-``SimWorld.train_steps`` is the only implementation of this law:
-``train_step`` is a window of one row, and ``SimWorld.probe`` computes a
-reward round's steps, each on one arm's row, in closed form with the same
+``SimWorld.train_steps`` is the only implementation of this law, and one
+optimizer step is a window of one row.  ``SimWorld.probe`` computes a reward
+round's steps, each on one arm's row, in closed form with the same
 operations.  The clip to the floor runs per arm over the window's steps in
 Python floats, which round each operation as numpy's float64 arrays do.
 """
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -168,11 +168,14 @@ def _broadcast(name: str, value: tuple[float, ...] | float, k: int) -> np.ndarra
     return arr
 
 
-@dataclass(frozen=True)
-class _WorldSnapshot:
-    key: int
-    loss: np.ndarray
-    rng_state: dict
+def _state_vector(name: str, value: np.ndarray) -> np.ndarray:
+    """A private float64 copy of a finite 1-d per-arm vector with at least one entry."""
+    arr = np.array(value, dtype=np.float64)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError(f"{name} must be a 1-d vector with one entry per arm, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} entries must be finite")
+    return arr
 
 
 class SimWorld(Learner):
@@ -187,9 +190,11 @@ class SimWorld(Learner):
         rng: np.random.Generator,
         key: int,
     ) -> None:
-        k = int(np.asarray(loss).size)
-        self._loss = np.asarray(loss, dtype=np.float64).copy()
-        self._floor = np.asarray(floor, dtype=np.float64).copy()
+        self._loss = _state_vector("loss", loss)
+        self._floor = _state_vector("floor", floor)
+        k = self._loss.size
+        if self._floor.shape != (k,):
+            raise ValueError(f"floor must have {k} entries, as loss has, got shape {self._floor.shape}")
         if np.any(self._floor < 0):
             raise ValueError("floor entries must be >= 0")
         if np.any(self._loss < self._floor):
@@ -197,7 +202,7 @@ class SimWorld(Learner):
         transfer = np.asarray(transfer, dtype=np.float64).copy()
         if transfer.shape != (k, k):
             raise ValueError(f"transfer must be a {k}x{k} matrix, got shape {transfer.shape}")
-        if np.any(transfer < 0) or np.any(transfer > 1):
+        if not ((transfer >= 0) & (transfer <= 1)).all():
             raise ValueError("transfer entries must lie in [0, 1]")
         diag = np.diag(transfer)
         if np.any(transfer > diag[np.newaxis, :] + 1e-12):
@@ -212,17 +217,9 @@ class SimWorld(Learner):
         self._transfer.setflags(write=False)
 
     @property
-    def num_arms(self) -> int:
-        return int(self._loss.size)
-
-    @property
     def loss_vector(self) -> np.ndarray:
         """Current noiseless per-arm losses (copy)."""
         return self._loss.copy()
-
-    @property
-    def transfer_matrix(self) -> np.ndarray:
-        return self._transfer
 
     def _jitter(self, arms: np.ndarray, examples: np.ndarray) -> np.ndarray | None:
         """Per-example observation jitter, or None for a noiseless world."""
@@ -236,20 +233,6 @@ class SimWorld(Learner):
         if jitter is not None:
             per = per + jitter
         return np.maximum(per, 0.0)
-
-    def loss(self, batch: Batch) -> np.ndarray:
-        arms = batch.arms
-        if arms.size == 0:
-            raise ValueError("batch must be nonempty")
-        if arms.min() < 0 or arms.max() >= self._loss.size:
-            raise ValueError("batch refers to arms outside this world")
-        return self._observe(self._loss[arms], self._jitter(arms, batch.examples))
-
-    def entropy(self, batch: Batch) -> np.ndarray:
-        return ENTROPY_LOSS_RATIO * self.loss(batch)
-
-    def train_step(self, batch: Batch, learning_rate: float) -> None:
-        self.train_steps(batch, [learning_rate])
 
     def train_steps(self, batch: Batch, learning_rates: Sequence[float]) -> None:
         """One step per rate on the batch's equal rows; the world's only update.
@@ -334,7 +317,7 @@ class SimWorld(Learner):
         if learning_rate == 0.0:
             post = pre.copy()
         else:
-            # Same operation order as train_step; the exponent stays an
+            # Same operation order as train_steps; the exponent stays an
             # array so numpy's scalar-power shortcuts never apply.
             factor = np.maximum(1.0 - learning_rate * np.diag(self._transfer) / width, 0.0)
             gap = (self._loss - self._floor) * factor ** np.full(k, float(width))
@@ -348,19 +331,6 @@ class SimWorld(Learner):
         if entropy:
             return ENTROPY_LOSS_RATIO * pre, ENTROPY_LOSS_RATIO * post
         return pre, post
-
-    def snapshot(self) -> Any:
-        return _WorldSnapshot(
-            key=self._key,
-            loss=self._loss.copy(),
-            rng_state=self._rng.bit_generator.state,
-        )
-
-    def restore(self, token: Any) -> None:
-        if not isinstance(token, _WorldSnapshot) or token.key != self._key:
-            raise ValueError("snapshot token does not belong to this world")
-        self._loss = token.loss.copy()
-        self._rng.bit_generator.state = token.rng_state
 
     def state_dict(self) -> dict:
         """Full state as JSON-friendly plain types."""

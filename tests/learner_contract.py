@@ -1,33 +1,62 @@
-"""Reusable contract checks for Learner implementations.
+"""The paper's look-ahead as reference loops, and checks against them.
 
-Any learner usable with lookahead_round must pass these: the simulator
-does, and so must any adapter wrapping a real training loop.  LoopLearner
-holds the reference loops of train_steps and probe that the checks compare
-a learner against.  Imported by test modules; not collected directly.
+The scheduling loop asks a learner for two calls, ``train_steps`` and
+``probe``.  ``LoopLearner`` defines both as plain loops of the paper's
+one-step operations: measure, snapshot, take one real step, restore.  A
+learner whose ``train_steps`` and ``probe`` give what those loops give, bit
+for bit, is usable with ``lookahead_round``; anyone who brings their own
+learner can supply the five loop methods in a test subclass and run the
+checks below.  ``LoopWorld`` does that for ``SimWorld``.  Imported by test
+modules; not collected directly.
 """
 
+from abc import abstractmethod
+
 import numpy as np
+import pytest
 
 from banditmix.mixture import Batch
 from banditmix.rewards import Learner
+from banditmix.simworld import ENTROPY_LOSS_RATIO, SimWorld
 
 
 class LoopLearner(Learner):
     """A Learner whose train_steps and probe are plain loops of train_step.
 
     These loops are the contract's references: a learner's own train_steps
-    and probe must give what they give, bit for bit.
+    and probe must give what they give, bit for bit.  The loops need the
+    five one-step methods below.
     """
+
+    @abstractmethod
+    def snapshot(self):
+        """Capture the full trainable state as an opaque token."""
+
+    @abstractmethod
+    def restore(self, token):
+        """Return to the state captured by ``token``."""
+
+    @abstractmethod
+    def loss(self, batch):
+        """Per-example losses for ``batch``, nonnegative, no side effects."""
+
+    @abstractmethod
+    def entropy(self, batch):
+        """Per-example predictive entropies, no side effects."""
+
+    @abstractmethod
+    def train_step(self, batch, learning_rate):
+        """Apply one real optimizer step."""
 
     def train_steps(self, batch, learning_rates):
         """One train_step per rate, on the batch's equal consecutive rows.
 
         Takes the steps before an invalid one.
         """
-        m = len(learning_rates)
-        if m < 1 or len(batch) % m:
-            raise ValueError(f"a batch of {len(batch)} does not split into {m} equal steps")
-        width = len(batch) // m
+        m, n = len(learning_rates), batch.arms.size
+        if m < 1 or n % m:
+            raise ValueError(f"a batch of {n} does not split into {m} equal steps")
+        width = n // m
         for t, lr in enumerate(learning_rates):
             rows = slice(t * width, (t + 1) * width)
             self.train_step(Batch(arms=batch.arms[rows], examples=batch.examples[rows]), lr)
@@ -48,6 +77,41 @@ class LoopLearner(Learner):
             finally:
                 self.restore(token)
         return pres, posts
+
+
+class LoopWorld(SimWorld, LoopLearner):
+    """A ``SimWorld`` with the one-step methods the reference loops need.
+
+    ``train_steps`` and ``probe`` stay ``SimWorld``'s own, so every check run
+    on a ``LoopWorld`` tests the product's code against the loops.  A step is
+    a window of one row; a measurement observes the world as ``probe`` does.
+    """
+
+    def snapshot(self):
+        return self.state_dict()
+
+    def restore(self, token):
+        self._loss = np.array(token["loss"])
+        self._rng.bit_generator.state = token["rng_state"]
+
+    def loss(self, batch):
+        arms = batch.arms
+        if arms.size == 0:
+            raise ValueError("batch must be nonempty")
+        if arms.min() < 0 or arms.max() >= self._loss.size:
+            raise ValueError("batch refers to arms outside this world")
+        return self._observe(self._loss[arms], self._jitter(arms, batch.examples))
+
+    def entropy(self, batch):
+        return ENTROPY_LOSS_RATIO * self.loss(batch)
+
+    def train_step(self, batch, learning_rate):
+        self.train_steps(batch, [learning_rate])
+
+
+def loop_world(world):
+    """A ``LoopWorld`` in ``world``'s state, with a generator of its own."""
+    return LoopWorld.from_state_dict(world.state_dict())
 
 
 class LinearLearner(LoopLearner):
@@ -76,45 +140,13 @@ class LinearLearner(LoopLearner):
 
     def train_step(self, batch, learning_rate):
         n = np.bincount(batch.arms, minlength=self.theta.size)
-        self.theta = self.theta - learning_rate * n / len(batch)
+        self.theta = self.theta - learning_rate * n / batch.arms.size
 
 
 def random_batch(num_arms, batch_size, rng, max_example=10_000):
     arms = rng.integers(0, num_arms, size=batch_size)
     examples = rng.integers(0, max_example, size=batch_size)
     return Batch(arms=arms.astype(np.int64), examples=examples.astype(np.int64))
-
-
-def check_loss_purity(learner, batch):
-    """loss() must be a pure read: repeated calls agree bit for bit."""
-    first = np.asarray(learner.loss(batch))
-    for _ in range(3):
-        again = np.asarray(learner.loss(batch))
-        assert np.array_equal(first, again)
-
-
-def check_snapshot_roundtrip(learner, batch, learning_rate=0.1):
-    """Mutate between snapshot and restore; probe losses must come back
-    bit-identical."""
-    before = np.asarray(learner.loss(batch))
-    token = learner.snapshot()
-    learner.train_step(batch, learning_rate)
-    learner.restore(token)
-    after = np.asarray(learner.loss(batch))
-    assert np.array_equal(before, after)
-
-
-def check_mutate_restore_cycles(learner, num_arms, rng, cycles=1000, batch_size=8):
-    """Many mutate/restore cycles must not drift permanent state at all."""
-    probe = random_batch(num_arms, batch_size, rng)
-    before = np.asarray(learner.loss(probe))
-    token = learner.snapshot()
-    for _ in range(cycles):
-        batch = random_batch(num_arms, batch_size, rng)
-        learner.train_step(batch, rng.uniform(0.01, 0.5))
-        learner.restore(token)
-    after = np.asarray(learner.loss(probe))
-    assert np.array_equal(before, after)
 
 
 def check_probe_matches_default(learner, examples, lr, entropy=False):
@@ -161,8 +193,19 @@ def check_train_steps_matches_default(learner, batch, learning_rates):
     assert np.array_equal(got_next, want_next)
 
 
-def check_full_contract(learner, num_arms, rng, cycles=1000):
-    batch = random_batch(num_arms, 8, rng)
-    check_loss_purity(learner, batch)
-    check_snapshot_roundtrip(learner, batch)
-    check_mutate_restore_cycles(learner, num_arms, rng, cycles=cycles)
+def check_call_is_pure(world, call, batch, learning_rates, raises=None):
+    """``call(world)`` leaves a ``SimWorld`` as it found it: ``state_dict()``,
+    generator state included, is equal before and after, and the next
+    ``train_steps`` gives the bits of a twin that never made the call.  With
+    ``raises`` set, the call must raise that error."""
+    before = world.state_dict()
+    twin = SimWorld.from_state_dict(before)
+    if raises is None:
+        call(world)
+    else:
+        with pytest.raises(raises):
+            call(world)
+    assert world.state_dict() == before
+    world.train_steps(batch, learning_rates)
+    twin.train_steps(batch, learning_rates)
+    assert world.state_dict() == twin.state_dict()

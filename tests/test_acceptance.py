@@ -17,20 +17,18 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from banditmix.config import ExperimentConfig
+from banditmix.config import ExperimentConfig, load_config
 from banditmix.mixture import BanditConfig, mixture_probs, sample_batch
 from banditmix.registry import builtin_registry
-from banditmix.rewards import delta_loss_reward, delta_entropy_reward, ema_update, lookahead_round
+from banditmix.rewards import ema_update, lookahead_round
 from banditmix.runner import run_experiment
-from banditmix.simworld import WorldParams, build_world
+from banditmix.simworld import build_world
 
-from learner_contract import (
-    check_loss_purity,
-    check_mutate_restore_cycles,
-    check_snapshot_roundtrip,
-    random_batch,
-)
+from learner_contract import check_call_is_pure, random_batch
 from test_mixture import boltzmann_probs
+from test_rewards import score_round
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # Frozen arbitrary-precision oracle values (epsilon = 1e-8 folded in).
 DELTA_LOSS_SINGLE = 0.4999999975000000125  # pre=(2,), post=(1,)
@@ -172,11 +170,12 @@ def test_criterion_02_sampling_fidelity():
 
 
 def test_criterion_03_reward_and_ema_exactness():
-    got = delta_loss_reward(np.array([2.0]), np.array([1.0]))
+    # Each oracle is one arm's probe result, scored by a whole reward round.
+    got = score_round([[2.0]], [[1.0]])[0]
     assert abs(got - DELTA_LOSS_SINGLE) <= 1e-12
-    got = delta_loss_reward(np.array([1.0, 2.0, 4.0]), np.array([0.5, 1.0, 4.0]))
+    got = score_round([[1.0, 2.0, 4.0]], [[0.5, 1.0, 4.0]])[0]
     assert abs(got - DELTA_LOSS_TRIPLE) <= 1e-12
-    got = delta_entropy_reward(np.array([0.5, 1.5]), np.array([0.5, 0.75]))
+    got = score_round([[0.5, 1.5]], [[0.5, 0.75]], "delta_entropy")[0]
     assert abs(got - DELTA_ENTROPY_PAIR) <= 1e-12
 
     import math
@@ -197,26 +196,39 @@ def test_criterion_03_reward_and_ema_exactness():
 
 
 def test_criterion_04_learner_contract():
-    params = WorldParams(base_loss=(4.0, 3.0, 2.0, 1.5), floor=0.5, noise_scale=0.3)
-    world = build_world(params, 4, np.random.default_rng(1), np.random.default_rng(2))
-    rng = np.random.default_rng(3)
-    batch = random_batch(4, 16, rng)
-    check_loss_purity(world, batch)
-    check_snapshot_roundtrip(world, batch)
-    check_mutate_restore_cycles(world, 4, rng, cycles=1000)
+    """A reward round is pure: on each shipped config's noisy world, for both
+    reward kinds, a round leaves ``state_dict()`` and the generator as they
+    were, and the next real steps give the bits of a world that never probed.
+    So does a probe call that raises."""
+    checks = 0
+    for name in ("deep_gap_world", "tulu_default", "volatile_world"):
+        cfg = load_config(CONFIGS / f"{name}.json")
+        resolved = cfg.resolve()
+        registry, bandit = resolved.registry, resolved.bandit
+        k, lr = registry.num_arms, resolved.schedule.base_rate
+        assert cfg.world.noise_scale > 0, name
+        world = build_world(cfg.world, k, np.random.default_rng(1), np.random.default_rng(2))
+        rng = np.random.default_rng(3)
+        batch = random_batch(k, 2 * bandit.batch_size, rng)
+        world.train_steps(batch, [lr, lr])
+        examples = rng.integers(0, 100, size=(k, bandit.batch_size))
+        for kind in ("delta_loss", "delta_entropy"):
+            entropy = kind == "delta_entropy"
 
-    registry = builtin_registry("tulu_v2")
-    world16 = build_world(
-        WorldParams(noise_scale=0.3), 16, np.random.default_rng(4), np.random.default_rng(5)
-    )
-    cfg = BanditConfig(num_arms=16, total_steps=0, batch_size=32)
-    probe = random_batch(16, 64, rng, max_example=100)
-    before = np.asarray(world16.loss(probe))
-    lookahead_round(world16, registry, np.zeros(16), cfg, 0.1, np.random.default_rng(6))
-    after = np.asarray(world16.loss(probe))
-    drift = float(np.max(np.abs(after - before)))
-    assert drift <= 1e-12
-    print(f"criterion 4: PASS (1000 cycles bit-stable, probe drift after round {drift:.1e})")
+            def reward_round(w, rate=lr):
+                q = np.zeros(k)
+                lookahead_round(w, registry, q, bandit, rate, np.random.default_rng(4), reward_kind=kind)
+
+            refused = [
+                lambda w: reward_round(w, float("nan")),
+                lambda w: w.probe(examples[:-1], lr, entropy=entropy),
+                lambda w: w.probe(examples.astype(np.float64), lr, entropy=entropy),
+            ]
+            check_call_is_pure(world, reward_round, batch, [lr, 0.5 * lr])
+            for call in refused:
+                check_call_is_pure(world, call, batch, [lr, 0.5 * lr], raises=ValueError)
+            checks += 1 + len(refused)
+    print(f"criterion 4: PASS ({checks} rounds and refused probes left every world bit-identical)")
 
 
 def test_criterion_05_instance_coverage_balance():

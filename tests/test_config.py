@@ -13,7 +13,6 @@ from banditmix.config import (
     ConfigError,
     ExperimentConfig,
     apply_param_overrides,
-    default_config,
     load_config,
     resolve_output_dir,
 )
@@ -22,6 +21,11 @@ from banditmix.mixture import BanditConfig
 from banditmix.policies import POLICY_VARIANTS
 from banditmix.registry import BUILTIN_REGISTRIES
 from banditmix.simworld import LrSchedule
+
+def config_dict(cfg):
+    """``cfg``'s fields as the plain JSON a config file holds."""
+    return json.loads(json.dumps(dataclasses.asdict(cfg), default=list))
+
 
 INLINE_REGISTRY = {"arms": {"a": 1000, "b": 3000}}
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -215,7 +219,7 @@ class TestPinnedHashes:
     @pytest.mark.parametrize("name", sorted(PINNED_HASHES))
     def test_dict_round_trip(self, name):
         cfg = pinned_config(name)
-        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert ExperimentConfig.from_dict(config_dict(cfg)) == cfg
 
 
 class TestConfigHash:
@@ -240,7 +244,7 @@ class TestConfigHash:
         assert a.config_hash() != b.config_hash()
 
     def test_hash_is_short_hex(self):
-        h = default_config().config_hash()
+        h = ExperimentConfig().config_hash()
         assert len(h) == 12
         int(h, 16)
 
@@ -352,7 +356,7 @@ class TestSharedResolution:
         assert registry_view(shared.registry) == registry_view(fresh.registry)
 
     def test_resolves_once_per_object_and_seed_copy(self, resolutions):
-        cfg = default_config()
+        cfg = ExperimentConfig()
         first = cfg.resolve()
         copies = [cfg.with_seed(seed) for seed in range(3)]
         results = [c.resolve() for c in [cfg, *copies, *copies]]
@@ -361,19 +365,19 @@ class TestSharedResolution:
         assert all(r.registry is first.registry and r.bandit is first.bandit for r in results)
 
     def test_other_copies_resolve_anew(self, resolutions):
-        cfg = default_config()
+        cfg = ExperimentConfig()
         cfg.resolve()
         copies = [
             apply_param_overrides(cfg, {"beta": 2.0}),
             dataclasses.replace(cfg, seed=3),
-            ExperimentConfig.from_dict(cfg.to_dict()),
+            ExperimentConfig.from_dict(config_dict(cfg)),
         ]
         for copy in copies:
             copy.resolve()
         assert resolutions == [cfg, *copies]
 
     def test_seed_copy_of_an_unresolved_config_resolves_itself(self, resolutions):
-        cfg = default_config()
+        cfg = ExperimentConfig()
         copy = cfg.with_seed(1)
         copy.resolve()
         cfg.resolve()
@@ -389,17 +393,17 @@ class TestSharedResolution:
         assert len(resolutions) == 6
 
     def test_eq_hash_and_repr_stay_field_only(self):
-        cfg, twin = default_config(), default_config()
+        cfg, twin = ExperimentConfig(), ExperimentConfig()
         before = repr(cfg)
         cfg.resolve()
         assert repr(cfg) == before == repr(twin)
         assert cfg == twin and hash(cfg) == hash(twin)
-        assert cfg.to_dict() == twin.to_dict()
+        assert config_dict(cfg) == config_dict(twin)
 
 
 class TestResolve:
     def test_default_total_steps_covers_two_epochs(self):
-        resolved = default_config().resolve()
+        resolved = ExperimentConfig().resolve()
         # ceil(2 * 329140 / 128)
         assert resolved.bandit.total_steps == 5143
         assert resolved.registry.num_arms == 16
@@ -460,7 +464,7 @@ class TestDictRoundTrip:
                 "seed": 7,
             }
         )
-        again = ExperimentConfig.from_dict(cfg.to_dict())
+        again = ExperimentConfig.from_dict(config_dict(cfg))
         assert again == cfg
 
 
@@ -501,20 +505,20 @@ class TestOverrides:
         assert set(SWEEPABLE) == {"beta", "gamma", "alpha", "update_interval"}
 
     def test_apply_override(self):
-        cfg = apply_param_overrides(default_config(), {"beta": 8.0, "alpha": 0.5})
+        cfg = apply_param_overrides(ExperimentConfig(), {"beta": 8.0, "alpha": 0.5})
         assert cfg.bandit.beta == 8.0
         assert cfg.bandit.alpha == 0.5
 
     def test_unknown_param_rejected(self):
         with pytest.raises(ConfigError, match="sweep"):
-            apply_param_overrides(default_config(), {"batch_size": 64})
+            apply_param_overrides(ExperimentConfig(), {"batch_size": 64})
 
     def test_empty_overrides_return_config_unchanged(self):
-        cfg = default_config()
+        cfg = ExperimentConfig()
         assert apply_param_overrides(cfg, {}) is cfg
 
     def test_override_numbers_stored_as_in_a_file(self):
-        cfg = apply_param_overrides(default_config(), {"beta": 8})
+        cfg = apply_param_overrides(ExperimentConfig(), {"beta": 8})
         assert cfg == ExperimentConfig.from_dict({"bandit": {"beta": 8}})
         assert type(cfg.bandit.beta) is float
 
@@ -532,8 +536,8 @@ class TestOutputDir:
 
     def test_env_beats_default(self, monkeypatch):
         monkeypatch.setenv(OUTPUT_DIR_ENV, "/env/dir")
-        assert resolve_output_dir(None, default_config()) == Path("/env/dir")
+        assert resolve_output_dir(None, ExperimentConfig()) == Path("/env/dir")
 
     def test_default_is_runs(self, monkeypatch):
         monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
-        assert resolve_output_dir(None, default_config()) == Path("runs")
+        assert resolve_output_dir(None, ExperimentConfig()) == Path("runs")

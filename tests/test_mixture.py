@@ -221,7 +221,7 @@ class TestSampling:
     def test_batch_examples_within_arm_counts(self, rng, small_registry):
         dist = MixtureDistribution(p=np.array([0.3, 0.3, 0.4]))
         batch = sample_batch(dist, small_registry, 500, rng)
-        assert len(batch) == 500
+        assert batch.arms.size == 500
         assert np.all((0 <= batch.examples) & (batch.examples < small_registry.counts[batch.arms]))
 
     def test_same_seed_same_batch(self, small_registry):
@@ -235,7 +235,7 @@ class TestSampling:
         p = np.array([0.1, 0.2, 0.7])
         dist = MixtureDistribution(p=p)
         batch = sample_batch(dist, small_registry, 20_000, rng)
-        freq = np.bincount(batch.arms, minlength=3) / len(batch)
+        freq = np.bincount(batch.arms, minlength=3) / batch.arms.size
         np.testing.assert_allclose(freq, p, atol=0.02)
 
     def test_draw_above_float_total_capped_at_last_arm(self):

@@ -1,8 +1,9 @@
 """End-to-end oracle for the closed-form reward round.
 
-Each run is repeated with ``SimWorld.probe`` replaced by the reference
-``LoopLearner.probe`` loop; both runs must produce equal records and an equal
-final world.
+Each run is repeated on a world whose ``probe`` is the reference
+``LoopLearner.probe`` loop: the runner's ``build_world`` is patched to hand
+the loop a ``LoopWorld`` in the state of the world it built.  Both runs must
+produce equal records and an equal final world.
 """
 
 import json
@@ -10,11 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from banditmix import runner
 from banditmix.config import ExperimentConfig
 from banditmix.runner import run_experiment
-from banditmix.simworld import SimWorld
 
-from learner_contract import LoopLearner
+from learner_contract import LoopLearner, LoopWorld
 from trace_oracles import run_records
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -30,6 +31,10 @@ ONE_ARM = {
     "world": {"noise_scale": 0.1},
     "registry": {"arms": {"only": 1000}},
 }
+
+
+class GenericProbeWorld(LoopWorld):
+    probe = LoopLearner.probe
 
 
 def world_config(world: str, reward_kind: str) -> ExperimentConfig:
@@ -52,7 +57,11 @@ def cases():
 @pytest.mark.parametrize("cfg, seed", cases())
 def test_closed_form_round_matches_generic_loop(cfg, seed, monkeypatch):
     closed = run_experiment(cfg, seed=seed)
-    monkeypatch.setattr(SimWorld, "probe", LoopLearner.probe)
+    build_world = runner.build_world
+    monkeypatch.setattr(
+        runner, "build_world", lambda *args: GenericProbeWorld.from_state_dict(build_world(*args).state_dict())
+    )
     generic = run_experiment(cfg, seed=seed)
+    assert type(generic.world) is GenericProbeWorld
     assert run_records(closed) == run_records(generic)
     assert closed.world.state_dict() == generic.world.state_dict()

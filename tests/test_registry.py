@@ -39,12 +39,6 @@ class TestArmRegistry:
         with pytest.raises(ValueError):
             ArmRegistry.from_counts({"x": 0})
 
-    def test_index_of(self):
-        reg = ArmRegistry.from_counts({"x": 1, "y": 2})
-        assert reg.index_of("y") == 1
-        with pytest.raises(KeyError):
-            reg.index_of("missing")
-
     def test_arrays_are_read_only(self):
         reg = ArmRegistry.from_counts({"x": 1, "y": 2})
         with pytest.raises(ValueError):
@@ -61,10 +55,10 @@ class TestBuiltinCollection:
 
     def test_known_counts(self):
         reg = make_tulu_registry()
-        assert reg.counts[reg.index_of("sharegpt")] == 114_000
-        assert reg.counts[reg.index_of("flan_v2")] == 50_000
-        assert reg.counts[reg.index_of("lima")] == 1_000
-        assert reg.counts[reg.index_of("hardcoded")] == 140
+        assert reg.counts[reg.names.index("sharegpt")] == 114_000
+        assert reg.counts[reg.names.index("flan_v2")] == 50_000
+        assert reg.counts[reg.names.index("lima")] == 1_000
+        assert reg.counts[reg.names.index("hardcoded")] == 140
 
     def test_science_bundle_split(self):
         # 7000 split evenly across six sub-tasks, remainder on the first
@@ -75,7 +69,7 @@ class TestBuiltinCollection:
 
     def test_largest_arm_prior_oracle(self):
         reg = make_tulu_registry()
-        got = reg.prior[reg.index_of("sharegpt")]
+        got = reg.prior[reg.names.index("sharegpt")]
         assert got == pytest.approx(SHAREGPT_PRIOR_ORACLE, abs=1e-15)
 
     def test_prior_matches_count_fractions(self):
@@ -87,7 +81,7 @@ class TestBuiltinCollection:
     def test_merged_variant(self):
         reg = make_tulu_registry(split_science=False)
         assert reg.num_arms == 11
-        assert reg.counts[reg.index_of("science")] == 7_000
+        assert reg.counts[reg.names.index("science")] == 7_000
         assert reg.total_count == 329_140
 
     def test_builtin_lookup(self):

@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 from banditmix.mixture import BanditConfig
 from banditmix.registry import ArmRegistry
-from banditmix.rewards import (
-    Learner,
-    delta_entropy_reward,
-    delta_loss_reward,
-    ema_update,
-    lookahead_round,
-)
+from banditmix.rewards import Learner, ema_update, lookahead_round
 
 from learner_contract import LinearLearner
 
@@ -25,35 +19,47 @@ DELTA_ENTROPY_SINGLE = 0.19999999800000002  # pre=(1,), post=(0.8,)
 DELTA_ENTROPY_PAIR = 0.2499999983333333444444  # pre=(0.5,1.5), post=(0.5,0.75)
 
 
+def relative_drop(pre, post, epsilon=1e-8):
+    """One arm's reward scored alone: the per-arm oracle of a round's scores."""
+    return float(((pre - post) / (pre + epsilon)).mean())
+
+
+def score_round(pre_rows, post_rows, reward_kind="delta_loss", epsilon=1e-8):
+    """The rewards ``lookahead_round`` gives a learner whose probe returns
+    ``(pre_rows, post_rows)``: one row per arm, each row one arm's batch."""
+    k, b = len(pre_rows), max(len(pre_rows[0]), 1)
+    registry, cfg = fixed_round(k, b, epsilon)
+    learner = FixedProbe(pre_rows, post_rows)
+    return lookahead_round(learner, registry, np.zeros(k), cfg, 0.1, np.random.default_rng(0), reward_kind)
+
+
 class TestRelativeDrop:
     def test_single_element_oracle(self):
-        got = delta_loss_reward(np.array([2.0]), np.array([1.0]))
-        assert got == pytest.approx(DELTA_LOSS_SINGLE, abs=1e-15)
+        got = score_round([[2.0]], [[1.0]])
+        assert got[0] == pytest.approx(DELTA_LOSS_SINGLE, abs=1e-15)
 
     def test_termwise_mean_oracle(self):
-        got = delta_loss_reward(np.array([1.0, 2.0, 4.0]), np.array([0.5, 1.0, 4.0]))
-        assert got == pytest.approx(DELTA_LOSS_TRIPLE, abs=1e-15)
+        got = score_round([[1.0, 2.0, 4.0]], [[0.5, 1.0, 4.0]])
+        assert got[0] == pytest.approx(DELTA_LOSS_TRIPLE, abs=1e-15)
 
     def test_entropy_variant_oracles(self):
-        got = delta_entropy_reward(np.array([1.0]), np.array([0.8]))
-        assert got == pytest.approx(DELTA_ENTROPY_SINGLE, abs=1e-15)
-        got = delta_entropy_reward(np.array([0.5, 1.5]), np.array([0.5, 0.75]))
-        assert got == pytest.approx(DELTA_ENTROPY_PAIR, abs=1e-15)
+        got = score_round([[1.0]], [[0.8]], "delta_entropy")
+        assert got[0] == pytest.approx(DELTA_ENTROPY_SINGLE, abs=1e-15)
+        got = score_round([[0.5, 1.5]], [[0.5, 0.75]], "delta_entropy")
+        assert got[0] == pytest.approx(DELTA_ENTROPY_PAIR, abs=1e-15)
 
     def test_no_change_scores_zero(self):
-        assert delta_loss_reward(np.array([3.0, 3.0]), np.array([3.0, 3.0])) == 0.0
+        assert score_round([[3.0, 3.0]], [[3.0, 3.0]]).tolist() == [0.0]
 
     def test_regression_scores_negative(self):
-        assert delta_loss_reward(np.array([1.0]), np.array([2.0])) < 0.0
+        assert score_round([[1.0]], [[2.0]])[0] < 0.0
 
     def test_zero_pre_is_safe(self):
         # epsilon keeps the denominator finite even at an exactly-zero loss
-        got = delta_loss_reward(np.array([0.0]), np.array([0.0]))
-        assert got == 0.0
+        assert score_round([[0.0]], [[0.0]]).tolist() == [0.0]
 
     def test_reward_below_one_for_nonnegative_post(self):
-        got = delta_loss_reward(np.array([5.0]), np.array([0.0]))
-        assert got < 1.0
+        assert score_round([[5.0]], [[0.0]])[0] < 1.0
 
     @pytest.mark.parametrize(
         "pre, post",
@@ -67,11 +73,12 @@ class TestRelativeDrop:
     )
     def test_bad_inputs_rejected(self, pre, post):
         with pytest.raises(ValueError):
-            delta_loss_reward(pre, post)
+            score_round([pre], [post])
 
     def test_epsilon_must_be_positive(self):
-        with pytest.raises(ValueError):
-            delta_loss_reward(np.array([1.0]), np.array([0.5]), epsilon=0.0)
+        # A round takes epsilon only from a BanditConfig, which refuses it.
+        with pytest.raises(ValueError, match="epsilon"):
+            score_round([[1.0]], [[0.5]], epsilon=0.0)
 
 
 @settings(deadline=None)
@@ -80,9 +87,7 @@ class TestRelativeDrop:
     st.floats(0.0, 100.0, allow_nan=False),
 )
 def test_reward_bounded_above_by_one(pre_values, post_value):
-    pre = np.array(pre_values)
-    post = np.full(pre.size, post_value)
-    assert delta_loss_reward(pre, post) < 1.0
+    assert score_round([pre_values], [[post_value] * len(pre_values)])[0] < 1.0
 
 
 class TestEmaUpdate:
@@ -197,7 +202,7 @@ class TestLookaheadRound:
         # the rewards are the relative drops of what probe measured on them
         pres, posts = learner.probe(learner.examples, 0.1)
         for k in range(2):
-            assert r1[k] == delta_loss_reward(pres[k], posts[k], cfg.epsilon)
+            assert r1[k] == relative_drop(pres[k], posts[k], cfg.epsilon)
 
     def test_entropy_kind_uses_entropy_channel(self, rng):
         learner, registry, q, cfg = self.make_fixture()
@@ -261,16 +266,8 @@ class FixedProbe(Learner):
         self.examples = examples
         return self.pres, self.posts
 
-    def snapshot(self):
-        return None
-
-    def restore(self, token):
-        pass
-
-    def loss(self, batch):
-        raise AssertionError("probe is overridden")
-
-    train_step = train_steps = loss
+    def train_steps(self, batch, learning_rates):
+        raise AssertionError("a reward round takes no real step")
 
 
 def fixed_round(k, b, epsilon=1e-8, alpha=0.9):
@@ -312,9 +309,8 @@ def test_one_pass_round_matches_per_arm_loop(k, b, epsilon, alpha, entropy, seed
     assert rewards.dtype == np.float64 and rewards.shape == (k,)
     # probe was handed one row of b examples per arm, in arm order
     assert learner.examples.shape == (k, b)
-    score = delta_entropy_reward if entropy else delta_loss_reward
     for arm in range(k):
-        reward = score(pre[arm], post[arm], epsilon)
+        reward = relative_drop(pre[arm], post[arm], epsilon)
         assert rewards[arm] == reward
         assert q[arm] == ema_update(float(q0[arm]), reward, alpha)
 

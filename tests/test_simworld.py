@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +13,15 @@ from banditmix.simworld import (
     build_world,
 )
 
-from learner_contract import LoopLearner, check_full_contract, check_probe_matches_default, random_batch
+from learner_contract import (
+    LoopLearner,
+    LoopWorld,
+    check_call_is_pure,
+    check_probe_matches_default,
+    check_train_steps_matches_default,
+    loop_world,
+    random_batch,
+)
 
 
 def make_world(
@@ -207,13 +213,13 @@ class TestBuildWorld:
 
     def test_diagonal_is_learnability(self):
         world = make_world(learnability=(0.9, 0.6, 0.3), transfer=0.2)
-        np.testing.assert_allclose(np.diag(world.transfer_matrix), [0.9, 0.6, 0.3])
+        np.testing.assert_allclose(np.diag(world.state_dict()["transfer"]), [0.9, 0.6, 0.3])
 
     def test_drawn_transfer_is_reproducible_and_column_scaled(self):
         a = make_world(transfer=None, learnability=(1.0, 0.5, 0.25), seed=3)
         b = make_world(transfer=None, learnability=(1.0, 0.5, 0.25), seed=3)
-        np.testing.assert_array_equal(a.transfer_matrix, b.transfer_matrix)
-        off = a.transfer_matrix.copy()
+        assert a.state_dict()["transfer"] == b.state_dict()["transfer"]
+        off = np.array(a.state_dict()["transfer"])
         np.fill_diagonal(off, 0.0)
         # each column's spillover stays below 0.3 of that arm's learnability
         for k, learn in enumerate((1.0, 0.5, 0.25)):
@@ -226,12 +232,56 @@ class TestBuildWorld:
         assert np.all(spread.loss_vector >= 0.5)
 
 
+def world_state(**changes):
+    """A 3-arm world's ``state_dict`` with some fields replaced."""
+    state = make_world(noise_scale=0.1).state_dict()
+    state.update(changes)
+    return state
+
+
+# Each names the field the constructor must name.  A floor shorter than the
+# losses used to pass, and a window that drew arm 1 left its loss unclipped.
+BAD_STATES = {
+    "short_floor": ("floor", world_state(floor=[0.5], transfer=np.eye(3).tolist())),
+    "long_floor": ("floor", world_state(floor=[0.5] * 4)),
+    "nan_loss": ("loss", world_state(loss=[3.0, float("nan"), 3.0])),
+    "inf_loss": ("loss", world_state(loss=[3.0, 3.0, float("inf")])),
+    "nan_floor": ("floor", world_state(floor=[0.5, float("nan"), 0.5])),
+    "two_d_loss": ("loss", world_state(loss=[[3.0, 3.0, 3.0]])),
+    "no_arms": ("loss", world_state(loss=[], floor=[], transfer=np.zeros((0, 0)).tolist())),
+    "nan_transfer": ("transfer", world_state(transfer=[[1.0, float("nan"), 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])),
+}
+
+
+class TestConstructor:
+    @pytest.mark.parametrize("bad", sorted(BAD_STATES))
+    def test_bad_state_rejected(self, bad):
+        field, state = BAD_STATES[bad]
+        rng = np.random.default_rng(0)
+        args = {name: state[name] for name in ("loss", "floor", "transfer", "noise_scale", "key")}
+        with pytest.raises(ValueError, match=field):
+            SimWorld(rng=rng, **args)
+
+    @pytest.mark.parametrize("bad", sorted(BAD_STATES))
+    def test_bad_state_rejected_by_from_state_dict(self, bad):
+        field, state = BAD_STATES[bad]
+        with pytest.raises(ValueError, match=field):
+            SimWorld.from_state_dict(state)
+
+    def test_state_is_copied(self):
+        loss, floor = np.array([3.0, 2.0]), np.array([0.5, 0.5])
+        world = SimWorld(loss, floor, np.eye(2), 0.0, np.random.default_rng(0), key=1)
+        loss[0] = floor[0] = 9.0
+        assert world.state_dict()["loss"] == [3.0, 2.0]
+        assert world.state_dict()["floor"] == [0.5, 0.5]
+
+
 class TestDynamics:
     def test_single_element_decay_is_exact(self):
         # one element from one arm: gap shrinks by exactly lr/B of itself
         world = make_world(num_arms=2, base_loss=3.0, floor=0.5, transfer=0.0)
         batch = single_arm_batch(0, 1)
-        world.train_step(batch, learning_rate=0.25)
+        world.train_steps(batch, [0.25])
         expected = 0.5 + (3.0 - 0.5) * (1.0 - 0.25 / 1)
         assert world.loss_vector[0] == pytest.approx(expected, abs=1e-15)
         assert world.loss_vector[1] == 3.0
@@ -239,20 +289,20 @@ class TestDynamics:
     def test_full_batch_decay_product_form(self):
         world = make_world(num_arms=2, transfer=0.0)
         batch = single_arm_batch(0, 8)
-        world.train_step(batch, learning_rate=0.5)
+        world.train_steps(batch, [0.5])
         expected_gap = (3.0 - 0.5) * (1.0 - 0.5 / 8) ** 8
         assert world.loss_vector[0] == pytest.approx(0.5 + expected_gap, rel=1e-12)
 
     def test_training_one_arm_leaves_others_alone_without_transfer(self):
         world = make_world(transfer=0.0)
-        world.train_step(single_arm_batch(1, 16), learning_rate=0.3)
+        world.train_steps(single_arm_batch(1, 16), [0.3])
         assert world.loss_vector[0] == 3.0
         assert world.loss_vector[2] == 3.0
         assert world.loss_vector[1] < 3.0
 
     def test_transfer_pulls_other_arms_down(self):
         world = make_world(learnability=1.0, transfer=0.4)
-        world.train_step(single_arm_batch(1, 16), learning_rate=0.3)
+        world.train_steps(single_arm_batch(1, 16), [0.3])
         assert world.loss_vector[0] < 3.0
         assert world.loss_vector[2] < 3.0
         # the trained arm improves most
@@ -261,13 +311,13 @@ class TestDynamics:
     def test_loss_never_crosses_floor(self):
         world = make_world(num_arms=1, base_loss=1.0, floor=0.9)
         for _ in range(200):
-            world.train_step(single_arm_batch(0, 4), learning_rate=1.0)
+            world.train_steps(single_arm_batch(0, 4), [1.0])
         assert world.loss_vector[0] >= 0.9
 
     def test_repeated_training_converges_to_floor(self):
         world = make_world(num_arms=1, base_loss=3.0, floor=0.5)
         for _ in range(400):
-            world.train_step(single_arm_batch(0, 8), learning_rate=0.5)
+            world.train_steps(single_arm_batch(0, 8), [0.5])
         assert world.loss_vector[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_mixed_batch_order_independent(self):
@@ -277,14 +327,14 @@ class TestDynamics:
         arms = np.array([0, 1, 2, 1, 0, 1], dtype=np.int64)
         examples = np.arange(6, dtype=np.int64)
         perm = np.array([3, 0, 5, 2, 4, 1])
-        a.train_step(Batch(arms=arms, examples=examples), 0.3)
-        b.train_step(Batch(arms=arms[perm], examples=examples[perm]), 0.3)
+        a.train_steps(Batch(arms=arms, examples=examples), [0.3])
+        b.train_steps(Batch(arms=arms[perm], examples=examples[perm]), [0.3])
         np.testing.assert_array_equal(a.loss_vector, b.loss_vector)
 
     def test_zero_rate_step_is_identity(self):
         world = make_world(noise_scale=0.5)
         state_before = world.state_dict()
-        world.train_step(single_arm_batch(0, 8), learning_rate=0.0)
+        world.train_steps(single_arm_batch(0, 8), [0.0])
         state_after = world.state_dict()
         assert state_before == state_after
 
@@ -292,94 +342,101 @@ class TestDynamics:
         quiet = make_world(noise_scale=0.0, seed=7)
         noisy = make_world(noise_scale=0.5, seed=7)
         batch = single_arm_batch(0, 8)
-        quiet.train_step(batch, 0.3)
-        noisy.train_step(batch, 0.3)
+        quiet.train_steps(batch, [0.3])
+        noisy.train_steps(batch, [0.3])
         assert not np.array_equal(quiet.loss_vector, noisy.loss_vector)
 
     def test_negative_learning_rate_rejected(self):
         world = make_world()
         with pytest.raises(ValueError):
-            world.train_step(single_arm_batch(0, 4), learning_rate=-0.1)
+            world.train_steps(single_arm_batch(0, 4), [-0.1])
 
     def test_foreign_arm_rejected(self):
         world = make_world(num_arms=2)
         with pytest.raises(ValueError):
-            world.train_step(single_arm_batch(5, 4), 0.1)
+            world.train_steps(single_arm_batch(5, 4), [0.1])
 
 
 class TestObservation:
+    """What a probe measures before its step: the state, jittered per example."""
+
     def test_noiseless_loss_is_the_state_vector(self):
         world = make_world(base_loss=(3.0, 2.0, 1.0), noise_scale=0.0)
-        batch = Batch(arms=np.array([0, 1, 2]), examples=np.array([10, 20, 30]))
-        np.testing.assert_array_equal(world.loss(batch), [3.0, 2.0, 1.0])
+        pres, _ = world.probe(np.array([[10], [20], [30]]), 0.1)
+        np.testing.assert_array_equal(pres, [[3.0], [2.0], [1.0]])
 
     def test_jitter_repeats_per_example(self):
         world = make_world(noise_scale=0.2)
-        batch = single_arm_batch(0, 16, seed=3)
-        np.testing.assert_array_equal(world.loss(batch), world.loss(batch))
+        examples = probe_examples(3, 16, seed=3)
+        np.testing.assert_array_equal(world.probe(examples, 0.1)[0], world.probe(examples, 0.2)[0])
 
     def test_jitter_varies_across_examples(self):
         world = make_world(noise_scale=0.2)
-        batch = Batch(
-            arms=np.zeros(64, dtype=np.int64), examples=np.arange(64, dtype=np.int64)
-        )
-        assert len(np.unique(world.loss(batch))) > 32
+        pres, _ = world.probe(np.tile(np.arange(64), (3, 1)), 0.1)
+        assert len(np.unique(pres[0])) > 32
 
     def test_jitter_bounded_by_amplitude(self):
         world = make_world(base_loss=3.0, noise_scale=0.25)
-        batch = Batch(
-            arms=np.zeros(512, dtype=np.int64), examples=np.arange(512, dtype=np.int64)
-        )
-        observed = world.loss(batch)
-        assert np.all(np.abs(observed - 3.0) <= 0.125)
+        pres, _ = world.probe(np.tile(np.arange(512), (3, 1)), 0.1)
+        assert np.all(np.abs(pres - 3.0) <= 0.125)
 
     def test_observed_loss_clipped_at_zero(self):
         world = make_world(num_arms=1, base_loss=0.01, floor=0.0, noise_scale=1.0)
-        batch = Batch(
-            arms=np.zeros(256, dtype=np.int64), examples=np.arange(256, dtype=np.int64)
-        )
-        assert np.all(world.loss(batch) >= 0.0)
+        pres, posts = world.probe(np.arange(256)[np.newaxis, :], 0.5)
+        assert np.all(pres >= 0.0) and np.all(posts >= 0.0)
 
     def test_observation_does_not_consume_generator(self):
         world = make_world(noise_scale=0.5)
         state_before = world.state_dict()["rng_state"]
-        world.loss(single_arm_batch(0, 32))
+        world.probe(probe_examples(3, 32), 0.3)
         assert world.state_dict()["rng_state"] == state_before
 
     def test_entropy_is_fixed_fraction_of_loss(self):
         world = make_world(noise_scale=0.3)
-        batch = single_arm_batch(1, 16, seed=9)
-        np.testing.assert_allclose(
-            world.entropy(batch), ENTROPY_LOSS_RATIO * world.loss(batch), atol=1e-15
-        )
+        examples = probe_examples(3, 16, seed=9)
+        losses = world.probe(examples, 0.2)
+        entropies = world.probe(examples, 0.2, entropy=True)
+        for loss, entropy in zip(losses, entropies):
+            np.testing.assert_array_equal(entropy, ENTROPY_LOSS_RATIO * loss)
 
     def test_empty_batch_rejected(self):
         world = make_world()
-        empty = Batch(arms=np.array([], dtype=np.int64), examples=np.array([], dtype=np.int64))
         with pytest.raises(ValueError):
-            world.loss(empty)
+            world.probe(np.zeros((3, 0), dtype=np.int64), 0.1)
 
 
 class TestLearnerContract:
+    """``SimWorld`` against the reference loops of ``LoopLearner``."""
+
+    def test_loop_world_runs_simworld_code(self):
+        assert LoopWorld.probe is SimWorld.probe
+        assert LoopWorld.train_steps is SimWorld.train_steps
+        assert type(loop_world(make_world())) is LoopWorld
+
+    @staticmethod
+    def check_contract(world, rng):
+        examples = probe_examples(4, 8)
+        batch = random_batch(4, 3 * 8, rng)
+        for entropy in (False, True):
+            check_probe_matches_default(world, examples, 0.2, entropy=entropy)
+        check_train_steps_matches_default(world, batch, [0.1, 0.0, 0.3])
+        for _ in range(100):
+            rate = rng.uniform(0.01, 0.5)
+            check_call_is_pure(world, lambda w: w.probe(examples, rate), batch, [rate] * 3)
+
     def test_full_contract_noiseless(self):
-        world = make_world(num_arms=4, base_loss=(4.0, 3.0, 2.0, 1.0))
-        check_full_contract(world, 4, np.random.default_rng(11), cycles=1000)
+        world = loop_world(make_world(num_arms=4, base_loss=(4.0, 3.0, 2.0, 1.0)))
+        self.check_contract(world, np.random.default_rng(11))
 
     def test_full_contract_noisy(self):
-        # the generator state is part of the snapshot, so even noisy worlds
-        # restore bit for bit
-        world = make_world(num_arms=4, noise_scale=0.5)
-        check_full_contract(world, 4, np.random.default_rng(13), cycles=1000)
-
-    def test_foreign_snapshot_rejected(self):
-        a = make_world(seed=1)
-        b = make_world(seed=2)
-        token = a.snapshot()
-        with pytest.raises(ValueError):
-            b.restore(token)
+        # probe rewinds the generator, so even noisy worlds stay bit for bit
+        world = loop_world(make_world(num_arms=4, noise_scale=0.5))
+        self.check_contract(world, np.random.default_rng(13))
 
     def test_snapshot_restores_generator_stream(self):
-        world = make_world(noise_scale=0.5)
+        # The reference's snapshot holds the generator state, so a rolled
+        # back step draws the same noise again.
+        world = loop_world(make_world(noise_scale=0.5))
         token = world.snapshot()
         batch = single_arm_batch(0, 8)
         world.train_step(batch, 0.3)
@@ -392,13 +449,14 @@ class TestLearnerContract:
 class TestStateDict:
     def test_round_trip(self):
         world = make_world(noise_scale=0.5, transfer=None, seed=21)
-        world.train_step(single_arm_batch(1, 8), 0.3)
+        world.train_steps(single_arm_batch(1, 8), [0.3])
         clone = SimWorld.from_state_dict(world.state_dict())
+        examples = probe_examples(3, 16, seed=2)
+        np.testing.assert_array_equal(world.probe(examples, 0.2), clone.probe(examples, 0.2))
         batch = random_batch(3, 16, np.random.default_rng(2))
-        np.testing.assert_array_equal(world.loss(batch), clone.loss(batch))
         # future noise draws agree too
-        world.train_step(batch, 0.2)
-        clone.train_step(batch, 0.2)
+        world.train_steps(batch, [0.2])
+        clone.train_steps(batch, [0.2])
         np.testing.assert_array_equal(world.loss_vector, clone.loss_vector)
 
     def test_state_dict_is_json_friendly(self):
@@ -407,7 +465,7 @@ class TestStateDict:
         world = make_world(noise_scale=0.5)
         text = json.dumps(world.state_dict())
         clone = SimWorld.from_state_dict(json.loads(text))
-        assert clone.num_arms == 3
+        assert clone.state_dict() == world.state_dict()
 
 
 EMPTY = Batch(arms=np.array([], dtype=np.int64), examples=np.array([], dtype=np.int64))
@@ -439,7 +497,9 @@ class TestBatchChecks:
     @pytest.mark.parametrize("bad", sorted(BAD_BATCHES))
     @pytest.mark.parametrize("call", ["loss", "entropy", "train_step"])
     def test_bad_batch_rejected(self, call, bad):
-        world = make_world(num_arms=3, noise_scale=0.2)
+        # loss and entropy are the reference loops' measurements: they must
+        # refuse what train_steps refuses, or the loops would index past it.
+        world = loop_world(make_world(num_arms=3, noise_scale=0.2))
         state_before = world.state_dict()
         args = (BAD_BATCHES[bad],) if call in ("loss", "entropy") else (BAD_BATCHES[bad], 0.1)
         with pytest.raises(ValueError):
@@ -478,7 +538,7 @@ def test_probe_hashes_the_jitter_once(monkeypatch):
 
     world = make_world(noise_scale=0.3)
     examples = probe_examples(3, 16)
-    expected = LoopLearner.probe(make_world(noise_scale=0.3), examples, 0.2)
+    expected = LoopLearner.probe(loop_world(make_world(noise_scale=0.3)), examples, 0.2)
     monkeypatch.setattr(simworld, "_jitter_uniform", counted)
     pres, posts = world.probe(examples, 0.2)
     assert len(calls) == 1
@@ -515,20 +575,17 @@ def test_probe_matches_generic_loop(k, width, lr, noise, transfer, entropy, seed
         transfer=transfer,
         noise_scale=noise,
     )
-    sim_rng = np.random.default_rng(seed + 1)
-    world = build_world(params, k, np.random.default_rng(seed), sim_rng)
+    world = loop_world(build_world(params, k, np.random.default_rng(seed), np.random.default_rng(seed + 1)))
     # Move off the initial state so gaps differ and the generator has advanced.
     for _ in range(2):
-        world.train_step(random_batch(k, 8, rng), 0.2)
-    loss_before = world.loss_vector
-    rng_before = sim_rng.bit_generator.state
+        world.train_steps(random_batch(k, 8, rng), [0.2])
+    state_before = world.state_dict()
     # Hypothesis favours round numbers; a drawn rate and width exercise
     # rounding as well.
     for rate, size in ((lr, width), (rng.uniform(0.0, 3.0), int(rng.integers(3, 65)))):
         examples = probe_examples(k, size, seed=seed)
         world.probe(examples, rate, entropy=entropy)
-        assert np.array_equal(world.loss_vector, loss_before)
-        assert sim_rng.bit_generator.state == rng_before
+        assert world.state_dict() == state_before
         check_probe_matches_default(world, examples, rate, entropy=entropy)
 
 

@@ -33,7 +33,7 @@ from banditmix.registry import ArmRegistry
 from banditmix.rewards import lookahead_round
 from banditmix.simworld import WorldParams, build_world
 
-from learner_contract import LinearLearner, LoopLearner, check_train_steps_matches_default, random_batch
+from learner_contract import LinearLearner, LoopLearner, check_train_steps_matches_default, loop_world, random_batch
 from test_simworld import rate_at
 from trace_oracles import TraceRecord, run_records
 
@@ -394,9 +394,9 @@ def reference_step(world, batch, lr):
     """
     if lr == 0.0:
         return
-    k = world.num_arms
+    k = world._loss.size
     n = np.bincount(batch.arms, minlength=k).astype(np.float64)
-    factors = np.maximum(1.0 - lr * world._transfer / len(batch), 0.0)
+    factors = np.maximum(1.0 - lr * world._transfer / batch.arms.size, 0.0)
     gap = (world._loss - world._floor) * (factors ** np.tile(n, (k, 1))).prod(axis=1)
     if world._noise_scale > 0:
         gap = gap + world._noise_scale * lr * world._rng.standard_normal(k)
@@ -409,15 +409,15 @@ def assert_update_matches_loop(k, noise, transfer, batch, rates, seed=0):
 
 def assert_worlds_match_loop(make, batch, rates):
     """``train_steps`` on a world from ``make`` against both loops."""
-    fast, ref, loop = make(), make(), make()
+    fast, ref, loop = make(), make(), loop_world(make())
     fast.train_steps(batch, rates)
-    width = len(batch) // len(rates)
+    width = batch.arms.size // len(rates)
     for t, lr in enumerate(rates):
         rows = slice(t * width, (t + 1) * width)
         reference_step(ref, Batch(arms=batch.arms[rows], examples=batch.examples[rows]), lr)
     LoopLearner.train_steps(loop, batch, rates)
     assert fast.state_dict() == ref.state_dict() == loop.state_dict()
-    check_train_steps_matches_default(make(), batch, rates)
+    check_train_steps_matches_default(loop_world(make()), batch, rates)
     return fast
 
 
@@ -543,7 +543,7 @@ def one_step_run(cfg):
         probabilities = tuple(dist.p.tolist())
         batch = sample_batch(dist, registry, bandit.batch_size, train_rng)
         counts += np.bincount(batch.arms, minlength=registry.num_arms)
-        world.train_step(batch, lr)
+        world.train_steps(batch, [lr])
         rewards = None
         if policy.adaptive and step % bandit.update_interval == 0:
             rewards = lookahead_round(
