@@ -16,7 +16,7 @@ from .mixture import (
     prior_scaled_probs,
     sample_batch,
 )
-from .policies import MixturePolicy, PolicyKind
+from .policies import PolicyKind
 from .registry import Arm, ArmRegistry, builtin_registry, make_tulu_registry
 from .rewards import Learner, ema_update, lookahead_round
 from .runner import RunResult, compare_experiments, run_experiment, sweep_experiments
@@ -41,7 +41,6 @@ __all__ = [
     "Learner",
     "LrSchedule",
     "MixtureDistribution",
-    "MixturePolicy",
     "PolicyKind",
     "RunResult",
     "RunSummary",

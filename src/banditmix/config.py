@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .mixture import BanditConfig
+from .mixture import BanditConfig, MixtureDistribution
 from .policies import PolicyKind
 from .registry import ArmRegistry, BUILTIN_REGISTRIES, builtin_registry
 from .simworld import LrSchedule, WorldParams
@@ -280,9 +280,11 @@ class ExperimentConfig:
             v = getattr(getattr(self, section), key)
             if isinstance(v, tuple) and len(v) != k:
                 raise ConfigError(f"{section}: {key} has {len(v)} entries but the registry has {k} arms")
-        # The run builds its world from these values; check them here so a
-        # config that validates also runs.
+        # The run builds its world and a static distribution from these
+        # values; check them here so a config that validates also runs.
         _build("world", self.world.per_arm, num_arms=k)
+        if self.policy.static_probs is not None:
+            _build("policy.static_probs", MixtureDistribution, p=self.policy.static_probs)
         return {
             "registry": registry,
             "bandit": bandit,

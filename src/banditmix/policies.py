@@ -1,9 +1,10 @@
 """Mixture policies: the adaptive scheduler and its static baselines.
 
-A policy maps the current per-arm estimates to a sampling distribution.
-Adaptive variants recompute the distribution after each reward round; static
-variants fix it once from the registry (or from user-given proportions) and
-never change it.
+A policy maps the per-arm estimates ``q``, which the caller holds, to a
+sampling distribution.  The run loop asks for it once at the start and again
+after each reward round; adaptive variants build it from ``q``, static
+variants from the registry (or from user-given proportions), the same every
+time.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .mixture import BanditConfig, MixtureDistribution, mixture_probs
 from .registry import ArmRegistry
 from .rewards import RewardKind
 
-__all__ = ["POLICY_VARIANTS", "PolicyKind", "MixturePolicy"]
+__all__ = ["POLICY_VARIANTS", "PolicyKind"]
 
 POLICY_VARIANTS = ("bandit", "bandit_no_prior", "proportional", "uniform", "static")
 
@@ -52,56 +53,24 @@ class PolicyKind:
     def adaptive(self) -> bool:
         return self.variant in ADAPTIVE_VARIANTS
 
+    def distribution(self, registry: ArmRegistry, cfg: BanditConfig, q: np.ndarray) -> MixtureDistribution:
+        """The sampling distribution at the estimates ``q``, a float64 ``(K,)`` vector.
 
-class MixturePolicy:
-    """Owns the estimates ``q``, a float64 ``(K,)`` vector, and the sampling distribution."""
-
-    def __init__(self, kind: PolicyKind, registry: ArmRegistry, cfg: BanditConfig) -> None:
-        if cfg.num_arms != registry.num_arms:
-            raise ValueError(
-                f"config expects {cfg.num_arms} arms but registry has {registry.num_arms}"
-            )
-        self.kind = kind
-        self.registry = registry
-        self.cfg = cfg
-        self.q = np.zeros(registry.num_arms)
-        if kind.variant == "bandit":
-            # Larger sources anchor more mass, scaled by instance counts.
-            self._anchor = registry.prior
-        elif kind.variant == "bandit_no_prior":
-            self._anchor = np.full(registry.num_arms, 1.0 / registry.num_arms)
-        else:
-            self._anchor = None
-        self._dist = self._compute()
-
-    def _compute(self) -> MixtureDistribution:
-        k = self.registry.num_arms
-        v = self.kind.variant
-        if v in ADAPTIVE_VARIANTS:
-            return mixture_probs(self.q, self._anchor, self.cfg)
-        if v == "proportional":
-            counts = self.registry.counts.astype(np.float64)
-            return MixtureDistribution(p=counts / counts.sum())
-        if v == "uniform":
-            return MixtureDistribution(p=np.full(k, 1.0 / k))
-        probs = np.asarray(self.kind.static_probs, dtype=np.float64)
-        if probs.size != k:
-            raise ValueError(f"static_probs has {probs.size} entries but registry has {k} arms")
-        return MixtureDistribution(p=probs)
-
-    @property
-    def adaptive(self) -> bool:
-        return self.kind.adaptive
-
-    def distribution(self) -> MixtureDistribution:
-        """The current sampling distribution (cached between updates)."""
-        return self._dist
-
-    def apply_reward_round(self) -> None:
-        """Recompute the cached distribution after a reward round.
-
-        The round's estimate updates already live in ``self.q``.  Static
-        variants ignore rewards entirely.
+        Adaptive variants build it from ``q`` by ``mixture_probs``, which
+        refuses a ``q`` or ``cfg`` of another arm count than the registry;
+        the others ignore ``q``.
         """
-        if self.adaptive:
-            self._dist = self._compute()
+        k = registry.num_arms
+        if self.variant == "bandit":
+            # Larger sources anchor more mass, scaled by instance counts.
+            return mixture_probs(q, registry.prior, cfg)
+        if self.variant == "bandit_no_prior":
+            return mixture_probs(q, np.full(k, 1.0 / k), cfg)
+        if self.variant == "proportional":
+            counts = registry.counts.astype(np.float64)
+            return MixtureDistribution(p=counts / counts.sum())
+        if self.variant == "uniform":
+            return MixtureDistribution(p=np.full(k, 1.0 / k))
+        if len(self.static_probs) != k:
+            raise ValueError(f"static_probs has {len(self.static_probs)} entries but registry has {k} arms")
+        return MixtureDistribution(p=self.static_probs)

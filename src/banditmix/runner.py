@@ -14,10 +14,12 @@ and trains on them in one ``train_steps`` call, which give the same numbers
 as one call per step.  A long interval is split into windows of at most
 ``WINDOW_DRAWS`` draws, so memory does not grow with the interval.
 
-The run keeps its history as columns: the cumulative draws per arm and the
-learning rate of every step, plus one ``Window`` per window with the rows
-that change only between windows.  The trace is written a window at a time,
-from its per-step draws and rates, and the summary uses the columns alone.
+The run keeps one history, its ``Window``s: per window, the distribution
+its steps sample from, the estimates before and after its reward round, and
+the round's rewards.  The loop holds the estimates ``q`` itself and keeps
+only a running total of the draws per arm.  The trace is written a window
+at a time, from its per-step draws and rates, and the summary comes from the
+final draws and the windows.
 
 Randomness is split into four independent streams derived from the run seed:
 training-batch sampling, reward-batch sampling, world initialization, and
@@ -40,8 +42,6 @@ from .config import (
     apply_param_overrides,
 )
 from .mixture import sample_batch
-from .policies import MixturePolicy
-from .registry import ArmRegistry
 from .rewards import lookahead_round
 from .simworld import SimWorld, build_world
 from .trace import (
@@ -78,18 +78,11 @@ WORLD_FILENAME = "world.json"
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    """A finished run, its history held as columns.
-
-    ``counts`` holds the cumulative draws per arm after each step, shape
-    ``(steps, K)``, and ``learning_rates`` each step's rate; both are
-    read-only.  ``windows`` holds the rows that change only between windows.
-    """
+    """A finished run; ``windows`` is its history, one ``Window`` per window."""
 
     resolved: ResolvedExperiment
     summary: RunSummary
     world: SimWorld
-    counts: np.ndarray
-    learning_rates: np.ndarray
     windows: tuple[Window, ...]
 
     @property
@@ -124,13 +117,8 @@ def run_experiment(
     span = min(interval, max(WINDOW_DRAWS // width, 1))
     train_rng, reward_rng, init_rng, sim_rng = _rng_streams(cfg.seed)
     world = build_world(cfg.world, k, init_rng, sim_rng)
-    policy = MixturePolicy(cfg.policy, registry, bandit)
-    # Every row of both is written by the window that holds its step.
-    counts = np.empty((steps, k), dtype=np.int64)
-    rates = np.empty(steps)
+    policy = cfg.policy
     windows: list[Window] = []
-    # (step index, probabilities) wherever the distribution changes.
-    changes: list[tuple[int, tuple[float, ...]]] = []
 
     writer = None
     if out_dir is not None:
@@ -149,8 +137,9 @@ def run_experiment(
     # The distribution and the estimates change only at a reward round, so
     # their rows are built once per change and shared by every window until
     # the next one.
-    dist = probabilities = None
-    q = tuple(policy.q.tolist())
+    q = np.zeros(k)
+    dist = policy.distribution(registry, bandit, q)
+    probabilities, q_row = tuple(dist.p.tolist()), tuple(q.tolist())
     drawn = np.zeros(k, dtype=np.int64)
     try:
         first = 1
@@ -160,51 +149,40 @@ def run_experiment(
             round_step = first + interval - 1 - (first - 1) % interval
             last = min(first + span - 1, round_step, steps)
             m = last - first + 1
-            current = policy.distribution()
-            if current is not dist:
-                dist = current
-                probabilities = tuple(dist.p.tolist())
-                changes.append((first - 1, probabilities))
             batch = sample_batch(dist, registry, width, train_rng, steps=m)
-            per_step = np.bincount(np.arange(m).repeat(width) * k + batch.arms, minlength=m * k).reshape(m, k)
-            block = counts[first - 1 : last]
-            np.cumsum(per_step, axis=0, out=block)
-            block += drawn
-            drawn = block[-1]
-            rates[first - 1 : last] = resolved.schedule.rates(first - 1, last)
-            window_rates = rates[first - 1 : last].tolist()
+            drawn += np.bincount(batch.arms, minlength=k)
+            rates = resolved.schedule.rates(first - 1, last)
+            window_rates = rates.tolist()
             world.train_steps(batch, window_rates)
-            q_after, rewards = q, None
+            window = Window(first, last, probabilities, q_row, q_row, None)
             if policy.adaptive and last == round_step:
-                round_rewards = lookahead_round(
+                rewards = lookahead_round(
                     world,
                     registry,
-                    policy.q,
+                    q,
                     bandit,
                     window_rates[-1],
                     reward_rng,
-                    reward_kind=cfg.policy.reward_kind,
+                    reward_kind=policy.reward_kind,
                 )
-                policy.apply_reward_round()
-                rewards = tuple(round_rewards.tolist())
-                q_after = tuple(policy.q.tolist())
-            window = Window(first, last, probabilities, q, q_after, rewards)
+                q_row = tuple(q.tolist())
+                window = window._replace(q_after=q_row, rewards=tuple(rewards.tolist()))
+                dist = policy.distribution(registry, bandit, q)
+                probabilities = tuple(dist.p.tolist())
             windows.append(window)
             if writer is not None:
-                writer.write(window, per_step, rates[first - 1 : last])
+                per_step = np.bincount(np.arange(m).repeat(width) * k + batch.arms, minlength=m * k)
+                writer.write(window, per_step.reshape(m, k), rates)
                 writer.flush()
-            q = q_after
             first = last + 1
     finally:
         if writer is not None:
             writer.__exit__(None, None, None)
 
-    counts.setflags(write=False)
-    rates.setflags(write=False)
     final_losses = tuple(world.loss_vector.tolist())
     summary = summarize(
         drawn,
-        changes,
+        windows,
         steps,
         registry,
         seed=cfg.seed,
@@ -219,8 +197,6 @@ def run_experiment(
         resolved=resolved,
         summary=summary,
         world=world,
-        counts=counts,
-        learning_rates=rates,
         windows=tuple(windows),
     )
 

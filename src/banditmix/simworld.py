@@ -209,6 +209,9 @@ class SimWorld(Learner):
             raise ValueError("transfer diagonal must dominate its column (self-learning first)")
         if not 0.0 <= noise_scale < math.inf:
             raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale}")
+        # The jitter hash takes the key as a uint64.
+        if isinstance(key, bool) or not isinstance(key, (int, np.integer)) or not 0 <= int(key) < 2**64:
+            raise ValueError(f"key must be an integer in [0, 2**64), got {key!r}")
         self._transfer = transfer
         self._noise_scale = float(noise_scale)
         self._rng = rng

@@ -307,7 +307,7 @@ def _not_json(e: json.JSONDecodeError) -> str:
 
 @dataclass(frozen=True)
 class RunSummary:
-    """End-of-run aggregates of a run's columns; see ``summarize``."""
+    """End-of-run aggregates of a run; see ``summarize``."""
 
     seed: int
     config_hash: str
@@ -329,7 +329,7 @@ class RunSummary:
 
 def summarize(
     final_counts: Sequence[int] | np.ndarray,
-    changes: list[tuple[int, tuple[float, ...]]],
+    windows: Sequence[Window],
     steps: int,
     registry: ArmRegistry,
     *,
@@ -337,7 +337,7 @@ def summarize(
     config_hash: str,
     final_losses: tuple[float, ...] | None = None,
 ) -> RunSummary:
-    """Aggregate a run's columns into a summary.
+    """Aggregate a run's final draws and its windows into a summary.
 
     ``coverage_ratio[k]`` is draws of arm ``k`` divided by its instance
     count: how many passes over that source the run amounted to.  The
@@ -345,21 +345,21 @@ def summarize(
     consecutive steps' distributions.
 
     ``final_counts`` are the cumulative draws per arm after the last step,
-    and ``changes`` the ``(index, probabilities)`` pairs at which the
-    distribution of a run of ``steps`` steps changes, the first at index 0.
-    The TV of each change is placed into a zero vector of ``steps - 1``
-    step-to-step distances and the mean taken over that vector: the same
-    numbers and the same reduction as over every consecutive pair of rows,
-    since equal rows are 0 apart.
+    and ``windows`` the windows that tile a run of ``steps`` steps; only
+    their ``first`` and ``probabilities`` are read.  The TV between each
+    window's distribution and the one before is placed into a zero vector
+    of ``steps - 1`` step-to-step distances and the mean taken over that
+    vector: the same numbers and the same reduction as over every
+    consecutive pair of steps, since steps of one window are 0 apart.
     """
     counts = np.asarray(final_counts, dtype=np.float64)
     coverage = counts / registry.counts.astype(np.float64)
     if steps >= 2:
         tv = np.zeros(steps - 1)
-        if len(changes) >= 2:
-            indices, rows = zip(*changes)
-            probs = np.asarray(rows, dtype=np.float64)
-            tv[np.asarray(indices[1:]) - 1] = 0.5 * np.sum(np.abs(np.diff(probs, axis=0)), axis=1)
+        if len(windows) >= 2:
+            probs = np.asarray([w.probabilities for w in windows], dtype=np.float64)
+            firsts = np.asarray([w.first for w in windows[1:]])
+            tv[firsts - 2] = 0.5 * np.sum(np.abs(np.diff(probs, axis=0)), axis=1)
         mean_tv = float(np.mean(tv))
     else:
         mean_tv = 0.0

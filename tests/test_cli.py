@@ -126,6 +126,25 @@ class TestValidate:
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not (tmp_path / "out").exists()
 
+    # A static distribution the run would refuse: validate must refuse it
+    # too, naming the key.
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            ([0.5, 0.6], "policy.static_probs: p must sum to 1, got 1.1"),
+            ([1.5, -0.5], "policy.static_probs: p entries must be nonnegative"),
+        ],
+        ids=["sum", "negative"],
+    )
+    def test_bad_static_probs_exit_2_in_validate_and_run(self, tmp_path, capsys, probs, message):
+        registry = {"arms": {"a": 500, "b": 1500}}
+        config = write_config(tmp_path, "bad.json", registry=registry, policy={"variant": "static", "static_probs": probs})
+        assert main(["validate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "out").exists()
+
 
 class TestRun:
     def test_negative_seed_flag_exits_2(self, config_path, tmp_path, capsys):

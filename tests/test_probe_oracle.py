@@ -13,10 +13,9 @@ import pytest
 
 from banditmix import runner
 from banditmix.config import ExperimentConfig
-from banditmix.runner import run_experiment
 
 from learner_contract import LoopLearner, LoopWorld
-from trace_oracles import run_records
+from trace_oracles import recorded_run, run_records
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 WORLDS = ("tulu_default", "deep_gap_world", "volatile_world")
@@ -56,12 +55,12 @@ def cases():
 
 @pytest.mark.parametrize("cfg, seed", cases())
 def test_closed_form_round_matches_generic_loop(cfg, seed, monkeypatch):
-    closed = run_experiment(cfg, seed=seed)
+    closed = recorded_run(cfg, seed=seed)
     build_world = runner.build_world
     monkeypatch.setattr(
         runner, "build_world", lambda *args: GenericProbeWorld.from_state_dict(build_world(*args).state_dict())
     )
-    generic = run_experiment(cfg, seed=seed)
-    assert type(generic.world) is GenericProbeWorld
+    generic = recorded_run(cfg, seed=seed)
+    assert type(generic.result.world) is GenericProbeWorld
     assert run_records(closed) == run_records(generic)
-    assert closed.world.state_dict() == generic.world.state_dict()
+    assert closed.result.world.state_dict() == generic.result.world.state_dict()

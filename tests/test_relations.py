@@ -12,9 +12,9 @@ import pytest
 
 from banditmix.config import RegistrySection
 from banditmix.policies import PolicyKind
-from banditmix.runner import run_experiment
 
 from test_runner import SHIPPED, shipped_config
+from trace_oracles import recorded_run
 
 
 def short_config(name, variant, **bandit):
@@ -23,27 +23,29 @@ def short_config(name, variant, **bandit):
     return shipped_config(name, variant, **bandit)
 
 
+def assert_same_training(a, b):
+    """The recorded runs ``a`` and ``b`` drew and trained alike and end in one world."""
+    assert np.array_equal(a.counts, b.counts)
+    assert np.array_equal(a.learning_rates, b.learning_rates)
+    assert a.result.world.state_dict() == b.result.world.state_dict()
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("name", SHIPPED)
 def test_bandit_at_gamma_one_is_uniform(name, seed):
     # At gamma = 1 the bandit's distribution is the uniform floor, whatever
     # its estimates.  Its rounds still run; if one drew from the training or
     # noise stream, or left the world moved, counts or world would differ.
-    bandit = run_experiment(short_config(name, "bandit", gamma=1.0), seed=seed)
-    uniform = run_experiment(short_config(name, "uniform"), seed=seed)
-    assert sum(w.rewards is not None for w in bandit.windows) >= 2
-    assert np.array_equal(bandit.counts, uniform.counts)
-    assert np.array_equal(bandit.learning_rates, uniform.learning_rates)
-    assert bandit.world.state_dict() == uniform.world.state_dict()
+    bandit = recorded_run(short_config(name, "bandit", gamma=1.0), seed=seed)
+    uniform = recorded_run(short_config(name, "uniform"), seed=seed)
+    assert sum(w.rewards is not None for w in bandit.result.windows) >= 2
+    assert_same_training(bandit, uniform)
 
 
 def assert_equals_static_run(cfg, seed, bandit):
-    """``bandit`` drew and trained as a static run at its first probabilities."""
-    static = dataclasses.replace(cfg, policy=PolicyKind("static", static_probs=bandit.windows[0].probabilities))
-    static = run_experiment(static, seed=seed)
-    assert np.array_equal(bandit.counts, static.counts)
-    assert np.array_equal(bandit.learning_rates, static.learning_rates)
-    assert bandit.world.state_dict() == static.world.state_dict()
+    """The recorded ``bandit`` drew and trained as a static run at its first probabilities."""
+    static = dataclasses.replace(cfg, policy=PolicyKind("static", static_probs=bandit.result.windows[0].probabilities))
+    assert_same_training(bandit, recorded_run(static, seed=seed))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -53,9 +55,9 @@ def test_zero_rate_freezes_the_run(name, seed):
     # reward is 0, the estimates stay 0 and the distribution never changes.
     cfg = short_config(name, "bandit")
     cfg = dataclasses.replace(cfg, schedule=dataclasses.replace(cfg.schedule, base_rate=0.0))
-    bandit = run_experiment(cfg, seed=seed)
-    assert sum(w.rewards is not None for w in bandit.windows) >= 2
-    assert all(w.q_after == (0.0,) * len(w.q_after) for w in bandit.windows)
+    bandit = recorded_run(cfg, seed=seed)
+    assert sum(w.rewards is not None for w in bandit.result.windows) >= 2
+    assert all(w.q_after == (0.0,) * len(w.q_after) for w in bandit.result.windows)
     assert not bandit.learning_rates.any()
     assert_equals_static_run(cfg, seed, bandit)
 
@@ -68,9 +70,9 @@ def test_one_final_round_changes_nothing(name, seed):
     cfg = short_config(name, "bandit")
     total = cfg.resolve().bandit.total_steps
     cfg = dataclasses.replace(cfg, bandit=dataclasses.replace(cfg.bandit, update_interval=total))
-    bandit = run_experiment(cfg, seed=seed)
-    assert [w.rewards is not None for w in bandit.windows][-1]
-    assert sum(w.rewards is not None for w in bandit.windows) == 1
+    bandit = recorded_run(cfg, seed=seed)
+    assert [w.rewards is not None for w in bandit.result.windows][-1]
+    assert sum(w.rewards is not None for w in bandit.result.windows) == 1
     assert_equals_static_run(cfg, seed, bandit)
 
 
@@ -85,13 +87,11 @@ def test_no_prior_is_the_bandit_on_equal_counts(name, seed):
         cfg = shipped_config(name, variant, **({"total_steps": 300} if name == "tulu_default" else {}))
         names = cfg.resolve().registry.names
         cfg = dataclasses.replace(cfg, registry=RegistrySection(arms=tuple((n, 4000) for n in names)))
-        runs.append(run_experiment(cfg, seed=seed))
-    bandit, no_prior = runs
+        runs.append(recorded_run(cfg, seed=seed))
+    assert_same_training(*runs)
+    bandit, no_prior = (run.result for run in runs)
     assert sum(w.rewards is not None for w in bandit.windows) >= 2
     assert len(set(bandit.windows[-1].probabilities)) > 1
-    assert np.array_equal(bandit.counts, no_prior.counts)
-    assert np.array_equal(bandit.learning_rates, no_prior.learning_rates)
     assert bandit.windows == no_prior.windows
-    assert bandit.world.state_dict() == no_prior.world.state_dict()
     assert bandit.summary.config_hash != no_prior.summary.config_hash
     assert dataclasses.replace(bandit.summary, config_hash=no_prior.summary.config_hash) == no_prior.summary

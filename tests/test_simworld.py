@@ -250,6 +250,13 @@ BAD_STATES = {
     "two_d_loss": ("loss", world_state(loss=[[3.0, 3.0, 3.0]])),
     "no_arms": ("loss", world_state(loss=[], floor=[], transfer=np.zeros((0, 0)).tolist())),
     "nan_transfer": ("transfer", world_state(transfer=[[1.0, float("nan"), 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])),
+    # The jitter hash takes the key as a uint64: these used to construct and
+    # fail at the first noisy probe, or, as a float, be cut to an integer.
+    "negative_key": ("key", world_state(key=-1)),
+    "huge_key": ("key", world_state(key=2**64)),
+    "float_key": ("key", world_state(key=1.7)),
+    "bool_key": ("key", world_state(key=True)),
+    "string_key": ("key", world_state(key="1")),
 }
 
 
@@ -267,6 +274,14 @@ class TestConstructor:
         field, state = BAD_STATES[bad]
         with pytest.raises(ValueError, match=field):
             SimWorld.from_state_dict(state)
+
+    @pytest.mark.parametrize("key", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(5)])
+    def test_integer_key_in_range_accepted(self, key):
+        world = SimWorld.from_state_dict(world_state(key=key))
+        assert world.state_dict()["key"] == int(key)
+        assert type(world.state_dict()["key"]) is int
+        examples = np.zeros((3, 2), dtype=np.int64)
+        world.probe(examples, 0.1)
 
     def test_state_is_copied(self):
         loss, floor = np.array([3.0, 2.0]), np.array([0.5, 0.5])

@@ -25,7 +25,7 @@ from banditmix.trace import (
 )
 
 from test_golden import CONFIGS, cases, golden_config
-from trace_oracles import TraceRecord, export_outcome, export_records, read_trace, run_records, summarize_records, window_records
+from trace_oracles import TraceRecord, export_outcome, export_records, read_trace, recorded_run, run_records, summarize_records, window_records
 
 NAMES = ("a", "b", "c")
 
@@ -127,19 +127,21 @@ class TestRoundTrip:
     @pytest.mark.parametrize("case", cases())
     def test_run_reads_back_as_its_windows_and_columns(self, case, tmp_path, capsys):
         """A run's trace reads back to the run's own windows, its draws sum to
-        the run's counts, its rates are the run's bit for bit, and every
-        export prints the run's records one at a time."""
+        the counts its loop trained on, its rates are those the loop handed
+        the world bit for bit, and every export prints the run's records one
+        at a time."""
         world, policy, seed = case.split("/")
-        result = run_experiment(golden_config(world, policy), seed=int(seed), out_dir=tmp_path)
+        run = recorded_run(golden_config(world, policy), seed=int(seed), out_dir=tmp_path)
+        result = run.result
         path = tmp_path / TRACE_FILENAME
         header, windows = iter_trace(path)
         windows = list(windows)
         assert tuple(w for w, _, _ in windows) == result.windows
         draws = np.concatenate([d for _, d, _ in windows])
-        assert np.array_equal(np.cumsum(draws, axis=0), result.counts)
+        assert np.array_equal(np.cumsum(draws, axis=0), run.counts)
         rates = np.array([r for _, _, block in windows for r in block])
-        assert rates.tobytes() == result.learning_rates.tobytes()
-        records = run_records(result)
+        assert rates.tobytes() == run.learning_rates.tobytes()
+        records = run_records(run)
         assert header["total_steps"] == len(records)
         assert read_trace(path)[1] == records
         for kind, field in EXPORT_FIELDS:
@@ -745,9 +747,9 @@ def dense_mean_tv(rows):
 )
 @example(k=16, steps=5143, change_odds=0.02, copy_odds=0.0, seed=0)
 def test_sparse_mean_tv_equals_dense(k, steps, change_odds, copy_odds, seed):
-    """The TV taken at change points equals the TV over every step pair, bit
+    """The TV taken at window starts equals the TV over every step pair, bit
     for bit, for runs of shared rows, rows equal in value but not the same
-    object, and change points that change nothing."""
+    object, and windows that change nothing."""
     rng = np.random.default_rng(seed)
     registry = ArmRegistry.from_counts({f"a{i}": 100 + i for i in range(k)})
     rows, changes = [], []
@@ -768,11 +770,11 @@ def test_sparse_mean_tv_equals_dense(k, steps, change_odds, copy_odds, seed):
     ]
     expected = dense_mean_tv(rows)
     by_records = summarize_records(records, registry, seed=0, config_hash="x")
-    by_columns = summarize(
-        (steps - 1,) * k, changes, steps, registry, seed=0, config_hash="x"
-    )
+    ends = [i for i, _ in changes[1:]] + [steps]
+    windows = [Window(i + 1, end, row, (0.0,) * k, (0.0,) * k, None) for (i, row), end in zip(changes, ends)]
+    by_windows = summarize((steps - 1,) * k, windows, steps, registry, seed=0, config_hash="x")
     assert by_records.mean_step_tv.hex() == expected.hex()
-    assert by_columns == by_records
+    assert by_windows == by_records
 
 
 class TestExport:

@@ -28,14 +28,13 @@ from banditmix.mixture import (
     _pcg64_window,
     sample_batch,
 )
-from banditmix.policies import MixturePolicy
 from banditmix.registry import ArmRegistry
 from banditmix.rewards import lookahead_round
 from banditmix.simworld import WorldParams, build_world
 
 from learner_contract import LinearLearner, LoopLearner, check_train_steps_matches_default, loop_world, random_batch
 from test_simworld import rate_at
-from trace_oracles import TraceRecord, run_records
+from trace_oracles import TraceRecord, recorded_run, run_records
 
 
 def registry(*counts):
@@ -534,26 +533,22 @@ def one_step_run(cfg):
     registry, bandit = resolved.registry, resolved.bandit
     train_rng, reward_rng, init_rng, sim_rng = runner._rng_streams(cfg.seed)
     world = build_world(cfg.world, registry.num_arms, init_rng, sim_rng)
-    policy = MixturePolicy(cfg.policy, registry, bandit)
+    policy, q = cfg.policy, np.zeros(registry.num_arms)
+    dist = policy.distribution(registry, bandit, q)
     counts = np.zeros(registry.num_arms, dtype=np.int64)
     records = []
     for step in range(1, bandit.total_steps + 1):
         lr = rate_at(resolved.schedule, step - 1)
-        dist = policy.distribution()
         probabilities = tuple(dist.p.tolist())
         batch = sample_batch(dist, registry, bandit.batch_size, train_rng)
         counts += np.bincount(batch.arms, minlength=registry.num_arms)
         world.train_steps(batch, [lr])
         rewards = None
         if policy.adaptive and step % bandit.update_interval == 0:
-            rewards = lookahead_round(
-                world, registry, policy.q, bandit, lr, reward_rng, cfg.policy.reward_kind
-            )
+            rewards = lookahead_round(world, registry, q, bandit, lr, reward_rng, policy.reward_kind)
             rewards = tuple(rewards.tolist())
-            policy.apply_reward_round()
-        records.append(
-            TraceRecord(step, probabilities, tuple(policy.q.tolist()), lr, tuple(counts.tolist()), rewards)
-        )
+            dist = policy.distribution(registry, bandit, q)
+        records.append(TraceRecord(step, probabilities, tuple(q.tolist()), lr, tuple(counts.tolist()), rewards))
     return records, world.state_dict()
 
 
@@ -579,17 +574,17 @@ def test_run_matches_one_step_loop(bandit, policy):
         }
     )
     records, world = one_step_run(cfg)
-    result = runner.run_experiment(cfg)
-    assert run_records(result) == records
-    assert result.world.state_dict() == world
+    run = recorded_run(cfg)
+    assert run_records(run) == records
+    assert run.result.world.state_dict() == world
 
 
 def test_default_tulu_run_matches_one_step_loop():
     cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "tulu_default.json")
     records, world = one_step_run(cfg)
-    result = runner.run_experiment(cfg)
-    assert run_records(result) == records
-    assert result.world.state_dict() == world
+    run = recorded_run(cfg)
+    assert run_records(run) == records
+    assert run.result.world.state_dict() == world
 
 
 @pytest.fixture
@@ -615,10 +610,10 @@ def test_long_interval_splits_into_capped_windows(monkeypatch, window_sizes):
     )
     records, world = one_step_run(cfg)
     monkeypatch.setattr(runner, "WINDOW_DRAWS", 24)
-    result = runner.run_experiment(cfg)
+    run = recorded_run(cfg)
     assert window_sizes == [3, 3, 3, 1, 3, 3, 3, 1, 3]
-    assert run_records(result) == records
-    assert result.world.state_dict() == world
+    assert run_records(run) == records
+    assert run.result.world.state_dict() == world
 
 
 def test_one_draw_per_window(window_sizes):

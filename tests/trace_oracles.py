@@ -1,23 +1,30 @@
-"""Per-step references, for the tests of the run's columns, the writer and the reader.
+"""Per-step references, for the tests of the run loop, the writer and the reader.
 
-A run keeps its history as columns and ``Window``s; ``TraceRecord`` is one
-step of it, ``run_records`` gives the one record per step a run's windows
-and columns stand for, and ``summarize_records`` the summary of a list of
-records, through the columns' ``summarize``.  ``window_records`` gives the
-records of what ``iter_trace`` yields, and ``read_trace`` reads a whole
-trace into a list of them.  ``window_lines`` gives the lines the writer
-must write for a run, each built as a dict for ``json.dumps``, with each
-step's draws taken from the cumulative counts.  ``export_records`` renders
-records as CSV one record at a time, the reference for
-``export_plot_data``, and ``export_outcome`` gives what ``banditmix
-export`` must do with a trace.
+A run keeps its history as ``Window``s; ``TraceRecord`` is one step of it.
+``recorded_run`` runs ``run_experiment`` and records what its loop hands
+``SimWorld.train_steps``: the columns of each step's cumulative draws per arm
+and learning rate, which the run itself does not keep.  ``run_records`` gives
+the one record per step a recorded run's windows and columns stand for, and
+``summarize_records`` the summary of a list of records, each a one-step
+window for ``summarize``.  ``window_records`` gives the records of what
+``iter_trace`` yields, and ``read_trace`` reads a whole trace into a list of
+them.  ``window_lines`` gives the lines the writer must write for a recorded
+run, each built as a dict for ``json.dumps``, with each step's draws taken
+from the cumulative counts.  ``export_records`` renders records as CSV one
+record at a time, the reference for ``export_plot_data``, and
+``export_outcome`` gives what ``banditmix export`` must do with a trace.
 """
 
 import json
+import sys
 from operator import add
 from typing import NamedTuple
 
-from banditmix.trace import EXPORT_KINDS, iter_trace, summarize
+import numpy as np
+
+from banditmix.runner import RunResult, run_experiment
+from banditmix.simworld import SimWorld
+from banditmix.trace import EXPORT_KINDS, Window, iter_trace, summarize
 
 
 class TraceRecord(NamedTuple):
@@ -37,15 +44,55 @@ class TraceRecord(NamedTuple):
     rewards: tuple[float, ...] | None = None
 
 
-def run_records(result):
-    """One record per step of ``result``, from its windows and columns.
+class RecordedRun(NamedTuple):
+    """A run and the columns of what its loop handed ``SimWorld.train_steps``.
+
+    ``counts`` is the ``(steps, K)`` int64 array of the cumulative draws per
+    arm after each step, and ``learning_rates`` the ``(steps,)`` float64
+    array of each step's rate.
+    """
+
+    result: RunResult
+    counts: np.ndarray
+    learning_rates: np.ndarray
+
+
+def recorded_run(cfg, **kwargs):
+    """``run_experiment(cfg, **kwargs)`` as a ``RecordedRun``.
+
+    ``SimWorld.train_steps`` is wrapped for the call, so a world of any
+    subclass hands over its batches and rates; only the calls the loop
+    itself makes are recorded, not the steps a learner's probe may take.
+    """
+    arms, rates = [], []
+    train_steps, loop = SimWorld.train_steps, run_experiment.__code__
+
+    def recording(world, batch, learning_rates):
+        if sys._getframe(1).f_code is loop:
+            arms.append(batch.arms.reshape(len(learning_rates), -1))
+            rates.extend(learning_rates)
+        return train_steps(world, batch, learning_rates)
+
+    SimWorld.train_steps = recording
+    try:
+        result = run_experiment(cfg, **kwargs)
+    finally:
+        SimWorld.train_steps = train_steps
+    k = result.resolved.registry.num_arms
+    per_step = [np.bincount(row, minlength=k) for block in arms for row in block]
+    counts = np.cumsum(np.array(per_step, dtype=np.int64).reshape(-1, k), axis=0)
+    return RecordedRun(result, counts, np.array(rates, dtype=np.float64))
+
+
+def run_records(run):
+    """One record per step of the ``RecordedRun`` ``run``, from its windows and columns.
 
     Every step of a window shares the window's row tuples, so the records
     carry rows over as the trace reader does.
     """
-    counts, rates = result.counts.tolist(), result.learning_rates.tolist()
+    counts, rates = run.counts.tolist(), run.learning_rates.tolist()
     records = []
-    for first, last, probabilities, q, q_after, rewards in result.windows:
+    for first, last, probabilities, q, q_after, rewards in run.result.windows:
         records += [
             TraceRecord(step, probabilities, q, rates[step - 1], tuple(counts[step - 1]))
             for step in range(first, last)
@@ -76,17 +123,13 @@ def read_trace(path):
 
 def summarize_records(records, registry, *, seed, config_hash, final_losses=None):
     """``summarize`` of a list of records: the last record's counts, and one
-    change per run of equal ``probabilities`` rows."""
+    window per record."""
     if not records:
         raise ValueError("cannot summarize an empty trace")
-    changes = []
-    for i, r in enumerate(records):
-        row = r.probabilities
-        if not changes or (row is not changes[-1][1] and row != changes[-1][1]):
-            changes.append((i, row))
+    windows = [Window(i, i, r.probabilities, r.q, r.q, r.rewards) for i, r in enumerate(records, 1)]
     return summarize(
         records[-1].cumulative_counts,
-        changes,
+        windows,
         len(records),
         registry,
         seed=seed,
@@ -95,8 +138,8 @@ def summarize_records(records, registry, *, seed, config_hash, final_losses=None
     )
 
 
-def window_lines(result):
-    """The lines of ``result``'s trace after the header, without their newlines.
+def window_lines(run):
+    """The lines of the ``RecordedRun`` ``run``'s trace after the header, without their newlines.
 
     A line holds ``probabilities`` where it is not the same object as the
     window before's, ``q`` on the first line and where it is not the window
@@ -104,9 +147,9 @@ def window_lines(result):
     where a round ran, and each step's draws: its cumulative counts less
     the step before's.
     """
-    counts, rates = result.counts.tolist(), result.learning_rates.tolist()
+    counts, rates = run.counts.tolist(), run.learning_rates.tolist()
     lines, before = [], None
-    for w in result.windows:
+    for w in run.result.windows:
         obj = {"first": w.first, "last": w.last}
         if before is None or w.probabilities is not before.probabilities:
             obj["probabilities"] = w.probabilities
