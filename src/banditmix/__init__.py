@@ -17,7 +17,7 @@ from .mixture import (
     sample_batch,
 )
 from .policies import PolicyKind
-from .registry import Arm, ArmRegistry, builtin_registry, make_tulu_registry
+from .registry import ArmRegistry, builtin_registry, make_tulu_registry
 from .rewards import Learner, ema_update, lookahead_round
 from .runner import RunResult, compare_experiments, run_experiment, sweep_experiments
 from .simworld import LrSchedule, SimWorld, WorldParams, build_world
@@ -32,7 +32,6 @@ from .trace import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arm",
     "ArmRegistry",
     "BanditConfig",
     "Batch",

@@ -56,7 +56,10 @@ def _mismatch(path: str, what: str, value: object) -> ConfigError:
 def _number(v: object, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise _mismatch(path, "a number", v)
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # an integer past the float range
+        raise _mismatch(path, "a number in the float range", v) from None
 
 
 def _integer(v: object, path: str) -> int:

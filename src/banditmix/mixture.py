@@ -74,12 +74,8 @@ class MixtureDistribution:
     p: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.p, dtype=np.float64)
+        p = finite_vector("p", self.p)
         object.__setattr__(self, "p", p)
-        if p.ndim != 1 or p.size < 1:
-            raise ValueError("p must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("p entries must be finite")
         if np.any(p < -1e-12):
             raise ValueError("p entries must be nonnegative")
         total = float(np.sum(p))
@@ -141,11 +137,12 @@ class Batch:
         object.__setattr__(self, "examples", examples)
 
 
-def _check_finite_vector(name: str, v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
+def finite_vector(name: str, v: np.ndarray) -> np.ndarray:
+    """A float64 copy of ``v``, once it is a nonempty 1-d vector of finite entries."""
+    v = np.array(v, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
-        raise ValueError(f"{name} must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be a nonempty 1-d vector, got shape {v.shape}")
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} entries must be finite")
     return v
 
@@ -157,8 +154,8 @@ def prior_scaled_probs(q: np.ndarray, prior: np.ndarray, beta: float) -> np.ndar
     taken over positive-prior arms only, so the normalizer cannot underflow
     to zero.
     """
-    q = _check_finite_vector("q", q)
-    prior = _check_finite_vector("prior", prior)
+    q = finite_vector("q", q)
+    prior = finite_vector("prior", prior)
     if prior.shape != q.shape:
         raise ValueError(f"q and prior must have equal length, got {q.size} and {prior.size}")
     if np.any(prior < 0):

@@ -12,53 +12,51 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Arm", "ArmRegistry", "make_tulu_registry", "builtin_registry", "BUILTIN_REGISTRIES"]
-
-
-@dataclass(frozen=True)
-class Arm:
-    """A single data source: a unique name and its instance count."""
-
-    name: str
-    count: int
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("arm name must be nonempty")
-        if self.count < 1:
-            raise ValueError(f"arm {self.name!r}: count must be >= 1, got {self.count}")
+__all__ = ["ArmRegistry", "make_tulu_registry", "builtin_registry", "BUILTIN_REGISTRIES"]
 
 
 @dataclass(frozen=True)
 class ArmRegistry:
-    """An ordered, immutable collection of arms with a prior over them."""
+    """Arms in a fixed order: their unique names, instance counts and a prior.
 
-    arms: tuple[Arm, ...]
-    prior: np.ndarray
+    ``counts`` becomes a read-only int64 array and ``prior`` a read-only
+    float64 array; a prior of None is the counts normalized by their total,
+    so larger sources start with proportionally more mass.
+    """
+
+    names: tuple[str, ...]
+    counts: np.ndarray
+    prior: np.ndarray | None
 
     def __post_init__(self) -> None:
-        if not self.arms:
+        names, counts = tuple(self.names), [int(c) for c in self.counts]
+        if not names:
             raise ValueError("registry must contain at least one arm")
-        names = [a.name for a in self.arms]
+        for name, count in zip(names, counts, strict=True):
+            if not (isinstance(name, str) and name):
+                raise ValueError(f"arm name must be nonempty and a string, got {name!r}")
+            # The registry holds its counts as int64.
+            if not 1 <= count < 2**63:
+                raise ValueError(f"arm {name!r}: count must be >= 1 and below 2**63, got {count}")
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValueError(f"duplicate arm names: {dupes}")
-        prior = np.asarray(self.prior, dtype=np.float64)
-        if prior.shape != (len(self.arms),):
-            raise ValueError(
-                f"prior has shape {prior.shape}, expected ({len(self.arms)},)"
-            )
+        prior = np.array(counts if self.prior is None else self.prior, dtype=np.float64)
+        if self.prior is None:
+            prior /= prior.sum()
+        if prior.shape != (len(names),):
+            raise ValueError(f"prior has shape {prior.shape}, expected ({len(names)},)")
         if not np.all(np.isfinite(prior)) or np.any(prior < 0):
             raise ValueError("prior entries must be finite and nonnegative")
         total = float(np.sum(prior))
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"prior must sum to 1, got {total!r}")
-        prior = prior.copy()
-        prior.setflags(write=False)
-        object.__setattr__(self, "prior", prior)
-        counts = np.array([a.count for a in self.arms], dtype=np.int64)
+        counts = np.array(counts, dtype=np.int64)
         counts.setflags(write=False)
-        object.__setattr__(self, "_counts", counts)
+        prior.setflags(write=False)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "prior", prior)
 
     @classmethod
     def from_counts(
@@ -66,34 +64,18 @@ class ArmRegistry:
         named_counts: dict[str, int] | list[tuple[str, int]],
         prior: np.ndarray | list[float] | None = None,
     ) -> "ArmRegistry":
-        """Build a registry from ``name -> count`` pairs in the given order.
-
-        Without an explicit prior, the prior is counts normalized by their
-        total, so larger sources start with proportionally more mass.
-        """
+        """Build a registry from ``name -> count`` pairs in the given order."""
         items = list(named_counts.items()) if isinstance(named_counts, dict) else list(named_counts)
-        arms = tuple(Arm(name=n, count=int(c)) for n, c in items)
-        if prior is None:
-            counts = np.array([a.count for a in arms], dtype=np.float64)
-            prior = counts / counts.sum()
-        return cls(arms=arms, prior=np.asarray(prior, dtype=np.float64))
+        return cls(tuple(n for n, _ in items), [c for _, c in items], prior)
 
     @property
     def num_arms(self) -> int:
-        return len(self.arms)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.arms)
-
-    @property
-    def counts(self) -> np.ndarray:
-        """Per-arm instance counts as a read-only int64 array."""
-        return self._counts  # type: ignore[attr-defined]
+        return len(self.names)
 
     @property
     def total_count(self) -> int:
-        return int(self._counts.sum())  # type: ignore[attr-defined]
+        """The exact sum of the counts, as a Python int."""
+        return sum(self.counts.tolist())
 
 
 # Instruction-tuning mixture used as the default workload.  The science bundle

@@ -66,14 +66,12 @@ class Learner(ABC):
         """
 
 
-def _shape_error(what: str) -> ValueError:
-    return ValueError(f"pre/post {what} must be equal-length nonempty 1-d arrays")
+def _shape_error(what: str, shape: tuple[int, int]) -> ValueError:
+    return ValueError(f"pre/post {what} must be equal-length nonempty 1-d arrays, one per row of the {shape} examples")
 
 
 def _relative_drop(pre: np.ndarray, post: np.ndarray, epsilon: float, what: str) -> np.ndarray:
     """Per-arm mean of ``(pre - post) / (pre + epsilon)`` over a ``(K, B)`` round."""
-    if pre.shape != post.shape or pre.ndim != 2 or pre.size < 1:
-        raise _shape_error(what)
     if not (np.isfinite(pre).all() and np.isfinite(post).all()):
         raise ValueError(f"{what} values must be finite")
     if (pre < 0).any():
@@ -136,9 +134,9 @@ def lookahead_round(
         pre = np.asarray(pres, dtype=np.float64)
         post = np.asarray(posts, dtype=np.float64)
     except ValueError:
-        raise _shape_error(what) from None
+        raise _shape_error(what, examples.shape) from None
+    if pre.shape != examples.shape or post.shape != examples.shape:
+        raise _shape_error(what, examples.shape)
     rewards = _relative_drop(pre, post, cfg.epsilon, what)
-    if pre.shape != examples.shape:
-        raise ValueError(f"probe returned shape {pre.shape} for examples of shape {examples.shape}")
     q[:] = ema_update(q, rewards, cfg.alpha)
     return rewards

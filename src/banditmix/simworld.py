@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mixture import Batch
+from .mixture import Batch, finite_vector
 from .rewards import Learner
 
 __all__ = ["LrSchedule", "WorldParams", "SimWorld", "build_world"]
@@ -159,23 +159,9 @@ class WorldParams:
 
 def _broadcast(name: str, value: tuple[float, ...] | float, k: int) -> np.ndarray:
     arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = np.full(k, float(arr))
-    if arr.shape != (k,):
+    if arr.shape not in ((), (k,)):
         raise ValueError(f"{name} must be a scalar or have {k} entries, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} entries must be finite")
-    return arr
-
-
-def _state_vector(name: str, value: np.ndarray) -> np.ndarray:
-    """A private float64 copy of a finite 1-d per-arm vector with at least one entry."""
-    arr = np.array(value, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError(f"{name} must be a 1-d vector with one entry per arm, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} entries must be finite")
-    return arr
+    return finite_vector(name, np.broadcast_to(arr, (k,)))
 
 
 class SimWorld(Learner):
@@ -190,8 +176,8 @@ class SimWorld(Learner):
         rng: np.random.Generator,
         key: int,
     ) -> None:
-        self._loss = _state_vector("loss", loss)
-        self._floor = _state_vector("floor", floor)
+        self._loss = finite_vector("loss", loss)
+        self._floor = finite_vector("floor", floor)
         k = self._loss.size
         if self._floor.shape != (k,):
             raise ValueError(f"floor must have {k} entries, as loss has, got shape {self._floor.shape}")

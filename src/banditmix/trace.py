@@ -71,7 +71,8 @@ class TraceWriter:
     ``probabilities`` when it is the same object as the window before's,
     ``q`` when it is the window before's ``q_after`` (the first line holds
     it), ``q_after`` when it is ``q`` (no round changed it) and ``rewards``
-    when no round ran.
+    when no round ran.  The reader's checks, less its scan of the draws,
+    check the header and each line, so ``iter_trace`` reads what is written.
     """
 
     def __init__(
@@ -79,18 +80,18 @@ class TraceWriter:
     ):
         self.path = Path(path)
         self.arm_names = tuple(arm_names)
-        self.total_steps = int(total_steps)
+        self.total_steps = total_steps
         self._fh: io.TextIOBase | None = None
-        self._last_step = 0
-        self._probabilities = self._q = None  # the last window's probabilities and q_after
+        self._previous: Window | None = None
         self._header = {
             "schema_version": SCHEMA_VERSION,
             "kind": TRACE_KIND,
             "arm_names": list(self.arm_names),
-            "seed": int(seed),
+            "seed": seed,
             "config_hash": config_hash,
-            "total_steps": self.total_steps,
+            "total_steps": total_steps,
         }
+        _check_header(self._header, "")
 
     def __enter__(self) -> "TraceWriter":
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -110,39 +111,31 @@ class TraceWriter:
         if self._fh is None:
             raise ValueError("writer is not open")
         first, last, probabilities, q, q_after, rewards = window
-        if last < first:
-            raise ValueError(f"window ends at step {last}, before its first step {first}")
-        # The windows tile the run's steps, so no step may be missing.
-        if first != self._last_step + 1 or last > self.total_steps:
-            raise ValueError(
-                f"steps must be strictly increasing, one at a time, to {self.total_steps}; "
-                f"got {first} to {last} after {self._last_step}"
-            )
+        previous = self._previous
+        _check_steps(first, last)
+        _check_tiling(first, last, previous.last if previous else 0, self.total_steps, "")
+        # ``json.dumps`` writes a non-finite float as ``NaN`` or ``Infinity``.
+        obj = {"first": first, "last": last}
+        if previous is None or probabilities is not previous.probabilities:
+            obj["probabilities"] = probabilities
+        if previous is None or q is not previous.q_after:
+            obj["q"] = q
+        if q_after is not q:
+            obj["q_after"] = q_after
+        if rewards is not None:
+            obj["rewards"] = rewards
         m, k = last - first + 1, len(self.arm_names)
-        for name, row in zip(Window._fields[2:], window[2:]):
-            # Only rewards may be None: the reader needs every other row.
-            if (row is None and name != "rewards") or (row is not None and len(row) != k):
-                raise ValueError(f"window {name} must have {k} entries")
+        _check_rows(obj, previous, k)
         draws = np.asarray(draws)
         if draws.dtype.kind not in "iu" or draws.shape != (m, k):
             raise ValueError(f"draw counts must be ({m}, {k}) integers, got {draws.dtype} {draws.shape}")
         rates = np.asarray(rates)
         if rates.dtype.kind != "f" or rates.shape != (m,):
             raise ValueError(f"rates must be {m} floats, got {rates.dtype} {rates.shape}")
-        # ``json.dumps`` writes a non-finite float as ``NaN`` or ``Infinity``.
-        obj = {"first": first, "last": last}
-        if probabilities is not self._probabilities:
-            obj["probabilities"] = probabilities
-        if q is not self._q or first == 1:
-            obj["q"] = q
-        if q_after is not q:
-            obj["q_after"] = q_after
-        if rewards is not None:
-            obj["rewards"] = rewards
         obj["learning_rate"] = rates.tolist()
         obj["draws"] = draws.tolist()
         self._fh.write(json.dumps(obj) + "\n")
-        self._last_step, self._probabilities, self._q = last, probabilities, q_after
+        self._previous = window
 
     def flush(self) -> None:
         """Push the lines written so far to the file."""
@@ -204,13 +197,21 @@ def _read_header(line: str, path: str | Path) -> tuple[dict, int]:
     version = header.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema version {version!r}")
+    _check_header(header, f"{path}:1: bad header: ")
+    return header, header["total_steps"]
+
+
+def _check_header(header: dict, where: str) -> None:
+    """Check the fields a run gives the header; ``where`` prefixes the message."""
     names = header.get("arm_names")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise ValueError(f"{path}:1: bad header: arm_names must be a list of strings")
-    total = header.get("total_steps")
-    if type(total) is not int or total < 0:
-        raise ValueError(f"{path}:1: bad header: total_steps must be a nonnegative integer, got {total!r}")
-    return header, total
+        raise ValueError(f"{where}arm_names must be a list of strings")
+    for key in ("total_steps", "seed"):
+        value = header.get(key)
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{where}{key} must be a nonnegative integer, got {value!r}")
+    if not isinstance(header.get("config_hash"), str):
+        raise ValueError(f"{where}config_hash must be a string, got {header.get('config_hash')!r}")
 
 
 def _windows(fh: io.TextIOBase, path: str | Path, total: int, arms: int) -> Iterator[tuple]:
@@ -232,10 +233,7 @@ def _windows(fh: io.TextIOBase, path: str | Path, total: int, arms: int) -> Iter
                 # OverflowError: an integer rate too large for a float;
                 # RecursionError: a line nested too deep to parse.
                 raise ValueError(f"{path}:{lineno}: bad record: {e}") from None
-            if window.first != last + 1 or window.last > total:
-                raise ValueError(
-                    f"{path}:{lineno}: steps {window.first} to {window.last} after step {last} of a {total}-step trace"
-                )
+            _check_tiling(window.first, window.last, last, total, f"{path}:{lineno}: ")
             last = window.last
             yield window, draws, rates
         if last < total:
@@ -243,34 +241,11 @@ def _windows(fh: io.TextIOBase, path: str | Path, total: int, arms: int) -> Iter
 
 
 def _read_window(obj: dict, previous: Window | None, arms: int) -> tuple[Window, list, list]:
-    """The window of a parsed trace line, with its draws and rates.
-
-    A row the line leaves out is ``previous``'s tuple (``q_after`` is then
-    ``q``); each row it holds must have ``arms`` entries, and its blocks
-    one entry per step.
-    """
+    """The window of a parsed trace line, with its draws and rates: one entry per step each."""
     first, last = obj["first"], obj["last"]
-    # JSON gives exact types: a float or boolean step is no step, a row not a
-    # list would be read element by element, and true, "z" or null is no number.
-    for key, step in (("first", first), ("last", last)):
-        if type(step) is not int:
-            raise ValueError(f"{key} must be an integer, got {step!r}")
-    if last < first:
-        raise ValueError(f"window ends at step {last}, before its first step {first}")
-    if previous is None:
-        probabilities, q = obj["probabilities"], obj["q"]
-    else:
-        probabilities, q = obj.get("probabilities", previous.probabilities), obj.get("q", previous.q_after)
-    rewards, rates, draws = obj.get("rewards"), obj["learning_rate"], obj["draws"]
-    if previous is None or probabilities is not previous.probabilities:
-        probabilities = _check_row("probabilities", probabilities, _NUMBERS, arms)
-    if previous is None or q is not previous.q_after:
-        q = _check_row("q", q, _NUMBERS, arms)
-    q_after = _check_row("q_after", obj["q_after"], _NUMBERS, arms) if "q_after" in obj else q
-    if rewards is not None:
-        if type(rewards) is not list:
-            raise ValueError(f"rewards must be a list or null, got {rewards!r}")
-        rewards = _check_row("rewards", rewards, _NUMBERS, arms)
+    _check_steps(first, last)
+    rates, draws = obj["learning_rate"], obj["draws"]
+    probabilities, q, q_after, rewards = _check_rows(obj, previous, arms)
     m = last - first + 1
     rates = list(map(float, _check_row("learning_rate", rates, _NUMBERS, m)))
     if type(draws) is not list:
@@ -289,9 +264,48 @@ def _read_window(obj: dict, previous: Window | None, arms: int) -> tuple[Window,
     return Window(first, last, probabilities, q, q_after, rewards), draws, rates
 
 
-def _check_row(key: str, row: list, kinds: frozenset, n: int) -> tuple:
-    """``row`` as a tuple, once it is a list of ``n`` entries of ``kinds``."""
-    if type(row) is not list:
+def _check_steps(first: int, last: int) -> None:
+    """Check that a window's steps are integers, ``last`` not before ``first``."""
+    # JSON gives exact types: a float or boolean step is no step, a row not a
+    # list would be read element by element, and true, "z" or null is no number.
+    for key, step in (("first", first), ("last", last)):
+        if type(step) is not int:
+            raise ValueError(f"{key} must be an integer, got {step!r}")
+    if last < first:
+        raise ValueError(f"window ends at step {last}, before its first step {first}")
+
+
+def _check_tiling(first: int, last: int, after: int, total: int, where: str) -> None:
+    """Check that steps ``first`` to ``last`` go on from step ``after``, none missing, to ``total``."""
+    if first != after + 1 or last > total:
+        raise ValueError(f"{where}steps {first} to {last} after step {after} of a {total}-step trace")
+
+
+def _check_rows(obj: dict, previous: Window | None, arms: int) -> tuple:
+    """A line's ``probabilities``, ``q``, ``q_after`` and ``rewards``, of ``arms`` entries each.
+
+    A row the line leaves out is ``previous``'s (``q_after`` is then ``q``), not checked again.
+    """
+    if previous is None:
+        probabilities, q = obj["probabilities"], obj["q"]
+    else:
+        probabilities, q = obj.get("probabilities", previous.probabilities), obj.get("q", previous.q_after)
+    if previous is None or probabilities is not previous.probabilities:
+        probabilities = _check_row("probabilities", probabilities, _NUMBERS, arms)
+    if previous is None or q is not previous.q_after:
+        q = _check_row("q", q, _NUMBERS, arms)
+    q_after = _check_row("q_after", obj["q_after"], _NUMBERS, arms) if "q_after" in obj else q
+    rewards = obj.get("rewards")
+    if rewards is not None:
+        if type(rewards) not in (list, tuple):
+            raise ValueError(f"rewards must be a list or null, got {rewards!r}")
+        rewards = _check_row("rewards", rewards, _NUMBERS, arms)
+    return probabilities, q, q_after, rewards
+
+
+def _check_row(key: str, row: list | tuple, kinds: frozenset, n: int) -> tuple:
+    """``row`` as a tuple, once it is a list or tuple of ``n`` entries of ``kinds``."""
+    if type(row) not in (list, tuple):
         raise ValueError(f"{key} must be a list, got {row!r}")
     if not kinds.issuperset(map(type, row)):
         noun = "integers" if kinds is _INTS else "numbers"

@@ -75,12 +75,25 @@ class TestValidate:
             ({"bandit": {"batch_size": None}}, "bandit.batch_size"),
             ({"bandit": {"epsilon": float("nan")}}, "bandit: epsilon"),
             ({"world": {"noise_scale": float("inf")}}, "world: noise_scale"),
+            # Numbers no float or int64 holds; each once exited 3.
+            ({"bandit": {"beta": 10**400}}, "bandit.beta: expected a number in the float range"),
+            ({"world": {"base_loss": [10**400, 3.0, 3.0]}}, "world.base_loss: expected a number in the float range"),
+            ({"registry": {"arms": {"a": 10**22}}}, "registry: arm 'a': count must be >= 1 and below 2**63"),
         ],
     )
     def test_null_or_non_finite_value_exits_2(self, tmp_path, capsys, overrides, path):
         config = write_config(tmp_path, "bad.json", **overrides)
         assert main(["validate", "--config", str(config)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {path}")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}")
+
+    def test_counts_past_int64_sum_exactly(self, tmp_path, capsys):
+        # The int64 total of these counts wraps to -2**63.
+        registry = {"arms": {"a": 2**62, "b": 2**62}}
+        config = write_config(tmp_path, "big.json", registry=registry, bandit={"total_steps": None})
+        assert main(["validate", "--config", str(config)]) == 0
+        assert capsys.readouterr().out.startswith(f"ok: 2 arms, {2 * 2**63 // 8} steps")
 
 
     @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,22 @@ class TestArmRegistry:
     def test_nonpositive_counts_rejected(self):
         with pytest.raises(ValueError):
             ArmRegistry.from_counts({"x": 0})
+
+    @pytest.mark.parametrize("count", [2**63, 10**22])
+    def test_counts_past_int64_rejected(self, count):
+        with pytest.raises(ValueError, match=rf"^arm 'x': count must be >= 1 and below 2\*\*63, got {count}$"):
+            ArmRegistry.from_counts({"a": 1, "x": count})
+
+    def test_largest_counts_total_exactly(self):
+        reg = ArmRegistry.from_counts({"a": 2**63 - 1, "b": 2**62, "c": 2**62})
+        assert reg.counts.tolist() == [2**63 - 1, 2**62, 2**62]
+        assert reg.total_count == 2**64 - 1
+
+    @pytest.mark.parametrize("name", [1, None, b"x"])
+    def test_name_must_be_a_string(self, name):
+        # A run writes the names into its trace, whose reader takes only strings.
+        with pytest.raises(ValueError, match=f"^arm name must be nonempty and a string, got {re.escape(repr(name))}$"):
+            ArmRegistry.from_counts({name: 10})
 
     def test_arrays_are_read_only(self):
         reg = ArmRegistry.from_counts({"x": 1, "y": 2})

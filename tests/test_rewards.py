@@ -334,10 +334,10 @@ BAD_PROBES = {
     "empty_rows": ([np.array([]), np.array([])], [np.array([]), np.array([])], "equal-length"),
     "nan": (GOOD, [np.array([1.0, np.nan]), np.array([2.0, 3.0])], "finite"),
     "negative_pre": ([np.array([2.0, -1.0]), GOOD[1]], GOOD, "nonnegative"),
-    "one_result_short": (GOOD[:1], GOOD[:1], r"shape \(1, 2\) for examples of shape \(2, 2\)"),
-    "one_result_long": (GOOD * 2, GOOD * 2, r"shape \(4, 2\) for examples of shape \(2, 2\)"),
+    "one_result_short": (GOOD[:1], GOOD[:1], r"equal-length .* the \(2, 2\) examples"),
+    "one_result_long": (GOOD * 2, GOOD * 2, r"equal-length .* the \(2, 2\) examples"),
     # one result per arm, each of the wrong length
-    "wrong_width": ([np.ones(3)] * 2, [np.ones(3)] * 2, r"shape \(2, 3\) for examples of shape \(2, 2\)"),
+    "wrong_width": ([np.ones(3)] * 2, [np.ones(3)] * 2, r"equal-length .* the \(2, 2\) examples"),
 }
 
 

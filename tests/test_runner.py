@@ -450,6 +450,7 @@ class TestSweep:
             ("update_interval", 2.5, "an integer"),
             ("beta", "hot", "a number"),
             ("gamma", None, "a number"),
+            ("beta", 10**400, "a number in the float range"),
         ],
     )
     def test_ill_typed_point_skipped_like_a_config_file(self, key, value, expected):

@@ -162,15 +162,15 @@ class TestTraceWriter:
 
     def test_steps_must_strictly_increase(self, tmp_path):
         # The windows tile steps 1 to total_steps, one after another, and the
-        # reader rejects a gap; so does the writer.
+        # reader rejects a gap; so does the writer, with the reader's message.
         path = tmp_path / "t.jsonl"
         with TraceWriter(path, NAMES, seed=1, config_hash="abc", total_steps=5) as writer:
             for first, last in ((2, 4), (0, 4)):
-                with pytest.raises(ValueError, match=rf"strictly increasing, one at a time, to 5; got {first} to 4 after 0$"):
+                with pytest.raises(ValueError, match=rf"^steps {first} to 4 after step 0 of a 5-step trace$"):
                     writer.write(*window_of(first, last))
             writer.write(*window_of(1, 3))
             for first, last in ((2, 5), (3, 5), (5, 5), (4, 6)):
-                with pytest.raises(ValueError, match=rf"strictly increasing, one at a time, to 5; got {first} to {last} after 3$"):
+                with pytest.raises(ValueError, match=rf"^steps {first} to {last} after step 3 of a 5-step trace$"):
                     writer.write(*window_of(first, last))
             writer.write(*window_of(4, 5))
         assert [(w.first, w.last) for w, _, _ in iter_trace(path)[1]] == [(1, 3), (4, 5)]
@@ -185,8 +185,8 @@ class TestTraceWriter:
         with TraceWriter(tmp_path / "t.jsonl", NAMES, seed=1, config_hash="abc", total_steps=2) as writer:
             window, counts, rates = window_of(1, 2)
             for field in ("probabilities", "q", "q_after"):
-                for row in ((0.5, 0.5), None):
-                    with pytest.raises(ValueError, match=f"window {field} must have 3 entries"):
+                for row, message in (((0.5, 0.5), "must have 3 entries, got (0.5, 0.5)"), (None, "must be a list, got None")):
+                    with pytest.raises(ValueError, match=re.escape(f"{field} {message}")):
                         writer.write(window._replace(**{field: row}), counts, rates)
 
     def test_rewards_arity_checked(self, tmp_path):
@@ -219,6 +219,36 @@ class TestTraceWriter:
             with pytest.raises(ValueError, match=message):
                 writer.write(window, counts, rates)
         assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+
+    # What the writer once wrote and the reader refused.
+    HEADER_DRIFT = {
+        "arm_names": {"arm_names": (1, 2, 3)},
+        "total_steps": {"total_steps": -1},
+        "total_steps float": {"total_steps": 1.9},
+        "seed": {"seed": 0.7},
+    }
+    WINDOW_DRIFT = {
+        "float first": {"first": 1.0},
+        "boolean first": {"first": True},
+        "strings": {"q": ("a", "b", "c")},
+        "nested": {"q": ((0.0,), 0.0, 0.0)},
+    }
+
+    @pytest.mark.parametrize("case", sorted(HEADER_DRIFT))
+    def test_header_the_reader_refuses_is_refused(self, tmp_path, case):
+        args = {"arm_names": NAMES, "seed": 1, "config_hash": "abc", "total_steps": 2, **self.HEADER_DRIFT[case]}
+        with pytest.raises(ValueError, match=f"^{case.split()[0]} must be"):
+            TraceWriter(tmp_path / "t.jsonl", **args)
+        assert not (tmp_path / "t.jsonl").exists()
+
+    @pytest.mark.parametrize("case", sorted(WINDOW_DRIFT))
+    def test_window_the_reader_refuses_is_refused(self, tmp_path, case):
+        path = tmp_path / "t.jsonl"
+        with TraceWriter(path, NAMES, seed=1, config_hash="abc", total_steps=1) as writer:
+            window, counts, rates = window_of(1, 1)
+            with pytest.raises(ValueError, match="^first must be an integer|^q must hold only numbers"):
+                writer.write(window._replace(**self.WINDOW_DRIFT[case]), counts, rates)
+        assert path.read_text(encoding="utf-8").count("\n") == 1
 
     def test_write_requires_open(self, tmp_path):
         writer = TraceWriter(tmp_path / "t.jsonl", NAMES, seed=1, config_hash="abc", total_steps=1)
@@ -272,20 +302,105 @@ class TestTraceWriter:
         assert len(path.read_text(encoding="utf-8").splitlines()) == 3
 
     def test_rejected_window_leaves_no_line(self, tmp_path):
-        # A row json cannot encode fails the whole window, whichever of its
-        # fields the row belongs to; no part of its line reaches the file.
+        # A row of an entry the reader refuses fails the whole window,
+        # whichever of its fields the row belongs to; no part of its line
+        # reaches the file.
         path = tmp_path / "t.jsonl"
         with TraceWriter(path, NAMES, seed=1, config_hash="abc", total_steps=4) as writer:
             writer.write(*window_of(1, 1))
             window, counts, rates = window_of(2, 4, rewards=(0.1, 0.2, 0.3))
             window = window._replace(q_after=(0.5, 0.5, 0.5))
             for field in ("probabilities", "q", "q_after", "rewards"):
-                with pytest.raises(TypeError):
+                with pytest.raises(ValueError, match=f"^{field} must hold only numbers"):
                     writer.write(window._replace(**{field: (0.0, np.float32(1.0), 0.0)}), counts, rates)
                 writer.flush()
             writer.write(window, counts, rates)
         lines = path.read_text(encoding="utf-8").splitlines()[1:]
         assert [(json.loads(line)["first"], json.loads(line)["last"]) for line in lines] == [(1, 1), (2, 4)]
+
+
+# Values a caller may hand the writer in place of a step or header number,
+# and entries it may put in a row: what the reader takes and what it refuses.
+ODD_NUMBERS = st.sampled_from([-1, 0, 2, 0.7, 1.0, 1.9, True, False])
+NUMBERS = st.one_of(st.floats(), st.integers(-2, 2), st.sampled_from([2**64, -(10**400)]))
+ODD_ENTRIES = st.one_of(NUMBERS, st.sampled_from([True, "z", None, [0.5], (0.5,), np.float64(0.5), np.float32(0.5)]))
+
+
+def odd_or(draw, value, odd=ODD_NUMBERS):
+    """``value``, or one time in six a draw of ``odd`` in its place."""
+    return draw(odd) if draw(st.integers(0, 5)) == 5 else value
+
+
+def writer_row(draw, k):
+    """A list or tuple of ``k`` numbers, or a row that is short, long, odd or no row."""
+    row = draw(st.lists(NUMBERS, min_size=k, max_size=k))
+    odd = st.one_of(st.lists(ODD_ENTRIES, min_size=k - 1, max_size=k + 1).map(tuple), st.sampled_from(["ab", None]))
+    return odd_or(draw, tuple(row) if draw(st.booleans()) else row, odd)
+
+
+@st.composite
+def writer_calls(draw):
+    """``TraceWriter``'s header arguments and a run of its ``write`` arguments."""
+    k = draw(st.integers(1, 3))
+    names = odd_or(draw, NAMES[:k], st.lists(st.sampled_from(["a", "", "\u00e9", 1, None]), min_size=k, max_size=k))
+    seed = odd_or(draw, draw(st.sampled_from([0, 7, 2**64])))
+    windows, after, previous = [], 0, None
+    for _ in range(draw(st.integers(0, 4))):
+        first = odd_or(draw, after + 1)
+        last = odd_or(draw, first + draw(st.integers(0, 1)))
+        # The rows of the window before, shared as the writer shares them.
+        probabilities = previous.probabilities if previous and draw(st.booleans()) else writer_row(draw, k)
+        q = previous.q_after if previous and draw(st.booleans()) else writer_row(draw, k)
+        q_after = q if draw(st.booleans()) else writer_row(draw, k)
+        rewards = None if draw(st.booleans()) else writer_row(draw, k)
+        previous = Window(first, last, probabilities, q, q_after, rewards)
+        m = last - first + 1 if type(first) is type(last) is int and last >= first else 1
+        windows.append((previous, np.arange(m * k).reshape(m, k), [0.01] * m))
+        after = last if type(last) is int else after
+    # The steps the windows tile, or one more: a trace cut short.
+    total = odd_or(draw, after + draw(st.integers(0, 1)))
+    return (names, seed, total), windows
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(calls=writer_calls())
+# A float step, which the writer once wrote and the reader refused.
+@example(calls=((NAMES, 0, 1), [(window_of(1, 1)[0]._replace(first=1.0, last=1.0), np.ones((1, 3), dtype=np.int64), [0.01])]))
+def test_every_trace_the_writer_writes_the_reader_reads(tmp_path_factory, calls):
+    """The writer refuses a header or window and writes nothing of it, or
+    ``iter_trace`` gives back the header values and windows it took."""
+    (names, seed, total), windows = calls
+    path = tmp_path_factory.getbasetemp() / "written.jsonl"
+    path.unlink(missing_ok=True)
+    try:
+        writer = TraceWriter(path, names, seed=seed, config_hash="x", total_steps=total)
+    except ValueError:
+        assert not path.exists()
+        return
+    written, steps = [], 0
+    with writer:
+        for window, draws, rates in windows:
+            writer.flush()
+            lines = path.read_text(encoding="utf-8").count("\n")
+            try:
+                writer.write(window, draws, rates)
+            except ValueError:
+                writer.flush()
+                assert path.read_text(encoding="utf-8").count("\n") == lines
+            else:
+                rows = [None if row is None else tuple(row) for row in window[2:]]
+                written.append((repr(Window(window.first, window.last, *rows)), draws.tolist(), rates))
+                steps = window.last
+    header, read = iter_trace(path)
+    want = {**HEADER, "arm_names": list(names), "seed": seed, "total_steps": total}
+    # json tells 1 from 1.0 and from true.
+    assert json.dumps(header, sort_keys=True) == json.dumps(want, sort_keys=True)
+    got = []
+    try:
+        got.extend((repr(window), draws, rates) for window, draws, rates in read)
+    except ValueError as e:
+        assert str(e) == f"{path}: truncated trace: {steps} of {total} steps"
+    assert got == written
 
 
 HEADER = {"kind": "banditmix-trace", "schema_version": 3, "arm_names": list(NAMES), "seed": 0, "config_hash": "x", "total_steps": 3}
