@@ -312,12 +312,19 @@ class ResolvedExperiment:
 
 
 def load_json(path: str | Path, what: str) -> object:
-    """Parse a JSON file; an unreadable file, bad JSON or a repeated key is a ConfigError."""
+    """Parse a JSON file; an unreadable file, bad JSON or a repeated key is a ConfigError.
+
+    Bad JSON is any text ``json.loads`` refuses, including bytes that are
+    not UTF-8, an integer past Python's digit limit and nesting past the
+    recursion limit; each error names the file.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as e:
         raise ConfigError(f"cannot read {what} {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path} is not valid JSON: {e}") from None
 
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
         obj = {}
@@ -329,8 +336,12 @@ def load_json(path: str | Path, what: str) -> object:
 
     try:
         return json.loads(text, object_pairs_hook=unique_keys)
+    except ConfigError:
+        raise
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path} is not valid JSON: {e}") from e
+    except (ValueError, RecursionError) as e:  # an integer past int's digit limit, or deep nesting
+        raise ConfigError(f"{path} is not valid JSON: {e}") from None
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -7,8 +7,9 @@ uniform floor so no arm's probability can fall below ``gamma / K``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -76,9 +77,9 @@ class MixtureDistribution:
     def __post_init__(self) -> None:
         p = finite_vector("p", self.p)
         object.__setattr__(self, "p", p)
-        if np.any(p < -1e-12):
+        if p.min() < -1e-12:
             raise ValueError("p entries must be nonnegative")
-        total = float(np.sum(p))
+        total = float(p.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"p must sum to 1, got {total!r}")
 
@@ -89,7 +90,7 @@ class MixtureDistribution:
     @cached_property
     def cumulative(self) -> np.ndarray:
         """Cumulative sums in fixed arm order, used by inverse-CDF sampling."""
-        return np.cumsum(self.p)
+        return self.p.cumsum()
 
     @cached_property
     def thresholds(self) -> np.ndarray:
@@ -152,25 +153,32 @@ def prior_scaled_probs(q: np.ndarray, prior: np.ndarray, beta: float) -> np.ndar
 
     Arms with zero prior mass get probability exactly zero.  The max logit is
     taken over positive-prior arms only, so the normalizer cannot underflow
-    to zero.
+    to zero.  When every prior entry is positive, as a registry's default
+    prior is, the mask selects every entry, so the formula runs on the whole
+    vectors without it.
     """
     q = finite_vector("q", q)
     prior = finite_vector("prior", prior)
     if prior.shape != q.shape:
         raise ValueError(f"q and prior must have equal length, got {q.size} and {prior.size}")
-    if np.any(prior < 0):
+    # The entries are finite, so the smallest one decides the sign checks.
+    lowest = prior.min()
+    if lowest < 0:
         raise ValueError("prior entries must be nonnegative")
-    positive = prior > 0
-    if not np.any(positive):
+    if lowest == 0 and not (prior > 0).any():
         raise ValueError("prior must have at least one positive entry")
-    if not np.isfinite(beta) or beta < 0:
+    if not math.isfinite(beta) or beta < 0:
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
     z = beta * q
-    # Exponentiate positive-prior entries only: a huge estimate on a
-    # zero-prior arm would otherwise overflow into inf * 0.
-    w = np.zeros_like(z)
-    w[positive] = np.exp(z[positive] - np.max(z[positive])) * prior[positive]
-    return w / np.sum(w)
+    if lowest > 0:
+        w = np.exp(z - z.max()) * prior
+    else:
+        # Exponentiate positive-prior entries only: a huge estimate on a
+        # zero-prior arm would otherwise overflow into inf * 0.
+        positive = prior > 0
+        w = np.zeros_like(z)
+        w[positive] = np.exp(z[positive] - z[positive].max()) * prior[positive]
+    return w / w.sum()
 
 
 def mixture_probs(q: np.ndarray, prior: np.ndarray, cfg: BanditConfig) -> MixtureDistribution:
@@ -200,7 +208,10 @@ def sample_batch(
     example indices are uniform over each chosen arm's instances, with
     replacement.  Per step, ``batch_size`` uniforms pick the arms and then
     one bounded integer per element picks the examples, so the result and
-    the generator state equal ``steps`` one-step calls in sequence.
+    the generator state equal ``steps`` one-step calls in sequence.  For
+    numpy's ``PCG64`` the window is replayed from raw draws
+    (``_pcg64_window``), with the constants that depend only on the counts
+    or on the window's shape taken from bounded caches.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -261,15 +272,49 @@ def _key_arms(dist: MixtureDistribution, keys: np.ndarray) -> np.ndarray:
     return arms
 
 
-def _pcg64_fits(rng: np.random.Generator, counts: np.ndarray) -> bool:
-    """Whether ``_pcg64_window`` can replay ``rng.integers(0, c)`` for each count.
+# Entries in each cache below.  A run uses one tuple of counts and a few
+# window shapes; a shape after a rejected draw is used once.  A layout holds
+# a one-byte mask over the window's raws, 1.5 per draw: 9.6 KB at the
+# default tulu shape.
+_CACHE_SIZE = 8
 
-    That needs numpy's ``PCG64`` and counts in ``[2, 2**32]``: a count of 1
-    draws nothing, and a larger one draws 64-bit values.
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _lemire_bounds(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per arm, the bound ``c`` of ``rng.integers(0, c)`` as a uint64 and the
+    threshold ``(2**32 - c) mod c`` below which numpy's Lemire draw rejects.
+
+    None unless every count lies in ``[2, 2**32]``, where ``_pcg64_window``
+    can replay the draws: a count of 1 draws nothing, and a larger one draws
+    64-bit values.
     """
-    if type(rng.bit_generator) is not np.random.PCG64:
-        return False
-    return counts.min() >= 2 and counts.max() <= 2**32
+    if min(counts) < 2 or max(counts) > 2**32:
+        return None
+    bound = np.array(counts, dtype=np.uint64)
+    reject_below = (np.uint64(2**32) - bound) % bound
+    bound.setflags(write=False)
+    reject_below.setflags(write=False)
+    return bound, reject_below
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _raw_layout(batch_size: int, steps: int, held: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """Where ``steps`` calls of ``_draw_step`` take their raws from one ``random_raw`` call.
+
+    Returns the raws spent on 32-bit draws by the end of each step, as a
+    tuple, and the read-only mask of the raws the doubles take (the others
+    go to 32-bit draws), with ``held`` (0 or 1) halves buffered at the
+    start.  They depend on nothing else, so a run computes each layout once.
+    """
+    spent = np.arange(batch_size - held + 1, steps * batch_size - held + 2, batch_size) // 2
+    # Each step draws batch_size raws for its doubles, then its share of
+    # raws for 32-bit draws.
+    sizes = np.full(2 * steps, batch_size)
+    sizes[1::2] = spent
+    sizes[3::2] -= spent[:-1]
+    is_double = np.repeat(np.arange(2 * steps) % 2 == 0, sizes)
+    is_double.setflags(write=False)
+    return tuple(spent.tolist()), is_double
 
 
 def _pcg64_window(
@@ -291,29 +336,27 @@ def _pcg64_window(
     ``(2**32 - c) mod c``.  At a rejected draw the steps before its step are
     kept, the generator is set to their end, that step is drawn by
     ``_draw_step`` and the window goes on from the next one.  Returns None
-    with ``rng`` unchanged when ``_pcg64_fits`` does not hold.
+    with ``rng`` unchanged unless ``rng`` is numpy's ``PCG64`` and every
+    count lies in ``[2, 2**32]``.  The bounds per count (``_lemire_bounds``)
+    and the raw layout per ``(batch_size, steps, held)`` (``_raw_layout``)
+    are cached, as they depend on nothing else.
     """
-    if not _pcg64_fits(rng, counts):
+    if type(rng.bit_generator) is not np.random.PCG64:
         return None
+    lemire = _lemire_bounds(tuple(counts.tolist()))
+    if lemire is None:
+        return None
+    bound, reject_below = lemire
     bit_gen = rng.bit_generator
-    bound = counts.astype(np.uint64)
-    reject_below = (np.uint64(2**32) - bound) % bound
     arm_parts, example_parts = [], []
     while steps:
         start = bit_gen.state
         held = start["has_uint32"]
-        # Raws spent on 32-bit draws by the end of each step.
-        spent = np.arange(batch_size - held + 1, steps * batch_size - held + 2, batch_size) // 2
-        # Each step draws batch_size raws for its doubles, then its share of
-        # raws for 32-bit draws.
-        sizes = np.full(2 * steps, batch_size)
-        sizes[1::2] = spent
-        sizes[3::2] -= spent[:-1]
-        is_double = np.repeat(np.arange(2 * steps) % 2 == 0, sizes)
+        spent, is_double = _raw_layout(batch_size, steps, held)
         raws = bit_gen.random_raw(is_double.size)
         keys, words = raws[is_double], raws[~is_double]
         # Freed here, so the window's peak memory holds no second copy.
-        del raws, is_double
+        del raws
         keys >>= np.uint64(11)
         arms = _key_arms(dist, keys)
         del keys
@@ -324,12 +367,12 @@ def _pcg64_window(
         np.right_shift(words, np.uint64(32), out=halves[held + 1 :: 2])
         scaled = halves[: arms.size]
         scaled *= bound[arms]
-        rejected = np.flatnonzero((scaled & _LOW32) < reject_below[arms])
+        rejected = ((scaled & _LOW32) < reject_below[arms]).nonzero()[0]
         scaled >>= np.uint64(32)
         examples = scaled.view(np.int64)
         # Steps kept, and the raws they spent on 32-bit draws.
         kept = int(rejected[0]) // batch_size if rejected.size else steps
-        used = int(spent[kept - 1]) if kept else 0
+        used = spent[kept - 1] if kept else 0
         if kept < steps:
             bit_gen.state = start
             bit_gen.advance(kept * batch_size + used)

@@ -8,6 +8,7 @@ default the prior is proportional to instance counts.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,15 +30,17 @@ class ArmRegistry:
     prior: np.ndarray | None
 
     def __post_init__(self) -> None:
-        names, counts = tuple(self.names), [int(c) for c in self.counts]
+        names, counts = tuple(self.names), []
         if not names:
             raise ValueError("registry must contain at least one arm")
-        for name, count in zip(names, counts, strict=True):
+        for name, count in zip(names, self.counts, strict=True):
             if not (isinstance(name, str) and name):
                 raise ValueError(f"arm name must be nonempty and a string, got {name!r}")
+            count = _integer_count(name, count)
             # The registry holds its counts as int64.
             if not 1 <= count < 2**63:
                 raise ValueError(f"arm {name!r}: count must be >= 1 and below 2**63, got {count}")
+            counts.append(count)
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValueError(f"duplicate arm names: {dupes}")
@@ -76,6 +79,17 @@ class ArmRegistry:
     def total_count(self) -> int:
         """The exact sum of the counts, as a Python int."""
         return sum(self.counts.tolist())
+
+
+def _integer_count(name: str, count: object) -> int:
+    """``count`` as an int if it is an integer, numpy's included, as a config's
+    counts are; a bool, a float or a string is refused, never truncated or parsed."""
+    if not isinstance(count, bool):
+        try:
+            return operator.index(count)
+        except TypeError:
+            pass
+    raise ValueError(f"arm {name!r}: count must be an integer, got {count!r}")
 
 
 # Instruction-tuning mixture used as the default workload.  The science bundle

@@ -78,7 +78,9 @@ def _relative_drop(pre: np.ndarray, post: np.ndarray, epsilon: float, what: str)
         raise ValueError(f"pre {what} must be nonnegative")
     # Each term is (pre - post) / (pre + eps): below 1 whenever post >= 0,
     # negative when the probe step hurt.
-    return ((pre - post) / (pre + epsilon)).mean(axis=-1)
+    drop = (pre - post) / (pre + epsilon)
+    # numpy's float64 mean is this sum over the count, without its wrapper.
+    return drop.sum(axis=-1) / drop.shape[-1]
 
 
 def ema_update(

@@ -154,7 +154,7 @@ def run_experiment(
             rates = resolved.schedule.rates(first - 1, last)
             window_rates = rates.tolist()
             world.train_steps(batch, window_rates)
-            window = Window(first, last, probabilities, q_row, q_row, None)
+            q_before, rewards = q_row, None
             if policy.adaptive and last == round_step:
                 rewards = lookahead_round(
                     world,
@@ -165,8 +165,9 @@ def run_experiment(
                     reward_rng,
                     reward_kind=policy.reward_kind,
                 )
-                q_row = tuple(q.tolist())
-                window = window._replace(q_after=q_row, rewards=tuple(rewards.tolist()))
+                q_row, rewards = tuple(q.tolist()), tuple(rewards.tolist())
+            window = Window(first, last, probabilities, q_before, q_row, rewards)
+            if rewards is not None:
                 dist = policy.distribution(registry, bandit, q)
                 probabilities = tuple(dist.p.tolist())
             windows.append(window)

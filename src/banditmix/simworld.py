@@ -57,14 +57,15 @@ def _jitter_uniform(key: int, arms: np.ndarray, examples: np.ndarray) -> np.ndar
     """Deterministic per-example noise in [-0.5, 0.5), splitmix64-style.
 
     A pure hash of (world seed, arm, example): repeated observations of the
-    same example agree, and no generator state is consumed.
+    same example agree, and no generator state is consumed.  ``arms`` and
+    ``examples`` are arrays: numpy's uint64 array arithmetic wraps without
+    a warning, as the hash means it to.
     """
-    with np.errstate(over="ignore"):
-        x = np.uint64(key) ^ (arms.astype(np.uint64) * _MIX64_B)
-        x = x + (examples.astype(np.uint64) + np.uint64(1)) * _MIX64_A
-        x = (x ^ (x >> np.uint64(30))) * _MIX64_B
-        x = (x ^ (x >> np.uint64(27))) * _MIX64_C
-        x = x ^ (x >> np.uint64(31))
+    x = np.uint64(key) ^ (arms.astype(np.uint64) * _MIX64_B)
+    x = x + (examples.astype(np.uint64) + np.uint64(1)) * _MIX64_A
+    x = (x ^ (x >> np.uint64(30))) * _MIX64_B
+    x = (x ^ (x >> np.uint64(27))) * _MIX64_C
+    x = x ^ (x >> np.uint64(31))
     return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53 - 0.5
 
 
@@ -93,11 +94,14 @@ class LrSchedule:
     def rates(self, lo: int, hi: int) -> np.ndarray:
         """The rates of steps ``lo`` to ``hi - 1`` (0-based), bit for bit those of
         the one-step oracle ``rate_at`` in ``tests/test_simworld.py``, with its
-        error for the first step out of range."""
+        error for the first step out of range.  A range past the warm-up
+        computes its decay rates alone, as the concatenation would give them."""
         if lo < hi and not (0 <= lo and hi <= self.total_steps):
             bad = self.total_steps if 0 <= lo < self.total_steps else lo
             raise ValueError(f"step {bad} outside [0, {self.total_steps})")
         w = self.warmup_steps
+        if lo >= w:
+            return self.base_rate * (self.total_steps - np.arange(lo, hi)) / (self.total_steps - w)
         split = min(max(w, lo), hi)
         warm, decay = np.arange(lo, split), np.arange(split, hi)
         return np.concatenate(
@@ -234,7 +238,9 @@ class SimWorld(Learner):
         the same numbers as one draw per step.  Only the clip and the floor,
         which depend on the previous step, stay in a loop: per arm, over the
         live steps, in Python floats, as
-        ``loss = floor + max((loss - floor) * shrink + noise, 0)``.
+        ``loss = floor + max((loss - floor) * shrink + noise, 0)``.  The rates
+        are checked by their min and max, and the zero-rate rows are dropped
+        only when the smallest rate is zero.
         """
         lr = np.asarray(learning_rates, dtype=np.float64)
         arms = batch.arms
@@ -246,25 +252,33 @@ class SimWorld(Learner):
         # Checked before bincount, which would size its output by the arms.
         if arms.min() < 0 or arms.max() >= k:
             raise ValueError("batch refers to arms outside this world")
-        bad = lr[~((lr >= 0.0) & (lr < math.inf))]
-        if bad.size:
+        # min and max pass only if every rate does; a NaN fails both.
+        lowest = lr.min()
+        if not (lowest >= 0.0 and lr.max() < math.inf):
+            bad = lr[~((lr >= 0.0) & (lr < math.inf))]
             raise ValueError(f"learning_rate must be finite and >= 0, got {float(bad[0])}")
-        live = np.flatnonzero(lr)
         width = arms.size // m
-        rows = np.arange(m).repeat(width)
-        n = np.bincount(rows * k + arms, minlength=m * k).reshape(m, k)[live].astype(np.float64)
-        lr = lr[live]
+        # Each element's (step, arm) cell, built in place and freed before
+        # the factor tensors, so the window's peak memory holds one copy.
+        cells = np.arange(0, m * k, k).repeat(width)
+        cells += arms
+        n = np.bincount(cells, minlength=m * k).reshape(m, k)
+        del cells
+        if lowest == 0.0:
+            live = lr.nonzero()[0]
+            n, lr = n[live], lr[live]
+        n = n.astype(np.float64)
         factors = np.maximum(1.0 - lr[:, np.newaxis, np.newaxis] * self._transfer / width, 0.0)
         shrink = (factors ** n[:, np.newaxis, :]).prod(axis=2)
         # Python floats round each operation as numpy does, and for the few
         # arms of a mixture, scalar steps cost less than K-wide numpy calls.
         shrink_by_arm = shrink.T.tolist()
         if self._noise_scale > 0:
-            noise = (self._noise_scale * lr)[:, np.newaxis] * self._rng.standard_normal((live.size, k))
+            noise = (self._noise_scale * lr)[:, np.newaxis] * self._rng.standard_normal((lr.size, k))
             noise_by_arm = noise.T.tolist()
         else:
             # Without noise a gap is +0.0 or more, and adding 0.0 keeps it.
-            noise_by_arm = [[0.0] * live.size] * k
+            noise_by_arm = [[0.0] * lr.size] * k
         losses = self._loss.tolist()
         for j, floor in enumerate(self._floor.tolist()):
             loss = losses[j]
@@ -288,7 +302,9 @@ class SimWorld(Learner):
         normals it would draw.  Only arm ``j``'s loss is measured afterwards,
         and ``prod(f**onehot)`` equals the single factor exactly, so the
         results match the per-row loop of ``Learner.probe``'s contract bit
-        for bit.  An invalid rate raises before the world is read.
+        for bit.  An invalid rate raises before the world is read.  The
+        examples' jitter is hashed once, and each observation adds it to the
+        column of per-arm losses by broadcasting.
         """
         examples = np.asarray(examples)
         k = self._loss.size
@@ -302,13 +318,20 @@ class SimWorld(Learner):
         # Before and after the step, each probe observes the same examples.
         width = examples.shape[1]
         jitter = self._jitter(np.arange(k)[:, np.newaxis], examples)
-        pre = self._observe(np.broadcast_to(self._loss[:, np.newaxis], examples.shape), jitter)
+
+        def observe(loss: np.ndarray) -> np.ndarray:
+            # Arm j's loss at each of row j's examples.
+            if jitter is None:
+                return self._observe(loss, None).repeat(width).reshape(k, width)
+            return self._observe(loss[:, np.newaxis], jitter)
+
+        pre = observe(self._loss)
         if learning_rate == 0.0:
             post = pre.copy()
         else:
             # Same operation order as train_steps; the exponent stays an
             # array so numpy's scalar-power shortcuts never apply.
-            factor = np.maximum(1.0 - learning_rate * np.diag(self._transfer) / width, 0.0)
+            factor = np.maximum(1.0 - learning_rate * self._transfer.diagonal() / width, 0.0)
             gap = (self._loss - self._floor) * factor ** np.full(k, float(width))
             if self._noise_scale > 0:
                 state = self._rng.bit_generator.state
@@ -316,7 +339,7 @@ class SimWorld(Learner):
                 self._rng.bit_generator.state = state
                 gap = gap + self._noise_scale * learning_rate * z
             moved = self._floor + np.maximum(gap, 0.0)
-            post = self._observe(np.broadcast_to(moved[:, np.newaxis], examples.shape), jitter)
+            post = observe(moved)
         if entropy:
             return ENTROPY_LOSS_RATIO * pre, ENTROPY_LOSS_RATIO * post
         return pre, post

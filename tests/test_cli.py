@@ -67,6 +67,18 @@ class TestValidate:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "absent.json")]) == 2
 
+    # Each once printed json's or the codec's error and exited 3.
+    @pytest.mark.parametrize(
+        "data",
+        [b"\xff\xfe{}", b'{"seed": ' + b"7" * 5001 + b"}", b"[" * 100_000 + b"]" * 100_000],
+        ids=["not-utf-8", "integer-past-digit-limit", "nested-past-recursion-limit"],
+    )
+    def test_unparsable_config_exits_2_naming_the_file(self, tmp_path, capsys, data):
+        config = tmp_path / "unparsable.json"
+        config.write_bytes(data)
+        assert main(["validate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {config} is not valid JSON: ")
+
     @pytest.mark.parametrize(
         "overrides, path",
         [

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -483,6 +484,23 @@ class TestLoadConfig:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(path)
+
+    # Text json.loads refuses with an error other than JSONDecodeError; each
+    # once escaped load_json as that error.
+    @pytest.mark.parametrize(
+        "data, detail",
+        [
+            (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+            (b'{"bandit": {"beta": ' + b"7" * 5001 + b"}}", "Exceeds the limit"),
+            (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+        ],
+        ids=["not-utf-8", "integer-past-digit-limit", "nested-past-recursion-limit"],
+    )
+    def test_unparsable_text_is_a_config_error_naming_the_file(self, tmp_path, data, detail):
+        path = tmp_path / "unparsable.json"
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))} is not valid JSON: .*{detail}"):
             load_config(path)
 
     # json.loads keeps the last of two equal keys; a config must not.

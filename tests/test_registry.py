@@ -46,6 +46,22 @@ class TestArmRegistry:
         with pytest.raises(ValueError, match=rf"^arm 'x': count must be >= 1 and below 2\*\*63, got {count}$"):
             ArmRegistry.from_counts({"a": 1, "x": count})
 
+    # from_counts once truncated 1.9 to 1 and parsed "7" as 7.
+    @pytest.mark.parametrize("count", [1.9, 2.0, "7", True, np.bool_(True), np.float64(3.0), None])
+    def test_non_integer_count_rejected_naming_the_arm(self, count):
+        with pytest.raises(ValueError, match=f"^arm 'x': count must be an integer, got {re.escape(repr(count))}$"):
+            ArmRegistry.from_counts({"a": 2, "x": count})
+
+    @pytest.mark.parametrize("count", [np.int64(7), np.int32(7), np.uint64(7)])
+    def test_numpy_integer_counts_accepted(self, count):
+        reg = ArmRegistry.from_counts({"a": 2, "x": count})
+        assert reg.counts.tolist() == [2, 7]
+        assert type(reg.total_count) is int
+
+    def test_counts_array_accepted(self):
+        reg = ArmRegistry(("a", "b"), np.array([3, 5]), None)
+        assert reg.counts.tolist() == [3, 5]
+
     def test_largest_counts_total_exactly(self):
         reg = ArmRegistry.from_counts({"a": 2**63 - 1, "b": 2**62, "c": 2**62})
         assert reg.counts.tolist() == [2**63 - 1, 2**62, 2**62]

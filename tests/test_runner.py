@@ -319,6 +319,25 @@ class TestColumns:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_twenty_held_volatile_runs_peak_under_0_31_mb(self):
+        # The shipped sweep's shape, held as a sweep's caller and compare
+        # hold their results: each result keeps its world, so state a world
+        # keeps is paid twenty times.  Caching two per-world arrays on each
+        # world once raised the sweep's peak by 6%.
+        cfg = load_config(CONFIGS / "volatile_world.json")
+        # A first pass fills the interpreter's and numpy's caches, so the
+        # peak below is the runs' own wherever the test runs in the suite.
+        hold = [run_experiment(cfg, seed=seed) for seed in range(20)]
+        del hold
+        tracemalloc.start()
+        try:
+            hold = [run_experiment(cfg, seed=seed) for seed in range(20)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(hold) == 20
+        assert peak < 310_000
+
 
 SHIPPED = ("tulu_default", "deep_gap_world", "volatile_world")
 
