@@ -11,12 +11,11 @@ Usage: python scripts/adaptation_demo.py [--seeds N] [--trace]
 
 import argparse
 import dataclasses
-import json
 from pathlib import Path
 
 import numpy as np
 
-from banditmix import ExperimentConfig, run_experiment
+from banditmix import load_config, run_experiment
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "deep_gap_world.json"
 
@@ -29,7 +28,7 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    base = ExperimentConfig.from_dict(json.loads(CONFIG.read_text()))
+    base = load_config(CONFIG)
     variants = {
         "bandit": base,
         "uniform": dataclasses.replace(

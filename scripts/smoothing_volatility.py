@@ -9,12 +9,12 @@ Usage: python scripts/smoothing_volatility.py [--seeds N]
 """
 
 import argparse
-import json
 from pathlib import Path
 
 import numpy as np
 
-from banditmix import ExperimentConfig, sweep_experiments
+from banditmix import load_config, sweep_experiments
+from banditmix.config import load_json
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "configs" / "volatile_world.json"
@@ -26,8 +26,8 @@ def main() -> None:
     parser.add_argument("--seeds", type=int, default=10)
     args = parser.parse_args()
 
-    cfg = ExperimentConfig.from_dict(json.loads(CONFIG.read_text()))
-    grid = json.loads(GRID.read_text())
+    cfg = load_config(CONFIG)
+    grid = load_json(GRID, "grid")
     result = sweep_experiments(cfg, grid, seeds=args.seeds)
 
     by_alpha: dict[float, list[float]] = {}

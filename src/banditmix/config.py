@@ -3,10 +3,10 @@
 Configs are plain JSON objects with one section per concern.  One table maps
 every key to a reader that checks its value, for config files and sweep
 grids alike; unknown keys are errors, and every complaint names the key
-path.  The policy and world sections are their runtime types, checked at
-load.  ``resolve`` builds the rest (registry, bandit hyperparameters,
-schedule), deriving the step budget from the registry unless given, once per
-config object; the copies ``with_seed`` makes share what it built.
+path.  The policy, world and schedule sections are their runtime types,
+checked at load.  ``resolve`` builds the rest (registry and bandit
+hyperparameters), deriving the step budget from the registry unless given,
+once per config object; the copies ``with_seed`` makes share what it built.
 """
 
 from __future__ import annotations
@@ -125,14 +125,6 @@ class BanditSection:
 
 
 @dataclass(frozen=True)
-class ScheduleSection:
-    """``LrSchedule`` without the step budget, which ``resolve`` adds."""
-
-    base_rate: float = 0.01
-    warmup_fraction: float = LrSchedule.warmup_fraction
-
-
-@dataclass(frozen=True)
 class RegistrySection:
     """Either a built-in registry name or inline arm definitions."""
 
@@ -155,7 +147,7 @@ class RegistrySection:
 # The schema: each section's type and the reader of every key.
 _SECTIONS = {
     "bandit": BanditSection,
-    "schedule": ScheduleSection,
+    "schedule": LrSchedule,
     "policy": PolicyKind,
     "world": WorldParams,
     "registry": RegistrySection,
@@ -219,7 +211,7 @@ def _read_section(section: str, obj: object):
 @dataclass(frozen=True)
 class ExperimentConfig:
     bandit: BanditSection = BanditSection()
-    schedule: ScheduleSection = ScheduleSection()
+    schedule: LrSchedule = LrSchedule()
     policy: PolicyKind = PolicyKind()
     world: WorldParams = WorldParams()
     registry: RegistrySection = RegistrySection(name="tulu_v2")
@@ -278,7 +270,6 @@ class ExperimentConfig:
         # A section's fields are keyword arguments of its runtime type.
         bandit_args = vars(self.bandit) | {"num_arms": k, "total_steps": total}
         bandit = _build("bandit", BanditConfig, **bandit_args)
-        schedule = _build("schedule", LrSchedule, **vars(self.schedule), total_steps=total)
         for section, key in _PER_ARM:
             v = getattr(getattr(self, section), key)
             if isinstance(v, tuple) and len(v) != k:
@@ -291,7 +282,6 @@ class ExperimentConfig:
         return {
             "registry": registry,
             "bandit": bandit,
-            "schedule": schedule,
             "config_hash": self.config_hash(),
         }
 
@@ -300,14 +290,13 @@ class ExperimentConfig:
 class ResolvedExperiment:
     """The runtime objects a validated config denotes.
 
-    Only what ``config`` does not already hold: its policy, world and seed
-    are read as ``config.policy``, ``config.world`` and ``config.seed``.
+    Only what ``config`` does not already hold: its policy, world, schedule
+    and seed are the ``config`` fields of those names.
     """
 
     config: ExperimentConfig
     registry: ArmRegistry
     bandit: BanditConfig
-    schedule: LrSchedule
     config_hash: str
 
 

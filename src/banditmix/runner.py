@@ -28,6 +28,7 @@ world process noise.  Reward rounds never advance the training stream.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
@@ -120,7 +121,7 @@ def run_experiment(
     policy = cfg.policy
     windows: list[Window] = []
 
-    writer = None
+    writer = contextlib.nullcontext()
     if out_dir is not None:
         # A crashed run must not leave its trace beside an earlier run's files.
         for name in (SUMMARY_FILENAME, WORLD_FILENAME):
@@ -132,7 +133,6 @@ def run_experiment(
             config_hash=resolved.config_hash,
             total_steps=steps,
         )
-        writer.__enter__()
 
     # The distribution and the estimates change only at a reward round, so
     # their rows are built once per change and shared by every window until
@@ -141,7 +141,7 @@ def run_experiment(
     dist = policy.distribution(registry, bandit, q)
     probabilities, q_row = tuple(dist.p.tolist()), tuple(q.tolist())
     drawn = np.zeros(k, dtype=np.int64)
-    try:
+    with writer as trace:
         first = 1
         while first <= steps:
             # The window ends at the next multiple of the interval, after
@@ -151,9 +151,8 @@ def run_experiment(
             m = last - first + 1
             batch = sample_batch(dist, registry, width, train_rng, steps=m)
             drawn += np.bincount(batch.arms, minlength=k)
-            rates = resolved.schedule.rates(first - 1, last)
-            window_rates = rates.tolist()
-            world.train_steps(batch, window_rates)
+            rates = cfg.schedule.rates(first - 1, last, steps)
+            world.train_steps(batch, rates)
             q_before, rewards = q_row, None
             if policy.adaptive and last == round_step:
                 rewards = lookahead_round(
@@ -161,7 +160,7 @@ def run_experiment(
                     registry,
                     q,
                     bandit,
-                    window_rates[-1],
+                    float(rates[-1]),
                     reward_rng,
                     reward_kind=policy.reward_kind,
                 )
@@ -171,14 +170,10 @@ def run_experiment(
                 dist = policy.distribution(registry, bandit, q)
                 probabilities = tuple(dist.p.tolist())
             windows.append(window)
-            if writer is not None:
+            if trace is not None:
                 per_step = np.bincount(np.arange(m).repeat(width) * k + batch.arms, minlength=m * k)
-                writer.write(window, per_step.reshape(m, k), rates)
-                writer.flush()
+                trace.write(window, per_step.reshape(m, k), rates)
             first = last + 1
-    finally:
-        if writer is not None:
-            writer.__exit__(None, None, None)
 
     final_losses = tuple(world.loss_vector.tolist())
     summary = summarize(

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -71,43 +70,37 @@ def _jitter_uniform(key: int, arms: np.ndarray, examples: np.ndarray) -> np.ndar
 
 @dataclass(frozen=True)
 class LrSchedule:
-    """Linear warmup to ``base_rate``, then linear decay to zero."""
+    """Linear warmup to ``base_rate``, then linear decay to zero over a run's steps."""
 
-    base_rate: float
-    total_steps: int
+    base_rate: float = 0.01
     warmup_fraction: float = 0.03
 
     def __post_init__(self) -> None:
         if self.base_rate < 0 or not np.isfinite(self.base_rate):
             raise ValueError(f"base_rate must be finite and >= 0, got {self.base_rate}")
-        if self.total_steps < 0:
-            raise ValueError(f"total_steps must be >= 0, got {self.total_steps}")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError(f"warmup_fraction must lie in [0, 1), got {self.warmup_fraction}")
 
-    @cached_property
-    def warmup_steps(self) -> int:
-        if self.total_steps == 0:
-            return 0
-        return min(int(round(self.warmup_fraction * self.total_steps)), self.total_steps - 1)
-
-    def rates(self, lo: int, hi: int) -> np.ndarray:
-        """The rates of steps ``lo`` to ``hi - 1`` (0-based), bit for bit those of
-        the one-step oracle ``rate_at`` in ``tests/test_simworld.py``, with its
-        error for the first step out of range.  A range past the warm-up
+    def rates(self, lo: int, hi: int, total_steps: int) -> np.ndarray:
+        """The rates of steps ``lo`` to ``hi - 1`` (0-based) of a ``total_steps``-step
+        run, bit for bit those of ``rate_at`` in ``tests/test_simworld.py``, with
+        its error for the first step out of range.  A range past the warm-up
         computes its decay rates alone, as the concatenation would give them."""
-        if lo < hi and not (0 <= lo and hi <= self.total_steps):
-            bad = self.total_steps if 0 <= lo < self.total_steps else lo
-            raise ValueError(f"step {bad} outside [0, {self.total_steps})")
-        w = self.warmup_steps
+        if total_steps < 0:
+            raise ValueError(f"total_steps must be >= 0, got {total_steps}")
+        if lo < hi and not (0 <= lo and hi <= total_steps):
+            bad = total_steps if 0 <= lo < total_steps else lo
+            raise ValueError(f"step {bad} outside [0, {total_steps})")
+        # The warm-up steps; rounding must never consume the whole run.
+        w = min(int(round(self.warmup_fraction * total_steps)), max(total_steps - 1, 0))
         if lo >= w:
-            return self.base_rate * (self.total_steps - np.arange(lo, hi)) / (self.total_steps - w)
+            return self.base_rate * (total_steps - np.arange(lo, hi)) / (total_steps - w)
         split = min(max(w, lo), hi)
         warm, decay = np.arange(lo, split), np.arange(split, hi)
         return np.concatenate(
             (
                 self.base_rate * (warm + 1) / w,
-                self.base_rate * (self.total_steps - decay) / (self.total_steps - w),
+                self.base_rate * (total_steps - decay) / (total_steps - w),
             )
         )
 

@@ -64,9 +64,9 @@ class Window(NamedTuple):
 class TraceWriter:
     """Streams a run's windows to a JSONL file, header first, one line per window.
 
-    Lines are buffered until ``flush`` or the writer closes; a line is
-    written whole or not at all, so a run that raises leaves a file of whole
-    lines.  A line is ``{"first", "last", "probabilities", "q", "q_after",
+    Each line is written whole or not at all and reaches the file before
+    ``write`` returns, so a run that raises leaves a file of whole lines.
+    A line is ``{"first", "last", "probabilities", "q", "q_after",
     "rewards", "learning_rate", "draws"}`` in that key order, less
     ``probabilities`` when it is the same object as the window before's,
     ``q`` when it is the window before's ``q_after`` (the first line holds
@@ -79,14 +79,12 @@ class TraceWriter:
         self, path: str | Path, arm_names: tuple[str, ...], seed: int, config_hash: str, total_steps: int
     ):
         self.path = Path(path)
-        self.arm_names = tuple(arm_names)
-        self.total_steps = total_steps
         self._fh: io.TextIOBase | None = None
         self._previous: Window | None = None
         self._header = {
             "schema_version": SCHEMA_VERSION,
             "kind": TRACE_KIND,
-            "arm_names": list(self.arm_names),
+            "arm_names": list(arm_names),
             "seed": seed,
             "config_hash": config_hash,
             "total_steps": total_steps,
@@ -95,25 +93,24 @@ class TraceWriter:
 
     def __enter__(self) -> "TraceWriter":
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = self.path.open("w", encoding="utf-8", newline="\n")
+        self._fh = self.path.open("w", encoding="utf-8", newline="\n", buffering=1)
         self._fh.write(json.dumps(self._header) + "\n")
-        self._fh.flush()
         return self
 
     def write(self, window: Window, draws: np.ndarray, rates: Sequence[float]) -> None:
         """Write the line of steps ``window.first`` to ``window.last``.
 
-        ``draws`` is the window's ``(m, K)`` integer block of each step's
-        draws per arm and ``rates`` its ``m`` learning rates.  The window is
-        checked and its line built before it is written, so a rejected
-        window leaves no line.
+        ``draws`` is the window's ``(m, K)`` block of each step's draw counts
+        per arm, integers >= 0, and ``rates`` its ``m`` learning rates.  The
+        window is checked and its line built before it is written and
+        flushed, so a rejected window leaves no line.
         """
         if self._fh is None:
             raise ValueError("writer is not open")
         first, last, probabilities, q, q_after, rewards = window
         previous = self._previous
         _check_steps(first, last)
-        _check_tiling(first, last, previous.last if previous else 0, self.total_steps, "")
+        _check_tiling(first, last, previous.last if previous else 0, self._header["total_steps"], "")
         # ``json.dumps`` writes a non-finite float as ``NaN`` or ``Infinity``.
         obj = {"first": first, "last": last}
         if previous is None or probabilities is not previous.probabilities:
@@ -124,11 +121,13 @@ class TraceWriter:
             obj["q_after"] = q_after
         if rewards is not None:
             obj["rewards"] = rewards
-        m, k = last - first + 1, len(self.arm_names)
+        m, k = last - first + 1, len(self._header["arm_names"])
         _check_rows(obj, previous, k)
         draws = np.asarray(draws)
         if draws.dtype.kind not in "iu" or draws.shape != (m, k):
             raise ValueError(f"draw counts must be ({m}, {k}) integers, got {draws.dtype} {draws.shape}")
+        if draws.size and draws.min() < 0:
+            raise ValueError(f"draws must be counts >= 0, got {draws.min()}")
         rates = np.asarray(rates)
         if rates.dtype.kind != "f" or rates.shape != (m,):
             raise ValueError(f"rates must be {m} floats, got {rates.dtype} {rates.shape}")
@@ -136,11 +135,6 @@ class TraceWriter:
         obj["draws"] = draws.tolist()
         self._fh.write(json.dumps(obj) + "\n")
         self._previous = window
-
-    def flush(self) -> None:
-        """Push the lines written so far to the file."""
-        if self._fh is not None:
-            self._fh.flush()
 
     def __exit__(self, *exc_info) -> None:
         if self._fh is not None:
@@ -155,7 +149,7 @@ def iter_trace(path: str | Path) -> tuple[dict, Iterator[tuple[Window, list, lis
     returns.  ``windows`` yields what ``TraceWriter.write`` took, per line:
     ``(window, draws, rates)``, the ``Window`` with tuple rows (a row the
     line leaves out is the window before's tuple), the ``m`` lists of ``K``
-    integer draws, and the ``m`` learning rates as floats.  It raises
+    draw counts of 0 or more, and the ``m`` learning rates as floats.  It raises
     ``ValueError("<path>:<line>: ...")`` at a line that is not a window,
     holds a row or a block of another shape than the header's ``arm_names``
     and the window's steps give, does not start at the step after the
@@ -223,7 +217,7 @@ def _windows(fh: io.TextIOBase, path: str | Path, total: int, arms: int) -> Iter
             if not text.endswith("\n"):
                 raise ValueError(f"{path}:{lineno}: truncated record")
             try:
-                window, draws, rates = _read_window(json.loads(text), window, arms)
+                window, draws, rates = _read_window(json.loads(text), window, arms, "-" in text)
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}:{lineno}: bad record: {_not_json(e)}") from None
             except KeyError as e:
@@ -240,8 +234,9 @@ def _windows(fh: io.TextIOBase, path: str | Path, total: int, arms: int) -> Iter
             raise ValueError(f"{path}: truncated trace: {last} of {total} steps")
 
 
-def _read_window(obj: dict, previous: Window | None, arms: int) -> tuple[Window, list, list]:
-    """The window of a parsed trace line, with its draws and rates: one entry per step each."""
+def _read_window(obj: dict, previous: Window | None, arms: int, signed: bool) -> tuple[Window, list, list]:
+    """The window of a parsed trace line, with its draws and rates: one entry per step each.
+    ``signed`` is whether the line's text holds a minus sign, which a count below 0 needs."""
     first, last = obj["first"], obj["last"]
     _check_steps(first, last)
     rates, draws = obj["learning_rate"], obj["draws"]
@@ -258,9 +253,12 @@ def _read_window(obj: dict, previous: Window | None, arms: int) -> tuple[Window,
         _LISTS.issuperset(map(type, draws))
         and {arms}.issuperset(map(len, draws))
         and _INTS.issuperset(map(type, chain.from_iterable(draws)))
+        and not (signed and min(chain.from_iterable(draws), default=0) < 0)
     ):
         for row in draws:
             _check_row("draws", row, _INTS, arms)
+            if min(row, default=0) < 0:
+                raise ValueError(f"draws must hold only counts >= 0, got {row!r}")
     return Window(first, last, probabilities, q, q_after, rewards), draws, rates
 
 
@@ -326,7 +324,7 @@ class RunSummary:
     seed: int
     config_hash: str
     steps: int
-    final_losses: tuple[float, ...] | None
+    final_losses: tuple[float, ...]
     coverage_ratio: tuple[float, ...]
     mean_step_tv: float
 
@@ -335,7 +333,7 @@ class RunSummary:
             "seed": self.seed,
             "config_hash": self.config_hash,
             "steps": self.steps,
-            "final_losses": None if self.final_losses is None else list(self.final_losses),
+            "final_losses": list(self.final_losses),
             "coverage_ratio": list(self.coverage_ratio),
             "mean_step_tv": self.mean_step_tv,
         }
@@ -349,7 +347,7 @@ def summarize(
     *,
     seed: int,
     config_hash: str,
-    final_losses: tuple[float, ...] | None = None,
+    final_losses: tuple[float, ...],
 ) -> RunSummary:
     """Aggregate a run's final draws and its windows into a summary.
 
@@ -437,9 +435,9 @@ def _coverage_csv(windows: Iterator[tuple], arms: int) -> Iterator[str]:
         except OverflowError:
             block = None
         # int64 sums are exact while the totals stay below 2**62 and each
-        # draw below 2**31 in size, for any window of fewer than 2**31 steps;
-        # past that the sums are Python ints.
-        if block is not None and max(map(abs, counts)) < 2**62 and -(2**31) < block.min() and block.max() < 2**31:
+        # draw below 2**31, for any window of fewer than 2**31 steps; past
+        # that the sums are Python ints.
+        if block is not None and max(counts) < 2**62 and block.max() < 2**31:
             sums = block.cumsum(axis=0)
             sums += np.array(counts, dtype=np.int64)
             table = np.column_stack((np.arange(steps.start, steps.stop), sums))

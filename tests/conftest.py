@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from banditmix.config import ExperimentConfig
 from banditmix.mixture import BanditConfig
 from banditmix.registry import ArmRegistry
+
+# Every @given test draws the same examples on every run and every host;
+# a test's own @settings inherit this.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

@@ -205,7 +205,7 @@ def test_criterion_04_learner_contract():
         cfg = load_config(CONFIGS / f"{name}.json")
         resolved = cfg.resolve()
         registry, bandit = resolved.registry, resolved.bandit
-        k, lr = registry.num_arms, resolved.schedule.base_rate
+        k, lr = registry.num_arms, cfg.schedule.base_rate
         assert cfg.world.noise_scale > 0, name
         world = build_world(cfg.world, k, np.random.default_rng(1), np.random.default_rng(2))
         rng = np.random.default_rng(3)

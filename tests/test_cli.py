@@ -607,7 +607,7 @@ def mutated_trace(draw):
     return text, fails
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(case=mutated_trace(), kind=st.sampled_from(EXPORT_KINDS))
 def test_mutated_trace_exports_or_fails_naming_its_line(tmp_path_factory, case, kind):
     """One mutation of one line of a good trace: ``export`` prints what the

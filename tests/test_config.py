@@ -109,10 +109,10 @@ class TestFromDict:
     def test_empty_object_resolves_to_the_runtime_defaults(self):
         # The sections take their defaults from the runtime types, so the two
         # cannot drift apart.
-        resolved = ExperimentConfig.from_dict({}).resolve()
-        bandit, schedule = resolved.bandit, resolved.schedule
+        cfg = ExperimentConfig.from_dict({})
+        bandit = cfg.resolve().bandit
         assert bandit == BanditConfig(num_arms=bandit.num_arms, total_steps=bandit.total_steps)
-        assert schedule == LrSchedule(base_rate=schedule.base_rate, total_steps=schedule.total_steps)
+        assert cfg.schedule == LrSchedule()
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="config"):
@@ -188,6 +188,24 @@ class TestFromDict:
             ExperimentConfig.from_dict({"policy": {"variant": "greedy"}})
         with pytest.raises(ConfigError, match="world: transfer"):
             ExperimentConfig.from_dict({"world": {"transfer": 2.0}})
+
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            ({"base_rate": -0.5}, "schedule: base_rate must be finite and >= 0, got -0.5"),
+            ({"base_rate": float("inf")}, "schedule: base_rate must be finite and >= 0, got inf"),
+            ({"warmup_fraction": 1}, "schedule: warmup_fraction must lie in [0, 1), got 1.0"),
+            ({"warmup_fraction": -0.25}, "schedule: warmup_fraction must lie in [0, 1), got -0.25"),
+        ],
+    )
+    def test_schedule_checked_at_load(self, tmp_path, schedule, message):
+        # Refused by from_dict and by load_config alike, before any resolve.
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_dict({"schedule": schedule})
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps({"schedule": schedule}), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
 
 
 # Each of these crashed with a bare TypeError (exit 3) naming no key.
@@ -268,6 +286,9 @@ _numbers = st.one_of(
     st.integers(-5, 5), st.sampled_from([0.0, -0.0, 0.5, -2.5, 1e-6, 1e300]), st.floats(allow_nan=False)
 )
 _unit = st.one_of(st.sampled_from([0, 1, 0.0, -0.0, 1.0]), st.floats(0, 1))
+# The schedule values load accepts: a finite rate >= 0 and a fraction in [0, 1).
+_rate = st.one_of(st.integers(0, 5), st.sampled_from([0.0, -0.0, 0.5, 1e-6, 1e300]), st.floats(0, allow_infinity=False))
+_fraction = st.one_of(st.sampled_from([0, 0.0, -0.0, 0.5]), st.floats(0, 1, exclude_max=True))
 _arms = st.lists(st.tuples(st.text("abc", min_size=1, max_size=3), st.integers(0, 10**6)), min_size=1, max_size=4)
 _registry = st.one_of(
     st.sampled_from(sorted(BUILTIN_REGISTRIES)),
@@ -306,7 +327,7 @@ CONFIG_INPUTS = st.fixed_dictionaries(
     {},
     optional={
         "bandit": _bandit,
-        "schedule": st.fixed_dictionaries({}, optional={"base_rate": _numbers, "warmup_fraction": _numbers}),
+        "schedule": st.fixed_dictionaries({}, optional={"base_rate": _rate, "warmup_fraction": _fraction}),
         "policy": _policy,
         "world": _world,
         "registry": _registry,
@@ -322,7 +343,7 @@ class TestHashReference:
         cfg = pinned_config(name)
         assert cfg.config_hash() == reference_config_hash(cfg)
 
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(obj=CONFIG_INPUTS)
     def test_equals_the_asdict_form_on_from_dict_input(self, obj):
         cfg = ExperimentConfig.from_dict(obj)
@@ -353,7 +374,7 @@ class TestSharedResolution:
         fresh = dataclasses.replace(load_config(CONFIGS / f"{name}.json"), seed=seed).resolve()
         assert shared.config.seed == seed
         assert shared.config == fresh.config
-        assert (shared.config_hash, shared.bandit, shared.schedule) == (fresh.config_hash, fresh.bandit, fresh.schedule)
+        assert (shared.config_hash, shared.bandit) == (fresh.config_hash, fresh.bandit)
         assert registry_view(shared.registry) == registry_view(fresh.registry)
 
     def test_resolves_once_per_object_and_seed_copy(self, resolutions):
@@ -408,7 +429,6 @@ class TestResolve:
         # ceil(2 * 329140 / 128)
         assert resolved.bandit.total_steps == 5143
         assert resolved.registry.num_arms == 16
-        assert resolved.schedule.total_steps == 5143
 
     def test_explicit_total_steps_wins(self):
         cfg = ExperimentConfig.from_dict(

@@ -60,81 +60,88 @@ def probe_examples(num_arms, size, num_examples=1000, seed=0):
     return np.random.default_rng(seed).integers(0, num_examples, size=(num_arms, size))
 
 
-def rate_at(sched, step):
-    """The learning rate of step ``step`` (0-based), one step at a time: the
-    oracle for ``LrSchedule.rates``."""
-    if not 0 <= step < sched.total_steps:
-        raise ValueError(f"step {step} outside [0, {sched.total_steps})")
-    w = sched.warmup_steps
+def rate_at(sched, total_steps, step):
+    """The learning rate of step ``step`` (0-based) of a ``total_steps``-step
+    run, one step at a time: the oracle for ``LrSchedule.rates``."""
+    if not 0 <= step < total_steps:
+        raise ValueError(f"step {step} outside [0, {total_steps})")
+    w = min(int(round(sched.warmup_fraction * total_steps)), total_steps - 1)
     if step < w:
         return sched.base_rate * (step + 1) / w
-    return sched.base_rate * (sched.total_steps - step) / (sched.total_steps - w)
+    return sched.base_rate * (total_steps - step) / (total_steps - w)
 
 
 class TestLrSchedule:
     def test_warmup_ramps_linearly(self):
-        sched = LrSchedule(base_rate=1.0, total_steps=100, warmup_fraction=0.1)
-        assert sched.warmup_steps == 10
-        assert rate_at(sched, 0) == pytest.approx(0.1)
-        assert rate_at(sched, 4) == pytest.approx(0.5)
-        assert rate_at(sched, 9) == pytest.approx(1.0)
+        sched = LrSchedule(base_rate=1.0, warmup_fraction=0.1)
+        # Ten warm-up steps, then the peak and the decay.
+        assert sched.rates(0, 12, 100).tolist() == pytest.approx([*(np.arange(1, 11) / 10), 1.0, 89 / 90])
+        assert rate_at(sched, 100, 0) == pytest.approx(0.1)
+        assert rate_at(sched, 100, 4) == pytest.approx(0.5)
+        assert rate_at(sched, 100, 9) == pytest.approx(1.0)
 
     def test_peak_then_linear_decay_to_zero(self):
-        sched = LrSchedule(base_rate=2.0, total_steps=100, warmup_fraction=0.1)
-        assert rate_at(sched, 10) == pytest.approx(2.0)
-        assert rate_at(sched, 55) == pytest.approx(2.0 * 45 / 90)
-        assert rate_at(sched, 99) == pytest.approx(2.0 / 90)
+        sched = LrSchedule(base_rate=2.0, warmup_fraction=0.1)
+        assert rate_at(sched, 100, 10) == pytest.approx(2.0)
+        assert rate_at(sched, 100, 55) == pytest.approx(2.0 * 45 / 90)
+        assert rate_at(sched, 100, 99) == pytest.approx(2.0 / 90)
 
     def test_no_warmup(self):
-        sched = LrSchedule(base_rate=1.0, total_steps=10, warmup_fraction=0.0)
-        assert sched.warmup_steps == 0
-        assert rate_at(sched, 0) == pytest.approx(1.0)
+        sched = LrSchedule(base_rate=1.0, warmup_fraction=0.0)
+        assert sched.rates(0, 2, 10).tolist() == [1.0, 0.9]
+        assert rate_at(sched, 10, 0) == pytest.approx(1.0)
 
     def test_warmup_capped_below_total(self):
-        # rounding must never consume the whole run
-        sched = LrSchedule(base_rate=1.0, total_steps=2, warmup_fraction=0.9)
-        assert sched.warmup_steps == 1
+        # rounding must never consume the whole run: one warm-up step, then
+        # the last step at the peak
+        sched = LrSchedule(base_rate=1.0, warmup_fraction=0.9)
+        assert sched.rates(0, 2, 2).tolist() == [1.0, 1.0]
 
     def test_step_out_of_range(self):
-        sched = LrSchedule(base_rate=1.0, total_steps=10)
-        with pytest.raises(ValueError):
-            rate_at(sched, 10)
-        with pytest.raises(ValueError):
-            rate_at(sched, -1)
+        sched = LrSchedule(base_rate=1.0)
+        for lo in (10, -1):
+            with pytest.raises(ValueError, match=rf"step {lo} outside \[0, 10\)"):
+                rate_at(sched, 10, lo)
+            with pytest.raises(ValueError, match=rf"step {lo} outside \[0, 10\)"):
+                sched.rates(lo, lo + 1, 10)
 
     def test_zero_step_schedule_has_no_steps(self):
-        sched = LrSchedule(base_rate=1.0, total_steps=0)
+        sched = LrSchedule(base_rate=1.0)
         with pytest.raises(ValueError, match=r"step 0 outside \[0, 0\)"):
-            rate_at(sched, 0)
-        assert sched.rates(0, 0).size == 0
+            rate_at(sched, 0, 0)
+        assert sched.rates(0, 0, 0).size == 0
+
+    def test_negative_total_steps_rejected(self):
+        with pytest.raises(ValueError, match=r"^total_steps must be >= 0, got -1$"):
+            LrSchedule().rates(0, 0, -1)
 
     @pytest.mark.parametrize(
         "kw",
         [
             {"base_rate": -0.1},
-            {"total_steps": -1},
+            {"base_rate": float("nan")},
             {"warmup_fraction": 1.0},
             {"warmup_fraction": -0.1},
         ],
     )
     def test_bad_params(self, kw):
-        base = dict(base_rate=1.0, total_steps=10, warmup_fraction=0.1)
+        base = dict(base_rate=1.0, warmup_fraction=0.1)
         base.update(kw)
         with pytest.raises(ValueError):
             LrSchedule(**base)
 
 
-def rate_loop(sched, lo, hi):
-    """``[rate_at(sched, s) for s in range(lo, hi)]``, or the error it raises."""
+def rate_loop(sched, total_steps, lo, hi):
+    """``[rate_at(sched, total_steps, s) for s in range(lo, hi)]``, or the error it raises."""
     try:
-        return [rate_at(sched, s) for s in range(lo, hi)]
+        return [rate_at(sched, total_steps, s) for s in range(lo, hi)]
     except ValueError as e:
         return str(e)
 
 
-def rates_call(sched, lo, hi):
+def rates_call(sched, total_steps, lo, hi):
     try:
-        rates = sched.rates(lo, hi)
+        rates = sched.rates(lo, hi, total_steps)
     except ValueError as e:
         return str(e)
     assert rates.dtype == np.float64
@@ -144,7 +151,7 @@ def rates_call(sched, lo, hi):
 @settings(deadline=None, max_examples=300)
 @given(
     base_rate=st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(1e-6, 1e-2)),
-    total_steps=st.one_of(st.just(1), st.integers(1, 400)),
+    total_steps=st.one_of(st.just(0), st.just(1), st.integers(1, 400)),
     warmup_fraction=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
     lo=st.integers(-3, 410),
     length=st.integers(-2, 60),
@@ -156,8 +163,8 @@ def rates_call(sched, lo, hi):
 def test_rates_match_rate_loop(base_rate, total_steps, warmup_fraction, lo, length):
     """``rates`` equals the loop of ``rate_at`` calls bit for bit, errors included,
     with and without warm-up steps."""
-    sched = LrSchedule(base_rate=base_rate, total_steps=total_steps, warmup_fraction=warmup_fraction)
-    assert rates_call(sched, lo, lo + length) == rate_loop(sched, lo, lo + length)
+    sched = LrSchedule(base_rate=base_rate, warmup_fraction=warmup_fraction)
+    assert rates_call(sched, total_steps, lo, lo + length) == rate_loop(sched, total_steps, lo, lo + length)
 
 
 class TestWorldParams:

@@ -538,7 +538,7 @@ def one_step_run(cfg):
     counts = np.zeros(registry.num_arms, dtype=np.int64)
     records = []
     for step in range(1, bandit.total_steps + 1):
-        lr = rate_at(resolved.schedule, step - 1)
+        lr = rate_at(cfg.schedule, bandit.total_steps, step - 1)
         probabilities = tuple(dist.p.tolist())
         batch = sample_batch(dist, registry, bandit.batch_size, train_rng)
         counts += np.bincount(batch.arms, minlength=registry.num_arms)

@@ -121,7 +121,7 @@ def read_trace(path):
     return header, list(window_records(windows))
 
 
-def summarize_records(records, registry, *, seed, config_hash, final_losses=None):
+def summarize_records(records, registry, *, seed, config_hash, final_losses):
     """``summarize`` of a list of records: the last record's counts, and one
     window per record."""
     if not records:
