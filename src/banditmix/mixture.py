@@ -88,20 +88,14 @@ class MixtureDistribution:
         return int(self.p.size)
 
     @cached_property
-    def cumulative(self) -> np.ndarray:
-        """Cumulative sums in fixed arm order, used by inverse-CDF sampling."""
-        return self.p.cumsum()
-
-    @cached_property
     def thresholds(self) -> np.ndarray:
-        """``cumulative`` in the domain of a uniform's 53-bit key.
+        """The cumulative sums ``c`` of ``p`` in the domain of a uniform's 53-bit key.
 
         numpy's uniform double is ``key * 2**-53`` exactly, so ``u >= c``
         holds iff ``key >= ceil(max(c, 0) * 2**53)``: every comparison of
-        a key with these thresholds agrees with the double's with
-        ``cumulative``.
+        a key with these thresholds agrees with the double's with ``c``.
         """
-        return np.ceil(np.maximum(self.cumulative, 0.0) * 2.0**53).astype(np.uint64)
+        return np.ceil(np.maximum(self.p.cumsum(), 0.0) * 2.0**53).astype(np.uint64)
 
     @cached_property
     def bucket_arms(self) -> np.ndarray | None:
@@ -124,18 +118,31 @@ class MixtureDistribution:
 
 @dataclass(frozen=True)
 class Batch:
-    """A sampled batch: parallel arrays of arm indices and example indices."""
+    """A sampled batch: parallel int64 arrays of arm indices and example indices.
+
+    Each field must be integers, or empty: a float, bool or str array is
+    refused, not truncated.
+    """
 
     arms: np.ndarray
     examples: np.ndarray
 
     def __post_init__(self) -> None:
-        arms = np.asarray(self.arms, dtype=np.int64)
-        examples = np.asarray(self.examples, dtype=np.int64)
-        if arms.shape != examples.shape or arms.ndim != 1:
+        for name in ("arms", "examples"):
+            v = np.asarray(getattr(self, name))
+            if v.size and v.dtype.kind not in "iu":
+                raise ValueError(f"{name} must be integers, got {v.dtype}")
+            object.__setattr__(self, name, v.astype(np.int64, copy=False))
+        if self.arms.shape != self.examples.shape or self.arms.ndim != 1:
             raise ValueError("arms and examples must be 1-d arrays of equal length")
-        object.__setattr__(self, "arms", arms)
-        object.__setattr__(self, "examples", examples)
+
+    def step_counts(self, steps: int, num_arms: int) -> np.ndarray:
+        """The ``(steps, num_arms)`` int64 draws per arm of each of ``steps`` equal rows;
+        the arms must lie in ``[0, num_arms)``."""
+        # Each element's (step, arm) cell, built in place to hold one copy.
+        cells = np.arange(0, steps * num_arms, num_arms).repeat(self.arms.size // steps)
+        cells += self.arms
+        return np.bincount(cells, minlength=steps * num_arms).reshape(steps, num_arms)
 
 
 def finite_vector(name: str, v: np.ndarray) -> np.ndarray:
@@ -178,7 +185,12 @@ def prior_scaled_probs(q: np.ndarray, prior: np.ndarray, beta: float) -> np.ndar
         positive = prior > 0
         w = np.zeros_like(z)
         w[positive] = np.exp(z[positive] - z[positive].max()) * prior[positive]
-    return w / w.sum()
+    # The largest weight is its prior entry, so the normalizer is positive
+    # unless ``beta * q`` overflowed and made it NaN.
+    total = w.sum()
+    if not total > 0.0:
+        raise ValueError(f"beta * q overflows: beta {beta}, largest |q| {float(np.abs(q).max())}")
+    return w / total
 
 
 def mixture_probs(q: np.ndarray, prior: np.ndarray, cfg: BanditConfig) -> MixtureDistribution:
@@ -232,11 +244,9 @@ def sample_batch(
 def _draw_step(
     dist: MixtureDistribution, counts: np.ndarray, batch_size: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    us = rng.random(batch_size)
-    arms = dist.cumulative.searchsorted(us, side="right")
-    # searchsorted never returns a negative index; only a draw at or above
-    # the float total of p can land past the last arm.
-    np.minimum(arms, dist.num_arms - 1, out=arms)
+    # Every numpy bit generator's double is ``key * 2**-53``: the keys are exact.
+    keys = (rng.random(batch_size) * 2.0**53).astype(np.uint64)
+    arms = _key_arms(dist, keys)
     return arms, rng.integers(0, counts[arms])
 
 
@@ -253,11 +263,12 @@ _BUCKET_LAST = _BUCKET_FIRST + np.uint64((1 << (53 - _BUCKET_BITS)) - 1)
 
 
 def _key_arms(dist: MixtureDistribution, keys: np.ndarray) -> np.ndarray:
-    """The arms ``_draw_step`` picks for the uniforms ``keys * 2**-53``.
+    """The arms of the uniforms ``keys * 2**-53``: every draw's one arm law.
 
-    ``keys`` are 53-bit integers.  A large window reads the arms of the
-    keys in buckets that hold no threshold from ``bucket_arms`` in one
-    gather, and searches only the keys of the others.
+    ``keys`` are 53-bit integers; a key's arm is the count of ``thresholds``
+    at or below it, capped at the last arm.  A large window reads the arms
+    of the keys in buckets that hold no threshold from ``bucket_arms`` in
+    one gather, and searches only the keys of the others.
     """
     table = dist.bucket_arms if keys.size >= _TABLE_MIN_KEYS else None
     if table is None:

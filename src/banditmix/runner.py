@@ -171,8 +171,7 @@ def run_experiment(
                 probabilities = tuple(dist.p.tolist())
             windows.append(window)
             if trace is not None:
-                per_step = np.bincount(np.arange(m).repeat(width) * k + batch.arms, minlength=m * k)
-                trace.write(window, per_step.reshape(m, k), rates)
+                trace.write(window, batch.step_counts(m, k), rates)
             first = last + 1
 
     final_losses = tuple(world.loss_vector.tolist())

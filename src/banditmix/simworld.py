@@ -23,6 +23,12 @@ optimizer step is a window of one row.  ``SimWorld.probe`` computes a reward
 round's steps, each on one arm's row, in closed form with the same
 operations.  The clip to the floor runs per arm over the window's steps in
 Python floats, which round each operation as numpy's float64 arrays do.
+
+A measurement observes arm ``j``'s loss at example ``e`` as
+``max(loss_j + noise_scale * u, 0)``, with ``u`` in ``[-0.5, 0.5)`` a hash
+of the world's key, ``j`` and ``e``.  ``SimWorld.probe`` is the only code
+of this observation and takes one path for every world: on a noiseless one
+the jitter is +-0.0, which leaves a loss of +0.0 or more as it is.
 """
 
 from __future__ import annotations
@@ -207,19 +213,6 @@ class SimWorld(Learner):
         """Current noiseless per-arm losses (copy)."""
         return self._loss.copy()
 
-    def _jitter(self, arms: np.ndarray, examples: np.ndarray) -> np.ndarray | None:
-        """Per-example observation jitter, or None for a noiseless world."""
-        if self._noise_scale > 0:
-            return self._noise_scale * _jitter_uniform(self._key, arms, examples)
-        return None
-
-    @staticmethod
-    def _observe(per: np.ndarray, jitter: np.ndarray | None) -> np.ndarray:
-        """Observed losses from true per-example losses: jitter, then clip at 0."""
-        if jitter is not None:
-            per = per + jitter
-        return np.maximum(per, 0.0)
-
     def train_steps(self, batch: Batch, learning_rates: Sequence[float]) -> None:
         """One step per rate on the batch's equal rows; the world's only update.
 
@@ -236,6 +229,8 @@ class SimWorld(Learner):
         only when the smallest rate is zero.
         """
         lr = np.asarray(learning_rates, dtype=np.float64)
+        if lr.ndim != 1:
+            raise ValueError(f"learning_rates must be a 1-d vector, got shape {lr.shape}")
         arms = batch.arms
         k, m = self._loss.size, lr.size
         if m < 1 or arms.size % m:
@@ -251,12 +246,7 @@ class SimWorld(Learner):
             bad = lr[~((lr >= 0.0) & (lr < math.inf))]
             raise ValueError(f"learning_rate must be finite and >= 0, got {float(bad[0])}")
         width = arms.size // m
-        # Each element's (step, arm) cell, built in place and freed before
-        # the factor tensors, so the window's peak memory holds one copy.
-        cells = np.arange(0, m * k, k).repeat(width)
-        cells += arms
-        n = np.bincount(cells, minlength=m * k).reshape(m, k)
-        del cells
+        n = batch.step_counts(m, k)
         if lowest == 0.0:
             live = lr.nonzero()[0]
             n, lr = n[live], lr[live]
@@ -295,9 +285,9 @@ class SimWorld(Learner):
         normals it would draw.  Only arm ``j``'s loss is measured afterwards,
         and ``prod(f**onehot)`` equals the single factor exactly, so the
         results match the per-row loop of ``Learner.probe``'s contract bit
-        for bit.  An invalid rate raises before the world is read.  The
-        examples' jitter is hashed once, and each observation adds it to the
-        column of per-arm losses by broadcasting.
+        for bit.  An invalid rate raises before the world is read.  Every
+        world takes this one path, a noiseless one with jitter and noise of
+        +-0.0; the jitter is hashed once and broadcast over the losses.
         """
         examples = np.asarray(examples)
         k = self._loss.size
@@ -310,15 +300,8 @@ class SimWorld(Learner):
 
         # Before and after the step, each probe observes the same examples.
         width = examples.shape[1]
-        jitter = self._jitter(np.arange(k)[:, np.newaxis], examples)
-
-        def observe(loss: np.ndarray) -> np.ndarray:
-            # Arm j's loss at each of row j's examples.
-            if jitter is None:
-                return self._observe(loss, None).repeat(width).reshape(k, width)
-            return self._observe(loss[:, np.newaxis], jitter)
-
-        pre = observe(self._loss)
+        jitter = self._noise_scale * _jitter_uniform(self._key, np.arange(k)[:, np.newaxis], examples)
+        pre = np.maximum(self._loss[:, np.newaxis] + jitter, 0.0)
         if learning_rate == 0.0:
             post = pre.copy()
         else:
@@ -326,13 +309,11 @@ class SimWorld(Learner):
             # array so numpy's scalar-power shortcuts never apply.
             factor = np.maximum(1.0 - learning_rate * self._transfer.diagonal() / width, 0.0)
             gap = (self._loss - self._floor) * factor ** np.full(k, float(width))
-            if self._noise_scale > 0:
-                state = self._rng.bit_generator.state
-                z = self._rng.standard_normal(k)
-                self._rng.bit_generator.state = state
-                gap = gap + self._noise_scale * learning_rate * z
-            moved = self._floor + np.maximum(gap, 0.0)
-            post = observe(moved)
+            state = self._rng.bit_generator.state
+            z = self._rng.standard_normal(k)
+            self._rng.bit_generator.state = state
+            moved = self._floor + np.maximum(gap + self._noise_scale * learning_rate * z, 0.0)
+            post = np.maximum(moved[:, np.newaxis] + jitter, 0.0)
         if entropy:
             return ENTROPY_LOSS_RATIO * pre, ENTROPY_LOSS_RATIO * post
         return pre, post

@@ -357,13 +357,23 @@ def summarize(
     consecutive steps' distributions.
 
     ``final_counts`` are the cumulative draws per arm after the last step,
-    and ``windows`` the windows that tile a run of ``steps`` steps; only
-    their ``first`` and ``probabilities`` are read.  The TV between each
-    window's distribution and the one before is placed into a zero vector
-    of ``steps - 1`` step-to-step distances and the mean taken over that
-    vector: the same numbers and the same reduction as over every
-    consecutive pair of steps, since steps of one window are 0 apart.
+    and ``windows`` the windows of a run of ``steps`` steps.  They must tile
+    steps 1 to ``steps``, each starting at the step after the window
+    before's ``last``, with the checks and messages of the trace writer;
+    else ``ValueError`` is raised.  Past that, only their ``first`` and
+    ``probabilities`` are read.  The TV between each window's distribution
+    and the one before is placed into a zero vector of ``steps - 1``
+    step-to-step distances and the mean taken over that vector: the same
+    numbers and the same reduction as over every consecutive pair of steps,
+    since steps of one window are 0 apart.
     """
+    last = 0
+    for window in windows:
+        _check_steps(window.first, window.last)
+        _check_tiling(window.first, window.last, last, steps, "")
+        last = window.last
+    if last < steps:
+        raise ValueError(f"windows end at step {last} of a {steps}-step run")
     counts = np.asarray(final_counts, dtype=np.float64)
     coverage = counts / registry.counts.astype(np.float64)
     if steps >= 2:

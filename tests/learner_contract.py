@@ -17,7 +17,7 @@ import pytest
 
 from banditmix.mixture import Batch
 from banditmix.rewards import Learner
-from banditmix.simworld import ENTROPY_LOSS_RATIO, SimWorld
+from banditmix.simworld import ENTROPY_LOSS_RATIO, SimWorld, _jitter_uniform
 
 
 class LoopLearner(Learner):
@@ -84,7 +84,9 @@ class LoopWorld(SimWorld, LoopLearner):
 
     ``train_steps`` and ``probe`` stay ``SimWorld``'s own, so every check run
     on a ``LoopWorld`` tests the product's code against the loops.  A step is
-    a window of one row; a measurement observes the world as ``probe`` does.
+    a window of one row.  A measurement observes each example's loss as the
+    module docstring states, by its own code: a noiseless world adds no
+    jitter at all, where ``probe`` adds +-0.0.
     """
 
     def snapshot(self):
@@ -100,7 +102,10 @@ class LoopWorld(SimWorld, LoopLearner):
             raise ValueError("batch must be nonempty")
         if arms.min() < 0 or arms.max() >= self._loss.size:
             raise ValueError("batch refers to arms outside this world")
-        return self._observe(self._loss[arms], self._jitter(arms, batch.examples))
+        per = self._loss[arms]
+        if self._noise_scale > 0:
+            per = per + self._noise_scale * _jitter_uniform(self._key, arms, batch.examples)
+        return np.maximum(per, 0.0)
 
     def entropy(self, batch):
         return ENTROPY_LOSS_RATIO * self.loss(batch)

@@ -95,14 +95,45 @@ class TestMixtureDistribution:
 
     def test_cumulative_ends_at_one(self):
         dist = MixtureDistribution(p=np.array([0.2, 0.3, 0.5]))
-        assert dist.cumulative[-1] == pytest.approx(1.0, abs=1e-12)
-        assert np.all(np.diff(dist.cumulative) >= 0)
+        cumulative = np.cumsum(dist.p)
+        assert cumulative[-1] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.diff(cumulative) >= 0)
 
 
 class TestBatch:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Batch(arms=np.array([0, 1]), examples=np.array([5]))
+
+    @pytest.mark.parametrize(
+        "arms, examples, field",
+        [
+            ([1.9, 0.2], [3.7, True], "arms"),
+            ([1, 0], [3.7, True], "examples"),
+            (np.array([True, False]), [3, 1], "arms"),
+            ([1, 0], np.array(["3", "1"]), "examples"),
+        ],
+        ids=["float-arms", "float-examples", "bool", "str"],
+    )
+    def test_non_integer_fields_rejected(self, arms, examples, field):
+        # Truncating 1.9 to arm 1 would train on an arm nobody drew.
+        with pytest.raises(ValueError, match=f"{field} must be integers"):
+            Batch(arms=arms, examples=examples)
+
+    @pytest.mark.parametrize(
+        "arms, examples",
+        [
+            (np.array([2, 0], dtype=np.uint8), np.array([7, 9], dtype=np.int32)),
+            ([2, 0], [7, 9]),
+            (np.array([], dtype=np.float64), np.array([], dtype=bool)),
+        ],
+        ids=["uint8-int32", "lists", "empty"],
+    )
+    def test_integer_and_empty_fields_become_int64(self, arms, examples):
+        batch = Batch(arms=arms, examples=examples)
+        assert batch.arms.dtype == batch.examples.dtype == np.int64
+        np.testing.assert_array_equal(batch.arms, arms)
+        np.testing.assert_array_equal(batch.examples, examples)
 
 
 class TestProbabilityLaw:
@@ -135,6 +166,12 @@ class TestProbabilityLaw:
         p = prior_scaled_probs(q, PRIOR3, beta=10.0)
         assert np.all(np.isfinite(p))
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("prior", [[0.5, 0.5], [0.5, 0.0], [0.0, 0.5]])
+    def test_overflowing_logits_raise(self, prior):
+        # Finite q whose beta * q is infinite: the normalizer would be NaN.
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="beta \\* q overflows"):
+            prior_scaled_probs([1e308, -1e308], prior, 10.0)
 
     def test_reward_gap_raises_that_arm(self):
         # one arm's estimate far above the rest must strictly gain mass
@@ -245,8 +282,9 @@ class TestSampling:
         k = 10
         dist = MixtureDistribution(p=np.full(k, 0.1))
         top = np.nextafter(1.0, 0.0)
-        assert dist.cumulative[-1] <= top
-        assert np.searchsorted(dist.cumulative, top, side="right") == k
+        cumulative = np.cumsum(dist.p)
+        assert cumulative[-1] <= top
+        assert np.searchsorted(cumulative, top, side="right") == k
 
         class TopDraws:
             # Not numpy's PCG64, so sample_batch draws through the one-step loop.

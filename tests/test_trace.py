@@ -846,6 +846,24 @@ class TestSummarize:
         with pytest.raises(ValueError):
             self.summary([])
 
+    @pytest.mark.parametrize(
+        "spans, steps, message",
+        [
+            ([(1, 2), (1, 4)], 4, "steps 1 to 4 after step 2 of a 4-step trace"),
+            ([(1, 2), (4, 4)], 4, "steps 4 to 4 after step 2 of a 4-step trace"),
+            ([(1, 2), (3, 5)], 4, "steps 3 to 5 after step 2 of a 4-step trace"),
+            ([(1, 2), (3, 2), (3, 4)], 4, "ends at step 2, before its first step 3"),
+            ([(1, 2)], 4, "windows end at step 2 of a 4-step run"),
+            ([], 3, "windows end at step 0 of a 3-step run"),
+        ],
+        ids=["restart", "gap", "overrun", "backwards", "short", "none"],
+    )
+    def test_windows_must_tile_the_steps(self, spans, steps, message):
+        registry = ArmRegistry.from_counts({"a": 100, "b": 200, "c": 400})
+        windows = [Window(first, last, (0.2, 0.3, 0.5), (0.0,) * 3, (0.0,) * 3, None) for first, last in spans]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            summarize((1, 1, 1), windows, steps, registry, seed=0, config_hash="x", final_losses=(0.5,) * 3)
+
 
 def dense_mean_tv(rows):
     """The step-to-step TV over every consecutive pair of rows."""

@@ -1,8 +1,9 @@
 """Window paths against the one-step loop, bit for bit.
 
 A run steps one update interval at a time.  ``sample_batch(..., steps=m)``
-must equal ``m`` steps of numpy's own draws (``_draw_step``) joined end to
-end, the probe examples ``lookahead_round`` hands a learner one
+must equal ``m`` steps of numpy's own draws (``numpy_step``: a float search
+of ``np.cumsum(p)``, then ``rng.integers``) joined end to end, the probe
+examples ``lookahead_round`` hands a learner one
 ``rng.integers(0, c, size=B)`` per arm in turn, ``SimWorld.train_steps``
 both a loop of ``reference_step`` (the training law in plain 2-d arithmetic)
 and the reference ``LoopLearner.train_steps`` loop, and ``run_experiment``
@@ -10,6 +11,7 @@ a loop that does one step at a time; generator state is compared in every
 case.
 """
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,7 @@ from banditmix.registry import ArmRegistry
 from banditmix.rewards import lookahead_round
 from banditmix.simworld import WorldParams, build_world
 
-from learner_contract import LinearLearner, LoopLearner, check_train_steps_matches_default, loop_world, random_batch
+from learner_contract import LinearLearner, LoopLearner, check_call_is_pure, check_train_steps_matches_default, loop_world, random_batch
 from test_simworld import rate_at
 from trace_oracles import TraceRecord, recorded_run, run_records
 
@@ -59,9 +61,18 @@ def state(rng):
     return repr(rng.bit_generator.state)
 
 
+def numpy_step(dist, counts, batch_size, rng):
+    """One step's draw from numpy's own calls: ``batch_size`` uniforms searched
+    in the cumulative sums of ``p``, capped at the last arm, then one
+    bounded integer per element."""
+    arms = np.cumsum(dist.p).searchsorted(rng.random(batch_size), side="right")
+    np.minimum(arms, dist.num_arms - 1, out=arms)
+    return arms, rng.integers(0, counts[arms])
+
+
 def assert_window_matches_loop(dist, reg, batch_size, steps, loop_rng, window_rng):
     assert state(window_rng) == state(loop_rng)
-    arms, examples = zip(*(_draw_step(dist, reg.counts, batch_size, loop_rng) for _ in range(steps)))
+    arms, examples = zip(*(numpy_step(dist, reg.counts, batch_size, loop_rng) for _ in range(steps)))
     window = sample_batch(dist, reg, batch_size, window_rng, steps=steps)
     assert np.array_equal(window.arms, np.concatenate(arms))
     assert np.array_equal(window.examples, np.concatenate(examples))
@@ -137,7 +148,7 @@ class TestWindowDraw:
         starts = []
         for _ in range(8):
             starts.append(state(loop_rng))
-            _draw_step(DIST3, reg.counts, 16, loop_rng)
+            numpy_step(DIST3, reg.counts, 16, loop_rng)
         redrawn = []
 
         def spy(dist, counts, batch_size, rng):
@@ -217,7 +228,7 @@ TABLE_DISTRIBUTIONS = st.one_of(
 
 
 def test_cumulatives_end_off_one_as_stated():
-    assert ENDS_BELOW_ONE.cumulative[-1] < 1.0 < ENDS_ABOVE_ONE.cumulative[-1]
+    assert np.cumsum(ENDS_BELOW_ONE.p)[-1] < 1.0 < np.cumsum(ENDS_ABOVE_ONE.p)[-1]
 
 
 @settings(deadline=None, max_examples=200)
@@ -232,7 +243,7 @@ def test_key_arms_match_float_search(dist, seed):
     special = special[(special >= 0) & (special < 2**53)]
     fill = np.random.default_rng(seed).integers(0, 2**53, size=mixture._TABLE_MIN_KEYS)
     keys = np.concatenate([special, fill]).astype(np.uint64)
-    expected = dist.cumulative.searchsorted(keys.astype(np.float64) * 2.0**-53, side="right")
+    expected = np.cumsum(dist.p).searchsorted(keys.astype(np.float64) * 2.0**-53, side="right")
     np.minimum(expected, dist.num_arms - 1, out=expected)
     assert np.array_equal(_key_arms(dist, keys), expected)
 
@@ -255,13 +266,13 @@ def test_table_window_matches_loop(dist, batch_size, extra_steps, held, top, see
 
 
 def step_rejects(dist, counts, batch_size, rng):
-    """Take one ``_draw_step``; whether numpy redrew any of its example draws.
+    """Take one ``numpy_step``; whether numpy redrew any of its example draws.
 
     Without a redraw the step ends where its doubles and its share of raws
     for 32-bit draws leave the generator.
     """
     start = rng.bit_generator.state
-    _draw_step(dist, counts, batch_size, rng)
+    numpy_step(dist, counts, batch_size, rng)
     held = start["has_uint32"]
     words = (batch_size - held + 1) // 2
     clean = np.random.PCG64()
@@ -487,6 +498,19 @@ class TestWindowUpdate:
         with pytest.raises(ValueError, match="equal steps"):
             world.train_steps(Batch(arms=[0, 1, 2], examples=[0, 0, 0]), rates)
         assert world.state_dict() == before
+
+    @pytest.mark.parametrize("rates, shape", [(0.1, "()"), ([[0.1], [0.2]], "(2, 1)")], ids=["scalar", "2-d"])
+    def test_rates_must_be_a_vector(self, rates, shape, rng):
+        world = make_world()
+        check_call_is_pure(
+            world,
+            lambda w: w.train_steps(Batch(arms=[0, 1], examples=[0, 0]), rates),
+            random_batch(3, 8, rng),
+            [0.1],
+            raises=ValueError,
+        )
+        with pytest.raises(ValueError, match=re.escape(f"1-d vector, got shape {shape}")):
+            world.train_steps(Batch(arms=[0, 1], examples=[0, 0]), rates)
 
     @pytest.mark.parametrize(
         "arms, rates, message",
